@@ -27,8 +27,7 @@ from .modring import (
 )
 from .sequences import (
     SeqId,
-    apery_a_exact,
-    apery_aprime_exact,
+    apery_mod,
     c_coeffs,
     factorial_table,
     seq_mod,
@@ -41,7 +40,7 @@ from .special import (
 )
 
 SIZE_CAP_ENV = "APERY_LAB_SIZE_CAP"
-DEFAULT_SIZE_CAP = 2000
+DEFAULT_SIZE_CAP = 100_000
 
 # Tabulated reference constants for the conj2.5 family, m = 1..6.
 REFERENCE_CM = {1: 1, 2: 1, 3: -17, 4: -703, 5: -21499, 6: -628145}
@@ -163,21 +162,23 @@ def _gamma_quarter_pow4(p: int, e: int, cfg: CheckConfig) -> int:
 
 def _run_beukers_a(pi, m, r, cfg):
     _require(pi.p > 3, "requires p > 3")
-    hi, lo = m * pi.p ** r - 1, m * pi.p ** (r - 1) - 1
+    p = pi.p
+    hi, lo = m * p ** r - 1, m * p ** (r - 1) - 1
     _cap(hi, cfg)
-    modulus = pi.p ** (3 * r)
-    return modulus, apery_a_exact(hi) % modulus, apery_a_exact(lo) % modulus, None
+    e = 3 * r
+    return p ** e, apery_mod(SeqId.A, hi, p, e), apery_mod(SeqId.A, lo, p, e), None
 
 
 def _run_beukers_aprime(pi, m, r, cfg):
     _require(pi.p > 3, "requires p > 3")
-    hi, lo = m * pi.p ** r - 1, m * pi.p ** (r - 1) - 1
+    p = pi.p
+    hi, lo = m * p ** r - 1, m * p ** (r - 1) - 1
     _cap(hi, cfg)
-    modulus = pi.p ** (3 * r)
+    e = 3 * r
     return (
-        modulus,
-        apery_aprime_exact(hi) % modulus,
-        apery_aprime_exact(lo) % modulus,
+        p ** e,
+        apery_mod(SeqId.APRIME, hi, p, e),
+        apery_mod(SeqId.APRIME, lo, p, e),
         None,
     )
 
@@ -190,8 +191,8 @@ def _run_liu_a(pi, m, r, cfg):
     e = 3 * r + 1
     modulus = p ** e
     corr = Fraction(2, 3) * c_coeffs(m)[0] * p ** (3 * r) * bernoulli(p - 3)
-    rhs = (apery_a_exact(lo) + reduce_rat(corr, p, e).value) % modulus
-    return modulus, apery_a_exact(hi) % modulus, rhs, None
+    rhs = (apery_mod(SeqId.A, lo, p, e) + reduce_rat(corr, p, e).value) % modulus
+    return modulus, apery_mod(SeqId.A, hi, p, e), rhs, None
 
 
 def _run_liu_aprime(pi, m, r, cfg):
@@ -202,8 +203,8 @@ def _run_liu_aprime(pi, m, r, cfg):
     e = 3 * r + 1
     modulus = p ** e
     corr = Fraction(1, 3) * c_coeffs(m)[1] * p ** (3 * r) * bernoulli(p - 3)
-    rhs = (apery_aprime_exact(lo) + reduce_rat(corr, p, e).value) % modulus
-    return modulus, apery_aprime_exact(hi) % modulus, rhs, None
+    rhs = (apery_mod(SeqId.APRIME, lo, p, e) + reduce_rat(corr, p, e).value) % modulus
+    return modulus, apery_mod(SeqId.APRIME, hi, p, e), rhs, None
 
 
 def _run_eq13(pi, m, r, cfg):
@@ -366,7 +367,7 @@ def _run_conj22(pi, m, r, cfg):
         comb(m, k) * comb(m - 1, k - 1) * comb(m + k - 1, k - 1)
         for k in range(1, m + 1)
     )
-    lhs = (apery_aprime_exact(hi) - apery_aprime_exact(lo)) % modulus
+    lhs = (apery_mod(SeqId.APRIME, hi, p, e) - apery_mod(SeqId.APRIME, lo, p, e)) % modulus
     corr = Fraction(5, 3) * m ** 3 * wm * p ** (3 * r) * bernoulli(p - 3)
     return modulus, lhs, reduce_rat(corr, p, e).value, None
 
@@ -383,8 +384,8 @@ def _run_conj23(pi, m, r, cfg):
     e = 3 * r + 2
     modulus = p ** e
     corr = c_coeffs(m)[1] * p ** (3 * r) * _bernoulli_bracket(p)
-    rhs = (apery_aprime_exact(lo) + reduce_rat(corr, p, e).value) % modulus
-    return modulus, apery_aprime_exact(hi) % modulus, rhs, None
+    rhs = (apery_mod(SeqId.APRIME, lo, p, e) + reduce_rat(corr, p, e).value) % modulus
+    return modulus, apery_mod(SeqId.APRIME, hi, p, e), rhs, None
 
 
 def _run_conj24(pi, m, r, cfg):
@@ -394,7 +395,7 @@ def _run_conj24(pi, m, r, cfg):
     _cap(hi, cfg)
     e = 3 * r + 2
     modulus = p ** e
-    lhs = (apery_a_exact(hi) - apery_a_exact(lo)) % modulus
+    lhs = (apery_mod(SeqId.A, hi, p, e) - apery_mod(SeqId.A, lo, p, e)) % modulus
     corr = 2 * c_coeffs(m)[0] * p ** (3 * r) * _bernoulli_bracket(p)
     return modulus, lhs, reduce_rat(corr, p, e).value, None
 
@@ -407,7 +408,7 @@ def _run_conj25(pi, m, r, cfg):
     _cap(hi, cfg)
     e = 3 * r + 1
     modulus = p ** e
-    lhs = (apery_a_exact(hi) - apery_a_exact(lo)) % modulus
+    lhs = (apery_mod(SeqId.A, hi, p, e) - apery_mod(SeqId.A, lo, p, e)) % modulus
     corr = Fraction(2, 3) * m ** 3 * REFERENCE_CM[m] * p ** (3 * r) * bernoulli(p - 3)
     return modulus, lhs, reduce_rat(corr, p, e).value, None
 
@@ -622,7 +623,8 @@ def sweep(
     """Run the cross product of checks, primes, and parameters.
 
     Results come back in canonical order (registry order, then p, m, r),
-    independent of the worker count.
+    independent of the worker count.  At most min(jobs, CPU count, tasks)
+    worker processes are started.
     """
     cfg = cfg or default_config()
     wanted = set(names)
@@ -653,10 +655,11 @@ def sweep(
             tasks.extend((name, p, None, None, None) for p in plist)
 
     packed = [(t, cfg) for t in tasks]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [_run_task(pk) for pk in packed]
-    chunk = max(1, len(packed) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(packed) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, packed, chunksize=chunk))
 
 
@@ -694,7 +697,9 @@ def recover_cm(
 
         A_{mp^r - 1} - A_{mp^(r-1) - 1} = (2/3) m^3 c_m p^(3r) B_{p-3}  (mod p^(3r+1)),
 
-    CRT-combined to the symmetric representative."""
+    CRT-combined to the symmetric representative.  The difference is only
+    needed mod p^(3r+1): that fixes its divisibility by p^(3r) and the
+    quotient mod p."""
     cfg = cfg or default_config()
     acc = CrtAccumulator()
     skipped: list[tuple[int, str]] = []
@@ -713,7 +718,9 @@ def recover_cm(
         if b == 0:
             skipped.append((p, "B_{p-3} = 0 (mod p)"))
             continue
-        diff = apery_a_exact(hi) - apery_a_exact(m * p ** (r - 1) - 1)
+        e = 3 * r + 1
+        lo = m * p ** (r - 1) - 1
+        diff = (apery_mod(SeqId.A, hi, p, e) - apery_mod(SeqId.A, lo, p, e)) % p ** e
         q, rem = divmod(diff, p ** (3 * r))
         if rem:
             skipped.append((p, f"difference not divisible by p^{3 * r}"))

@@ -64,6 +64,16 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"invalid {what} list: {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
 def _render_value(value, modulus, balanced: bool):
     if value is None:
         return None
@@ -169,17 +179,21 @@ def cmd_verify(args) -> int:
     code = _summarize(results, sys.stderr)
     if "conj2.5" in names:
         plist = [pi.p for pi in primes_in_range(*args.primes)]
+        # a plain --r 1 run keeps its recovery lines free of an r tag
+        show_r = args.r != [1]
         for m in args.m:
-            try:
-                value, report = recover_cm(m, plist)
-            except ValueError as exc:
-                sys.stderr.write(f"conj2.5 recovery m={m}: {exc}\n")
-                continue
-            parts = ", ".join(f"{v} (mod {p})" for p, v in report["residues"])
-            sys.stderr.write(
-                f"conj2.5 recovery m={m}: c_{m} = {value} "
-                f"(mod {report['modulus']}; {parts}); odd={report['odd']}\n"
-            )
+            for r in args.r:
+                r_tag = f" at r={r}" if show_r else ""
+                try:
+                    value, report = recover_cm(m, plist, r)
+                except ValueError as exc:
+                    sys.stderr.write(f"conj2.5 recovery m={m}: {exc}{r_tag}\n")
+                    continue
+                parts = ", ".join(f"{v} (mod {p})" for p, v in report["residues"])
+                sys.stderr.write(
+                    f"conj2.5 recovery m={m}: c_{m} = {value}{r_tag} "
+                    f"(mod {report['modulus']}; {parts}); odd={report['odd']}\n"
+                )
     return code
 
 
@@ -291,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--r", default="1", metavar="LIST",
                    type=lambda s: _parse_int_list(s, "r"),
                    help="r values (default 1)")
-    v.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers (default: available parallelism)")
+    v.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                   help="parallel workers, at most the CPU count and the task "
+                        "count (default: available parallelism)")
     v.add_argument("--format", choices=("table", "json", "csv"), default="table")
     v.add_argument("--balanced", action="store_true",
                    help="print symmetric residue representatives")

@@ -271,39 +271,56 @@ def reduce_rat(q: Union[Fraction, int], p: int, e: int) -> Residue:
 class FactorialTable:
     """Factored factorials for one modulus p^e, built incrementally.
 
-    binomial() is O(1) after the underlying factorial row has been extended,
-    which makes residue evaluation of long binomial sums linear overall.
+    Three rows are kept as plain ints: the Legendre valuation of i!, its unit
+    part with every factor p stripped, and the inverse of that unit.  The
+    inverse row costs one modular inversion per extension and is then filled
+    backwards, so binomial() is O(1) and long binomial sums run in linear time.
     """
 
     def __init__(self, p: int, e: int) -> None:
         self.p = p
         self.e = e
         self.modulus = p ** e
-        self._val = [0]
-        self._unit = [1]
+        self.val = [0]
+        self.unit = [1]
+        self.inv_unit = [1]
 
-    def _extend(self, n: int) -> None:
+    def extend(self, n: int) -> None:
+        """Make the rows cover 0..n."""
+        start = len(self.val)
+        if n < start:
+            return
         p, m = self.p, self.modulus
-        v, u = self._val[-1], self._unit[-1]
-        for i in range(len(self._val), n + 1):
+        v, u = self.val[-1], self.unit[-1]
+        stripped = []
+        for i in range(start, n + 1):
             while i % p == 0:
                 i //= p
                 v += 1
             u = u * i % m
-            self._val.append(v)
-            self._unit.append(u)
+            stripped.append(i)
+            self.val.append(v)
+            self.unit.append(u)
+        # IU[i-1] = IU[i] * (i with p stripped), from IU[n] = U[n]^-1 down
+        iu = pow(u, -1, m)
+        inv = [iu]
+        for s in reversed(stripped[1:]):
+            iu = iu * s % m
+            inv.append(iu)
+        inv.reverse()
+        self.inv_unit.extend(inv)
 
     def factorial(self, n: int) -> PadicFactored:
         if n < 0:
             raise ValueError("need n >= 0")
-        self._extend(n)
-        return PadicFactored(self._val[n], Residue(self._unit[n], self.p, self.e))
+        self.extend(n)
+        return PadicFactored(self.val[n], Residue(self.unit[n], self.p, self.e))
 
     def binomial(self, n: int, k: int) -> PadicFactored:
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        self._extend(n)
+        self.extend(n)
         m = self.modulus
-        v = self._val[n] - self._val[k] - self._val[n - k]
-        u = self._unit[n] * pow(self._unit[k] * self._unit[n - k] % m, -1, m) % m
+        v = self.val[n] - self.val[k] - self.val[n - k]
+        u = self.unit[n] * self.inv_unit[k] % m * self.inv_unit[n - k] % m
         return PadicFactored(v, Residue(u, self.p, self.e))

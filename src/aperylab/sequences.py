@@ -1,9 +1,10 @@
 """Integer and harmonic sequences, each with two independent computation routes.
 
 Exact evaluators return big integers or fractions; seq_mod evaluates residues
-without ever constructing the exact value (factored binomials for the Apery
-sums, the division-free recurrence for t, incremental inverses for the
-harmonic family).
+without ever constructing the exact value (apery_mod over a factorial table
+for the Apery sums, the division-free recurrence for t, incremental inverses
+for the harmonic family).  The exact direct sums and recurrences for A and A'
+are the oracles that apery_mod is tested against.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .modring import (
-    FactorialTable,
-    NotPIntegral,
-    Residue,
-    residue,
-    to_residue,
-)
+from .modring import FactorialTable, NotPIntegral, Residue, residue
 
 
 class SeqId(str, Enum):
@@ -158,9 +153,47 @@ def seq_exact(sid: SeqId, n: int):
 # ---------------------------------------------------------------------------
 # modular evaluators
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def factorial_table(p: int, e: int) -> FactorialTable:
+    # Sweeps visit (p, e) in order, so a few live tables suffice.
     return FactorialTable(p, e)
+
+
+def apery_mod(sid: SeqId, n: int, p: int, e: int) -> int:
+    """Least residue of A_n or A'_n mod p^e, summed term by term in plain ints.
+
+    Each term is p^v * unit, read off the factorial table:
+      A:  binom(n,k)^2 binom(n+k,k)^2 = ((n+k)! / (k!^2 (n-k)!))^2,
+      A': binom(n,k)^2 binom(n+k,k)   = n! (n+k)! / (k!^3 (n-k)!^2);
+    terms with v >= e vanish mod p^e and are skipped.
+    """
+    sid = SeqId(sid)
+    if sid not in (SeqId.A, SeqId.APRIME):
+        raise ValueError(f"apery_mod evaluates A and Aprime, not {sid.value}")
+    if n < 0:
+        raise ValueError("need n >= 0")
+    table = factorial_table(p, e)
+    table.extend(2 * n)
+    m = table.modulus
+    ppow = [p ** v for v in range(e)]
+    val, unit, inv = table.val, table.unit, table.inv_unit
+    # rows indexed by n + k, k and n - k for k = 0..n
+    rows = zip(val[n : 2 * n + 1], unit[n : 2 * n + 1], val, inv, val[n::-1], inv[n::-1])
+    acc = 0
+    if sid is SeqId.A:
+        for v_nk, u_nk, v_k, iu_k, v_d, iu_d in rows:
+            v = 2 * (v_nk - 2 * v_k - v_d)
+            if v < e:
+                u = u_nk * iu_k % m * iu_k % m * iu_d % m
+                acc += ppow[v] * (u * u % m)
+        return acc % m
+    vn = val[n]
+    for v_nk, u_nk, v_k, iu_k, v_d, iu_d in rows:
+        v = vn + v_nk - 3 * v_k - 2 * v_d
+        if v < e:
+            u = u_nk * iu_k % m * iu_k % m * iu_k % m * iu_d % m * iu_d % m
+            acc += ppow[v] * u
+    return acc % m * unit[n] % m
 
 
 def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
@@ -169,14 +202,7 @@ def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
     if n < 0:
         raise ValueError("need n >= 0")
     if sid in (SeqId.A, SeqId.APRIME):
-        table = factorial_table(p, e)
-        acc = residue(0, p, e)
-        for k in range(n + 1):
-            b1 = table.binomial(n, k)
-            b2 = table.binomial(n + k, k)
-            term = b1 * b1 * b2 * b2 if sid is SeqId.A else b1 * b1 * b2
-            acc = acc + to_residue(term)
-        return acc
+        return Residue(apery_mod(sid, n, p, e), p, e)
     if sid is SeqId.T:
         m = p ** e
         a, b = 1, 5

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from aperylab import checks
 from aperylab.checks import (
     CHECKS,
     CheckConfig,
@@ -14,7 +15,7 @@ from aperylab.checks import (
     sweep,
 )
 from aperylab.modring import primes_in_range
-from aperylab.sequences import SeqId, apery_aprime_exact, seq_mod
+from aperylab.sequences import SeqId, apery_a_recurrence, apery_aprime_exact, seq_mod
 
 
 def test_registry_shape():
@@ -83,6 +84,74 @@ def test_size_cap_skip():
     cfg = CheckConfig(size_cap=50)
     res = run_check("beukers_a", 11, 1, 2, cfg=cfg)
     assert res.verdict == "skip" and "size cap" in res.skip_reason
+
+
+def test_default_size_cap_reaches_r2(monkeypatch):
+    # index 47^2 - 1 = 2208 lies above the old cap of 2000
+    monkeypatch.delenv(checks.SIZE_CAP_ENV, raising=False)
+    res = run_check("beukers_a", 47, 1, 2)
+    assert res.verdict == "pass"
+    assert res.lhs == apery_a_recurrence(2208) % 47 ** 6
+
+
+LIFT_CHECKS = [
+    "beukers_a", "beukers_aprime", "liu_a", "liu_aprime",
+    "conj2.2", "conj2.3", "conj2.4", "conj2.5",
+]
+
+
+@pytest.mark.parametrize("name", LIFT_CHECKS)
+@pytest.mark.parametrize("p, m", [(7, 1), (11, 2), (13, 3)])
+def test_lift_checks_fail_when_kernel_is_perturbed(monkeypatch, name, p, m):
+    assert run_check(name, p, m, 1).verdict == "pass"
+    real = checks.apery_mod
+    hi = m * p - 1  # the smaller of the two r = 1 upper indices, m p - 1 and m p
+
+    def shifted(sid, n, q, e):
+        value = real(sid, n, q, e)
+        return (value + q ** (e - 1)) % q ** e if n >= hi else value
+
+    monkeypatch.setattr(checks, "apery_mod", shifted)
+    assert run_check(name, p, m, 1).verdict == "fail"
+
+
+def serial_pool(started):
+    """A stand-in for ProcessPoolExecutor that records max_workers in
+    `started` and maps in-process."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    return SerialPool
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, primes, workers",
+    [
+        (10**6, 4, (3, 30), 4),  # 9 tasks: bounded by the CPU count
+        (3, 4, (3, 30), 3),
+        (10**6, None, (3, 30), None),  # unknown CPU count: one process
+        (8, 4, (3, 5), 2),  # bounded by the task count
+        (8, 4, (3, 3), None),  # a single task runs in-process
+    ],
+)
+def test_sweep_bounds_workers(monkeypatch, jobs, cpus, primes, workers):
+    started = []
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", serial_pool(started))
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
+    got = sweep(["thm3.3_tp"], primes, jobs=jobs)
+    assert started == ([] if workers is None else [workers])
+    assert got == sweep(["thm3.3_tp"], primes, jobs=1)
 
 
 def test_gamma_cap_skip():
@@ -173,3 +242,8 @@ def test_recover_cm_skips_p_dividing_m():
     value, report = recover_cm(5, [5, 7, 11, 13, 17, 19, 23])
     assert value == -21499
     assert (5, "p divides m") in report["skipped"]
+
+
+def test_recover_cm_at_r2():
+    value, report = recover_cm(3, [5, 7, 11, 13, 17, 19, 23], r=2)
+    assert value == -17 and report["r"] == 2

@@ -78,6 +78,26 @@ def test_verify_conj25_recovery_table(capsys):
     assert "c_3 = -17" in err
 
 
+def test_verify_recovery_follows_r(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--checks", "conj2.5", "--primes", "5..23",
+        "--m", "1..3", "--r", "2", "--format", "json",
+    )
+    assert code == 0
+    lines = [line for line in err.splitlines() if line.startswith("conj2.5 recovery")]
+    assert len(lines) == 3 and all("r=2" in line for line in lines)
+    assert lines[2].startswith("conj2.5 recovery m=3: c_3 = -17 ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--checks", "eq1.3", "--primes", "5..7", "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err and "--jobs" in err
+
+
 def test_seq_values(capsys):
     assert run_cli(capsys, "seq", "--name", "t", "--n", "4")[1] == "230481\n"
     assert run_cli(capsys, "seq", "--name", "A", "--n", "5")[1] == "819005\n"

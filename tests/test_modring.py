@@ -1,6 +1,7 @@
 """Residues, factored factorials and binomials, prime enumeration."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -189,3 +190,33 @@ def test_reduce_rat_matches_direct_reduction(num, den, p, e):
     else:
         got = reduce_rat(q, p, e)
         assert got.value * q.denominator % m == q.numerator % m
+
+
+def split_p(x, p, e):
+    """x > 0 as (v, unit mod p^e) with x = p^v * unit."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x % p ** e
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(0, 1500),
+    st.integers(0, 1500),
+    st.sampled_from([3, 5, 7, 11, 13, 31, 149]),
+    st.integers(1, 7),
+    st.lists(st.integers(0, 1500), max_size=3),
+)
+def test_table_binomial_matches_comb(n, k, p, e, steps):
+    if k > n:
+        n, k = k, n
+    table = FactorialTable(p, e)
+    # grow the rows in several extensions, as a sweep does
+    for s in steps:
+        table.extend(s)
+    b = table.binomial(n, k)
+    assert (b.valuation, b.unit.value) == split_p(comb(n, k), p, e)
+    m = p ** e
+    assert all(u * iu % m == 1 for u, iu in zip(table.unit, table.inv_unit))

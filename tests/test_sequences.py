@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aperylab.modring import NotPIntegral
 from aperylab.sequences import (
@@ -11,6 +13,7 @@ from aperylab.sequences import (
     apery_a_recurrence,
     apery_aprime_exact,
     apery_aprime_recurrence,
+    apery_mod,
     c_coeffs,
     harmonic_values,
     seq_exact,
@@ -107,3 +110,52 @@ def test_seq_exact_dispatch():
     assert seq_exact(SeqId.CPRIME, 1) == -5
     assert seq_exact(SeqId.D, 2) == Fraction(2, 3)
     assert seq_exact("H", 2) == Fraction(3, 2)
+
+
+KERNEL_PRIMES = [3, 5, 7, 11, 13, 31, 149]
+
+
+@st.composite
+def kernel_cases(draw, max_n):
+    """(n, p, e) with n drawn at large, or next to a multiple of p^2 or p^3,
+    where the factorial valuations of n, n + k and n - k jump."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    e = draw(st.integers(1, 7))
+    near = sorted({
+        j * p ** k + d
+        for k in (2, 3)
+        for j in range(1, max_n // p ** k + 2)
+        for d in (-1, 0, 1)
+        if 0 <= j * p ** k + d <= max_n
+    })
+    anywhere = st.integers(0, max_n)
+    n = draw(st.one_of(st.sampled_from(near), anywhere) if near else anywhere)
+    return n, p, e
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(1500))
+@example((1500, 149, 7))
+@example((2 * 31 ** 2 - 1, 31, 7))
+@example((3 ** 6, 3, 7))
+def test_apery_mod_matches_recurrence(case):
+    n, p, e = case
+    m = p ** e
+    assert apery_mod(SeqId.A, n, p, e) == apery_a_recurrence(n) % m
+    assert apery_mod(SeqId.APRIME, n, p, e) == apery_aprime_recurrence(n) % m
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases(300))
+def test_apery_mod_matches_direct_sum(case):
+    n, p, e = case
+    m = p ** e
+    assert apery_mod(SeqId.A, n, p, e) == apery_a_exact(n) % m
+    assert apery_mod(SeqId.APRIME, n, p, e) == apery_aprime_exact(n) % m
+
+
+def test_apery_mod_rejects_other_sequences():
+    with pytest.raises(ValueError):
+        apery_mod(SeqId.T, 3, 5, 2)
+    with pytest.raises(ValueError):
+        apery_mod(SeqId.A, -1, 5, 2)
