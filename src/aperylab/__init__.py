@@ -11,7 +11,7 @@ from .checks import (
     run_check,
     sweep,
 )
-from .exactcore import ExactInt, ExactRat, PowerSeries, rat_reduce
+from .exactcore import PowerSeries
 from .modring import (
     FactorialTable,
     NotPIntegral,
@@ -20,11 +20,9 @@ from .modring import (
     Residue,
     factored_binomial,
     factored_factorial,
-    mod_inv,
     prime_info,
     primes_in_range,
     reduce_rat,
-    residue,
     to_residue,
 )
 from .sequences import SeqId, seq_exact, seq_mod
@@ -32,7 +30,6 @@ from .special import (
     PadicGammaValue,
     bernoulli,
     bernoulli_table,
-    cornacchia_4y2,
     euler_mod,
     fermat_quotient,
     gamma_quarter_closed_form,

@@ -17,14 +17,7 @@ from math import comb, gcd
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import identities
-from .modring import (
-    PrimeInfo,
-    prime_info,
-    primes_in_range,
-    reduce_rat,
-    residue,
-    to_residue,
-)
+from .modring import PrimeInfo, prime_info, primes_in_range, reduce_rat
 from .sequences import (
     SeqId,
     apery_mod,
@@ -65,8 +58,6 @@ class Status(str, Enum):
 class CheckConfig:
     size_cap: int = DEFAULT_SIZE_CAP
     gamma_step_limit: int = 2_000_000
-    eq31_trials: int = 20
-    eq31_seed: int = 20240811
 
 
 def default_config() -> CheckConfig:
@@ -96,17 +87,18 @@ class CheckDef:
     name: str
     status: Status
     kind: str  # "congruence" | "identity" | "prime_identity"
-    runner: Callable
-    takes_mr: bool = False
+    # congruence: a callable (pi, m, r, cfg) -> (modulus, lhs, rhs, sign);
+    # identity kinds: the names of the identities verifiers to run in turn
+    runner: Union[Callable, tuple[str, ...]]
+
+    @property
+    def takes_mr(self) -> bool:
+        return isinstance(self.runner, Lift)
 
 
 def _require(cond: bool, reason: str) -> None:
     if not cond:
         raise SkipCheck(reason)
-
-
-def _cap(index: int, cfg: CheckConfig) -> None:
-    _require(index <= cfg.size_cap, f"size cap: index {index} exceeds {cfg.size_cap}")
 
 
 def _parity_sign(p: int) -> int:
@@ -116,35 +108,26 @@ def _parity_sign(p: int) -> int:
 # ---------------------------------------------------------------------------
 # shared kernels
 
-def _half_sum_central_cubed(p: int, e: int, weight: str) -> int:
-    """sum_{k=1}^{(p-1)/2} binom(2k,k)^3 / 64^k * w_k mod p^e.
+def _central_cubed_terms(p: int, e: int):
+    """(binom(2k,k)^3 / 64^k, O_k, O2_k) mod p^e for k = 1..(p-1)/2, where
+    O_k = sum_{i<=k} 1/(2i-1) and O2_k = sum_{i<=k} 1/(2i-1)^2.
 
-    w_k is O_k, O2_k or O_k^2 with O_k = sum 1/(2i-1), O2_k = sum 1/(2i-1)^2.
     For the full-range statements summed to p-1: a term with (p-1)/2 < k < p
-    carries p^3 from the cubed central binomial and at worst p^-1 (w = O) or
-    p^-2 (w = O2, O^2) from the weight, so those terms vanish at e <= 2 and
-    e <= 1 respectively and the half sum already equals the full sum.
+    carries p^3 from the cubed central binomial and at worst p^-1 (weight O)
+    or p^-2 (weights O2, O^2), so those terms vanish at e <= 2 and e <= 1
+    respectively and the half sum already equals the full sum.
     """
     m = p ** e
-    c = 1
     inv64 = pow(64, -1, m)
-    w64 = 1
+    c = w64 = 1
     o = o2 = 0
-    acc = 0
     for k in range(1, (p - 1) // 2 + 1):
         c = c * 2 * (2 * k - 1) % m * pow(k, -1, m) % m
         w64 = w64 * inv64 % m
         inv = pow(2 * k - 1, -1, m)
         o = (o + inv) % m
         o2 = (o2 + inv * inv) % m
-        if weight == "O":
-            w = o
-        elif weight == "O2":
-            w = o2
-        else:
-            w = o * o % m
-        acc = (acc + c * c % m * c % m * w64 % m * w) % m
-    return acc
+        yield c * c % m * c % m * w64 % m, o, o2
 
 
 def _gamma_quarter_pow4(p: int, e: int, cfg: CheckConfig) -> int:
@@ -158,54 +141,77 @@ def _gamma_quarter_pow4(p: int, e: int, cfg: CheckConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# congruence runners: each returns (modulus, lhs, rhs, sign)
+# m, r lift congruences: one data row each
 
-def _run_beukers_a(pi, m, r, cfg):
-    _require(pi.p > 3, "requires p > 3")
-    p = pi.p
-    hi, lo = m * p ** r - 1, m * p ** (r - 1) - 1
-    _cap(hi, cfg)
-    e = 3 * r
-    return p ** e, apery_mod(SeqId.A, hi, p, e), apery_mod(SeqId.A, lo, p, e), None
+def _no_correction(m: int) -> int:
+    return 0
 
 
-def _run_beukers_aprime(pi, m, r, cfg):
-    _require(pi.p > 3, "requires p > 3")
-    p = pi.p
-    hi, lo = m * p ** r - 1, m * p ** (r - 1) - 1
-    _cap(hi, cfg)
-    e = 3 * r
-    return (
-        p ** e,
-        apery_mod(SeqId.APRIME, hi, p, e),
-        apery_mod(SeqId.APRIME, lo, p, e),
-        None,
+def _bernoulli_p3(p: int) -> Fraction:
+    return bernoulli(p - 3)
+
+
+def _bernoulli_bracket(p: int) -> Fraction:
+    return bernoulli(2 * p - 4) / (2 * p - 4) - 2 * bernoulli(p - 3) / (p - 3)
+
+
+def _conj22_weight(m: int) -> Fraction:
+    wm = sum(
+        comb(m, k) * comb(m - 1, k - 1) * comb(m + k - 1, k - 1)
+        for k in range(1, m + 1)
     )
+    return Fraction(5, 3) * m ** 3 * wm
 
 
-def _run_liu_a(pi, m, r, cfg):
-    _require(pi.p > 3, "requires p > 3")
-    p = pi.p
-    hi, lo = m * p ** r, m * p ** (r - 1)
-    _cap(hi, cfg)
-    e = 3 * r + 1
-    modulus = p ** e
-    corr = Fraction(2, 3) * c_coeffs(m)[0] * p ** (3 * r) * bernoulli(p - 3)
-    rhs = (apery_mod(SeqId.A, lo, p, e) + reduce_rat(corr, p, e).value) % modulus
-    return modulus, apery_mod(SeqId.A, hi, p, e), rhs, None
+def _reference_cm(m: int) -> int:
+    _require(m in REFERENCE_CM, f"no tabulated reference c_m for m = {m}")
+    return REFERENCE_CM[m]
 
 
-def _run_liu_aprime(pi, m, r, cfg):
-    _require(pi.p > 3, "requires p > 3")
-    p = pi.p
-    hi, lo = m * p ** r, m * p ** (r - 1)
-    _cap(hi, cfg)
-    e = 3 * r + 1
-    modulus = p ** e
-    corr = Fraction(1, 3) * c_coeffs(m)[1] * p ** (3 * r) * bernoulli(p - 3)
-    rhs = (apery_mod(SeqId.APRIME, lo, p, e) + reduce_rat(corr, p, e).value) % modulus
-    return modulus, apery_mod(SeqId.APRIME, hi, p, e), rhs, None
+@dataclass(frozen=True)
+class Lift:
+    """A congruence between A_hi and A_lo (A or A' by `sid`) mod p^(3r + extra),
+    where hi = m p^r + shift and lo = m p^(r-1) + shift, for p > p_above:
 
+        A_hi = A_lo + C p^(3r),   or   A_hi - A_lo = C p^(3r) for a difference row,
+
+    with C = weight(m) * bern(p); a zero weight means no correction.  The
+    record is (A_hi, A_lo + C p^(3r)), or (A_hi - A_lo, C p^(3r)).  The
+    weight is taken before the size cap, so a weight may skip (conj2.5 for an
+    m without a tabulated c_m); bern(p) is taken only for a task that runs.
+    """
+
+    sid: SeqId
+    shift: int
+    extra: int
+    p_above: int = 3
+    weight: Callable[[int], Union[int, Fraction]] = _no_correction
+    bern: Callable[[int], Fraction] = _bernoulli_p3
+    difference: bool = False
+
+    def _sides(self, p: int, m: int, r: int, cfg: CheckConfig) -> tuple[int, int, int]:
+        """(e, lhs, base) with lhs = A_hi, base = A_lo mod p^e, or for a
+        difference row lhs = A_hi - A_lo, base = 0.  Skips past the size cap."""
+        hi, lo = m * p ** r + self.shift, m * p ** (r - 1) + self.shift
+        _require(hi <= cfg.size_cap, f"size cap: index {hi} exceeds {cfg.size_cap}")
+        e = 3 * r + self.extra
+        a_hi, a_lo = apery_mod(self.sid, hi, p, e), apery_mod(self.sid, lo, p, e)
+        if self.difference:
+            return e, (a_hi - a_lo) % p ** e, 0
+        return e, a_hi, a_lo
+
+    def __call__(self, pi: PrimeInfo, m: int, r: int, cfg: CheckConfig):
+        p = pi.p
+        _require(p > self.p_above, f"requires p > {self.p_above}")
+        w = self.weight(m)
+        e, lhs, base = self._sides(p, m, r, cfg)
+        modulus = p ** e
+        corr = reduce_rat(w * p ** (3 * r) * self.bern(p), p, e).value if w else 0
+        return modulus, lhs, (base + corr) % modulus, None
+
+
+# ---------------------------------------------------------------------------
+# prime-indexed congruence runners: each returns (modulus, lhs, rhs, sign)
 
 def _run_eq13(pi, m, r, cfg):
     # A'_1 = 3 is divisible by p but not p^2, so the statement needs p > 3.
@@ -241,7 +247,7 @@ def _run_thm21ii(pi, m, r, cfg):
     modulus = p ** 3
     x = pi.rep[0]
     ep3 = euler_mod(p - 3, p).value
-    s = _half_sum_central_cubed(p, 1, "Osq")
+    s = sum(t * o * o for t, o, _ in _central_cubed_terms(p, 1)) % p
     lhs = seq_mod(SeqId.APRIME, (p - 1) // 2, p, 3).value
     rhs = (
         4 * x * x
@@ -258,40 +264,34 @@ def _run_lemma23(pi, m, r, cfg):
     modulus = p ** 3
     lhs = seq_mod(SeqId.APRIME, (p - 1) // 2, p, 3).value
     inv2 = pow(2, -1, modulus)
-    inv64 = pow(64, -1, modulus)
-    c = 1
-    w64 = 1
-    o = o2 = 0
-    acc = 1
-    for k in range(1, (p - 1) // 2 + 1):
-        c = c * 2 * (2 * k - 1) % modulus * pow(k, -1, modulus) % modulus
-        w64 = w64 * inv64 % modulus
-        inv = pow(2 * k - 1, -1, modulus)
-        o = (o + inv) % modulus
-        o2 = (o2 + inv * inv) % modulus
-        bracket = (1 - p * o + p * p * inv2 % modulus * ((o * o - 3 * o2) % modulus)) % modulus
-        acc = (acc + c * c % modulus * c % modulus * w64 % modulus * bracket) % modulus
-    return modulus, lhs, acc, None
+    rhs = 1 + sum(
+        t * (1 - p * o + p * p * inv2 * (o * o - 3 * o2))
+        for t, o, o2 in _central_cubed_terms(p, 3)
+    )
+    return modulus, lhs, rhs % modulus, None
 
 
 def _run_lemma24(pi, m, r, cfg):
     p = pi.p
     modulus = p ** 3
     table = factorial_table(p, 3)
-    inv64 = residue(64, p, 3).inv()
-    acc = residue(0, p, 3)
-    w = residue(1, p, 3)
+    table.extend(2 * (p - 1))
+    val, unit, inv = table.val, table.unit, table.inv_unit
+    inv64 = pow(64, -1, modulus)
+    acc, w = 0, 1
     for k in range(p):
-        if k:
-            w = w * inv64
-        acc = acc + to_residue(table.binomial(2 * k, k) ** 3) * w
+        # binom(2k,k) = (2k)!/k!^2; once p divides it, its cube vanishes mod p^3
+        if val[2 * k] == 2 * val[k]:
+            u = unit[2 * k] * inv[k] % modulus * inv[k] % modulus
+            acc += u * u % modulus * u % modulus * w
+        w = w * inv64 % modulus
     if pi.klass == 1:
         x = pi.rep[0]
         rhs = (4 * x * x - 2 * p - p * p * pow(4 * x * x, -1, modulus)) % modulus
     else:
         b = comb((p - 3) // 2, (p - 3) // 4)
         rhs = -p * p * pow(4, -1, modulus) * pow(b, -2, modulus) % modulus
-    return modulus, acc.value, rhs, None
+    return modulus, acc % modulus, rhs, None
 
 
 def _run_lemma25(pi, m, r, cfg):
@@ -326,7 +326,7 @@ def _run_lemma27a(pi, m, r, cfg):
     p = pi.p
     _require(p > 3, "requires p > 3")
     modulus = p * p
-    lhs = _half_sum_central_cubed(p, 2, "O")
+    lhs = sum(t * o for t, o, _ in _central_cubed_terms(p, 2)) % modulus
     if pi.klass == 1:
         rhs = 0
     else:
@@ -338,7 +338,7 @@ def _run_lemma27a(pi, m, r, cfg):
 def _run_lemma27b(pi, m, r, cfg):
     p = pi.p
     _require(p > 3, "requires p > 3")
-    lhs = _half_sum_central_cubed(p, 1, "O2")
+    lhs = sum(t * o2 for t, _, o2 in _central_cubed_terms(p, 1)) % p
     g4 = _gamma_quarter_pow4(p, 1, cfg)
     if pi.klass == 1:
         rhs = pow(2, -1, p) * g4 * euler_mod(p - 3, p).value % p
@@ -351,66 +351,9 @@ def _run_conj21(pi, m, r, cfg):
     _require(pi.klass == 1, "requires p = 1 (mod 4)")
     p = pi.p
     x = pi.rep[0]
-    lhs = _half_sum_central_cubed(p, 1, "Osq")
+    lhs = sum(t * o * o for t, o, _ in _central_cubed_terms(p, 1)) % p
     rhs = 2 * pow(3, -1, p) * x * x * euler_mod(p - 3, p).value % p
     return p, lhs, rhs, None
-
-
-def _run_conj22(pi, m, r, cfg):
-    _require(pi.p > 3, "requires p > 3")
-    p = pi.p
-    hi, lo = m * p ** r - 1, m * p ** (r - 1) - 1
-    _cap(hi, cfg)
-    e = 3 * r + 1
-    modulus = p ** e
-    wm = sum(
-        comb(m, k) * comb(m - 1, k - 1) * comb(m + k - 1, k - 1)
-        for k in range(1, m + 1)
-    )
-    lhs = (apery_mod(SeqId.APRIME, hi, p, e) - apery_mod(SeqId.APRIME, lo, p, e)) % modulus
-    corr = Fraction(5, 3) * m ** 3 * wm * p ** (3 * r) * bernoulli(p - 3)
-    return modulus, lhs, reduce_rat(corr, p, e).value, None
-
-
-def _bernoulli_bracket(p: int) -> Fraction:
-    return bernoulli(2 * p - 4) / (2 * p - 4) - 2 * bernoulli(p - 3) / (p - 3)
-
-
-def _run_conj23(pi, m, r, cfg):
-    _require(pi.p > 3, "requires p > 3")
-    p = pi.p
-    hi, lo = m * p ** r, m * p ** (r - 1)
-    _cap(hi, cfg)
-    e = 3 * r + 2
-    modulus = p ** e
-    corr = c_coeffs(m)[1] * p ** (3 * r) * _bernoulli_bracket(p)
-    rhs = (apery_mod(SeqId.APRIME, lo, p, e) + reduce_rat(corr, p, e).value) % modulus
-    return modulus, apery_mod(SeqId.APRIME, hi, p, e), rhs, None
-
-
-def _run_conj24(pi, m, r, cfg):
-    _require(pi.p > 5, "requires p > 5")
-    p = pi.p
-    hi, lo = m * p ** r, m * p ** (r - 1)
-    _cap(hi, cfg)
-    e = 3 * r + 2
-    modulus = p ** e
-    lhs = (apery_mod(SeqId.A, hi, p, e) - apery_mod(SeqId.A, lo, p, e)) % modulus
-    corr = 2 * c_coeffs(m)[0] * p ** (3 * r) * _bernoulli_bracket(p)
-    return modulus, lhs, reduce_rat(corr, p, e).value, None
-
-
-def _run_conj25(pi, m, r, cfg):
-    _require(pi.p > 3, "requires p > 3")
-    _require(m in REFERENCE_CM, f"no tabulated reference c_m for m = {m}")
-    p = pi.p
-    hi, lo = m * p ** r - 1, m * p ** (r - 1) - 1
-    _cap(hi, cfg)
-    e = 3 * r + 1
-    modulus = p ** e
-    lhs = (apery_mod(SeqId.A, hi, p, e) - apery_mod(SeqId.A, lo, p, e)) % modulus
-    corr = Fraction(2, 3) * m ** 3 * REFERENCE_CM[m] * p ** (3 * r) * bernoulli(p - 3)
-    return modulus, lhs, reduce_rat(corr, p, e).value, None
 
 
 def _run_thm33_tp(pi, m, r, cfg):
@@ -463,84 +406,53 @@ def _run_thm33_tquarter(pi, m, r, cfg):
 
 
 # ---------------------------------------------------------------------------
-# identity runners
-
-def _run_id_lemma21(cfg, max_n):
-    out = identities.lemma21_identity(max_n)
-    if not out.ok:
-        return out
-    cert = identities.order4_certificate(max_n)
-    return out if cert.ok else cert
-
-
-def _run_id_eq21(cfg, max_n):
-    return identities.eq21_identity(max_n)
-
-
-def _run_id_eq31(cfg, max_n):
-    return identities.eq31_identity(max_n, cfg.eq31_trials, cfg.eq31_seed)
-
-
-def _run_id_thm31(cfg, max_n):
-    return identities.thm31_dual(max_n)
-
-
-def _run_id_thm32(cfg, max_n):
-    out = identities.thm32_identity(max_n)
-    if not out.ok:
-        return out
-    cert = identities.order5_certificate(max_n)
-    return out if cert.ok else cert
-
-
-def _run_id_gf(cfg, max_n):
-    return identities.gf_oracle(max_n)
-
-
-def _run_id_eq22(pi, cfg):
-    return identities.eq22_congruence(pi.p)
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 def _defs() -> dict:
+    theorem, lemma, conjecture = Status.THEOREM, Status.LEMMA, Status.CONJECTURE
+    a, aprime, bracket = SeqId.A, SeqId.APRIME, _bernoulli_bracket
     rows = [
-        ("beukers_a", Status.THEOREM, "congruence", _run_beukers_a, True),
-        ("beukers_aprime", Status.THEOREM, "congruence", _run_beukers_aprime, True),
-        ("liu_a", Status.THEOREM, "congruence", _run_liu_a, True),
-        ("liu_aprime", Status.THEOREM, "congruence", _run_liu_aprime, True),
-        ("eq1.3", Status.THEOREM, "congruence", _run_eq13, False),
-        ("thm2.1i", Status.THEOREM, "congruence", _run_thm21i, False),
-        ("thm2.1ii", Status.THEOREM, "congruence", _run_thm21ii, False),
-        ("lemma2.3", Status.LEMMA, "congruence", _run_lemma23, False),
-        ("lemma2.4", Status.LEMMA, "congruence", _run_lemma24, False),
-        ("lemma2.5", Status.LEMMA, "congruence", _run_lemma25, False),
-        ("lemma2.6", Status.LEMMA, "congruence", _run_lemma26, False),
-        ("lemma2.7a", Status.LEMMA, "congruence", _run_lemma27a, False),
-        ("lemma2.7b", Status.LEMMA, "congruence", _run_lemma27b, False),
-        ("conj2.1", Status.CONJECTURE, "congruence", _run_conj21, False),
-        ("conj2.2", Status.CONJECTURE, "congruence", _run_conj22, True),
-        ("conj2.3", Status.CONJECTURE, "congruence", _run_conj23, True),
-        ("conj2.4", Status.CONJECTURE, "congruence", _run_conj24, True),
-        ("conj2.5", Status.CONJECTURE, "congruence", _run_conj25, True),
-        ("thm3.3_tp", Status.THEOREM, "congruence", _run_thm33_tp, False),
-        ("thm3.3_tpm1", Status.THEOREM, "congruence", _run_thm33_tpm1, False),
-        ("thm3.3_thalf", Status.THEOREM, "congruence", _run_thm33_thalf, False),
-        ("thm3.3_thalfp1", Status.THEOREM, "congruence", _run_thm33_thalfp1, False),
-        ("thm3.3_tquarter", Status.THEOREM, "congruence", _run_thm33_tquarter, False),
-        ("id_lemma2.1", Status.THEOREM, "identity", _run_id_lemma21, False),
-        ("id_eq2.1", Status.THEOREM, "identity", _run_id_eq21, False),
-        ("id_eq2.2", Status.THEOREM, "prime_identity", _run_id_eq22, False),
-        ("id_eq3.1", Status.THEOREM, "identity", _run_id_eq31, False),
-        ("id_thm3.1", Status.THEOREM, "identity", _run_id_thm31, False),
-        ("id_thm3.2", Status.THEOREM, "identity", _run_id_thm32, False),
-        ("id_gf", Status.THEOREM, "identity", _run_id_gf, False),
+        ("beukers_a", theorem, "congruence", Lift(a, -1, 0)),
+        ("beukers_aprime", theorem, "congruence", Lift(aprime, -1, 0)),
+        ("liu_a", theorem, "congruence",
+         Lift(a, 0, 1, weight=lambda m: Fraction(2, 3) * c_coeffs(m)[0])),
+        ("liu_aprime", theorem, "congruence",
+         Lift(aprime, 0, 1, weight=lambda m: Fraction(1, 3) * c_coeffs(m)[1])),
+        ("eq1.3", theorem, "congruence", _run_eq13),
+        ("thm2.1i", theorem, "congruence", _run_thm21i),
+        ("thm2.1ii", theorem, "congruence", _run_thm21ii),
+        ("lemma2.3", lemma, "congruence", _run_lemma23),
+        ("lemma2.4", lemma, "congruence", _run_lemma24),
+        ("lemma2.5", lemma, "congruence", _run_lemma25),
+        ("lemma2.6", lemma, "congruence", _run_lemma26),
+        ("lemma2.7a", lemma, "congruence", _run_lemma27a),
+        ("lemma2.7b", lemma, "congruence", _run_lemma27b),
+        ("conj2.1", conjecture, "congruence", _run_conj21),
+        ("conj2.2", conjecture, "congruence",
+         Lift(aprime, -1, 1, weight=_conj22_weight, difference=True)),
+        ("conj2.3", conjecture, "congruence",
+         Lift(aprime, 0, 2, weight=lambda m: c_coeffs(m)[1], bern=bracket)),
+        ("conj2.4", conjecture, "congruence",
+         Lift(a, 0, 2, p_above=5, weight=lambda m: 2 * c_coeffs(m)[0], bern=bracket,
+              difference=True)),
+        ("conj2.5", conjecture, "congruence",
+         Lift(a, -1, 1, weight=lambda m: Fraction(2, 3) * m ** 3 * _reference_cm(m),
+              difference=True)),
+        ("thm3.3_tp", theorem, "congruence", _run_thm33_tp),
+        ("thm3.3_tpm1", theorem, "congruence", _run_thm33_tpm1),
+        ("thm3.3_thalf", theorem, "congruence", _run_thm33_thalf),
+        ("thm3.3_thalfp1", theorem, "congruence", _run_thm33_thalfp1),
+        ("thm3.3_tquarter", theorem, "congruence", _run_thm33_tquarter),
+        # identity rows name their verifiers, run in turn on max_n (or p)
+        ("id_lemma2.1", theorem, "identity", ("lemma21_identity", "order4_certificate")),
+        ("id_eq2.1", theorem, "identity", ("eq21_identity",)),
+        ("id_eq2.2", theorem, "prime_identity", ("eq22_congruence",)),
+        ("id_eq3.1", theorem, "identity", ("eq31_identity",)),
+        ("id_thm3.1", theorem, "identity", ("thm31_dual",)),
+        ("id_thm3.2", theorem, "identity", ("thm32_identity", "order5_certificate")),
+        ("id_gf", theorem, "identity", ("gf_oracle",)),
     ]
-    return {
-        name: CheckDef(name, status, kind, runner, takes_mr)
-        for name, status, kind, runner, takes_mr in rows
-    }
+    return {name: CheckDef(name, *rest) for name, *rest in rows}
 
 
 CHECKS = _defs()
@@ -548,6 +460,22 @@ CHECKS = _defs()
 
 # ---------------------------------------------------------------------------
 # execution
+
+def _identity_result(name: str, p: Optional[int], verifiers, arg: int) -> CheckResult:
+    """Runs the verifiers in turn and records the first failing outcome, or
+    the first outcome when all hold.  Each is looked up in identities when it
+    runs, so a wrapped or patched verifier is the one called."""
+    outs = []
+    for v in verifiers:
+        outs.append(getattr(identities, v)(arg))
+        if not outs[-1].ok:
+            break
+    out = outs[-1] if not outs[-1].ok else outs[0]
+    return CheckResult(
+        name, p, out.n, None, out.modulus, out.lhs, out.rhs,
+        "pass" if out.ok else "fail",
+    )
+
 
 def run_check(
     name: str,
@@ -564,20 +492,13 @@ def run_check(
     cfg = cfg or default_config()
 
     if cd.kind == "identity":
-        out = cd.runner(cfg, max_n if max_n is not None else DEFAULT_IDENTITY_RANGES[name])
-        return CheckResult(
-            name, None, out.n, None, out.modulus, out.lhs, out.rhs,
-            "pass" if out.ok else "fail",
-        )
+        n = max_n if max_n is not None else DEFAULT_IDENTITY_RANGES[name]
+        return _identity_result(name, None, cd.runner, n)
 
     pi = p if isinstance(p, PrimeInfo) else prime_info(p)
 
     if cd.kind == "prime_identity":
-        out = cd.runner(pi, cfg)
-        return CheckResult(
-            name, pi.p, out.n, None, out.modulus, out.lhs, out.rhs,
-            "pass" if out.ok else "fail",
-        )
+        return _identity_result(name, pi.p, cd.runner, pi.p)
 
     if cd.takes_mr and (m is None or r is None):
         raise ValueError(f"check {name} requires parameters m and r")
@@ -693,7 +614,7 @@ def recover_cm(
     r: int = 1,
     cfg: Optional[CheckConfig] = None,
 ) -> tuple[int, dict]:
-    """Per-prime recovery of the constant c_m from
+    """Per-prime recovery of the constant c_m from the conj2.5 row,
 
         A_{mp^r - 1} - A_{mp^(r-1) - 1} = (2/3) m^3 c_m p^(3r) B_{p-3}  (mod p^(3r+1)),
 
@@ -701,32 +622,22 @@ def recover_cm(
     needed mod p^(3r+1): that fixes its divisibility by p^(3r) and the
     quotient mod p."""
     cfg = cfg or default_config()
+    row = CHECKS["conj2.5"].runner
     acc = CrtAccumulator()
     skipped: list[tuple[int, str]] = []
     for p in _prime_list(primes):
-        if p <= 3:
-            skipped.append((p, "requires p > 3"))
+        try:
+            _require(p > row.p_above, f"requires p > {row.p_above}")
+            _require(m % p != 0, "p divides m")
+            _, diff, _ = row._sides(p, m, r, cfg)
+            b = reduce_rat(row.bern(p), p, 1).value
+            _require(b != 0, "B_{p-3} = 0 (mod p)")
+            q, rem = divmod(diff, p ** (3 * r))
+            _require(rem == 0, f"difference not divisible by p^{3 * r}")
+        except SkipCheck as sk:
+            skipped.append((p, str(sk)))
             continue
-        if m % p == 0:
-            skipped.append((p, "p divides m"))
-            continue
-        hi = m * p ** r - 1
-        if hi > cfg.size_cap:
-            skipped.append((p, f"size cap: index {hi} exceeds {cfg.size_cap}"))
-            continue
-        b = reduce_rat(bernoulli(p - 3), p, 1).value
-        if b == 0:
-            skipped.append((p, "B_{p-3} = 0 (mod p)"))
-            continue
-        e = 3 * r + 1
-        lo = m * p ** (r - 1) - 1
-        diff = (apery_mod(SeqId.A, hi, p, e) - apery_mod(SeqId.A, lo, p, e)) % p ** e
-        q, rem = divmod(diff, p ** (3 * r))
-        if rem:
-            skipped.append((p, f"difference not divisible by p^{3 * r}"))
-            continue
-        c = q * 3 * pow(2 * m ** 3 % p * b % p, -1, p) % p
-        acc.add(p, c)
+        acc.add(p, q * 3 * pow(2 * m ** 3 % p * b % p, -1, p) % p)
     value = acc.symmetric()
     report = {
         "m": m,

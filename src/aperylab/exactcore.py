@@ -11,25 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-ExactInt = int
-ExactRat = Fraction
-
 __all__ = [
-    "ExactInt",
-    "ExactRat",
     "PowerSeries",
-    "rat_reduce",
     "series_arctanh",
     "series_inv_sqrt_one_minus_x2",
     "series_mul",
 ]
-
-
-def rat_reduce(num: int, den: int) -> Fraction:
-    """Normalized fraction num/den: lowest terms, positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

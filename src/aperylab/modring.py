@@ -175,15 +175,6 @@ class Residue:
         return f"Residue({self.value} mod {self.p}^{self.e})"
 
 
-def residue(value: int, p: int, e: int) -> Residue:
-    return Residue(value, p, e)
-
-
-def mod_inv(a: Residue) -> Residue:
-    """Inverse of a unit mod p^e."""
-    return a ** -1
-
-
 # ---------------------------------------------------------------------------
 # factored values
 
@@ -206,17 +197,6 @@ class PadicFactored:
 
     def __pow__(self, k: int) -> "PadicFactored":
         return PadicFactored(self.valuation * k, self.unit ** k)
-
-
-def factored_int(n: int, p: int, e: int) -> PadicFactored:
-    """n > 0 split as p^v * unit mod p^e."""
-    if n <= 0:
-        raise ValueError("need n > 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return PadicFactored(v, Residue(n, p, e))
 
 
 def factored_factorial(n: int, p: int, e: int) -> PadicFactored:

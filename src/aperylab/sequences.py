@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .modring import FactorialTable, NotPIntegral, Residue, residue
+from .modring import FactorialTable, NotPIntegral, Residue
 
 
 class SeqId(str, Enum):
@@ -207,10 +207,10 @@ def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
         m = p ** e
         a, b = 1, 5
         if n == 0:
-            return residue(1, p, e)
+            return Residue(1, p, e)
         for i in range(1, n):
             a, b = b, ((8 * i * i + 12 * i + 5) * b - 4 * i * i * (2 * i + 1) ** 2 * a) % m
-        return residue(b, p, e)
+        return Residue(b, p, e)
     if sid in (SeqId.H, SeqId.OODD, SeqId.OODD2, SeqId.D):
         m = p ** e
         h = o = o2 = 0
@@ -227,10 +227,10 @@ def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
                 o = (o + inv) % m
                 o2 = (o2 + inv * inv) % m
         if sid is SeqId.H:
-            return residue(h, p, e)
+            return Residue(h, p, e)
         if sid is SeqId.OODD:
-            return residue(o, p, e)
+            return Residue(o, p, e)
         if sid is SeqId.OODD2:
-            return residue(o2, p, e)
-        return residue(o * o - o2, p, e)
+            return Residue(o2, p, e)
+        return Residue(o * o - o2, p, e)
     raise ValueError(f"no modular evaluator for {sid.value}; reduce the exact value")

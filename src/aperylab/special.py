@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .modring import NotPIntegral, Residue, quadratic_rep, residue
+from .modring import NotPIntegral, Residue
 
 GAMMA_STEP_LIMIT = 2_000_000
 
@@ -47,13 +47,13 @@ def euler_mod(n: int, p: int) -> Residue:
     if n < 0:
         raise ValueError("need n >= 0")
     if n % 2:
-        return residue(0, p, 1)
+        return Residue(0, p, 1)
     table = _EULER_MOD.setdefault(p, [1])
     while 2 * (len(table) - 1) < n:
         m = len(table)
         s = sum(comb(2 * m, 2 * k) * table[m - k] for k in range(1, m + 1))
         table.append(-s % p)
-    return residue(table[n // 2], p, 1)
+    return Residue(table[n // 2], p, 1)
 
 
 def fermat_quotient(a: int, p: int) -> Residue:
@@ -61,7 +61,7 @@ def fermat_quotient(a: int, p: int) -> Residue:
     if a % p == 0:
         raise ValueError(f"{p} divides {a}")
     t = pow(a, p - 1, p * p)
-    return residue((t - 1) // p, p, 1)
+    return Residue((t - 1) // p, p, 1)
 
 
 def wilson_side(p: int) -> Residue:
@@ -70,7 +70,7 @@ def wilson_side(p: int) -> Residue:
     v = 1
     for i in range(2, p):
         v = v * i % m
-    return residue(v, p, 2)
+    return Residue(v, p, 2)
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def padic_gamma(
             v = v * k % m
     if n % 2:
         v = -v % m
-    return PadicGammaValue(x, p, e, residue(v, p, e))
+    return PadicGammaValue(x, p, e, Residue(v, p, e))
 
 
 def gamma_quarter_closed_form(p: int, e: int = 3) -> Residue:
@@ -136,9 +136,4 @@ def gamma_quarter_closed_form(p: int, e: int = 3) -> Residue:
             * (16 + 32 * p + (48 - 8 * ep3) * p * p)
             * pow(b, -2, m)
         )
-    return residue(val, p, 3)
-
-
-def cornacchia_4y2(p: int) -> tuple[int, int]:
-    """p = x^2 + 4y^2 with x odd positive, for p = 1 (mod 4)."""
-    return quadratic_rep(p)
+    return Residue(val, p, 3)

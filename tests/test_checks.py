@@ -1,5 +1,6 @@
 """Check registry behavior: spot results, skips, ordering, determinism, CRT."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -14,8 +15,14 @@ from aperylab.checks import (
     run_check,
     sweep,
 )
-from aperylab.modring import primes_in_range
-from aperylab.sequences import SeqId, apery_a_recurrence, apery_aprime_exact, seq_mod
+from aperylab.modring import primes_in_range, reduce_rat
+from aperylab.sequences import (
+    SeqId,
+    apery_a_recurrence,
+    apery_aprime_exact,
+    harmonic_values,
+    seq_mod,
+)
 
 
 def test_registry_shape():
@@ -113,6 +120,50 @@ def test_lift_checks_fail_when_kernel_is_perturbed(monkeypatch, name, p, m):
 
     monkeypatch.setattr(checks, "apery_mod", shifted)
     assert run_check(name, p, m, 1).verdict == "fail"
+
+
+def test_central_cubed_terms_match_exact_sums():
+    # (binom(2k,k)^3/64^k, O_k, O2_k) against exact fractions, k = 1..(p-1)/2
+    for pi in primes_in_range(3, 59):
+        p = pi.p
+        for e in (1, 2, 3):
+            terms = list(checks._central_cubed_terms(p, e))
+            assert len(terms) == (p - 1) // 2
+            for k, got in enumerate(terms, 1):
+                _, o, o2, _ = harmonic_values(k)
+                exact = (Fraction(comb(2 * k, k) ** 3, 64 ** k), o, o2)
+                assert got == tuple(reduce_rat(q, p, e).value for q in exact), (p, e, k)
+
+
+def test_lemma24_sum_matches_exact():
+    # the full k < p sum, including the terms that p divides
+    for pi in primes_in_range(3, 59):
+        p = pi.p
+        exact = sum(Fraction(comb(2 * k, k) ** 3, 64 ** k) for k in range(p))
+        assert run_check("lemma2.4", p).lhs == reduce_rat(exact, p, 3).value
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [
+        ("thm2.1ii", 13), ("conj2.1", 13),  # stated for p = 1 (mod 4) only
+        ("lemma2.3", 13), ("lemma2.3", 11),
+        ("lemma2.7a", 13), ("lemma2.7a", 11),
+        ("lemma2.7b", 13), ("lemma2.7b", 11),
+    ],
+)
+def test_central_sum_checks_fail_when_pass_is_perturbed(monkeypatch, name, p):
+    assert run_check(name, p).verdict == "pass"
+    real = checks._central_cubed_terms
+
+    def shifted(q, e):
+        terms = real(q, e)
+        t, o, o2 = next(terms)
+        yield (t + q ** (e - 1)) % q ** e, o, o2
+        yield from terms
+
+    monkeypatch.setattr(checks, "_central_cubed_terms", shifted)
+    assert run_check(name, p).verdict == "fail"
 
 
 def serial_pool(started):

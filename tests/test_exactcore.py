@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from aperylab.exactcore import (
     PowerSeries,
-    rat_reduce,
     series_arctanh,
     series_inv_sqrt_one_minus_x2,
     series_mul,
@@ -17,16 +16,16 @@ from aperylab.sequences import t_exact
 
 
 def test_rat_reduce_examples():
-    assert rat_reduce(2, 4) == Fraction(1, 2)
-    assert rat_reduce(0, 7) == Fraction(0, 1)
-    q = rat_reduce(-89, -120)
+    assert Fraction(2, 4) == Fraction(1, 2)
+    assert Fraction(0, 7) == Fraction(0, 1)
+    q = Fraction(-89, -120)
     assert (q.numerator, q.denominator) == (89, 120)
     assert q * -120 == -89
 
 
 def test_rat_reduce_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        rat_reduce(1, 0)
+        Fraction(1, 0)
 
 
 def test_arctanh_coefficients():
@@ -90,8 +89,8 @@ def test_rational_field_axioms(a, b, c):
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
 def test_reduction_idempotent(num, den):
-    q = rat_reduce(num, den)
-    assert rat_reduce(q.numerator, q.denominator) == q
+    q = Fraction(num, den)
+    assert Fraction(q.numerator, q.denominator) == q
     assert q.denominator > 0
 
 

@@ -11,14 +11,12 @@ from aperylab.modring import (
     FactorialTable,
     NotPIntegral,
     PadicFactored,
+    Residue,
     factored_binomial,
     factored_factorial,
-    factored_int,
-    mod_inv,
     prime_info,
     primes_in_range,
     reduce_rat,
-    residue,
     to_residue,
 )
 
@@ -60,34 +58,34 @@ def test_prime_info_rejects_composites():
 
 
 def test_mod_inv_examples():
-    assert mod_inv(residue(6, 5, 2)).value == 21
-    assert mod_inv(residue(1, 7, 3)).value == 1
-    assert mod_inv(residue(16, 7, 3)).value == 193
+    assert Residue(6, 5, 2).inv().value == 21
+    assert Residue(1, 7, 3).inv().value == 1
+    assert Residue(16, 7, 3).inv().value == 193
     assert 16 * 193 % 343 == 1
 
 
 def test_mod_inv_non_unit():
     with pytest.raises(ValueError, match="not invertible"):
-        mod_inv(residue(35, 7, 2))
+        Residue(35, 7, 2).inv()
 
 
 @given(st.sampled_from(PRIMES), st.integers(1, 3), st.integers(1, 10**6))
 def test_mod_inv_involution(p, e, a):
     if a % p == 0:
         a += 1
-    x = residue(a, p, e)
-    assert mod_inv(mod_inv(x)) == x
+    x = Residue(a, p, e)
+    assert x.inv().inv() == x
 
 
 def test_residue_rejects_mixed_moduli():
     with pytest.raises(ValueError, match="mixed moduli"):
-        residue(1, 5, 2) + residue(1, 7, 2)
+        Residue(1, 5, 2) + Residue(1, 7, 2)
     with pytest.raises(ValueError, match="mixed moduli"):
-        residue(1, 5, 2) * residue(1, 5, 3)
+        Residue(1, 5, 2) * Residue(1, 5, 3)
 
 
 def test_residue_arithmetic_basics():
-    a = residue(20, 7, 2)
+    a = Residue(20, 7, 2)
     assert (a + 30).value == 1
     assert (a - 21).value == 48
     assert (3 * a).value == 60 % 49
@@ -123,7 +121,8 @@ def test_factored_factorial_valuation_is_legendre(n, p):
 def test_incremental_factorial_matches_fresh(n, p, e):
     table = FactorialTable(p, e)
     inc = table.factorial(n)
-    step = table.factorial(n - 1) * factored_int(n, p, e)
+    v, u = split_p(n, p, e)
+    step = table.factorial(n - 1) * PadicFactored(v, Residue(u, p, e))
     fresh = factored_factorial(n, p, e)
     assert inc.valuation == step.valuation == fresh.valuation
     assert inc.unit == step.unit == fresh.unit
@@ -156,14 +155,14 @@ def test_binomial_reconstruction(n, k, p, e):
 
 
 def test_to_residue_examples():
-    assert to_residue(PadicFactored(1, residue(36, 7, 3))).value == 252
-    assert to_residue(PadicFactored(3, residue(2, 7, 3))).value == 0
-    assert to_residue(PadicFactored(0, residue(1, 7, 3))).value == 1
+    assert to_residue(PadicFactored(1, Residue(36, 7, 3))).value == 252
+    assert to_residue(PadicFactored(3, Residue(2, 7, 3))).value == 0
+    assert to_residue(PadicFactored(0, Residue(1, 7, 3))).value == 1
 
 
 def test_to_residue_negative_valuation():
     with pytest.raises(NotPIntegral):
-        to_residue(PadicFactored(-1, residue(2, 5, 2)))
+        to_residue(PadicFactored(-1, Residue(2, 5, 2)))
 
 
 def test_reduce_rat_examples():

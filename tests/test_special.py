@@ -9,6 +9,7 @@ from aperylab.modring import (
     FactorialTable,
     NotPIntegral,
     primes_in_range,
+    quadratic_rep,
     reduce_rat,
     to_residue,
 )
@@ -16,7 +17,6 @@ from aperylab.sequences import seq_mod, SeqId
 from aperylab.special import (
     bernoulli,
     bernoulli_table,
-    cornacchia_4y2,
     euler_mod,
     fermat_quotient,
     gamma_quarter_closed_form,
@@ -132,11 +132,11 @@ def test_gamma_closed_form_requires_p_gt_3():
 
 
 def test_cornacchia():
-    assert cornacchia_4y2(5) == (1, 1)
-    assert cornacchia_4y2(13) == (3, 1)
-    assert cornacchia_4y2(29) == (5, 1)
+    assert quadratic_rep(5) == (1, 1)
+    assert quadratic_rep(13) == (3, 1)
+    assert quadratic_rep(29) == (5, 1)
     with pytest.raises(ValueError):
-        cornacchia_4y2(7)
+        quadratic_rep(7)
 
 
 def test_half_harmonic_vs_fermat_quotient():
