@@ -26,10 +26,11 @@ from .sequences import (
     seq_mod,
 )
 from .special import (
-    bernoulli,
-    euler_mod,
+    bernoulli_mod_p2,
+    euler_pm3_mod,
     gamma_quarter_closed_form,
     padic_gamma,
+    pb_pm1_mod,
 )
 
 SIZE_CAP_ENV = "APERY_LAB_SIZE_CAP"
@@ -147,12 +148,17 @@ def _no_correction(m: int) -> int:
     return 0
 
 
-def _bernoulli_p3(p: int) -> Fraction:
-    return bernoulli(p - 3)
+def _bernoulli_p3(p: int) -> int:
+    return bernoulli_mod_p2(p - 3, p)
 
 
-def _bernoulli_bracket(p: int) -> Fraction:
-    return bernoulli(2 * p - 4) / (2 * p - 4) - 2 * bernoulli(p - 3) / (p - 3)
+def _bernoulli_bracket(p: int) -> int:
+    """B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) mod p^2."""
+    m = p * p
+    return (
+        bernoulli_mod_p2(2 * p - 4, p) * pow(2 * p - 4, -1, m)
+        - 2 * bernoulli_mod_p2(p - 3, p) * pow(p - 3, -1, m)
+    ) % m
 
 
 def _conj22_weight(m: int) -> Fraction:
@@ -179,6 +185,8 @@ class Lift:
     record is (A_hi, A_lo + C p^(3r)), or (A_hi - A_lo, C p^(3r)).  The
     weight is taken before the size cap, so a weight may skip (conj2.5 for an
     m without a tabulated c_m); bern(p) is taken only for a task that runs.
+    Since extra <= 2 and every weight is p-integral for p > 3, C is needed
+    only mod p^2: bern(p) is that residue.
     """
 
     sid: SeqId
@@ -186,7 +194,7 @@ class Lift:
     extra: int
     p_above: int = 3
     weight: Callable[[int], Union[int, Fraction]] = _no_correction
-    bern: Callable[[int], Fraction] = _bernoulli_p3
+    bern: Callable[[int], int] = _bernoulli_p3
     difference: bool = False
 
     def _sides(self, p: int, m: int, r: int, cfg: CheckConfig) -> tuple[int, int, int]:
@@ -206,7 +214,9 @@ class Lift:
         w = self.weight(m)
         e, lhs, base = self._sides(p, m, r, cfg)
         modulus = p ** e
-        corr = reduce_rat(w * p ** (3 * r) * self.bern(p), p, e).value if w else 0
+        corr = 0
+        if w:
+            corr = reduce_rat(w, p, 2).value * self.bern(p) * p ** (3 * r) % modulus
         return modulus, lhs, (base + corr) % modulus, None
 
 
@@ -246,7 +256,7 @@ def _run_thm21ii(pi, m, r, cfg):
     p = pi.p
     modulus = p ** 3
     x = pi.rep[0]
-    ep3 = euler_mod(p - 3, p).value
+    ep3 = euler_pm3_mod(p)
     s = sum(t * o * o for t, o, _ in _central_cubed_terms(p, 1)) % p
     lhs = seq_mod(SeqId.APRIME, (p - 1) // 2, p, 3).value
     rhs = (
@@ -311,7 +321,7 @@ def _run_lemma26(pi, m, r, cfg):
     p = pi.p
     modulus = p ** 3
     x = pi.rep[0]
-    ep3 = euler_mod(p - 3, p).value
+    ep3 = euler_pm3_mod(p)
     b = comb((p - 1) // 2, (p - 1) // 4)
     lhs = (
         pow(2, -(p - 1), modulus)
@@ -341,7 +351,7 @@ def _run_lemma27b(pi, m, r, cfg):
     lhs = sum(t * o2 for t, _, o2 in _central_cubed_terms(p, 1)) % p
     g4 = _gamma_quarter_pow4(p, 1, cfg)
     if pi.klass == 1:
-        rhs = pow(2, -1, p) * g4 * euler_mod(p - 3, p).value % p
+        rhs = pow(2, -1, p) * g4 * euler_pm3_mod(p) % p
     else:
         rhs = -pow(16, -1, p) * g4 % p
     return p, lhs, rhs, None
@@ -352,7 +362,7 @@ def _run_conj21(pi, m, r, cfg):
     p = pi.p
     x = pi.rep[0]
     lhs = sum(t * o * o for t, o, _ in _central_cubed_terms(p, 1)) % p
-    rhs = 2 * pow(3, -1, p) * x * x * euler_mod(p - 3, p).value % p
+    rhs = 2 * pow(3, -1, p) * x * x * euler_pm3_mod(p) % p
     return p, lhs, rhs, None
 
 
@@ -364,15 +374,11 @@ def _run_thm33_tp(pi, m, r, cfg):
     return modulus, lhs, rhs, None
 
 
-def _pb_pm1(p: int) -> int:
-    return reduce_rat(p * bernoulli(p - 1), p, 2).value
-
-
 def _run_thm33_tpm1(pi, m, r, cfg):
     p = pi.p
     modulus = p * p
     lhs = seq_mod(SeqId.T, p - 1, p, 2).value
-    pb = _pb_pm1(p)
+    pb = pb_pm1_mod(p)
     rhs = _parity_sign(p) * (2 * p + pow(2, p, modulus) - 2 + pb * pb) % modulus
     return modulus, lhs, rhs, None
 
@@ -381,7 +387,7 @@ def _run_thm33_thalf(pi, m, r, cfg):
     p = pi.p
     modulus = p * p
     lhs = seq_mod(SeqId.T, (p - 1) // 2, p, 2).value
-    rhs = (_pb_pm1(p) - p + pow(2, p - 1, modulus) - 1) % modulus
+    rhs = (pb_pm1_mod(p) - p + pow(2, p - 1, modulus) - 1) % modulus
     return modulus, lhs, rhs, None
 
 
@@ -389,7 +395,7 @@ def _run_thm33_thalfp1(pi, m, r, cfg):
     p = pi.p
     modulus = p * p
     lhs = seq_mod(SeqId.T, (p + 1) // 2, p, 2).value
-    rhs = (_pb_pm1(p) - 3 * p + pow(2, p - 1, modulus) - 1) % modulus
+    rhs = (pb_pm1_mod(p) - 3 * p + pow(2, p - 1, modulus) - 1) % modulus
     return modulus, lhs, rhs, None
 
 
@@ -630,7 +636,7 @@ def recover_cm(
             _require(p > row.p_above, f"requires p > {row.p_above}")
             _require(m % p != 0, "p divides m")
             _, diff, _ = row._sides(p, m, r, cfg)
-            b = reduce_rat(row.bern(p), p, 1).value
+            b = row.bern(p) % p
             _require(b != 0, "B_{p-3} = 0 (mod p)")
             q, rem = divmod(diff, p ** (3 * r))
             _require(rem == 0, f"difference not divisible by p^{3 * r}")

@@ -1,9 +1,18 @@
 """Bernoulli and Euler numbers, classical quotients, and the p-adic Gamma function.
 
-Bernoulli numbers are kept exact (one trusted path, the defining recurrence);
-Euler numbers are only ever needed mod p and are computed by running the
-integer recurrence in Z/pZ.  Gamma_p is evaluated straight from the product
-definition, which is the independent oracle behind the closed forms.
+The checks need only a few residues of these numbers, and each has an O(p)
+route by a classical congruence:
+
+- E_{p-3} mod p by Lehmer's sum of k^-2 over k <= p/4 (euler_pm3_mod);
+- p B_{p-1} mod p^2 by the power sum of k^(p-1) over k < p (pb_pm1_mod);
+- B_n mod p^2 by Faulhaber's formula, sum_{k<p} k^n = p B_n (mod p^3)
+  (bernoulli_mod_p2).
+
+The exact routes stay as public API and as the oracles of those congruences:
+the Bernoulli table from the defining recurrence over Fraction, and the Euler
+numbers from their integer recurrence run in Z/pZ.  Gamma_p is evaluated
+straight from the product definition, which is the independent oracle behind
+the closed forms.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .modring import NotPIntegral, Residue
+from .modring import NotPIntegral, Residue, reduce_rat
 
 GAMMA_STEP_LIMIT = 2_000_000
 
@@ -54,6 +63,39 @@ def euler_mod(n: int, p: int) -> Residue:
         s = sum(comb(2 * m, 2 * k) * table[m - k] for k in range(1, m + 1))
         table.append(-s % p)
     return Residue(table[n // 2], p, 1)
+
+
+def euler_pm3_mod(p: int) -> int:
+    """E_{p-3} mod p for p >= 5 by Lehmer's congruence (Ann. of Math. 39, 1938)
+
+        sum_{k <= p/4} 1/k^2 = (-1)^((p-1)/2) 4 E_{p-3}  (mod p).
+    """
+    if p < 5:
+        raise ValueError("need p >= 5")
+    s = sum(pow(k, -2, p) for k in range(1, p // 4 + 1))
+    sign = -1 if (p - 1) // 2 % 2 else 1
+    return sign * s * pow(4, -1, p) % p
+
+
+def pb_pm1_mod(p: int) -> int:
+    """p B_{p-1} mod p^2 for an odd prime p, as sum_{k<p} k^(p-1) (Faulhaber)."""
+    m = p * p
+    return sum(pow(k, p - 1, m) for k in range(1, p)) % m
+
+
+def bernoulli_mod_p2(n: int, p: int) -> int:
+    """B_n mod p^2 by Faulhaber's formula, B_n = (sum_{k<p} k^n mod p^3) / p.
+
+    The power sum is p B_n + (n/2) p^2 B_{n-1} + (n(n-1)/6) p^3 B_{n-2} plus
+    terms divisible by p^3, so the route holds for p >= 5 and even n with
+    p - 1 dividing neither n nor n - 2 (which rules out n = 0, 2).  Elsewhere
+    (on the check path only p = 5, where B_2 and B_6 are asked for) the exact
+    table answers.
+    """
+    if p < 5 or n % 2 or n % (p - 1) == 0 or (n - 2) % (p - 1) == 0:
+        return reduce_rat(bernoulli(n), p, 2).value
+    m = p ** 3
+    return sum(pow(k, n, m) for k in range(1, p)) % m // p
 
 
 def fermat_quotient(a: int, p: int) -> Residue:
@@ -121,7 +163,7 @@ def gamma_quarter_closed_form(p: int, e: int = 3) -> Residue:
     if e != 3:
         raise ValueError("closed form is stated mod p^3")
     m = p ** 3
-    ep3 = euler_mod(p - 3, p).value
+    ep3 = euler_pm3_mod(p)
     if p % 4 == 1:
         b = comb((p - 1) // 2, (p - 1) // 4)
         val = (

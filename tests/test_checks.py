@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from aperylab import checks
+from aperylab import checks, special
 from aperylab.checks import (
     CHECKS,
     CheckConfig,
@@ -164,6 +164,48 @@ def test_central_sum_checks_fail_when_pass_is_perturbed(monkeypatch, name, p):
 
     monkeypatch.setattr(checks, "_central_cubed_terms", shifted)
     assert run_check(name, p).verdict == "fail"
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [
+        ("thm2.1ii", 13), ("lemma2.6", 13), ("conj2.1", 13), ("lemma2.7b", 13),
+        ("lemma2.5", 13), ("lemma2.5", 11),
+    ],
+)
+def test_euler_checks_fail_when_euler_value_is_perturbed(monkeypatch, name, p):
+    assert run_check(name, p).verdict == "pass"
+    real = special.euler_pm3_mod
+
+    def shifted(q):
+        return (real(q) + 1) % q
+
+    # lemma2.5 reads E_{p-3} inside special.gamma_quarter_closed_form
+    monkeypatch.setattr(checks, "euler_pm3_mod", shifted)
+    monkeypatch.setattr(special, "euler_pm3_mod", shifted)
+    assert run_check(name, p).verdict == "fail"
+
+
+@pytest.mark.parametrize("name", ["thm3.3_tpm1", "thm3.3_thalf", "thm3.3_thalfp1"])
+@pytest.mark.parametrize("p", [11, 13])
+def test_thm33_checks_fail_when_pb_value_is_perturbed(monkeypatch, name, p):
+    assert run_check(name, p).verdict == "pass"
+    real = checks.pb_pm1_mod
+    monkeypatch.setattr(checks, "pb_pm1_mod", lambda q: (real(q) + q) % (q * q))
+    assert run_check(name, p).verdict == "fail"
+
+
+@pytest.mark.parametrize("name", ["liu_a", "liu_aprime", "conj2.3", "conj2.4", "conj2.5"])
+@pytest.mark.parametrize("p, m", [(11, 1), (13, 2)])
+def test_lift_checks_fail_when_bernoulli_value_is_perturbed(monkeypatch, name, p, m):
+    assert run_check(name, p, m, 1).verdict == "pass"
+    real = checks.bernoulli_mod_p2
+    # p^(e - 3r - 1): the least shift the correction term can still see
+    delta = p ** (CHECKS[name].runner.extra - 1)
+    monkeypatch.setattr(
+        checks, "bernoulli_mod_p2", lambda n, q: (real(n, q) + delta) % (q * q)
+    )
+    assert run_check(name, p, m, 1).verdict == "fail"
 
 
 def serial_pool(started):

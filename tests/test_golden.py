@@ -1,9 +1,11 @@
-"""Byte gate: the output of a fixed mixed sweep must not change.
+"""Byte gates: the output of fixed sweeps must not change.
 
-The sweep covers every check at r = 1 and 2, including the m = 7 rows that
-conj2.5 skips for want of a tabulated reference constant, and the c_m
-recovery lines on stderr.  A refactor of the registry has to reproduce these
-bytes exactly; a deliberate change of the records has to update the hashes.
+The mixed sweep covers every check at r = 1 and 2, including the m = 7 rows
+that conj2.5 skips for want of a tabulated reference constant, and the c_m
+recovery lines on stderr.  The large-prime sweep runs every check that reads
+E_{p-3}, p B_{p-1}, B_{p-3} or B_{2p-4} up to p = 400, far past the p = 5
+Bernoulli fallback.  A refactor has to reproduce these bytes exactly; a
+deliberate change of the records has to update the hashes.
 """
 
 import hashlib
@@ -21,19 +23,39 @@ ARGV = ["verify", "--checks", "all", "--primes", "3..40", "--m", "1,2,7",
 STDOUT_SHA256 = "741603c77a54c8c943bb556d16e231bceff6581914537630e56c73cf52b78f26"
 STDERR_SHA256 = "a64cc6336b26fb50d13d5cfc65442179cf74d66b2128a0abd4e17d8d4e305da9"
 
+LARGE_ARGV = ["verify", "--checks",
+              "thm2.1ii,lemma2.5,lemma2.6,lemma2.7b,conj2.1,thm3.3_tpm1,thm3.3_thalf,"
+              "thm3.3_thalfp1,liu_a,liu_aprime,conj2.3,conj2.4,conj2.5",
+              "--primes", "3..400", "--m", "1,2", "--r", "1", "--format", "json",
+              "--jobs", "1"]
+LARGE_STDOUT_SHA256 = "93bb0a49a6c885ef9ea725eb582d9a9058dfaa8ab58c9a16154f2fec21de97e2"
+LARGE_STDERR_SHA256 = "c39531774341beecc9477f956be8dc4e634577f0de558686571bd11a2a1cf91c"
 
-def test_fixed_sweep_output_bytes():
+
+def _verify(argv):
     env = dict(os.environ)
     env.pop(SIZE_CAP_ENV, None)
     src = str(Path(aperylab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "aperylab", *ARGV],
+    done = subprocess.run([sys.executable, "-m", "aperylab", *argv],
                           capture_output=True, env=env)
     assert done.returncode == 0, done.stderr.decode()
-    records = [json.loads(line) for line in done.stdout.splitlines()]
+    return done, [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_fixed_sweep_output_bytes():
+    done, records = _verify(ARGV)
     assert len(records) == 710
     assert sum(r["verdict"] == "skip" for r in records) == 106
     assert any(r["check"] == "conj2.5" and r["m"] == 7
                and "no tabulated reference" in r["skip_reason"] for r in records)
     assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256
     assert hashlib.sha256(done.stderr).hexdigest() == STDERR_SHA256
+
+
+def test_large_prime_sweep_output_bytes():
+    done, records = _verify(LARGE_ARGV)
+    assert len(records) == 1386
+    assert sum(r["verdict"] == "skip" for r in records) == 182
+    assert hashlib.sha256(done.stdout).hexdigest() == LARGE_STDOUT_SHA256
+    assert hashlib.sha256(done.stderr).hexdigest() == LARGE_STDERR_SHA256

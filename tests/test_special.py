@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperylab.modring import (
     FactorialTable,
@@ -16,13 +18,23 @@ from aperylab.modring import (
 from aperylab.sequences import seq_mod, SeqId
 from aperylab.special import (
     bernoulli,
+    bernoulli_mod_p2,
     bernoulli_table,
     euler_mod,
+    euler_pm3_mod,
     fermat_quotient,
     gamma_quarter_closed_form,
     padic_gamma,
+    pb_pm1_mod,
     wilson_side,
 )
+
+try:
+    import sympy
+except ImportError:  # sympy is only a third, optional oracle
+    sympy = None
+
+PRIMES_BELOW_700 = [pi.p for pi in primes_in_range(3, 699)]
 
 
 def test_bernoulli_small_values():
@@ -75,6 +87,52 @@ def test_wilson_bernoulli_consistency():
         lhs = wilson_side(p).value
         rhs = (reduce_rat(p * bernoulli(p - 1), p, 2).value - p) % (p * p)
         assert lhs == rhs, p
+
+
+def test_lehmer_euler_matches_recurrence():
+    for p in PRIMES_BELOW_700[1:]:
+        assert euler_pm3_mod(p) == euler_mod(p - 3, p).value, p
+    with pytest.raises(ValueError):
+        euler_pm3_mod(3)
+
+
+def test_pb_pm1_matches_exact_and_quotient_oracles():
+    for p in PRIMES_BELOW_700:
+        m = p * p
+        got = pb_pm1_mod(p)
+        assert got == reduce_rat(p * bernoulli(p - 1), p, 2).value, p
+        # k^(p-1) = 1 + p q_p(k) (mod p^2), summed over k < p
+        quotients = sum(fermat_quotient(k, p).value for k in range(1, p))
+        assert got == (p - 1 + p * quotients) % m, p
+        # Glaisher: (p-1)! = p B_{p-1} - p (mod p^2)
+        assert got == (wilson_side(p).value + p) % m, p
+
+
+def test_faulhaber_bernoulli_matches_table():
+    # p = 5 takes the exact table (B_2 and B_6); p = 7, 11 are the first
+    # primes on the power-sum route
+    for p in (pi.p for pi in primes_in_range(5, 399)):
+        for n in (p - 3, 2 * p - 4):
+            assert bernoulli_mod_p2(n, p) == reduce_rat(bernoulli(n), p, 2).value, (p, n)
+
+
+def test_faulhaber_power_sum_misses_b2_at_p5():
+    # why p = 5 takes the table: at n = p - 3 = 2 the power sum also carries
+    # (n/2) p^2 B_1, which does not vanish mod p^3
+    power_sum = sum(pow(k, 2, 125) for k in range(1, 5)) % 125 // 5
+    assert power_sum != reduce_rat(bernoulli(2), 5, 2).value
+
+
+@pytest.mark.skipif(sympy is None, reason="needs sympy")
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(PRIMES_BELOW_700[1:]))
+def test_fast_special_values_match_sympy(p):
+    assert euler_pm3_mod(p) == int(sympy.euler(p - 3)) % p
+    pb = sympy.Rational(p) * sympy.bernoulli(p - 1)
+    assert pb_pm1_mod(p) == int(pb.p) * pow(int(pb.q), -1, p * p) % (p * p)
+    for n in (p - 3, 2 * p - 4):
+        b = sympy.bernoulli(n)
+        assert bernoulli_mod_p2(n, p) == int(b.p) * pow(int(b.q), -1, p * p) % (p * p)
 
 
 def test_von_staudt_clausen_poles():
