@@ -2,11 +2,9 @@
 
 from .checks import (
     CHECKS,
-    CheckConfig,
     CheckResult,
     CrtAccumulator,
     Status,
-    default_config,
     recover_cm,
     run_check,
     sweep,
@@ -27,7 +25,6 @@ from .modring import (
 )
 from .sequences import SeqId, seq_exact, seq_mod
 from .special import (
-    PadicGammaValue,
     bernoulli,
     bernoulli_table,
     euler_mod,

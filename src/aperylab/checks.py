@@ -4,6 +4,10 @@ Each check computes both sides of one stated congruence over Z/p^e Z and
 records a structured CheckResult.  Conjecture-status checks never abort a
 sweep; a failing instance is reported as a refutation.  Sweeps are pure and
 deterministic: worker count never changes verdicts or ordering.
+
+Every registry row is one of three specs: a Lift (an m, r congruence between
+two Apery values), an AtPrime (a congruence at one prime under its
+hypotheses), or an Identity (exact identity verifiers).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from . import identities
+from . import identities, special
 from .modring import PrimeInfo, prime_info, primes_in_range, reduce_rat
 from .sequences import (
     SeqId,
@@ -39,30 +43,11 @@ DEFAULT_SIZE_CAP = 100_000
 # Tabulated reference constants for the conj2.5 family, m = 1..6.
 REFERENCE_CM = {1: 1, 2: 1, 3: -17, 4: -703, 5: -21499, 6: -628145}
 
-DEFAULT_IDENTITY_RANGES = {
-    "id_lemma2.1": 100,
-    "id_eq2.1": 99,
-    "id_eq3.1": 30,
-    "id_thm3.1": 200,
-    "id_thm3.2": 40,
-    "id_gf": 15,
-}
-
 
 class Status(str, Enum):
     THEOREM = "theorem"
     LEMMA = "lemma"
     CONJECTURE = "conjecture"
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    size_cap: int = DEFAULT_SIZE_CAP
-    gamma_step_limit: int = 2_000_000
-
-
-def default_config() -> CheckConfig:
-    return CheckConfig(size_cap=int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP)))
 
 
 class SkipCheck(Exception):
@@ -81,20 +66,6 @@ class CheckResult:
     verdict: str
     skip_reason: Optional[str] = None
     sign: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class CheckDef:
-    name: str
-    status: Status
-    kind: str  # "congruence" | "identity" | "prime_identity"
-    # congruence: a callable (pi, m, r, cfg) -> (modulus, lhs, rhs, sign);
-    # identity kinds: the names of the identities verifiers to run in turn
-    runner: Union[Callable, tuple[str, ...]]
-
-    @property
-    def takes_mr(self) -> bool:
-        return isinstance(self.runner, Lift)
 
 
 def _require(cond: bool, reason: str) -> None:
@@ -131,14 +102,9 @@ def _central_cubed_terms(p: int, e: int):
         yield c * c % m * c % m * w64 % m, o, o2
 
 
-def _gamma_quarter_pow4(p: int, e: int, cfg: CheckConfig) -> int:
-    """Gamma_p(1/4)^4 mod p^e, from the product definition when affordable."""
-    if p ** e <= cfg.gamma_step_limit:
-        g = padic_gamma(Fraction(1, 4), p, e, cfg.gamma_step_limit).value
-        return (g ** 4).value
-    if e > 3:
-        raise SkipCheck(f"gamma cost cap: {p}^{e} exceeds {cfg.gamma_step_limit} steps")
-    return gamma_quarter_closed_form(p).value % p ** e
+def _gamma_quarter_pow4(p: int) -> int:
+    """Gamma_p(1/4)^4 mod p, from the p-step definition product."""
+    return pow(padic_gamma(Fraction(1, 4), p, 1).value, 4, p)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +140,11 @@ def _reference_cm(m: int) -> int:
     return REFERENCE_CM[m]
 
 
+def _require_mr(m: int, r: int) -> None:
+    if m < 1 or r < 1:
+        raise ValueError(f"need m >= 1 and r >= 1, got m = {m}, r = {r}")
+
+
 @dataclass(frozen=True)
 class Lift:
     """A congruence between A_hi and A_lo (A or A' by `sid`) mod p^(3r + extra),
@@ -197,22 +168,25 @@ class Lift:
     bern: Callable[[int], int] = _bernoulli_p3
     difference: bool = False
 
-    def _sides(self, p: int, m: int, r: int, cfg: CheckConfig) -> tuple[int, int, int]:
+    def _sides(self, p: int, m: int, r: int) -> tuple[int, int, int]:
         """(e, lhs, base) with lhs = A_hi, base = A_lo mod p^e, or for a
-        difference row lhs = A_hi - A_lo, base = 0.  Skips past the size cap."""
+        difference row lhs = A_hi - A_lo, base = 0.  Skips past the size cap,
+        read from APERY_LAB_SIZE_CAP at call time."""
+        cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
         hi, lo = m * p ** r + self.shift, m * p ** (r - 1) + self.shift
-        _require(hi <= cfg.size_cap, f"size cap: index {hi} exceeds {cfg.size_cap}")
+        _require(hi <= cap, f"size cap: index {hi} exceeds {cap}")
         e = 3 * r + self.extra
         a_hi, a_lo = apery_mod(self.sid, hi, p, e), apery_mod(self.sid, lo, p, e)
         if self.difference:
             return e, (a_hi - a_lo) % p ** e, 0
         return e, a_hi, a_lo
 
-    def __call__(self, pi: PrimeInfo, m: int, r: int, cfg: CheckConfig):
+    def __call__(self, pi: PrimeInfo, m: int, r: int):
+        _require_mr(m, r)
         p = pi.p
         _require(p > self.p_above, f"requires p > {self.p_above}")
         w = self.weight(m)
-        e, lhs, base = self._sides(p, m, r, cfg)
+        e, lhs, base = self._sides(p, m, r)
         modulus = p ** e
         corr = 0
         if w:
@@ -221,69 +195,80 @@ class Lift:
 
 
 # ---------------------------------------------------------------------------
-# prime-indexed congruence runners: each returns (modulus, lhs, rhs, sign)
+# prime-indexed congruences: one data row each
 
-def _run_eq13(pi, m, r, cfg):
+@dataclass(frozen=True)
+class AtPrime:
+    """A congruence at one prime p, stated mod p^e for p > p_above and, when
+    klass is set, p = klass (mod 4).  sides(pi, p^e) returns (lhs, rhs), or
+    (lhs, rhs, sign) for a check that records which sign held; the row
+    reduces both sides mod p^e."""
+
+    e: int
+    sides: Callable
+    p_above: int = 2
+    klass: Optional[int] = None
+
+    def __call__(self, pi: PrimeInfo):
+        _require(pi.p > self.p_above, f"requires p > {self.p_above}")
+        if self.klass is not None:
+            _require(pi.klass == self.klass, f"requires p = {self.klass} (mod 4)")
+        modulus = pi.p ** self.e
+        lhs, rhs, *sign = self.sides(pi, modulus)
+        return modulus, lhs % modulus, rhs % modulus, sign[0] if sign else None
+
+
+def _aprime_half(p: int, e: int) -> int:
+    return seq_mod(SeqId.APRIME, (p - 1) // 2, p, e).value
+
+
+def _x_side(pi: PrimeInfo, modulus: int) -> int:
+    """4x^2 - 2p - p^2/(4x^2) mod p^3 for p = x^2 + 4y^2 = 1 (mod 4)."""
+    p, x = pi.p, pi.rep[0]
+    return 4 * x * x - 2 * p - p * p * pow(4 * x * x, -1, modulus)
+
+
+def _eq13(pi, modulus):
     # A'_1 = 3 is divisible by p but not p^2, so the statement needs p > 3.
-    _require(pi.p > 3, "requires p > 3")
     p = pi.p
-    modulus = p * p
-    lhs = seq_mod(SeqId.APRIME, (p - 1) // 2, p, 2).value
-    if pi.klass == 1:
-        x = pi.rep[0]
-        rhs = (4 * x * x - 2 * p) % modulus
-    else:
-        rhs = 0
-    return modulus, lhs, rhs, None
+    rhs = 4 * pi.rep[0] ** 2 - 2 * p if pi.klass == 1 else 0
+    return _aprime_half(p, 2), rhs
 
 
-def _run_thm21i(pi, m, r, cfg):
-    _require(pi.klass == 3, "requires p = 3 (mod 4)")
+def _thm21i(pi, modulus):
     p = pi.p
-    modulus = p ** 3
-    lhs = seq_mod(SeqId.APRIME, (p - 1) // 2, p, 3).value
     if p == 3:
         # p^2/3 = 3 exactly; 3 is not invertible mod 27
-        rhs = 3 % modulus
+        rhs = 3
     else:
         b = comb((p - 3) // 2, (p - 3) // 4)
-        rhs = p * p * pow(3, -1, modulus) % modulus * pow(b, -2, modulus) % modulus
-    return modulus, lhs, rhs, None
+        rhs = p * p * pow(3, -1, modulus) % modulus * pow(b, -2, modulus)
+    return _aprime_half(p, 3), rhs
 
 
-def _run_thm21ii(pi, m, r, cfg):
-    _require(pi.klass == 1, "requires p = 1 (mod 4)")
-    p = pi.p
-    modulus = p ** 3
-    x = pi.rep[0]
-    ep3 = euler_pm3_mod(p)
+def _thm21ii(pi, modulus):
+    p, x = pi.p, pi.rep[0]
     s = sum(t * o * o for t, o, _ in _central_cubed_terms(p, 1)) % p
-    lhs = seq_mod(SeqId.APRIME, (p - 1) // 2, p, 3).value
     rhs = (
-        4 * x * x
-        - 2 * p
-        - p * p * pow(4 * x * x, -1, modulus)
-        + 3 * p * p * x * x * ep3
+        _x_side(pi, modulus)
+        + 3 * p * p * x * x * euler_pm3_mod(p)
         + p * p * pow(2, -1, modulus) * s
-    ) % modulus
-    return modulus, lhs, rhs, None
+    )
+    return _aprime_half(p, 3), rhs
 
 
-def _run_lemma23(pi, m, r, cfg):
+def _lemma23(pi, modulus):
     p = pi.p
-    modulus = p ** 3
-    lhs = seq_mod(SeqId.APRIME, (p - 1) // 2, p, 3).value
     inv2 = pow(2, -1, modulus)
     rhs = 1 + sum(
         t * (1 - p * o + p * p * inv2 * (o * o - 3 * o2))
         for t, o, o2 in _central_cubed_terms(p, 3)
     )
-    return modulus, lhs, rhs % modulus, None
+    return _aprime_half(p, 3), rhs
 
 
-def _run_lemma24(pi, m, r, cfg):
+def _lemma24(pi, modulus):
     p = pi.p
-    modulus = p ** 3
     table = factorial_table(p, 3)
     table.extend(2 * (p - 1))
     val, unit, inv = table.val, table.unit, table.inv_unit
@@ -296,167 +281,147 @@ def _run_lemma24(pi, m, r, cfg):
             acc += u * u % modulus * u % modulus * w
         w = w * inv64 % modulus
     if pi.klass == 1:
-        x = pi.rep[0]
-        rhs = (4 * x * x - 2 * p - p * p * pow(4 * x * x, -1, modulus)) % modulus
-    else:
-        b = comb((p - 3) // 2, (p - 3) // 4)
-        rhs = -p * p * pow(4, -1, modulus) * pow(b, -2, modulus) % modulus
-    return modulus, acc % modulus, rhs, None
+        return acc, _x_side(pi, modulus)
+    b = comb((p - 3) // 2, (p - 3) // 4)
+    return acc, -p * p * pow(4, -1, modulus) * pow(b, -2, modulus)
 
 
-def _run_lemma25(pi, m, r, cfg):
+def _lemma25(pi, modulus):
+    p, limit = pi.p, special.GAMMA_STEP_LIMIT
+    _require(modulus <= limit, f"gamma cost cap: {p}^3 exceeds {limit} steps")
+    g = padic_gamma(Fraction(1, 4), p, 3)
+    return (g ** 4).value, gamma_quarter_closed_form(p).value
+
+
+def _lemma26(pi, modulus):
     p = pi.p
-    _require(p > 3, "requires p > 3")
-    _require(
-        p ** 3 <= cfg.gamma_step_limit,
-        f"gamma cost cap: {p}^3 exceeds {cfg.gamma_step_limit} steps",
-    )
-    modulus = p ** 3
-    g = padic_gamma(Fraction(1, 4), p, 3, cfg.gamma_step_limit).value
-    return modulus, (g ** 4).value, gamma_quarter_closed_form(p).value, None
-
-
-def _run_lemma26(pi, m, r, cfg):
-    _require(pi.klass == 1, "requires p = 1 (mod 4)")
-    p = pi.p
-    modulus = p ** 3
-    x = pi.rep[0]
-    ep3 = euler_pm3_mod(p)
     b = comb((p - 1) // 2, (p - 1) // 4)
     lhs = (
         pow(2, -(p - 1), modulus)
         * b % modulus * b % modulus
-        * (1 - p * p * pow(2, -1, modulus) * ep3)
-    ) % modulus
-    rhs = (4 * x * x - 2 * p - p * p * pow(4 * x * x, -1, modulus)) % modulus
-    return modulus, lhs, rhs, None
+        * (1 - p * p * pow(2, -1, modulus) * euler_pm3_mod(p))
+    )
+    return lhs, _x_side(pi, modulus)
 
 
-def _run_lemma27a(pi, m, r, cfg):
+def _lemma27a(pi, modulus):
+    # the factor p means Gamma_p(1/4)^4 is needed only mod p
     p = pi.p
-    _require(p > 3, "requires p > 3")
-    modulus = p * p
-    lhs = sum(t * o for t, o, _ in _central_cubed_terms(p, 2)) % modulus
+    lhs = sum(t * o for t, o, _ in _central_cubed_terms(p, 2))
     if pi.klass == 1:
-        rhs = 0
-    else:
-        g4 = _gamma_quarter_pow4(p, 2, cfg)
-        rhs = -p * pow(12, -1, modulus) * g4 % modulus
-    return modulus, lhs, rhs, None
+        return lhs, 0
+    return lhs, -p * pow(12, -1, modulus) * _gamma_quarter_pow4(p)
 
 
-def _run_lemma27b(pi, m, r, cfg):
+def _lemma27b(pi, modulus):
     p = pi.p
-    _require(p > 3, "requires p > 3")
-    lhs = sum(t * o2 for t, _, o2 in _central_cubed_terms(p, 1)) % p
-    g4 = _gamma_quarter_pow4(p, 1, cfg)
+    lhs = sum(t * o2 for t, _, o2 in _central_cubed_terms(p, 1))
+    g4 = _gamma_quarter_pow4(p)
     if pi.klass == 1:
-        rhs = pow(2, -1, p) * g4 * euler_pm3_mod(p) % p
-    else:
-        rhs = -pow(16, -1, p) * g4 % p
-    return p, lhs, rhs, None
+        return lhs, pow(2, -1, p) * g4 * euler_pm3_mod(p)
+    return lhs, -pow(16, -1, p) * g4
 
 
-def _run_conj21(pi, m, r, cfg):
-    _require(pi.klass == 1, "requires p = 1 (mod 4)")
+def _conj21(pi, modulus):
+    p, x = pi.p, pi.rep[0]
+    lhs = sum(t * o * o for t, o, _ in _central_cubed_terms(p, 1))
+    return lhs, 2 * pow(3, -1, p) * x * x * euler_pm3_mod(p)
+
+
+def _thm33_tp(pi, modulus):
     p = pi.p
-    x = pi.rep[0]
-    lhs = sum(t * o * o for t, o, _ in _central_cubed_terms(p, 1)) % p
-    rhs = 2 * pow(3, -1, p) * x * x * euler_pm3_mod(p) % p
-    return p, lhs, rhs, None
+    return seq_mod(SeqId.T, p, p, 3).value, (1 + 4 * _parity_sign(p)) * p * p
 
 
-def _run_thm33_tp(pi, m, r, cfg):
+def _thm33_tpm1(pi, modulus):
     p = pi.p
-    modulus = p ** 3
-    lhs = seq_mod(SeqId.T, p, p, 3).value
-    rhs = (1 + 4 * _parity_sign(p)) * p * p % modulus
-    return modulus, lhs, rhs, None
-
-
-def _run_thm33_tpm1(pi, m, r, cfg):
-    p = pi.p
-    modulus = p * p
-    lhs = seq_mod(SeqId.T, p - 1, p, 2).value
     pb = pb_pm1_mod(p)
-    rhs = _parity_sign(p) * (2 * p + pow(2, p, modulus) - 2 + pb * pb) % modulus
-    return modulus, lhs, rhs, None
+    rhs = _parity_sign(p) * (2 * p + pow(2, p, modulus) - 2 + pb * pb)
+    return seq_mod(SeqId.T, p - 1, p, 2).value, rhs
 
 
-def _run_thm33_thalf(pi, m, r, cfg):
+def _thm33_thalf(pi, modulus):
     p = pi.p
-    modulus = p * p
-    lhs = seq_mod(SeqId.T, (p - 1) // 2, p, 2).value
-    rhs = (pb_pm1_mod(p) - p + pow(2, p - 1, modulus) - 1) % modulus
-    return modulus, lhs, rhs, None
+    rhs = pb_pm1_mod(p) - p + pow(2, p - 1, modulus) - 1
+    return seq_mod(SeqId.T, (p - 1) // 2, p, 2).value, rhs
 
 
-def _run_thm33_thalfp1(pi, m, r, cfg):
+def _thm33_thalfp1(pi, modulus):
     p = pi.p
-    modulus = p * p
-    lhs = seq_mod(SeqId.T, (p + 1) // 2, p, 2).value
-    rhs = (pb_pm1_mod(p) - 3 * p + pow(2, p - 1, modulus) - 1) % modulus
-    return modulus, lhs, rhs, None
+    rhs = pb_pm1_mod(p) - 3 * p + pow(2, p - 1, modulus) - 1
+    return seq_mod(SeqId.T, (p + 1) // 2, p, 2).value, rhs
 
 
-def _run_thm33_tquarter(pi, m, r, cfg):
-    _require(pi.klass == 3, "requires p = 3 (mod 4)")
+def _thm33_tquarter(pi, modulus):
     p = pi.p
     lhs = seq_mod(SeqId.T, (p - 3) // 4, p, 1).value
     binv = pow(comb((p - 1) // 2, (p - 3) // 4), -1, p)
     if lhs == binv:
-        return p, lhs, binv, "+"
+        return lhs, binv, "+"
     if lhs == -binv % p:
-        return p, lhs, -binv % p, "-"
-    return p, lhs, binv, None
+        return lhs, -binv, "-"
+    return lhs, binv, None
 
 
 # ---------------------------------------------------------------------------
 # registry
 
+@dataclass(frozen=True)
+class Identity:
+    """Names of `identities` verifiers, run in turn on n <= max_n, or on each
+    swept prime p when max_n is None."""
+
+    verifiers: tuple[str, ...]
+    max_n: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class CheckDef:
+    name: str
+    status: Status
+    runner: Union[Lift, AtPrime, Identity]
+
+
 def _defs() -> dict:
     theorem, lemma, conjecture = Status.THEOREM, Status.LEMMA, Status.CONJECTURE
     a, aprime, bracket = SeqId.A, SeqId.APRIME, _bernoulli_bracket
     rows = [
-        ("beukers_a", theorem, "congruence", Lift(a, -1, 0)),
-        ("beukers_aprime", theorem, "congruence", Lift(aprime, -1, 0)),
-        ("liu_a", theorem, "congruence",
-         Lift(a, 0, 1, weight=lambda m: Fraction(2, 3) * c_coeffs(m)[0])),
-        ("liu_aprime", theorem, "congruence",
+        ("beukers_a", theorem, Lift(a, -1, 0)),
+        ("beukers_aprime", theorem, Lift(aprime, -1, 0)),
+        ("liu_a", theorem, Lift(a, 0, 1, weight=lambda m: Fraction(2, 3) * c_coeffs(m)[0])),
+        ("liu_aprime", theorem,
          Lift(aprime, 0, 1, weight=lambda m: Fraction(1, 3) * c_coeffs(m)[1])),
-        ("eq1.3", theorem, "congruence", _run_eq13),
-        ("thm2.1i", theorem, "congruence", _run_thm21i),
-        ("thm2.1ii", theorem, "congruence", _run_thm21ii),
-        ("lemma2.3", lemma, "congruence", _run_lemma23),
-        ("lemma2.4", lemma, "congruence", _run_lemma24),
-        ("lemma2.5", lemma, "congruence", _run_lemma25),
-        ("lemma2.6", lemma, "congruence", _run_lemma26),
-        ("lemma2.7a", lemma, "congruence", _run_lemma27a),
-        ("lemma2.7b", lemma, "congruence", _run_lemma27b),
-        ("conj2.1", conjecture, "congruence", _run_conj21),
-        ("conj2.2", conjecture, "congruence",
-         Lift(aprime, -1, 1, weight=_conj22_weight, difference=True)),
-        ("conj2.3", conjecture, "congruence",
+        ("eq1.3", theorem, AtPrime(2, _eq13, p_above=3)),
+        ("thm2.1i", theorem, AtPrime(3, _thm21i, klass=3)),
+        ("thm2.1ii", theorem, AtPrime(3, _thm21ii, klass=1)),
+        ("lemma2.3", lemma, AtPrime(3, _lemma23)),
+        ("lemma2.4", lemma, AtPrime(3, _lemma24)),
+        ("lemma2.5", lemma, AtPrime(3, _lemma25, p_above=3)),
+        ("lemma2.6", lemma, AtPrime(3, _lemma26, klass=1)),
+        ("lemma2.7a", lemma, AtPrime(2, _lemma27a, p_above=3)),
+        ("lemma2.7b", lemma, AtPrime(1, _lemma27b, p_above=3)),
+        ("conj2.1", conjecture, AtPrime(1, _conj21, klass=1)),
+        ("conj2.2", conjecture, Lift(aprime, -1, 1, weight=_conj22_weight, difference=True)),
+        ("conj2.3", conjecture,
          Lift(aprime, 0, 2, weight=lambda m: c_coeffs(m)[1], bern=bracket)),
-        ("conj2.4", conjecture, "congruence",
+        ("conj2.4", conjecture,
          Lift(a, 0, 2, p_above=5, weight=lambda m: 2 * c_coeffs(m)[0], bern=bracket,
               difference=True)),
-        ("conj2.5", conjecture, "congruence",
+        ("conj2.5", conjecture,
          Lift(a, -1, 1, weight=lambda m: Fraction(2, 3) * m ** 3 * _reference_cm(m),
               difference=True)),
-        ("thm3.3_tp", theorem, "congruence", _run_thm33_tp),
-        ("thm3.3_tpm1", theorem, "congruence", _run_thm33_tpm1),
-        ("thm3.3_thalf", theorem, "congruence", _run_thm33_thalf),
-        ("thm3.3_thalfp1", theorem, "congruence", _run_thm33_thalfp1),
-        ("thm3.3_tquarter", theorem, "congruence", _run_thm33_tquarter),
-        # identity rows name their verifiers, run in turn on max_n (or p)
-        ("id_lemma2.1", theorem, "identity", ("lemma21_identity", "order4_certificate")),
-        ("id_eq2.1", theorem, "identity", ("eq21_identity",)),
-        ("id_eq2.2", theorem, "prime_identity", ("eq22_congruence",)),
-        ("id_eq3.1", theorem, "identity", ("eq31_identity",)),
-        ("id_thm3.1", theorem, "identity", ("thm31_dual",)),
-        ("id_thm3.2", theorem, "identity", ("thm32_identity", "order5_certificate")),
-        ("id_gf", theorem, "identity", ("gf_oracle",)),
+        ("thm3.3_tp", theorem, AtPrime(3, _thm33_tp)),
+        ("thm3.3_tpm1", theorem, AtPrime(2, _thm33_tpm1)),
+        ("thm3.3_thalf", theorem, AtPrime(2, _thm33_thalf)),
+        ("thm3.3_thalfp1", theorem, AtPrime(2, _thm33_thalfp1)),
+        ("thm3.3_tquarter", theorem, AtPrime(1, _thm33_tquarter, klass=3)),
+        ("id_lemma2.1", theorem, Identity(("lemma21_identity", "order4_certificate"), 100)),
+        ("id_eq2.1", theorem, Identity(("eq21_identity",), 99)),
+        ("id_eq2.2", theorem, Identity(("eq22_congruence",))),
+        ("id_eq3.1", theorem, Identity(("eq31_identity",), 30)),
+        ("id_thm3.1", theorem, Identity(("thm31_dual",), 200)),
+        ("id_thm3.2", theorem, Identity(("thm32_identity", "order5_certificate"), 40)),
+        ("id_gf", theorem, Identity(("gf_oracle",), 15)),
     ]
     return {name: CheckDef(name, *rest) for name, *rest in rows}
 
@@ -488,43 +453,39 @@ def run_check(
     p: Union[int, PrimeInfo, None] = None,
     m: Optional[int] = None,
     r: Optional[int] = None,
-    cfg: Optional[CheckConfig] = None,
     max_n: Optional[int] = None,
 ) -> CheckResult:
     """Evaluate one registered check and return the structured outcome."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
-    cd = CHECKS[name]
-    cfg = cfg or default_config()
+    row = CHECKS[name].runner
 
-    if cd.kind == "identity":
-        n = max_n if max_n is not None else DEFAULT_IDENTITY_RANGES[name]
-        return _identity_result(name, None, cd.runner, n)
+    if isinstance(row, Identity) and row.max_n is not None:
+        n = max_n if max_n is not None else row.max_n
+        return _identity_result(name, None, row.verifiers, n)
 
     pi = p if isinstance(p, PrimeInfo) else prime_info(p)
 
-    if cd.kind == "prime_identity":
-        return _identity_result(name, pi.p, cd.runner, pi.p)
+    if isinstance(row, Identity):
+        return _identity_result(name, pi.p, row.verifiers, pi.p)
 
-    if cd.takes_mr and (m is None or r is None):
-        raise ValueError(f"check {name} requires parameters m and r")
+    if isinstance(row, Lift):
+        if m is None or r is None:
+            raise ValueError(f"check {name} requires parameters m and r")
+        args = (pi, m, r)
+    else:
+        m = r = None
+        args = (pi,)
     try:
-        modulus, lhs, rhs, sign = cd.runner(pi, m, r, cfg)
+        modulus, lhs, rhs, sign = row(*args)
     except SkipCheck as sk:
-        return CheckResult(
-            name, pi.p, m if cd.takes_mr else None, r if cd.takes_mr else None,
-            None, None, None, "skip", str(sk),
-        )
+        return CheckResult(name, pi.p, m, r, None, None, None, "skip", str(sk))
     verdict = "pass" if lhs == rhs else "fail"
-    return CheckResult(
-        name, pi.p, m if cd.takes_mr else None, r if cd.takes_mr else None,
-        modulus, lhs, rhs, verdict, None, sign,
-    )
+    return CheckResult(name, pi.p, m, r, modulus, lhs, rhs, verdict, None, sign)
 
 
-def _run_task(packed) -> CheckResult:
-    (name, p, m, r, max_n), cfg = packed
-    return run_check(name, p, m, r, cfg=cfg, max_n=max_n)
+def _run_task(task) -> CheckResult:
+    return run_check(*task)
 
 
 def _prime_list(primes) -> list[int]:
@@ -544,8 +505,6 @@ def sweep(
     m_list: Sequence[int] = (1,),
     r_list: Sequence[int] = (1,),
     jobs: int = 1,
-    cfg: Optional[CheckConfig] = None,
-    identity_ranges: Optional[dict] = None,
 ) -> list[CheckResult]:
     """Run the cross product of checks, primes, and parameters.
 
@@ -553,41 +512,30 @@ def sweep(
     independent of the worker count.  At most min(jobs, CPU count, tasks)
     worker processes are started.
     """
-    cfg = cfg or default_config()
     wanted = set(names)
     unknown = wanted - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     plist = _prime_list(primes)
-    ranges = dict(DEFAULT_IDENTITY_RANGES)
-    if identity_ranges:
-        ranges.update(identity_ranges)
 
     tasks = []
     for name, cd in CHECKS.items():
         if name not in wanted:
             continue
-        if cd.kind == "identity":
-            tasks.append((name, None, None, None, ranges[name]))
-        elif cd.kind == "prime_identity":
-            tasks.extend((name, p, None, None, None) for p in plist)
-        elif cd.takes_mr:
-            tasks.extend(
-                (name, p, m, r, None)
-                for p in plist
-                for m in m_list
-                for r in r_list
-            )
+        row = cd.runner
+        if isinstance(row, Identity) and row.max_n is not None:
+            tasks.append((name,))
+        elif isinstance(row, Lift):
+            tasks.extend((name, p, m, r) for p in plist for m in m_list for r in r_list)
         else:
-            tasks.extend((name, p, None, None, None) for p in plist)
+            tasks.extend((name, p) for p in plist)
 
-    packed = [(t, cfg) for t in tasks]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        return [_run_task(pk) for pk in packed]
-    chunk = max(1, len(packed) // (workers * 8))
+        return [_run_task(t) for t in tasks]
+    chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, packed, chunksize=chunk))
+        return list(pool.map(_run_task, tasks, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +566,6 @@ def recover_cm(
     m: int,
     primes,
     r: int = 1,
-    cfg: Optional[CheckConfig] = None,
 ) -> tuple[int, dict]:
     """Per-prime recovery of the constant c_m from the conj2.5 row,
 
@@ -627,7 +574,7 @@ def recover_cm(
     CRT-combined to the symmetric representative.  The difference is only
     needed mod p^(3r+1): that fixes its divisibility by p^(3r) and the
     quotient mod p."""
-    cfg = cfg or default_config()
+    _require_mr(m, r)
     row = CHECKS["conj2.5"].runner
     acc = CrtAccumulator()
     skipped: list[tuple[int, str]] = []
@@ -635,7 +582,7 @@ def recover_cm(
         try:
             _require(p > row.p_above, f"requires p > {row.p_above}")
             _require(m % p != 0, "p divides m")
-            _, diff, _ = row._sides(p, m, r, cfg)
+            _, diff, _ = row._sides(p, m, r)
             b = row.bern(p) % p
             _require(b != 0, "B_{p-3} = 0 (mod p)")
             q, rem = divmod(diff, p ** (3 * r))

@@ -18,9 +18,8 @@ from fractions import Fraction
 from .checks import (
     CHECKS,
     CheckResult,
-    DEFAULT_IDENTITY_RANGES,
+    Identity,
     Status,
-    default_config,
     recover_cm,
     run_check,
     sweep,
@@ -33,13 +32,7 @@ RECORD_FIELDS = ("check", "p", "m", "r", "modulus", "lhs", "rhs",
                  "verdict", "skip_reason", "sign")
 
 IDENTITY_NAMES = {
-    "lemma2.1": "id_lemma2.1",
-    "eq2.1": "id_eq2.1",
-    "eq2.2": "id_eq2.2",
-    "eq3.1": "id_eq3.1",
-    "thm3.1": "id_thm3.1",
-    "thm3.2": "id_thm3.2",
-    "gf": "id_gf",
+    name[3:]: name for name, cd in CHECKS.items() if isinstance(cd.runner, Identity)
 }
 
 
@@ -55,13 +48,18 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
+    """A list `a,b,...` or range `a..b` of values, each at least 1."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in text.split(",") if v]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(v) for v in text.split(",") if v]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid {what} list: {text!r}") from None
+    if values and min(values) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {min(values)}")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -128,8 +126,7 @@ def _emit(results, fmt: str, balanced: bool, out) -> None:
 
 def _summarize(results, err) -> int:
     """Per-check summary on stderr; exit code 0/1."""
-    failed_theorem = False
-    refuted = False
+    failed = False
     by_check: dict[str, list[CheckResult]] = {}
     for r in results:
         by_check.setdefault(r.check, []).append(r)
@@ -139,16 +136,13 @@ def _summarize(results, err) -> int:
         nskip = sum(1 for r in rs if r.verdict == "skip")
         status = CHECKS[name].status
         if status is Status.CONJECTURE:
-            tag = "supported" if nfail == 0 else "REFUTED instance found"
-            err.write(f"{name} [conjecture]: {tag} "
-                      f"({npass} pass, {nfail} fail, {nskip} skip)\n")
-            refuted = refuted or nfail > 0
+            tag = "REFUTED instance found" if nfail else "supported"
         else:
-            tag = "ok" if nfail == 0 else "FAILED"
-            err.write(f"{name} [{status.value}]: {tag} "
-                      f"({npass} pass, {nfail} fail, {nskip} skip)\n")
-            failed_theorem = failed_theorem or nfail > 0
-    return 1 if failed_theorem or refuted else 0
+            tag = "FAILED" if nfail else "ok"
+        err.write(f"{name} [{status.value}]: {tag} "
+                  f"({npass} pass, {nfail} fail, {nskip} skip)\n")
+        failed = failed or nfail > 0
+    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
@@ -170,7 +164,6 @@ def cmd_verify(args) -> int:
             m_list=args.m,
             r_list=args.r,
             jobs=args.jobs,
-            cfg=default_config(),
         )
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
@@ -239,11 +232,12 @@ def _odd_prime_power(mod: int) -> tuple[int, int]:
 
 def cmd_identity(args) -> int:
     name = IDENTITY_NAMES[args.name]
+    row = CHECKS[name].runner
     max_n = args.max_n
     if max_n is not None and max_n < 1:
         sys.stderr.write("--max-n must be >= 1\n")
         return 2
-    if name == "id_eq2.2":
+    if row.max_n is None:
         # the free parameter is the prime bound
         bound = max_n if max_n is not None else 500
         if bound < 3:
@@ -260,7 +254,7 @@ def cmd_identity(args) -> int:
                   f"{bad.lhs} != {bad.rhs} (mod {bad.modulus})")
         return 0 if ok else 1
     res = run_check(name, max_n=max_n)
-    shown = max_n if max_n is not None else DEFAULT_IDENTITY_RANGES[name]
+    shown = max_n if max_n is not None else row.max_n
     if res.verdict == "pass":
         lhs = _render_value(res.lhs, None, False)
         print(f"{args.name}: PASS (n <= {shown}); spot n = {res.m}: value {lhs}")
@@ -277,8 +271,7 @@ def cmd_gamma(args) -> int:
         sys.stderr.write(f"invalid rational: {args.x!r}\n")
         return 2
     try:
-        g = padic_gamma(x, args.p, args.e)
-        value = g.value ** args.pow if args.pow != 1 else g.value
+        value = padic_gamma(x, args.p, args.e) ** args.pow
     except (NotPIntegral, ValueError) as exc:
         sys.stderr.write(f"{exc}\n")
         return 1

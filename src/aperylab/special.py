@@ -17,7 +17,6 @@ the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -115,31 +114,21 @@ def wilson_side(p: int) -> Residue:
     return Residue(v, p, 2)
 
 
-@dataclass(frozen=True)
-class PadicGammaValue:
-    argument: Fraction
-    p: int
-    e: int
-    value: Residue
-
-
-def padic_gamma(
-    x: Fraction, p: int, e: int, step_limit: int = GAMMA_STEP_LIMIT
-) -> PadicGammaValue:
+def padic_gamma(x: Fraction, p: int, e: int) -> Residue:
     """Gamma_p(x) mod p^e from the definition product.
 
     Gamma_p(n) = (-1)^n prod_{k<n, p!|k} k, and continuity gives
     Gamma_p(x) = Gamma_p(n) mod p^e for n = x mod p^e, so the product over the
     least nonnegative residue of x is exact at this precision.  Costs O(p^e)
-    multiplications, hence the step limit.
+    multiplications, hence the cap of GAMMA_STEP_LIMIT steps.
     """
     x = Fraction(x)
     if x.denominator % p == 0:
         raise NotPIntegral(f"{x} is not {p}-integral", -1)
     m = p ** e
-    if m > step_limit:
+    if m > GAMMA_STEP_LIMIT:
         raise ValueError(
-            f"gamma cost cap: {p}^{e} exceeds {step_limit} product steps; "
+            f"gamma cost cap: {p}^{e} exceeds {GAMMA_STEP_LIMIT} product steps; "
             "use smaller precision"
         )
     n = x.numerator * pow(x.denominator, -1, m) % m
@@ -149,10 +138,10 @@ def padic_gamma(
             v = v * k % m
     if n % 2:
         v = -v % m
-    return PadicGammaValue(x, p, e, Residue(v, p, e))
+    return Residue(v, p, e)
 
 
-def gamma_quarter_closed_form(p: int, e: int = 3) -> Residue:
+def gamma_quarter_closed_form(p: int) -> Residue:
     """Gamma_p(1/4)^4 mod p^3 by the Euler-number closed form.
 
     4 | p-1:  -(1/2^(p-1)) binom((p-1)/2,(p-1)/4)^2 (1 - (p^2/2) E_{p-3})
@@ -160,8 +149,6 @@ def gamma_quarter_closed_form(p: int, e: int = 3) -> Residue:
     """
     if p <= 3:
         raise ValueError("need p > 3")
-    if e != 3:
-        raise ValueError("closed form is stated mod p^3")
     m = p ** 3
     ep3 = euler_pm3_mod(p)
     if p % 4 == 1:

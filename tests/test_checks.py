@@ -8,14 +8,13 @@ import pytest
 from aperylab import checks, special
 from aperylab.checks import (
     CHECKS,
-    CheckConfig,
     CrtAccumulator,
     Status,
     recover_cm,
     run_check,
     sweep,
 )
-from aperylab.modring import primes_in_range, reduce_rat
+from aperylab.modring import Residue, primes_in_range, reduce_rat
 from aperylab.sequences import (
     SeqId,
     apery_a_recurrence,
@@ -87,9 +86,9 @@ def test_beukers_spot_and_modulus_law():
     assert run_check("conj2.3", 7, 1, 1).modulus == 7 ** 5
 
 
-def test_size_cap_skip():
-    cfg = CheckConfig(size_cap=50)
-    res = run_check("beukers_a", 11, 1, 2, cfg=cfg)
+def test_size_cap_skip(monkeypatch):
+    monkeypatch.setenv(checks.SIZE_CAP_ENV, "50")
+    res = run_check("beukers_a", 11, 1, 2)
     assert res.verdict == "skip" and "size cap" in res.skip_reason
 
 
@@ -195,6 +194,52 @@ def test_thm33_checks_fail_when_pb_value_is_perturbed(monkeypatch, name, p):
     assert run_check(name, p).verdict == "fail"
 
 
+@pytest.mark.parametrize(
+    "name, p",
+    [
+        ("eq1.3", 7), ("eq1.3", 13), ("thm2.1i", 7), ("thm2.1i", 19),
+        ("thm3.3_tp", 11), ("thm3.3_tp", 13),
+        # not 23: there the shifted t_{(p-3)/4} is the other accepted sign
+        ("thm3.3_tquarter", 7), ("thm3.3_tquarter", 11), ("thm3.3_tquarter", 19),
+    ],
+)
+def test_prime_checks_fail_when_seq_value_is_perturbed(monkeypatch, name, p):
+    assert run_check(name, p).verdict == "pass"
+    real = checks.seq_mod
+
+    def shifted(sid, n, q, e):
+        return Residue(real(sid, n, q, e).value + q ** (e - 1), q, e)
+
+    monkeypatch.setattr(checks, "seq_mod", shifted)
+    assert run_check(name, p).verdict == "fail"
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [
+        ("lemma2.5", 11), ("lemma2.5", 13),
+        ("lemma2.7a", 11), ("lemma2.7a", 19),  # Gamma_p enters only for p = 3 (mod 4)
+        ("lemma2.7b", 11), ("lemma2.7b", 13),
+    ],
+)
+def test_gamma_checks_fail_when_gamma_value_is_perturbed(monkeypatch, name, p):
+    assert run_check(name, p).verdict == "pass"
+    real = checks.padic_gamma
+
+    def shifted(x, q, e):
+        return Residue(real(x, q, e).value + q ** (e - 1), q, e)
+
+    monkeypatch.setattr(checks, "padic_gamma", shifted)
+    assert run_check(name, p).verdict == "fail"
+
+
+def test_lemma27a_past_the_old_gamma_budget():
+    # 1423 = 3 (mod 4) and 1423^2 > GAMMA_STEP_LIMIT: Gamma_p(1/4) mod p suffices
+    assert 1423 ** 2 > special.GAMMA_STEP_LIMIT
+    res = run_check("lemma2.7a", 1423)
+    assert res.verdict == "pass" and res.modulus == 1423 ** 2
+
+
 @pytest.mark.parametrize("name", ["liu_a", "liu_aprime", "conj2.3", "conj2.4", "conj2.5"])
 @pytest.mark.parametrize("p, m", [(11, 1), (13, 2)])
 def test_lift_checks_fail_when_bernoulli_value_is_perturbed(monkeypatch, name, p, m):
@@ -247,16 +292,16 @@ def test_sweep_bounds_workers(monkeypatch, jobs, cpus, primes, workers):
     assert got == sweep(["thm3.3_tp"], primes, jobs=1)
 
 
-def test_gamma_cap_skip():
-    cfg = CheckConfig(gamma_step_limit=100)
-    res = run_check("lemma2.5", 11, cfg=cfg)
+def test_gamma_cap_skip(monkeypatch):
+    monkeypatch.setattr(special, "GAMMA_STEP_LIMIT", 100)
+    res = run_check("lemma2.5", 11)
     assert res.verdict == "skip" and "gamma cost cap" in res.skip_reason
 
 
-def test_lemma27_closed_form_fallback():
-    # with a tiny gamma budget the closed form supplies Gamma_p(1/4)^4
-    cfg = CheckConfig(gamma_step_limit=10)
-    res = run_check("lemma2.7b", 7, cfg=cfg)
+def test_lemma27_closed_form_fallback(monkeypatch):
+    # lemma2.7b needs Gamma_p(1/4)^4 only mod p: p = 7 steps fit a budget of 10
+    monkeypatch.setattr(special, "GAMMA_STEP_LIMIT", 10)
+    res = run_check("lemma2.7b", 7)
     assert res.verdict == "pass"
 
 
@@ -278,6 +323,14 @@ def test_lemma23_ties_factored_machinery():
 def test_mr_checks_require_params():
     with pytest.raises(ValueError):
         run_check("beukers_a", 7)
+
+
+@pytest.mark.parametrize("m, r", [(0, 1), (-1, 1), (1, 0), (5, 0)])
+def test_lift_rejects_m_r_below_one(m, r):
+    with pytest.raises(ValueError, match="need m >= 1 and r >= 1"):
+        run_check("liu_a", 5, m, r)
+    with pytest.raises(ValueError, match="need m >= 1 and r >= 1"):
+        recover_cm(m, [5, 7, 11], r)
 
 
 def test_sweep_ordering_and_determinism():

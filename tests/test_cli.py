@@ -98,6 +98,25 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
     assert "usage:" in err and "--jobs" in err
 
 
+@pytest.mark.parametrize(
+    "checks, flag, value",
+    [
+        ("liu_a", "--r", "0"),  # m p^(r-1) would be a float index
+        ("liu_a", "--m", "0"),
+        ("beukers_a", "--m", "-1"),
+        ("beukers_a", "--r", "0..2"),
+        ("eq1.3", "--m", "1,0"),
+    ],
+)
+def test_verify_rejects_m_r_below_one(capsys, checks, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--checks", checks, "--primes", "5..5", "--m", "5",
+              flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err and f"argument {flag}: must be >= 1" in err
+
+
 def test_seq_values(capsys):
     assert run_cli(capsys, "seq", "--name", "t", "--n", "4")[1] == "230481\n"
     assert run_cli(capsys, "seq", "--name", "A", "--n", "5")[1] == "819005\n"

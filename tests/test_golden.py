@@ -53,6 +53,14 @@ def test_fixed_sweep_output_bytes():
     assert hashlib.sha256(done.stderr).hexdigest() == STDERR_SHA256
 
 
+def test_fixed_sweep_output_bytes_at_two_jobs():
+    # the process-pool path through every row type gives the same bytes
+    done, records = _verify(ARGV[:-1] + ["2"])
+    assert len(records) == 710
+    assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256
+    assert hashlib.sha256(done.stderr).hexdigest() == STDERR_SHA256
+
+
 def test_large_prime_sweep_output_bytes():
     done, records = _verify(LARGE_ARGV)
     assert len(records) == 1386
