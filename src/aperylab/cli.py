@@ -57,7 +57,9 @@ def _parse_int_list(text: str, what: str) -> list[int]:
             values = [int(v) for v in text.split(",") if v]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid {what} list: {text!r}") from None
-    if values and min(values) < 1:
+    if not values:
+        raise argparse.ArgumentTypeError(f"selects no value: {text!r}")
+    if min(values) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {min(values)}")
     return values
 
@@ -157,7 +159,18 @@ def cmd_verify(args) -> int:
                 f"valid names: {', '.join(CHECKS)}\n"
             )
             return 2
+        if not names:
+            sys.stderr.write("argument --checks: names no check\n")
+            return 2
     try:
+        # only the fixed-range identities run without a prime
+        fixed_range = all(
+            isinstance(CHECKS[n].runner, Identity) and CHECKS[n].runner.max_n is not None
+            for n in names
+        )
+        if not fixed_range and not primes_in_range(*args.primes):
+            lo, hi = args.primes
+            raise ValueError(f"argument --primes: no odd prime in {lo}..{hi}")
         results = sweep(
             names,
             args.primes,

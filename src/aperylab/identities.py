@@ -15,6 +15,7 @@ from math import comb, factorial
 from typing import Union
 
 from .exactcore import series_arctanh, series_inv_sqrt_one_minus_x2, series_mul
+from .modring import FactorialTable
 from .sequences import harmonic_values, t_closed_form, t_exact
 
 Value = Union[int, Fraction]
@@ -106,16 +107,23 @@ def eq21_identity(max_n: int) -> IdentityOutcome:
 
 
 def eq22_congruence(p: int) -> IdentityOutcome:
-    """binom((p-1)/2 + k, 2k) = binom(2k,k)/(-16)^k (mod p^2), k = 1..(p-1)/2."""
+    """binom((p-1)/2 + k, 2k) = binom(2k,k)/(-16)^k (mod p^2), k = 1..(p-1)/2.
+
+    Every factorial index is below p, so both binomials are units read off the
+    unit and inverse-unit rows of one FactorialTable(p, 2).
+    """
     m = p * p
     half = (p - 1) // 2
+    table = FactorialTable(p, 2)
+    table.extend(p - 1)
+    unit, inv = table.unit, table.inv_unit
     inv_m16 = pow(-16, -1, m)
     w = 1
     spot = None
     for k in range(1, half + 1):
         w = w * inv_m16 % m
-        lhs = comb(half + k, 2 * k) % m
-        rhs = comb(2 * k, k) * w % m
+        lhs = unit[half + k] * inv[2 * k] % m * inv[half - k] % m
+        rhs = unit[2 * k] * inv[k] % m * inv[k] % m * w % m
         if lhs != rhs:
             return _fail(k, lhs, rhs, m)
         if spot is None:

@@ -10,9 +10,11 @@ route by a classical congruence:
 
 The exact routes stay as public API and as the oracles of those congruences:
 the Bernoulli table from the defining recurrence over Fraction, and the Euler
-numbers from their integer recurrence run in Z/pZ.  Gamma_p is evaluated
-straight from the product definition, which is the independent oracle behind
-the closed forms.
+numbers from their integer recurrence run in Z/pZ.  Gamma_p mod p^e is the
+product definition taken by blocks of p factors, in about
+p e + e^3 log2(p^(e-1)) steps rather than p^e; the factor-by-factor product
+stays in the tests as its oracle, and the quarter-value closed form is checked
+against both.
 """
 
 from __future__ import annotations
@@ -114,28 +116,74 @@ def wilson_side(p: int) -> Residue:
     return Residue(v, p, 2)
 
 
+def _block_poly(p: int, e: int, m: int) -> list[int]:
+    """prod_{0<i<p} (jp + i) mod p^e as its coefficients of j^0..j^(e-1).
+
+    The coefficient of j^k is p^k times an elementary symmetric sum of
+    1..p-1, so the terms of degree e and up vanish mod p^e.
+    """
+    c = [1] + [0] * (e - 1)  # in T = jp: multiply by (T + i), truncated
+    for i in range(1, p):
+        for k in range(e - 1, 0, -1):
+            c[k] = (c[k] * i + c[k - 1]) % m
+        c[0] = c[0] * i % m
+    return [ck * p ** k % m for k, ck in enumerate(c)]
+
+
+def _shift(f: list[int], t: int, m: int) -> list[int]:
+    """The coefficients of f(a + t), by repeated synthetic division."""
+    g = list(f)
+    for i in range(len(g) - 1):
+        for k in range(len(g) - 2, i - 1, -1):
+            g[k] = (g[k] + t * g[k + 1]) % m
+    return g
+
+
+def _mul(f: list[int], g: list[int], m: int) -> list[int]:
+    """f g truncated to the degrees of f."""
+    return [sum(f[i] * g[k - i] for i in range(k + 1)) % m for k in range(len(f))]
+
+
 def padic_gamma(x: Fraction, p: int, e: int) -> Residue:
-    """Gamma_p(x) mod p^e from the definition product.
+    """Gamma_p(x) mod p^e from the definition product, taken by blocks.
 
     Gamma_p(n) = (-1)^n prod_{k<n, p!|k} k, and continuity gives
     Gamma_p(x) = Gamma_p(n) mod p^e for n = x mod p^e, so the product over the
-    least nonnegative residue of x is exact at this precision.  Costs O(p^e)
-    multiplications, hence the cap of GAMMA_STEP_LIMIT steps.
+    least nonnegative residue of x is exact at this precision.
+
+    With n - 1 = J p + s the product is J full blocks
+    block(j) = prod_{0<i<p} (jp + i) and a partial block of s factors.
+    block(j) is a polynomial in j whose j^k coefficient carries p^k, and so is
+    G_L(a) = prod_{j<L} block(a + j); truncated below degree e it is exact mod
+    p^e.  G_J(0) is composed over the bits of J from G_2L(a) = G_L(a) G_L(a + L)
+    and G_(L+1)(a) = G_L(a) block(a + L).  That costs p e steps for block(j)
+    and about e^3 per bit of J < p^(e-1), not the p^e of the plain product;
+    the GAMMA_STEP_LIMIT cap bounds that count.
     """
     x = Fraction(x)
     if x.denominator % p == 0:
         raise NotPIntegral(f"{x} is not {p}-integral", -1)
-    m = p ** e
-    if m > GAMMA_STEP_LIMIT:
+    if p * e + e ** 3 * (e - 1) * p.bit_length() > GAMMA_STEP_LIMIT:
         raise ValueError(
             f"gamma cost cap: {p}^{e} exceeds {GAMMA_STEP_LIMIT} product steps; "
             "use smaller precision"
         )
+    m = p ** e
     n = x.numerator * pow(x.denominator, -1, m) % m
     v = 1
-    for k in range(1, n):
-        if k % p:
-            v = v * k % m
+    if n:
+        blocks, s = divmod(n - 1, p)
+        if blocks:
+            block = _block_poly(p, e, m)
+            g, length = [1] + [0] * (e - 1), 0
+            for bit in bin(blocks)[2:]:
+                g, length = _mul(g, _shift(g, length, m), m), 2 * length
+                if bit == "1":
+                    g, length = _mul(g, _shift(block, length, m), m), length + 1
+            v = g[0]
+        base = blocks * p
+        for i in range(1, s + 1):
+            v = v * (base + i) % m
     if n % 2:
         v = -v % m
     return Residue(v, p, e)

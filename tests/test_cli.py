@@ -117,6 +117,36 @@ def test_verify_rejects_m_r_below_one(capsys, checks, flag, value):
     assert "usage:" in err and f"argument {flag}: must be >= 1" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--m", "5..3"), ("--r", "3..1")])
+def test_verify_rejects_an_empty_m_or_r(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--checks", "liu_a", "--primes", "5..13", flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: selects no value" in err
+
+
+@pytest.mark.parametrize("checks", ["eq1.3", "liu_a", "id_eq2.2", "id_gf,eq1.3"])
+def test_verify_rejects_a_prime_range_without_primes(capsys, checks):
+    code, out, err = run_cli(capsys, "verify", "--checks", checks, "--primes", "24..28")
+    assert code == 2 and out == ""
+    assert "argument --primes: no odd prime in 24..28" in err
+
+
+def test_verify_fixed_range_identity_runs_without_primes(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--checks", "id_gf", "--primes", "24..28", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+    assert "id_gf [theorem]: ok (1 pass, 0 fail, 0 skip)" in err
+
+
+def test_verify_rejects_an_empty_check_list(capsys):
+    code, out, err = run_cli(capsys, "verify", "--checks", ",")
+    assert code == 2 and out == "" and "argument --checks" in err
+
+
 def test_seq_values(capsys):
     assert run_cli(capsys, "seq", "--name", "t", "--n", "4")[1] == "230481\n"
     assert run_cli(capsys, "seq", "--name", "A", "--n", "5")[1] == "819005\n"

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
+from aperylab import identities
+from aperylab.modring import FactorialTable, primes_in_range
 from aperylab.identities import (
     eq21_identity,
     eq22_congruence,
@@ -14,6 +18,7 @@ from aperylab.identities import (
     thm31_dual,
     thm32_identity,
 )
+from oracles import eq22_comb
 
 
 def test_lemma21_identity_and_spot():
@@ -41,6 +46,26 @@ def test_eq22_spot_p5():
 def test_eq22_up_to_100():
     for p in (3, 7, 11, 13, 97):
         assert eq22_congruence(p).ok
+
+
+def test_eq22_table_rows_match_comb():
+    for pi in primes_in_range(3, 399):
+        assert eq22_congruence(pi.p) == eq22_comb(pi.p), pi.p
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 101])
+def test_eq22_fails_when_a_table_row_is_shifted(monkeypatch, p):
+    class ShiftedTable(FactorialTable):
+        # (h+1)! shifted by p, h = (p-1)/2: the lhs numerator at k = 1 only
+        def extend(self, n):
+            super().extend(n)
+            h = (self.p - 1) // 2
+            self.unit[h + 1] = (self.unit[h + 1] + self.p) % self.modulus
+
+    assert eq22_congruence(p).ok
+    monkeypatch.setattr(identities, "FactorialTable", ShiftedTable)
+    out = eq22_congruence(p)
+    assert not out.ok and out.n == 1
 
 
 def test_generalized_binomial():

@@ -4,9 +4,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aperylab import special
+from aperylab.cli import main
 from aperylab.modring import (
     FactorialTable,
     NotPIntegral,
@@ -28,6 +30,8 @@ from aperylab.special import (
     pb_pm1_mod,
     wilson_side,
 )
+
+from oracles import gamma_product
 
 try:
     import sympy
@@ -159,9 +163,17 @@ def test_padic_gamma_rejects_non_integral():
         padic_gamma(Fraction(1, 5), 5, 2)
 
 
-def test_padic_gamma_cost_cap():
+def test_padic_gamma_cost_cap(capsys):
+    # 127^3 factors were past the cap of the plain product; the block route
+    # takes about 127 * 3 + 27 * 14 steps
+    assert 127 ** 3 > special.GAMMA_STEP_LIMIT
+    g4 = padic_gamma(Fraction(1, 4), 127, 3) ** 4
+    assert g4.value == gamma_quarter_closed_form(127).value
+    assert main(["gamma", "--x", "1/4", "--p", "127", "--e", "3", "--pow", "4"]) == 0
+    assert capsys.readouterr().out == f"{g4.value}\n"
+    # e = 40 at p = 3: 3 * 40 + 40^3 * 39 * 2 steps
     with pytest.raises(ValueError, match="smaller precision"):
-        padic_gamma(Fraction(1, 4), 127, 3)  # 127^3 > GAMMA_STEP_LIMIT
+        padic_gamma(Fraction(1, 4), 3, 40)
 
 
 def test_padic_gamma_precision_tower():
@@ -171,12 +183,65 @@ def test_padic_gamma_precision_tower():
         v2 = padic_gamma(Fraction(1, 4), p, 2).value
         v1 = padic_gamma(Fraction(1, 4), p, 1).value
         assert v3 % (p * p) == v2 and v2 % p == v1
+        assert v3 == gamma_product(Fraction(1, 4), p, 3).value, p
+
+
+GAMMA_ARGS = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 4), Fraction(1, 3),
+              Fraction(2, 5), Fraction(-7, 2), Fraction(9, 7)]
+
+
+def test_padic_gamma_matches_definition_product():
+    # every odd p <= 113 and e <= 5 whose product has at most 2 * 10^6 factors
+    cases = 0
+    for p in (pi.p for pi in primes_in_range(3, 113)):
+        for e in range(1, 6):
+            if p ** e > 2_000_000:
+                break
+            for x in GAMMA_ARGS:
+                if x.denominator % p:
+                    assert padic_gamma(x, p, e).value == gamma_product(x, p, e).value, (x, p, e)
+                    cases += 1
+    assert cases == 817
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13, 31]),
+    st.integers(1, 4),
+    st.integers(-500, 500),
+    st.integers(1, 60),
+)
+def test_padic_gamma_matches_definition_product_at_random_rationals(p, e, num, den):
+    x = Fraction(num, den)
+    assume(x.denominator % p and p ** e <= 10 ** 5)
+    assert padic_gamma(x, p, e).value == gamma_product(x, p, e).value
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_padic_gamma_tower_and_functional_equation_at_e9(p):
+    m = p ** 9
+    xs = [x for x in GAMMA_ARGS if x.denominator % p] + [Fraction(p), Fraction(-3 * p, 2)]
+    for x in xs:
+        g = padic_gamma(x, p, 9).value
+        for e in range(1, 9):
+            assert padic_gamma(x, p, e).value == g % p ** e, (x, e)
+        # Gamma_p(x + 1) = -x Gamma_p(x), or -Gamma_p(x) when p | x
+        factor = -1 if x.numerator % p == 0 else -reduce_rat(x, p, 9).value
+        assert padic_gamma(x + 1, p, 9).value == factor * g % m, x
+
+
+def test_padic_gamma_quarter_matches_closed_form_past_the_old_cap():
+    # lemma2.5 still skips these primes; this is the evidence for lifting that
+    for pi in primes_in_range(127, 1999):
+        p = pi.p
+        g4 = padic_gamma(Fraction(1, 4), p, 3) ** 4
+        assert g4.value == gamma_quarter_closed_form(p).value, p
 
 
 def test_gamma_closed_form_matches_definition():
     for pi in primes_in_range(5, 47):
         p = pi.p
-        defn = (padic_gamma(Fraction(1, 4), p, 3) ** 4).value
+        defn = (gamma_product(Fraction(1, 4), p, 3) ** 4).value
         assert gamma_quarter_closed_form(p).value == defn, p
 
 
