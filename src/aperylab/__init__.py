@@ -16,8 +16,6 @@ from .modring import (
     PadicFactored,
     PrimeInfo,
     Residue,
-    factored_binomial,
-    factored_factorial,
     prime_info,
     primes_in_range,
     reduce_rat,
@@ -27,11 +25,8 @@ from .sequences import SeqId, seq_exact, seq_mod
 from .special import (
     bernoulli,
     bernoulli_table,
-    euler_mod,
-    fermat_quotient,
     gamma_quarter_closed_form,
     padic_gamma,
-    wilson_side,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .checks import (
     run_check,
     sweep,
 )
-from .modring import NotPIntegral, primes_in_range
+from .modring import NotPIntegral, is_odd_prime, primes_in_range
 from .sequences import SeqId, seq_exact, seq_mod
 from .special import padic_gamma
 
@@ -71,6 +71,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
+def _prime(text: str) -> int:
+    v = _positive_int(text)
+    if v != 2 and not is_odd_prime(v):
+        raise argparse.ArgumentTypeError(f"must be a prime, got {v}")
     return v
 
 
@@ -218,6 +225,10 @@ def cmd_seq(args) -> int:
         print(value)
         return 0
     value = seq_exact(sid, args.n)
+    # exact values pass Python's default 4300-digit int-to-str limit
+    # (A_n from n = 2813 on); print them whole
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     if isinstance(value, Fraction):
         print(f"{value.numerator}/{value.denominator}")
     else:
@@ -285,9 +296,12 @@ def cmd_gamma(args) -> int:
         return 2
     try:
         value = padic_gamma(x, args.p, args.e) ** args.pow
-    except (NotPIntegral, ValueError) as exc:
+    except NotPIntegral as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
+    except ValueError as exc:  # the cost guard: a precision out of reach
+        sys.stderr.write(f"argument --e: {exc}\n")
+        return 2
     print(value.value)
     return 0
 
@@ -333,14 +347,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gamma", help="evaluate the p-adic Gamma function at a rational")
     g.add_argument("--x", required=True, help="rational argument, e.g. 1/4")
-    g.add_argument("--p", required=True, type=int)
-    g.add_argument("--e", type=int, default=3)
+    g.add_argument("--p", required=True, type=_prime)
+    g.add_argument("--e", type=_positive_int, default=3)
     g.add_argument("--pow", type=int, default=1)
     g.set_defaults(fn=cmd_gamma)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["gamma"] and "--x" in argv[:-1]:
+        # argparse takes a value such as -7/2 for a flag; bind it to --x
+        i = argv.index("--x")
+        if not argv[i + 1].startswith("--"):
+            argv[i : i + 2] = [f"--x={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

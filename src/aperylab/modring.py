@@ -2,7 +2,8 @@
 
 Residue refuses arithmetic across different moduli, and PadicFactored keeps a
 value split as p^v * unit so that p-divisible factorials and binomials remain
-exactly computable modulo p^e.
+exactly computable modulo p^e.  FactorialTable is the one route to them: rows
+of valuations, units and inverse units per p^e, read in O(1) per binomial.
 """
 
 from __future__ import annotations
@@ -197,29 +198,6 @@ class PadicFactored:
 
     def __pow__(self, k: int) -> "PadicFactored":
         return PadicFactored(self.valuation * k, self.unit ** k)
-
-
-def factored_factorial(n: int, p: int, e: int) -> PadicFactored:
-    """n! as p^v * unit mod p^e; v is the Legendre valuation."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    m = p ** e
-    v, u = 0, 1
-    for i in range(2, n + 1):
-        while i % p == 0:
-            i //= p
-            v += 1
-        u = u * i % m
-    return PadicFactored(v, Residue(u, p, e))
-
-
-def factored_binomial(n: int, k: int, p: int, e: int) -> PadicFactored:
-    """binom(n, k) as p^v * unit mod p^e, exact for any size of n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return factored_factorial(n, p, e) / (
-        factored_factorial(k, p, e) * factored_factorial(n - k, p, e)
-    )
 
 
 def to_residue(x: PadicFactored) -> Residue:

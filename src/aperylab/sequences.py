@@ -1,10 +1,12 @@
-"""Integer and harmonic sequences, each with two independent computation routes.
+"""Integer and harmonic sequences, exact and modular.
 
-Exact evaluators return big integers or fractions; seq_mod evaluates residues
-without ever constructing the exact value (apery_mod over a factorial table
-for the Apery sums, the division-free recurrence for t, incremental inverses
-for the harmonic family).  The exact direct sums and recurrences for A and A'
-are the oracles that apery_mod is tested against.
+Exact evaluators return big integers or fractions: A and A' by their three-term
+recurrences, rolled over two values; t by its recurrence, with its closed form
+as a second route.  seq_mod evaluates residues without ever constructing the
+exact value (apery_mod over a factorial table for the Apery sums, the
+division-free recurrence for t, incremental inverses for the harmonic family).
+The O(n^2) direct sums for A and A' live in the tests, as the oracles that
+apery_mod and the recurrences are checked against.
 """
 
 from __future__ import annotations
@@ -32,47 +34,27 @@ class SeqId(str, Enum):
 # ---------------------------------------------------------------------------
 # exact evaluators
 
-@lru_cache(maxsize=None)
-def apery_a_exact(n: int) -> int:
-    """A_n = sum_k binom(n,k)^2 binom(n+k,k)^2."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    return sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def apery_aprime_exact(n: int) -> int:
-    """A'_n = sum_k binom(n,k)^2 binom(n+k,k)."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    return sum(comb(n, k) ** 2 * comb(n + k, k) for k in range(n + 1))
-
-
-_A_REC = [1, 5]
-_APRIME_REC = [1, 3]
-_T = [1, 5]
-
-
 def apery_a_recurrence(n: int) -> int:
-    """A_n by (n+1)^3 A_{n+1} = (2n+1)(17n(n+1)+5) A_n - n^3 A_{n-1}."""
-    while len(_A_REC) <= n:
-        i = len(_A_REC) - 1
-        num = (2 * i + 1) * (17 * i * (i + 1) + 5) * _A_REC[i] - i ** 3 * _A_REC[i - 1]
-        q, rem = divmod(num, (i + 1) ** 3)
-        assert rem == 0
-        _A_REC.append(q)
-    return _A_REC[n]
+    """A_n by (n+1)^3 A_{n+1} = (2n+1)(17n(n+1)+5) A_n - n^3 A_{n-1}, A_0=1, A_1=5."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    a, b = 1, 5
+    for i in range(1, n):
+        a, b = b, ((2 * i + 1) * (17 * i * (i + 1) + 5) * b - i ** 3 * a) // (i + 1) ** 3
+    return b if n else a
 
 
 def apery_aprime_recurrence(n: int) -> int:
-    """A'_n by (n+1)^2 A'_{n+1} = (11n(n+1)+3) A'_n + n^2 A'_{n-1}."""
-    while len(_APRIME_REC) <= n:
-        i = len(_APRIME_REC) - 1
-        num = (11 * i * (i + 1) + 3) * _APRIME_REC[i] + i ** 2 * _APRIME_REC[i - 1]
-        q, rem = divmod(num, (i + 1) ** 2)
-        assert rem == 0
-        _APRIME_REC.append(q)
-    return _APRIME_REC[n]
+    """A'_n by (n+1)^2 A'_{n+1} = (11n(n+1)+3) A'_n + n^2 A'_{n-1}, A'_0=1, A'_1=3."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    a, b = 1, 3
+    for i in range(1, n):
+        a, b = b, ((11 * i * (i + 1) + 3) * b + i ** 2 * a) // (i + 1) ** 2
+    return b if n else a
+
+
+_T = [1, 5]
 
 
 def t_exact(n: int) -> int:
@@ -137,9 +119,9 @@ def seq_exact(sid: SeqId, n: int):
     """Exact value of the sequence: int for A, A', t, C; Fraction for the rest."""
     sid = SeqId(sid)
     if sid is SeqId.A:
-        return apery_a_exact(n)
+        return apery_a_recurrence(n)
     if sid is SeqId.APRIME:
-        return apery_aprime_exact(n)
+        return apery_aprime_recurrence(n)
     if sid is SeqId.T:
         return t_exact(n)
     if sid is SeqId.CBIG:

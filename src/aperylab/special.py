@@ -8,10 +8,11 @@ route by a classical congruence:
 - B_n mod p^2 by Faulhaber's formula, sum_{k<p} k^n = p B_n (mod p^3)
   (bernoulli_mod_p2).
 
-The exact routes stay as public API and as the oracles of those congruences:
-the Bernoulli table from the defining recurrence over Fraction, and the Euler
-numbers from their integer recurrence run in Z/pZ.  Gamma_p mod p^e is the
-product definition taken by blocks of p factors, in about
+The exact Bernoulli table, from the defining recurrence over Fraction, stays:
+it answers where Faulhaber's route does not hold (p = 5) and is the oracle of
+those congruences.  The Euler-number recurrence in Z/pZ, the Fermat quotients
+and (p-1)! mod p^2 are oracles only, and live in the tests.  Gamma_p mod p^e
+is the product definition taken by blocks of p factors, in about
 p e + e^3 log2(p^(e-1)) steps rather than p^e; the factor-by-factor product
 stays in the tests as its oracle, and the quarter-value closed form is checked
 against both.
@@ -49,23 +50,6 @@ def bernoulli(n: int) -> Fraction:
     return bernoulli_table(n)[n]
 
 
-_EULER_MOD: dict[int, list[int]] = {}
-
-
-def euler_mod(n: int, p: int) -> Residue:
-    """E_n mod p via E_{2m} = -sum_{k=1}^m binom(2m,2k) E_{2m-2k}, odd-index zero."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if n % 2:
-        return Residue(0, p, 1)
-    table = _EULER_MOD.setdefault(p, [1])
-    while 2 * (len(table) - 1) < n:
-        m = len(table)
-        s = sum(comb(2 * m, 2 * k) * table[m - k] for k in range(1, m + 1))
-        table.append(-s % p)
-    return Residue(table[n // 2], p, 1)
-
-
 def euler_pm3_mod(p: int) -> int:
     """E_{p-3} mod p for p >= 5 by Lehmer's congruence (Ann. of Math. 39, 1938)
 
@@ -97,23 +81,6 @@ def bernoulli_mod_p2(n: int, p: int) -> int:
         return reduce_rat(bernoulli(n), p, 2).value
     m = p ** 3
     return sum(pow(k, n, m) for k in range(1, p)) % m // p
-
-
-def fermat_quotient(a: int, p: int) -> Residue:
-    """q_p(a) = (a^(p-1) - 1)/p as a residue mod p."""
-    if a % p == 0:
-        raise ValueError(f"{p} divides {a}")
-    t = pow(a, p - 1, p * p)
-    return Residue((t - 1) // p, p, 1)
-
-
-def wilson_side(p: int) -> Residue:
-    """(p-1)! mod p^2, the factorial side of (p-1)! = p B_{p-1} - p (mod p^2)."""
-    m = p * p
-    v = 1
-    for i in range(2, p):
-        v = v * i % m
-    return Residue(v, p, 2)
 
 
 def _block_poly(p: int, e: int, m: int) -> list[int]:

@@ -18,10 +18,11 @@ from aperylab.modring import Residue, primes_in_range, reduce_rat
 from aperylab.sequences import (
     SeqId,
     apery_a_recurrence,
-    apery_aprime_exact,
     harmonic_values,
     seq_mod,
 )
+
+from oracles import apery_aprime_exact
 
 
 def test_registry_shape():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from aperylab.cli import main
+from aperylab.sequences import apery_a_recurrence
 
 EXPECTED_JSON_LINE = (
     '{"check":"thm2.1i","p":7,"m":null,"r":null,"modulus":343,'
@@ -155,6 +156,24 @@ def test_seq_values(capsys):
     assert run_cli(capsys, "seq", "--name", "D", "--n", "2")[1] == "2/3\n"
 
 
+@pytest.mark.parametrize("name, n", [("A", "-1"), ("Aprime", "-2")])
+def test_seq_negative_index_exits_2(capsys, name, n):
+    code, out, err = run_cli(capsys, "seq", "--name", name, "--n", n)
+    assert code == 2 and out == "" and "need n >= 0" in err
+
+
+def test_seq_prints_values_past_the_str_digit_limit(capsys):
+    # A_3000 has 4588 digits, past Python's default limit of 4300
+    code, out, _ = run_cli(capsys, "seq", "--name", "A", "--n", "3000")
+    digits = out.strip()
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert code == 0 and len(digits) == 4588
+    assert value == apery_a_recurrence(3000)
+
+
 def test_seq_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["seq", "--name", "nope", "--n", "1"])
@@ -202,6 +221,31 @@ def test_gamma_command(capsys):
 def test_gamma_non_integral_exits_1(capsys):
     code, _, _ = run_cli(capsys, "gamma", "--x", "1/5", "--p", "5", "--e", "2")
     assert code == 1
+
+
+@pytest.mark.parametrize("x", [["--x", "-7/2"], ["--x=-7/2"]])
+def test_gamma_negative_argument(capsys, x):
+    code, out, _ = run_cli(capsys, "gamma", *x, "--p", "101", "--e", "3")
+    assert code == 0 and out == "643713\n"
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--p", ["--p", "9"]),
+    ("--e", ["--p", "7", "--e", "0"]),
+    ("--e", ["--p", "7", "--e", "-1"]),
+])
+def test_gamma_rejects_bad_p_or_e(capsys, flag, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--x", "1/4", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {flag}: " in captured.err
+
+
+def test_gamma_cost_guard_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "gamma", "--x", "1/4", "--p", "7", "--e", "1000000")
+    assert code == 2 and out == ""
+    assert err.startswith("argument --e: gamma cost cap")
 
 
 def test_invalid_prime_range_exits_2(capsys):

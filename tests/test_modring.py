@@ -12,13 +12,13 @@ from aperylab.modring import (
     NotPIntegral,
     PadicFactored,
     Residue,
-    factored_binomial,
-    factored_factorial,
     prime_info,
     primes_in_range,
     reduce_rat,
     to_residue,
 )
+
+from oracles import factored_binomial, factored_factorial
 
 PRIMES = [3, 5, 7, 11, 13, 17, 97]
 

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from aperylab.modring import NotPIntegral
 from aperylab.sequences import (
     SeqId,
-    apery_a_exact,
     apery_a_recurrence,
-    apery_aprime_exact,
     apery_aprime_recurrence,
     apery_mod,
     c_coeffs,
@@ -21,6 +19,8 @@ from aperylab.sequences import (
     t_closed_form,
     t_exact,
 )
+
+from oracles import apery_a_exact, apery_aprime_exact
 
 A_VALUES = [1, 5, 73, 1445, 33001, 819005, 21460825]
 APRIME_VALUES = [1, 3, 19, 147, 1251, 11253, 104959]
@@ -37,6 +37,20 @@ def test_sum_and_recurrence_agree():
     for n in range(101):
         assert apery_a_exact(n) == apery_a_recurrence(n)
         assert apery_aprime_exact(n) == apery_aprime_recurrence(n)
+
+
+def test_recurrences_reject_negative_index():
+    for n in (-1, -2, -5):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            apery_a_recurrence(n)
+        with pytest.raises(ValueError, match="need n >= 0"):
+            apery_aprime_recurrence(n)
+
+
+def test_seq_exact_matches_direct_sums():
+    for n in range(301):
+        assert seq_exact(SeqId.A, n) == apery_a_exact(n)
+        assert seq_exact(SeqId.APRIME, n) == apery_aprime_exact(n)
 
 
 def test_t_closed_form_small():

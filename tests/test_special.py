@@ -22,16 +22,13 @@ from aperylab.special import (
     bernoulli,
     bernoulli_mod_p2,
     bernoulli_table,
-    euler_mod,
     euler_pm3_mod,
-    fermat_quotient,
     gamma_quarter_closed_form,
     padic_gamma,
     pb_pm1_mod,
-    wilson_side,
 )
 
-from oracles import gamma_product
+from oracles import euler_mod, fermat_quotient, gamma_product, wilson_side
 
 try:
     import sympy
