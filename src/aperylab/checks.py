@@ -8,13 +8,20 @@ deterministic: worker count never changes verdicts or ordering.
 Every registry row is one of three specs: a Lift (an m, r congruence between
 two Apery values), an AtPrime (a congruence at one prime under its
 hypotheses), or an Identity (exact identity verifiers).
+
+A sweep runs the selected Lift rows as one task per prime.  The task covers
+every (m, r), reads each distinct A_n or A'_n once at the largest precision
+the rows need, and reads B_{p-3} and the Bernoulli bracket once; nothing is
+kept past the task.  Its conj2.5 records carry each prime's residue of c_m,
+so the CRT recovery (cm_recovery) reads the sweep's own values; recover_cm
+runs the same evaluator on the conj2.5 row alone.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
@@ -66,6 +73,8 @@ class CheckResult:
     verdict: str
     skip_reason: Optional[str] = None
     sign: Optional[str] = None
+    # conj2.5 only: c_m mod p for the CRT recovery, or why p gives none
+    recovery: Union[int, str, None] = None
 
 
 def _require(cond: bool, reason: str) -> None:
@@ -114,19 +123,6 @@ def _no_correction(m: int) -> int:
     return 0
 
 
-def _bernoulli_p3(p: int) -> int:
-    return bernoulli_mod_p2(p - 3, p)
-
-
-def _bernoulli_bracket(p: int) -> int:
-    """B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) mod p^2."""
-    m = p * p
-    return (
-        bernoulli_mod_p2(2 * p - 4, p) * pow(2 * p - 4, -1, m)
-        - 2 * bernoulli_mod_p2(p - 3, p) * pow(p - 3, -1, m)
-    ) % m
-
-
 def _conj22_weight(m: int) -> Fraction:
     wm = sum(
         comb(m, k) * comb(m - 1, k - 1) * comb(m + k - 1, k - 1)
@@ -145,6 +141,54 @@ def _require_mr(m: int, r: int) -> None:
         raise ValueError(f"need m >= 1 and r >= 1, got m = {m}, r = {r}")
 
 
+class _LiftPrime:
+    """The values the Lift rows read at one prime p, each taken at its first
+    use and kept only as long as this object: A_n and A'_n mod p^e_max, once
+    per index and all from one factorial table, and B_{p-3} and the bracket
+    mod p^2.  The size cap is read from APERY_LAB_SIZE_CAP when it is made."""
+
+    def __init__(self, p: int, e_max: int) -> None:
+        self.p, self.e_max = p, e_max
+        self.cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
+        self._apery: dict[tuple[SeqId, int], int] = {}
+        self._b3: Optional[int] = None
+        self._bracket: Optional[int] = None
+
+    def _value(self, sid: SeqId, n: int) -> int:
+        if (sid, n) not in self._apery:
+            self._apery[sid, n] = apery_mod(sid, n, self.p, self.e_max)
+        return self._apery[sid, n]
+
+    def sides(self, row: Lift, m: int, r: int) -> tuple[int, int, int]:
+        """(e, lhs, base) with lhs = A_hi, base = A_lo mod p^e, or for a
+        difference row lhs = A_hi - A_lo, base = 0.  Skips past the size cap."""
+        p = self.p
+        hi, lo = m * p ** r + row.shift, m * p ** (r - 1) + row.shift
+        _require(hi <= self.cap, f"size cap: index {hi} exceeds {self.cap}")
+        e = 3 * r + row.extra
+        modulus = p ** e
+        a_hi, a_lo = self._value(row.sid, hi) % modulus, self._value(row.sid, lo) % modulus
+        if row.difference:
+            return e, (a_hi - a_lo) % modulus, 0
+        return e, a_hi, a_lo
+
+    def b3(self) -> int:
+        """B_{p-3} mod p^2."""
+        if self._b3 is None:
+            self._b3 = bernoulli_mod_p2(self.p - 3, self.p)
+        return self._b3
+
+    def bracket(self) -> int:
+        """B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) mod p^2."""
+        if self._bracket is None:
+            p, m = self.p, self.p * self.p
+            self._bracket = (
+                bernoulli_mod_p2(2 * p - 4, p) * pow(2 * p - 4, -1, m)
+                - 2 * self.b3() * pow(p - 3, -1, m)
+            ) % m
+        return self._bracket
+
+
 @dataclass(frozen=True)
 class Lift:
     """A congruence between A_hi and A_lo (A or A' by `sid`) mod p^(3r + extra),
@@ -152,12 +196,13 @@ class Lift:
 
         A_hi = A_lo + C p^(3r),   or   A_hi - A_lo = C p^(3r) for a difference row,
 
-    with C = weight(m) * bern(p); a zero weight means no correction.  The
-    record is (A_hi, A_lo + C p^(3r)), or (A_hi - A_lo, C p^(3r)).  The
-    weight is taken before the size cap, so a weight may skip (conj2.5 for an
-    m without a tabulated c_m); bern(p) is taken only for a task that runs.
-    Since extra <= 2 and every weight is p-integral for p > 3, C is needed
-    only mod p^2: bern(p) is that residue.
+    with C = weight(m) * B, where B is B_{p-3}, or the bracket
+    B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) when `bracket` is set; a zero weight
+    means no correction.  The record is (A_hi, A_lo + C p^(3r)), or
+    (A_hi - A_lo, C p^(3r)).  The weight is taken before the size cap, so a
+    weight may skip (conj2.5 for an m without a tabulated c_m); B is read
+    only for a record that is not skipped.  Since extra <= 2 and every weight is
+    p-integral for p > 3, C is needed only mod p^2, and B is that residue.
     """
 
     sid: SeqId
@@ -165,32 +210,20 @@ class Lift:
     extra: int
     p_above: int = 3
     weight: Callable[[int], Union[int, Fraction]] = _no_correction
-    bern: Callable[[int], int] = _bernoulli_p3
+    bracket: bool = False
     difference: bool = False
 
-    def _sides(self, p: int, m: int, r: int) -> tuple[int, int, int]:
-        """(e, lhs, base) with lhs = A_hi, base = A_lo mod p^e, or for a
-        difference row lhs = A_hi - A_lo, base = 0.  Skips past the size cap,
-        read from APERY_LAB_SIZE_CAP at call time."""
-        cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
-        hi, lo = m * p ** r + self.shift, m * p ** (r - 1) + self.shift
-        _require(hi <= cap, f"size cap: index {hi} exceeds {cap}")
-        e = 3 * r + self.extra
-        a_hi, a_lo = apery_mod(self.sid, hi, p, e), apery_mod(self.sid, lo, p, e)
-        if self.difference:
-            return e, (a_hi - a_lo) % p ** e, 0
-        return e, a_hi, a_lo
-
-    def __call__(self, pi: PrimeInfo, m: int, r: int):
+    def __call__(self, at: _LiftPrime, m: int, r: int):
         _require_mr(m, r)
-        p = pi.p
+        p = at.p
         _require(p > self.p_above, f"requires p > {self.p_above}")
         w = self.weight(m)
-        e, lhs, base = self._sides(p, m, r)
+        e, lhs, base = at.sides(self, m, r)
         modulus = p ** e
         corr = 0
         if w:
-            corr = reduce_rat(w, p, 2).value * self.bern(p) * p ** (3 * r) % modulus
+            b = at.bracket() if self.bracket else at.b3()
+            corr = reduce_rat(w, p, 2).value * b * p ** (3 * r) % modulus
         return modulus, lhs, (base + corr) % modulus, None
 
 
@@ -387,7 +420,7 @@ class CheckDef:
 
 def _defs() -> dict:
     theorem, lemma, conjecture = Status.THEOREM, Status.LEMMA, Status.CONJECTURE
-    a, aprime, bracket = SeqId.A, SeqId.APRIME, _bernoulli_bracket
+    a, aprime = SeqId.A, SeqId.APRIME
     rows = [
         ("beukers_a", theorem, Lift(a, -1, 0)),
         ("beukers_aprime", theorem, Lift(aprime, -1, 0)),
@@ -406,9 +439,9 @@ def _defs() -> dict:
         ("conj2.1", conjecture, AtPrime(1, _conj21, klass=1)),
         ("conj2.2", conjecture, Lift(aprime, -1, 1, weight=_conj22_weight, difference=True)),
         ("conj2.3", conjecture,
-         Lift(aprime, 0, 2, weight=lambda m: c_coeffs(m)[1], bern=bracket)),
+         Lift(aprime, 0, 2, weight=lambda m: c_coeffs(m)[1], bracket=True)),
         ("conj2.4", conjecture,
-         Lift(a, 0, 2, p_above=5, weight=lambda m: 2 * c_coeffs(m)[0], bern=bracket,
+         Lift(a, 0, 2, p_above=5, weight=lambda m: 2 * c_coeffs(m)[0], bracket=True,
               difference=True)),
         ("conj2.5", conjecture,
          Lift(a, -1, 1, weight=lambda m: Fraction(2, 3) * m ** 3 * _reference_cm(m),
@@ -451,6 +484,36 @@ def _identity_result(name: str, p: Optional[int], verifiers, arg: int) -> CheckR
     )
 
 
+def _result(name: str, p: int, m: Optional[int], r: Optional[int], row, *args) -> CheckResult:
+    """Runs one Lift or AtPrime row and records its verdict, or its skip."""
+    try:
+        modulus, lhs, rhs, sign = row(*args)
+    except SkipCheck as sk:
+        return CheckResult(name, p, m, r, None, None, None, "skip", str(sk))
+    verdict = "pass" if lhs == rhs else "fail"
+    return CheckResult(name, p, m, r, modulus, lhs, rhs, verdict, None, sign)
+
+
+def _lift_results(names: Sequence[str], p: int, m_list, r_list) -> list[CheckResult]:
+    """The records of the named Lift rows at one prime, in the given row
+    order, then m and r in list order.  The rows share one _LiftPrime at the
+    largest precision they need, so each distinct Apery value and each
+    Bernoulli value is computed once.  A conj2.5 record also carries the
+    prime's residue of c_m for the recovery."""
+    rows = [(name, CHECKS[name].runner) for name in names]
+    e_max = max((3 * r + row.extra for _, row in rows for r in r_list), default=0)
+    at = _LiftPrime(p, e_max)
+    out = []
+    for name, row in rows:
+        for m in m_list:
+            for r in r_list:
+                res = _result(name, p, m, r, row, at, m, r)
+                if name == "conj2.5":
+                    res = replace(res, recovery=_cm_residue(at, m, r))
+                out.append(res)
+    return out
+
+
 def run_check(
     name: str,
     p: Union[int, PrimeInfo, None] = None,
@@ -475,20 +538,18 @@ def run_check(
     if isinstance(row, Lift):
         if m is None or r is None:
             raise ValueError(f"check {name} requires parameters m and r")
-        args = (pi, m, r)
-    else:
-        m = r = None
-        args = (pi,)
-    try:
-        modulus, lhs, rhs, sign = row(*args)
-    except SkipCheck as sk:
-        return CheckResult(name, pi.p, m, r, None, None, None, "skip", str(sk))
-    verdict = "pass" if lhs == rhs else "fail"
-    return CheckResult(name, pi.p, m, r, modulus, lhs, rhs, verdict, None, sign)
+        return _lift_results([name], pi.p, [m], [r])[0]
+    return _result(name, pi.p, None, None, row, pi)
 
 
-def _run_task(task) -> CheckResult:
-    return run_check(*task)
+def _run_task(task) -> list[CheckResult]:
+    """A task is (names, p, m_list, r_list) for the Lift rows at one prime,
+    or the arguments of one run_check call."""
+    if isinstance(task[0], tuple):
+        names, p, m_list, r_list = task
+        prime_info(p)  # rejects a p that is not an odd prime, as run_check does
+        return _lift_results(names, p, m_list, r_list)
+    return [run_check(*task)]
 
 
 def _prime_list(primes) -> list[int]:
@@ -511,9 +572,11 @@ def sweep(
 ) -> list[CheckResult]:
     """Run the cross product of checks, primes, and parameters.
 
-    Results come back in canonical order (registry order, then p, m, r),
-    independent of the worker count.  At most min(jobs, CPU count, tasks)
-    worker processes are started.
+    The Lift rows run as one task per prime, which covers every selected
+    Lift row and every (m, r).  Results come back in canonical order
+    (registry order, then p, then m and r in list order), independent of the
+    worker count.  At most min(jobs, CPU count, tasks) worker processes are
+    started.
     """
     wanted = set(names)
     unknown = wanted - set(CHECKS)
@@ -521,24 +584,28 @@ def sweep(
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     plist = _prime_list(primes)
 
+    lifts = tuple(n for n, cd in CHECKS.items() if n in wanted and isinstance(cd.runner, Lift))
     tasks = []
+    if lifts:
+        tasks.extend((lifts, p, tuple(m_list), tuple(r_list)) for p in plist)
     for name, cd in CHECKS.items():
-        if name not in wanted:
+        if name not in wanted or name in lifts:
             continue
-        row = cd.runner
-        if isinstance(row, Identity) and row.max_n is not None:
+        if isinstance(cd.runner, Identity) and cd.runner.max_n is not None:
             tasks.append((name,))
-        elif isinstance(row, Lift):
-            tasks.extend((name, p, m, r) for p in plist for m in m_list for r in r_list)
         else:
             tasks.extend((name, p) for p in plist)
 
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        return [_run_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=chunk))
+        batches = [_run_task(t) for t in tasks]
+    else:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_run_task, tasks, chunksize=chunk))
+    # a stable sort by registry position keeps each row's p, m, r order
+    rank = {name: i for i, name in enumerate(CHECKS)}
+    return sorted((res for batch in batches for res in batch), key=lambda res: rank[res.check])
 
 
 # ---------------------------------------------------------------------------
@@ -565,35 +632,41 @@ class CrtAccumulator:
         return v - self.modulus if 2 * v > self.modulus else v
 
 
-def recover_cm(
-    m: int,
-    primes,
-    r: int = 1,
-) -> tuple[int, dict]:
-    """Per-prime recovery of the constant c_m from the conj2.5 row,
-
-        A_{mp^r - 1} - A_{mp^(r-1) - 1} = (2/3) m^3 c_m p^(3r) B_{p-3}  (mod p^(3r+1)),
-
-    CRT-combined to the symmetric representative.  The difference is only
-    needed mod p^(3r+1): that fixes its divisibility by p^(3r) and the
-    quotient mod p."""
-    _require_mr(m, r)
+def _cm_residue(at: _LiftPrime, m: int, r: int) -> Union[int, str]:
+    """c_m mod p from the conj2.5 difference at one prime (see recover_cm),
+    or the reason p gives no residue.  The difference is only needed mod
+    p^(3r+1): that fixes its divisibility by p^(3r) and the quotient mod p.
+    No tabulated c_m is read, so an m that the row skips is still recovered."""
     row = CHECKS["conj2.5"].runner
+    p = at.p
+    try:
+        _require(p > row.p_above, f"requires p > {row.p_above}")
+        _require(m % p != 0, "p divides m")
+        _, diff, _ = at.sides(row, m, r)
+        b = at.b3() % p
+        _require(b != 0, "B_{p-3} = 0 (mod p)")
+        q, rem = divmod(diff, p ** (3 * r))
+        _require(rem == 0, f"difference not divisible by p^{3 * r}")
+    except SkipCheck as sk:
+        return str(sk)
+    return q * 3 * pow(2 * m ** 3 % p * b % p, -1, p) % p
+
+
+def cm_recovery(
+    m: int,
+    r: int,
+    residues: Iterable[tuple[int, Union[int, str]]],
+) -> tuple[int, dict]:
+    """CRT-combines per-prime residues of c_m, given as (p, residue or skip
+    reason) pairs, e.g. the `recovery` of a sweep's conj2.5 records, to the
+    symmetric representative, with a report."""
     acc = CrtAccumulator()
     skipped: list[tuple[int, str]] = []
-    for p in _prime_list(primes):
-        try:
-            _require(p > row.p_above, f"requires p > {row.p_above}")
-            _require(m % p != 0, "p divides m")
-            _, diff, _ = row._sides(p, m, r)
-            b = row.bern(p) % p
-            _require(b != 0, "B_{p-3} = 0 (mod p)")
-            q, rem = divmod(diff, p ** (3 * r))
-            _require(rem == 0, f"difference not divisible by p^{3 * r}")
-        except SkipCheck as sk:
-            skipped.append((p, str(sk)))
-            continue
-        acc.add(p, q * 3 * pow(2 * m ** 3 % p * b % p, -1, p) % p)
+    for p, got in residues:
+        if isinstance(got, str):
+            skipped.append((p, got))
+        else:
+            acc.add(p, got)
     value = acc.symmetric()
     report = {
         "m": m,
@@ -609,3 +682,20 @@ def recover_cm(
         alt = value - acc.modulus if value > 0 else value + acc.modulus
         report["alternatives"] = [value, alt]
     return value, report
+
+
+def recover_cm(
+    m: int,
+    primes,
+    r: int = 1,
+) -> tuple[int, dict]:
+    """Per-prime recovery of the constant c_m from the conj2.5 row,
+
+        A_{mp^r - 1} - A_{mp^(r-1) - 1} = (2/3) m^3 c_m p^(3r) B_{p-3}  (mod p^(3r+1)),
+
+    CRT-combined by cm_recovery to the symmetric representative."""
+    _require_mr(m, r)
+    return cm_recovery(m, r, [
+        (p, _lift_results(["conj2.5"], p, [m], [r])[0].recovery)
+        for p in _prime_list(primes)
+    ])

@@ -20,7 +20,7 @@ from .checks import (
     CheckResult,
     Identity,
     Status,
-    recover_cm,
+    cm_recovery,
     run_check,
     sweep,
 )
@@ -191,17 +191,16 @@ def cmd_verify(args) -> int:
     _emit(results, args.format, args.balanced, sys.stdout)
     code = _summarize(results, sys.stderr)
     if "conj2.5" in names:
+        # each conj2.5 record carries its prime's residue of c_m
+        residues = {(res.p, res.m, res.r): res.recovery for res in results
+                    if res.check == "conj2.5"}
         plist = [pi.p for pi in primes_in_range(*args.primes)]
         # a plain --r 1 run keeps its recovery lines free of an r tag
         show_r = args.r != [1]
         for m in args.m:
             for r in args.r:
                 r_tag = f" at r={r}" if show_r else ""
-                try:
-                    value, report = recover_cm(m, plist, r)
-                except ValueError as exc:
-                    sys.stderr.write(f"conj2.5 recovery m={m}: {exc}{r_tag}\n")
-                    continue
+                value, report = cm_recovery(m, r, [(p, residues[p, m, r]) for p in plist])
                 parts = ", ".join(f"{v} (mod {p})" for p, v in report["residues"])
                 sys.stderr.write(
                     f"conj2.5 recovery m={m}: c_{m} = {value}{r_tag} "

@@ -130,10 +130,14 @@ def padic_gamma(x: Fraction, p: int, e: int) -> Residue:
     x = Fraction(x)
     if x.denominator % p == 0:
         raise NotPIntegral(f"{x} is not {p}-integral", -1)
-    if p * e + e ** 3 * (e - 1) * p.bit_length() > GAMMA_STEP_LIMIT:
+    steps = p * e + e ** 3 * (e - 1) * p.bit_length()
+    if steps > GAMMA_STEP_LIMIT:
+        # at e = 1 the count is p alone
+        hint = ("use smaller precision" if e > 1 and p <= GAMMA_STEP_LIMIT
+                else "no precision fits at this p")
         raise ValueError(
-            f"gamma cost cap: {p}^{e} exceeds {GAMMA_STEP_LIMIT} product steps; "
-            "use smaller precision"
+            f"gamma cost cap: about {steps} product steps at p = {p}, e = {e} "
+            f"exceed {GAMMA_STEP_LIMIT}; {hint}"
         )
     m = p ** e
     n = x.numerator * pow(x.denominator, -1, m) % m

@@ -10,6 +10,7 @@ from aperylab.checks import (
     CHECKS,
     CrtAccumulator,
     Status,
+    cm_recovery,
     recover_cm,
     run_check,
     sweep,
@@ -291,6 +292,88 @@ def test_sweep_bounds_workers(monkeypatch, jobs, cpus, primes, workers):
     got = sweep(["thm3.3_tp"], primes, jobs=jobs)
     assert started == ([] if workers is None else [workers])
     assert got == sweep(["thm3.3_tp"], primes, jobs=1)
+
+
+def _per_row(names, primes, m_list, r_list):
+    """The canonical order of a sweep, one run_check call per record."""
+    return [run_check(name, p, m, r) for name in names for p in primes
+            for m in m_list for r in r_list]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_lift_sweep_matches_per_row_run_check(monkeypatch, jobs):
+    # m and r unsorted on purpose: the task keeps the given list order
+    started = []
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", serial_pool(started))
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: 2)
+    primes = [pi.p for pi in primes_in_range(3, 60)]
+    got = sweep(LIFT_CHECKS, (3, 60), m_list=[3, 1, 7], r_list=[2, 1], jobs=jobs)
+    assert started == ([] if jobs == 1 else [2])
+    assert got == _per_row(LIFT_CHECKS, primes, [3, 1, 7], [2, 1])
+    assert {r.verdict for r in got} == {"pass", "skip"}
+
+
+def test_lift_sweep_under_size_cap_matches_per_row_run_check(monkeypatch):
+    # at p = 7 the cap of 200 passes every r = 1 index and skips 7 * 7^2 - 1
+    monkeypatch.setenv(checks.SIZE_CAP_ENV, "200")
+    got = sweep(LIFT_CHECKS, [5, 7, 11], m_list=[3, 1, 7], r_list=[2, 1])
+    assert got == _per_row(LIFT_CHECKS, [5, 7, 11], [3, 1, 7], [2, 1])
+    at7 = [r for r in got if r.p == 7 and r.check == "beukers_a"]
+    assert {r.verdict for r in at7} == {"pass", "skip"}
+    assert any("size cap" in (r.skip_reason or "") for r in at7)
+
+
+def test_lift_task_reads_each_value_once(monkeypatch):
+    # one precision per prime, each (sequence, index) once, two Bernoulli sums
+    apery_calls, bern_calls = [], []
+    real_apery, real_bern = checks.apery_mod, checks.bernoulli_mod_p2
+
+    def apery(sid, n, q, e):
+        apery_calls.append((sid, n, q, e))
+        return real_apery(sid, n, q, e)
+
+    def bern(n, q):
+        bern_calls.append((n, q))
+        return real_bern(n, q)
+
+    monkeypatch.setattr(checks, "apery_mod", apery)
+    monkeypatch.setattr(checks, "bernoulli_mod_p2", bern)
+    primes = [pi.p for pi in primes_in_range(7, 40)]
+    sweep(LIFT_CHECKS, (7, 40), m_list=[1, 2], r_list=[1, 2])
+    assert len(apery_calls) == len(set(apery_calls))
+    assert {(q, e) for _, _, q, e in apery_calls} == {(q, 8) for q in primes}
+    assert sorted(bern_calls) == sorted(
+        [(q - 3, q) for q in primes] + [(2 * q - 4, q) for q in primes])
+
+
+def test_lift_sweep_fails_when_kernel_is_perturbed(monkeypatch):
+    primes, m_list = [7, 11, 13], [1, 2, 3]
+    assert all(r.verdict == "pass" for r in sweep(LIFT_CHECKS, primes, m_list=m_list))
+    real = checks.apery_mod
+
+    def shifted(sid, n, q, e):
+        # each task reads its values mod p^5, the largest r = 1 precision; a
+        # shift by q^2 is still seen mod p^3, the least one.  The upper indices
+        # m q - 1 and m q are at least q - 1; the lower ones, m - 1 and m, not.
+        value = real(sid, n, q, e)
+        return (value + q * q) % q ** e if n >= q - 1 else value
+
+    monkeypatch.setattr(checks, "apery_mod", shifted)
+    got = sweep(LIFT_CHECKS, primes, m_list=m_list)
+    assert len(got) == 8 * 3 * 3
+    assert all(r.verdict == "fail" for r in got)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_recovery_from_sweep_matches_recover_cm(r):
+    # m = 5 and 7 meet p | m; conj2.5 skips m = 7, which has no tabulated c_m
+    primes = [pi.p for pi in primes_in_range(3, 23)]
+    got = sweep(["conj2.5"], (3, 23), m_list=[1, 3, 5, 7], r_list=[r])
+    for m in (1, 3, 5, 7):
+        residues = [(res.p, res.recovery) for res in got if res.m == m]
+        assert cm_recovery(m, r, residues) == recover_cm(m, primes, r)
+    assert any(res.m == 7 and res.verdict == "skip" for res in got)
+    assert recover_cm(3, primes, r)[0] == -17
 
 
 def test_gamma_cap_skip(monkeypatch):

@@ -248,6 +248,14 @@ def test_gamma_cost_guard_is_usage_error(capsys):
     assert err.startswith("argument --e: gamma cost cap")
 
 
+def test_gamma_cost_guard_past_every_precision(capsys):
+    # at e = 1 the cost is the p-step block pass itself: no --e helps
+    code, out, err = run_cli(capsys, "gamma", "--x", "1/4", "--p", "2000003", "--e", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("argument --e: gamma cost cap: about 2000003 product steps")
+    assert "smaller precision" not in err
+
+
 def test_invalid_prime_range_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--checks", "eq1.3", "--primes", "50..3")
     assert code == 2
