@@ -9,12 +9,15 @@ Every registry row is one of three specs: a Lift (an m, r congruence between
 two Apery values), an AtPrime (a congruence at one prime under its
 hypotheses), or an Identity (exact identity verifiers).
 
-A sweep runs the selected Lift rows as one task per prime.  The task covers
-every (m, r), reads each distinct A_n or A'_n once at the largest precision
-the rows need, and reads B_{p-3} and the Bernoulli bracket once; nothing is
-kept past the task.  Its conj2.5 records carry each prime's residue of c_m,
-so the CRT recovery (cm_recovery) reads the sweep's own values; recover_cm
-runs the same evaluator on the conj2.5 row alone.
+A sweep runs each fixed-range identity as one task and each prime as one
+task, which covers every selected Lift and AtPrime row, every (m, r) and the
+per-prime identity.  Its rows read one _PrimeValues, which computes each
+value they share once, at its first use (A_n and A'_n at the largest
+precision the rows need, the central-binomial pass, E_{p-3}, p B_{p-1},
+B_{p-3}, Gamma_p(1/4)^4), and keeps nothing past the task.  run_check runs
+the same evaluator on one row.  The conj2.5 records carry each prime's
+residue of c_m, so the CRT recovery (cm_recovery) reads the sweep's own
+values; recover_cm runs the same evaluator on the conj2.5 row alone.
 """
 
 from __future__ import annotations
@@ -24,18 +27,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import comb, gcd
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import identities, special
 from .modring import PrimeInfo, prime_info, primes_in_range, reduce_rat
-from .sequences import (
-    SeqId,
-    apery_mod,
-    c_coeffs,
-    factorial_table,
-    seq_mod,
-)
+from .sequences import SeqId, apery_mod, c_coeffs, seq_mod
 from .special import (
     bernoulli_mod_p2,
     euler_pm3_mod,
@@ -111,17 +110,89 @@ def _central_cubed_terms(p: int, e: int):
         yield c * c % m * c % m * w64 % m, o, o2
 
 
-def _gamma_quarter_pow4(p: int) -> int:
-    """Gamma_p(1/4)^4 mod p, from padic_gamma at e = 1: fewer than p factors."""
-    return pow(padic_gamma(Fraction(1, 4), p, 1).value, 4, p)
+# ---------------------------------------------------------------------------
+# the values at one prime
+
+class _PrimeValues:
+    """The values the rows at one prime p read, each taken at its first use
+    and kept only as long as this object: A_n, A'_n (apery_mod) and other
+    sequence values (seq_mod) mod p^e_max, once per index and all from one
+    factorial table; the central pass once per precision asked for; and the
+    Bernoulli, Euler and Gamma_p values below.  Each kernel is looked up in
+    this module when it runs, so a patched kernel is the one called.  The
+    size cap is read from APERY_LAB_SIZE_CAP when the object is made."""
+
+    def __init__(self, pi: PrimeInfo, e_max: int) -> None:
+        self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
+        self.e_max = e_max
+        self.cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
+        self._apery: dict[tuple[SeqId, int], int] = {}
+        self._seq: dict[tuple[SeqId, int], int] = {}
+        self._central: dict[int, list[tuple[int, int, int]]] = {}
+
+    def _value(self, sid: SeqId, n: int) -> int:
+        if (sid, n) not in self._apery:
+            self._apery[sid, n] = apery_mod(sid, n, self.p, self.e_max)
+        return self._apery[sid, n]
+
+    def seq(self, sid: SeqId, n: int) -> int:
+        """The sequence value mod p^e_max, through seq_mod."""
+        if (sid, n) not in self._seq:
+            self._seq[sid, n] = seq_mod(sid, n, self.p, self.e_max).value
+        return self._seq[sid, n]
+
+    def central(self, e: int) -> list[tuple[int, int, int]]:
+        """The central pass mod p^e, kept per precision, not reduced from the
+        largest one, so a row reads exactly the residues it needs."""
+        if e not in self._central:
+            self._central[e] = list(_central_cubed_terms(self.p, e))
+        return self._central[e]
+
+    def sides(self, row: Lift, m: int, r: int) -> tuple[int, int, int]:
+        """(e, lhs, base) with lhs = A_hi, base = A_lo mod p^e, or for a
+        difference row lhs = A_hi - A_lo, base = 0.  Skips past the size cap."""
+        p = self.p
+        hi, lo = m * p ** r + row.shift, m * p ** (r - 1) + row.shift
+        _require(hi <= self.cap, f"size cap: index {hi} exceeds {self.cap}")
+        e = 3 * r + row.extra
+        modulus = p ** e
+        a_hi, a_lo = self._value(row.sid, hi) % modulus, self._value(row.sid, lo) % modulus
+        if row.difference:
+            return e, (a_hi - a_lo) % modulus, 0
+        return e, a_hi, a_lo
+
+    @cached_property
+    def b3(self) -> int:
+        """B_{p-3} mod p^2."""
+        return bernoulli_mod_p2(self.p - 3, self.p)
+
+    @cached_property
+    def bracket(self) -> int:
+        """B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) mod p^2."""
+        p, m = self.p, self.p * self.p
+        return (
+            bernoulli_mod_p2(2 * p - 4, p) * pow(2 * p - 4, -1, m)
+            - 2 * self.b3 * pow(p - 3, -1, m)
+        ) % m
+
+    @cached_property
+    def euler(self) -> int:
+        """E_{p-3} mod p."""
+        return euler_pm3_mod(self.p)
+
+    @cached_property
+    def pb(self) -> int:
+        """p B_{p-1} mod p^2."""
+        return pb_pm1_mod(self.p)
+
+    @cached_property
+    def gamma4(self) -> int:
+        """Gamma_p(1/4)^4 mod p, from padic_gamma at e = 1: fewer than p factors."""
+        return pow(padic_gamma(Fraction(1, 4), self.p, 1).value, 4, self.p)
 
 
 # ---------------------------------------------------------------------------
 # m, r lift congruences: one data row each
-
-def _no_correction(m: int) -> int:
-    return 0
-
 
 def _conj22_weight(m: int) -> Fraction:
     wm = sum(
@@ -141,54 +212,6 @@ def _require_mr(m: int, r: int) -> None:
         raise ValueError(f"need m >= 1 and r >= 1, got m = {m}, r = {r}")
 
 
-class _LiftPrime:
-    """The values the Lift rows read at one prime p, each taken at its first
-    use and kept only as long as this object: A_n and A'_n mod p^e_max, once
-    per index and all from one factorial table, and B_{p-3} and the bracket
-    mod p^2.  The size cap is read from APERY_LAB_SIZE_CAP when it is made."""
-
-    def __init__(self, p: int, e_max: int) -> None:
-        self.p, self.e_max = p, e_max
-        self.cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
-        self._apery: dict[tuple[SeqId, int], int] = {}
-        self._b3: Optional[int] = None
-        self._bracket: Optional[int] = None
-
-    def _value(self, sid: SeqId, n: int) -> int:
-        if (sid, n) not in self._apery:
-            self._apery[sid, n] = apery_mod(sid, n, self.p, self.e_max)
-        return self._apery[sid, n]
-
-    def sides(self, row: Lift, m: int, r: int) -> tuple[int, int, int]:
-        """(e, lhs, base) with lhs = A_hi, base = A_lo mod p^e, or for a
-        difference row lhs = A_hi - A_lo, base = 0.  Skips past the size cap."""
-        p = self.p
-        hi, lo = m * p ** r + row.shift, m * p ** (r - 1) + row.shift
-        _require(hi <= self.cap, f"size cap: index {hi} exceeds {self.cap}")
-        e = 3 * r + row.extra
-        modulus = p ** e
-        a_hi, a_lo = self._value(row.sid, hi) % modulus, self._value(row.sid, lo) % modulus
-        if row.difference:
-            return e, (a_hi - a_lo) % modulus, 0
-        return e, a_hi, a_lo
-
-    def b3(self) -> int:
-        """B_{p-3} mod p^2."""
-        if self._b3 is None:
-            self._b3 = bernoulli_mod_p2(self.p - 3, self.p)
-        return self._b3
-
-    def bracket(self) -> int:
-        """B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) mod p^2."""
-        if self._bracket is None:
-            p, m = self.p, self.p * self.p
-            self._bracket = (
-                bernoulli_mod_p2(2 * p - 4, p) * pow(2 * p - 4, -1, m)
-                - 2 * self.b3() * pow(p - 3, -1, m)
-            ) % m
-        return self._bracket
-
-
 @dataclass(frozen=True)
 class Lift:
     """A congruence between A_hi and A_lo (A or A' by `sid`) mod p^(3r + extra),
@@ -197,8 +220,8 @@ class Lift:
         A_hi = A_lo + C p^(3r),   or   A_hi - A_lo = C p^(3r) for a difference row,
 
     with C = weight(m) * B, where B is B_{p-3}, or the bracket
-    B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) when `bracket` is set; a zero weight
-    means no correction.  The record is (A_hi, A_lo + C p^(3r)), or
+    B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) when `bracket` is set; no weight, or a
+    zero one, means no correction.  The record is (A_hi, A_lo + C p^(3r)), or
     (A_hi - A_lo, C p^(3r)).  The weight is taken before the size cap, so a
     weight may skip (conj2.5 for an m without a tabulated c_m); B is read
     only for a record that is not skipped.  Since extra <= 2 and every weight is
@@ -209,20 +232,20 @@ class Lift:
     shift: int
     extra: int
     p_above: int = 3
-    weight: Callable[[int], Union[int, Fraction]] = _no_correction
+    weight: Optional[Callable[[int], Union[int, Fraction]]] = None
     bracket: bool = False
     difference: bool = False
 
-    def __call__(self, at: _LiftPrime, m: int, r: int):
+    def __call__(self, at: _PrimeValues, m: int, r: int):
         _require_mr(m, r)
         p = at.p
         _require(p > self.p_above, f"requires p > {self.p_above}")
-        w = self.weight(m)
+        w = self.weight(m) if self.weight else 0
         e, lhs, base = at.sides(self, m, r)
         modulus = p ** e
         corr = 0
         if w:
-            b = at.bracket() if self.bracket else at.b3()
+            b = at.bracket if self.bracket else at.b3
             corr = reduce_rat(w, p, 2).value * b * p ** (3 * r) % modulus
         return modulus, lhs, (base + corr) % modulus, None
 
@@ -233,94 +256,82 @@ class Lift:
 @dataclass(frozen=True)
 class AtPrime:
     """A congruence at one prime p, stated mod p^e for p > p_above and, when
-    klass is set, p = klass (mod 4).  sides(pi, p^e) returns (lhs, rhs), or
-    (lhs, rhs, sign) for a check that records which sign held; the row
-    reduces both sides mod p^e."""
+    klass is set, p = klass (mod 4).  sides(at, p^e) reads the prime's values
+    from `at` and returns (lhs, rhs), or (lhs, rhs, sign) for a check that
+    records which sign held; the row reduces both sides mod p^e."""
 
     e: int
     sides: Callable
     p_above: int = 2
     klass: Optional[int] = None
 
-    def __call__(self, pi: PrimeInfo):
-        _require(pi.p > self.p_above, f"requires p > {self.p_above}")
+    def __call__(self, at: _PrimeValues):
+        _require(at.p > self.p_above, f"requires p > {self.p_above}")
         if self.klass is not None:
-            _require(pi.klass == self.klass, f"requires p = {self.klass} (mod 4)")
-        modulus = pi.p ** self.e
-        lhs, rhs, *sign = self.sides(pi, modulus)
+            _require(at.klass == self.klass, f"requires p = {self.klass} (mod 4)")
+        modulus = at.p ** self.e
+        lhs, rhs, *sign = self.sides(at, modulus)
         return modulus, lhs % modulus, rhs % modulus, sign[0] if sign else None
 
 
-def _aprime_half(p: int, e: int) -> int:
-    return seq_mod(SeqId.APRIME, (p - 1) // 2, p, e).value
-
-
-def _x_side(pi: PrimeInfo, modulus: int) -> int:
+def _x_side(at: _PrimeValues, modulus: int) -> int:
     """4x^2 - 2p - p^2/(4x^2) mod p^3 for p = x^2 + 4y^2 = 1 (mod 4)."""
-    p, x = pi.p, pi.rep[0]
+    p, x = at.p, at.rep[0]
     return 4 * x * x - 2 * p - p * p * pow(4 * x * x, -1, modulus)
 
 
-def _eq13(pi, modulus):
+def _eq13(at, modulus):
     # A'_1 = 3 is divisible by p but not p^2, so the statement needs p > 3.
-    p = pi.p
-    rhs = 4 * pi.rep[0] ** 2 - 2 * p if pi.klass == 1 else 0
-    return _aprime_half(p, 2), rhs
+    p = at.p
+    rhs = 4 * at.rep[0] ** 2 - 2 * p if at.klass == 1 else 0
+    return at.seq(SeqId.APRIME, (p - 1) // 2), rhs
 
 
-def _thm21i(pi, modulus):
-    p = pi.p
+def _thm21i(at, modulus):
+    p = at.p
     if p == 3:
         # p^2/3 = 3 exactly; 3 is not invertible mod 27
         rhs = 3
     else:
         b = comb((p - 3) // 2, (p - 3) // 4)
         rhs = p * p * pow(3, -1, modulus) % modulus * pow(b, -2, modulus)
-    return _aprime_half(p, 3), rhs
+    return at.seq(SeqId.APRIME, (p - 1) // 2), rhs
 
 
-def _thm21ii(pi, modulus):
-    p, x = pi.p, pi.rep[0]
-    s = sum(t * o * o for t, o, _ in _central_cubed_terms(p, 1)) % p
+def _thm21ii(at, modulus):
+    p, x = at.p, at.rep[0]
+    s = sum(t * o * o for t, o, _ in at.central(1)) % p
     rhs = (
-        _x_side(pi, modulus)
-        + 3 * p * p * x * x * euler_pm3_mod(p)
+        _x_side(at, modulus)
+        + 3 * p * p * x * x * at.euler
         + p * p * pow(2, -1, modulus) * s
     )
-    return _aprime_half(p, 3), rhs
+    return at.seq(SeqId.APRIME, (p - 1) // 2), rhs
 
 
-def _lemma23(pi, modulus):
-    p = pi.p
+def _lemma23(at, modulus):
+    p = at.p
     inv2 = pow(2, -1, modulus)
     rhs = 1 + sum(
         t * (1 - p * o + p * p * inv2 * (o * o - 3 * o2))
-        for t, o, o2 in _central_cubed_terms(p, 3)
+        for t, o, o2 in at.central(3)
     )
-    return _aprime_half(p, 3), rhs
+    return at.seq(SeqId.APRIME, (p - 1) // 2), rhs
 
 
-def _lemma24(pi, modulus):
-    p = pi.p
-    table = factorial_table(p, 3)
-    table.extend(2 * (p - 1))
-    val, unit, inv = table.val, table.unit, table.inv_unit
-    inv64 = pow(64, -1, modulus)
-    acc, w = 0, 1
-    for k in range(p):
-        # binom(2k,k) = (2k)!/k!^2; once p divides it, its cube vanishes mod p^3
-        if val[2 * k] == 2 * val[k]:
-            u = unit[2 * k] * inv[k] % modulus * inv[k] % modulus
-            acc += u * u % modulus * u % modulus * w
-        w = w * inv64 % modulus
-    if pi.klass == 1:
-        return acc, _x_side(pi, modulus)
+def _lemma24(at, modulus):
+    # the k = 0 term, then k = 1..(p-1)/2 from the central pass: for
+    # (p-1)/2 < k < p, p divides binom(2k,k) once and its cube vanishes mod p^3
+    p = at.p
+    lhs = 1 + sum(t for t, _, _ in at.central(3))
+    if at.klass == 1:
+        return lhs, _x_side(at, modulus)
     b = comb((p - 3) // 2, (p - 3) // 4)
-    return acc, -p * p * pow(4, -1, modulus) * pow(b, -2, modulus)
+    return lhs, -p * p * pow(4, -1, modulus) * pow(b, -2, modulus)
 
 
-def _lemma25(pi, modulus):
-    p, limit = pi.p, special.GAMMA_STEP_LIMIT
+def _lemma25(at, modulus):
+    p, limit = at.p, special.GAMMA_STEP_LIMIT
     # padic_gamma no longer needs this cap (its block route costs O(p) here);
     # the skip stays so that the records at p >= 127, which the benchmark
     # oracle and the golden hashes encode, do not move.
@@ -329,68 +340,66 @@ def _lemma25(pi, modulus):
     return (g ** 4).value, gamma_quarter_closed_form(p).value
 
 
-def _lemma26(pi, modulus):
-    p = pi.p
+def _lemma26(at, modulus):
+    p = at.p
     b = comb((p - 1) // 2, (p - 1) // 4)
     lhs = (
         pow(2, -(p - 1), modulus)
         * b % modulus * b % modulus
-        * (1 - p * p * pow(2, -1, modulus) * euler_pm3_mod(p))
+        * (1 - p * p * pow(2, -1, modulus) * at.euler)
     )
-    return lhs, _x_side(pi, modulus)
+    return lhs, _x_side(at, modulus)
 
 
-def _lemma27a(pi, modulus):
+def _lemma27a(at, modulus):
     # the factor p means Gamma_p(1/4)^4 is needed only mod p
-    p = pi.p
-    lhs = sum(t * o for t, o, _ in _central_cubed_terms(p, 2))
-    if pi.klass == 1:
+    p = at.p
+    lhs = sum(t * o for t, o, _ in at.central(2))
+    if at.klass == 1:
         return lhs, 0
-    return lhs, -p * pow(12, -1, modulus) * _gamma_quarter_pow4(p)
+    return lhs, -p * pow(12, -1, modulus) * at.gamma4
 
 
-def _lemma27b(pi, modulus):
-    p = pi.p
-    lhs = sum(t * o2 for t, _, o2 in _central_cubed_terms(p, 1))
-    g4 = _gamma_quarter_pow4(p)
-    if pi.klass == 1:
-        return lhs, pow(2, -1, p) * g4 * euler_pm3_mod(p)
-    return lhs, -pow(16, -1, p) * g4
+def _lemma27b(at, modulus):
+    p = at.p
+    lhs = sum(t * o2 for t, _, o2 in at.central(1))
+    if at.klass == 1:
+        return lhs, pow(2, -1, p) * at.gamma4 * at.euler
+    return lhs, -pow(16, -1, p) * at.gamma4
 
 
-def _conj21(pi, modulus):
-    p, x = pi.p, pi.rep[0]
-    lhs = sum(t * o * o for t, o, _ in _central_cubed_terms(p, 1))
-    return lhs, 2 * pow(3, -1, p) * x * x * euler_pm3_mod(p)
+def _conj21(at, modulus):
+    p, x = at.p, at.rep[0]
+    lhs = sum(t * o * o for t, o, _ in at.central(1))
+    return lhs, 2 * pow(3, -1, p) * x * x * at.euler
 
 
-def _thm33_tp(pi, modulus):
-    p = pi.p
-    return seq_mod(SeqId.T, p, p, 3).value, (1 + 4 * _parity_sign(p)) * p * p
+def _thm33_tp(at, modulus):
+    p = at.p
+    return at.seq(SeqId.T, p), (1 + 4 * _parity_sign(p)) * p * p
 
 
-def _thm33_tpm1(pi, modulus):
-    p = pi.p
-    pb = pb_pm1_mod(p)
-    rhs = _parity_sign(p) * (2 * p + pow(2, p, modulus) - 2 + pb * pb)
-    return seq_mod(SeqId.T, p - 1, p, 2).value, rhs
+def _thm33_tpm1(at, modulus):
+    p = at.p
+    rhs = _parity_sign(p) * (2 * p + pow(2, p, modulus) - 2 + at.pb * at.pb)
+    return at.seq(SeqId.T, p - 1), rhs
 
 
-def _thm33_thalf(pi, modulus):
-    p = pi.p
-    rhs = pb_pm1_mod(p) - p + pow(2, p - 1, modulus) - 1
-    return seq_mod(SeqId.T, (p - 1) // 2, p, 2).value, rhs
+def _thm33_thalf(at, modulus):
+    p = at.p
+    rhs = at.pb - p + pow(2, p - 1, modulus) - 1
+    return at.seq(SeqId.T, (p - 1) // 2), rhs
 
 
-def _thm33_thalfp1(pi, modulus):
-    p = pi.p
-    rhs = pb_pm1_mod(p) - 3 * p + pow(2, p - 1, modulus) - 1
-    return seq_mod(SeqId.T, (p + 1) // 2, p, 2).value, rhs
+def _thm33_thalfp1(at, modulus):
+    p = at.p
+    rhs = at.pb - 3 * p + pow(2, p - 1, modulus) - 1
+    return at.seq(SeqId.T, (p + 1) // 2), rhs
 
 
-def _thm33_tquarter(pi, modulus):
-    p = pi.p
-    lhs = seq_mod(SeqId.T, (p - 3) // 4, p, 1).value
+def _thm33_tquarter(at, modulus):
+    p = at.p
+    lhs = at.seq(SeqId.T, (p - 3) // 4) % p
     binv = pow(comb((p - 1) // 2, (p - 3) // 4), -1, p)
     if lhs == binv:
         return lhs, binv, "+"
@@ -484,33 +493,34 @@ def _identity_result(name: str, p: Optional[int], verifiers, arg: int) -> CheckR
     )
 
 
-def _result(name: str, p: int, m: Optional[int], r: Optional[int], row, *args) -> CheckResult:
-    """Runs one Lift or AtPrime row and records its verdict, or its skip."""
-    try:
-        modulus, lhs, rhs, sign = row(*args)
-    except SkipCheck as sk:
-        return CheckResult(name, p, m, r, None, None, None, "skip", str(sk))
-    verdict = "pass" if lhs == rhs else "fail"
-    return CheckResult(name, p, m, r, modulus, lhs, rhs, verdict, None, sign)
-
-
-def _lift_results(names: Sequence[str], p: int, m_list, r_list) -> list[CheckResult]:
-    """The records of the named Lift rows at one prime, in the given row
-    order, then m and r in list order.  The rows share one _LiftPrime at the
-    largest precision they need, so each distinct Apery value and each
-    Bernoulli value is computed once.  A conj2.5 record also carries the
-    prime's residue of c_m for the recovery."""
+def _prime_results(names: Sequence[str], p, m_list, r_list) -> list[CheckResult]:
+    """The records of the named prime-indexed rows at one prime, each a
+    verdict or a skip, in the given row order, then m and r in list order
+    for a Lift row.  The rows share one _PrimeValues at the largest precision
+    they need (3r + extra for a Lift row, e for an AtPrime row), so each
+    value is computed once.  A conj2.5 record also carries the prime's
+    residue of c_m for the recovery."""
+    pi = p if isinstance(p, PrimeInfo) else prime_info(p)
     rows = [(name, CHECKS[name].runner) for name in names]
-    e_max = max((3 * r + row.extra for _, row in rows for r in r_list), default=0)
-    at = _LiftPrime(p, e_max)
+    e_max = max([3 * r + row.extra for _, row in rows if isinstance(row, Lift) for r in r_list]
+                + [row.e for _, row in rows if isinstance(row, AtPrime)], default=1)
+    at = _PrimeValues(pi, e_max)
     out = []
     for name, row in rows:
-        for m in m_list:
-            for r in r_list:
-                res = _result(name, p, m, r, row, at, m, r)
-                if name == "conj2.5":
-                    res = replace(res, recovery=_cm_residue(at, m, r))
-                out.append(res)
+        if isinstance(row, Identity):
+            out.append(_identity_result(name, pi.p, row.verifiers, pi.p))
+            continue
+        lift = isinstance(row, Lift)
+        for m, r in product(m_list, r_list) if lift else [(None, None)]:
+            try:
+                modulus, lhs, rhs, sign = row(at, m, r) if lift else row(at)
+                res = CheckResult(name, pi.p, m, r, modulus, lhs, rhs,
+                                  "pass" if lhs == rhs else "fail", None, sign)
+            except SkipCheck as sk:
+                res = CheckResult(name, pi.p, m, r, None, None, None, "skip", str(sk))
+            if name == "conj2.5":
+                res = replace(res, recovery=_cm_residue(at, m, r))
+            out.append(res)
     return out
 
 
@@ -521,35 +531,25 @@ def run_check(
     r: Optional[int] = None,
     max_n: Optional[int] = None,
 ) -> CheckResult:
-    """Evaluate one registered check and return the structured outcome."""
+    """Evaluate one registered check and return the structured outcome.  A
+    prime-indexed row runs through the same per-prime evaluator as a sweep."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
     row = CHECKS[name].runner
-
     if isinstance(row, Identity) and row.max_n is not None:
         n = max_n if max_n is not None else row.max_n
         return _identity_result(name, None, row.verifiers, n)
-
-    pi = p if isinstance(p, PrimeInfo) else prime_info(p)
-
-    if isinstance(row, Identity):
-        return _identity_result(name, pi.p, row.verifiers, pi.p)
-
-    if isinstance(row, Lift):
-        if m is None or r is None:
-            raise ValueError(f"check {name} requires parameters m and r")
-        return _lift_results([name], pi.p, [m], [r])[0]
-    return _result(name, pi.p, None, None, row, pi)
+    if isinstance(row, Lift) and (m is None or r is None):
+        raise ValueError(f"check {name} requires parameters m and r")
+    return _prime_results([name], p, [m], [r])[0]
 
 
 def _run_task(task) -> list[CheckResult]:
-    """A task is (names, p, m_list, r_list) for the Lift rows at one prime,
-    or the arguments of one run_check call."""
-    if isinstance(task[0], tuple):
-        names, p, m_list, r_list = task
-        prime_info(p)  # rejects a p that is not an odd prime, as run_check does
-        return _lift_results(names, p, m_list, r_list)
-    return [run_check(*task)]
+    """A task is (name,) for a fixed-range identity, or (names, p, m_list,
+    r_list) for the prime-indexed rows at one prime."""
+    if len(task) == 1:
+        return [run_check(*task)]
+    return _prime_results(*task)
 
 
 def _prime_list(primes) -> list[int]:
@@ -572,11 +572,11 @@ def sweep(
 ) -> list[CheckResult]:
     """Run the cross product of checks, primes, and parameters.
 
-    The Lift rows run as one task per prime, which covers every selected
-    Lift row and every (m, r).  Results come back in canonical order
-    (registry order, then p, then m and r in list order), independent of the
-    worker count.  At most min(jobs, CPU count, tasks) worker processes are
-    started.
+    Each fixed-range identity is one task; then each prime is one task,
+    which covers every selected Lift, AtPrime and per-prime Identity row and
+    every (m, r).  Results come back in canonical order (registry order,
+    then p, then m and r in list order), independent of the worker count.
+    At most min(jobs, CPU count, tasks) worker processes are started.
     """
     wanted = set(names)
     unknown = wanted - set(CHECKS)
@@ -584,25 +584,22 @@ def sweep(
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     plist = _prime_list(primes)
 
-    lifts = tuple(n for n, cd in CHECKS.items() if n in wanted and isinstance(cd.runner, Lift))
-    tasks = []
-    if lifts:
-        tasks.extend((lifts, p, tuple(m_list), tuple(r_list)) for p in plist)
-    for name, cd in CHECKS.items():
-        if name not in wanted or name in lifts:
-            continue
-        if isinstance(cd.runner, Identity) and cd.runner.max_n is not None:
-            tasks.append((name,))
-        else:
-            tasks.extend((name, p) for p in plist)
+    fixed = [
+        name for name, cd in CHECKS.items()
+        if name in wanted and isinstance(cd.runner, Identity) and cd.runner.max_n is not None
+    ]
+    at_prime = tuple(name for name in CHECKS if name in wanted and name not in fixed)
+    # the fixed-range identities are the largest tasks, so they go first
+    tasks = [(name,) for name in fixed]
+    if at_prime:
+        tasks.extend((at_prime, p, tuple(m_list), tuple(r_list)) for p in plist)
 
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         batches = [_run_task(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_task, tasks, chunksize=chunk))
+            batches = list(pool.map(_run_task, tasks))
     # a stable sort by registry position keeps each row's p, m, r order
     rank = {name: i for i, name in enumerate(CHECKS)}
     return sorted((res for batch in batches for res in batch), key=lambda res: rank[res.check])
@@ -632,7 +629,7 @@ class CrtAccumulator:
         return v - self.modulus if 2 * v > self.modulus else v
 
 
-def _cm_residue(at: _LiftPrime, m: int, r: int) -> Union[int, str]:
+def _cm_residue(at: _PrimeValues, m: int, r: int) -> Union[int, str]:
     """c_m mod p from the conj2.5 difference at one prime (see recover_cm),
     or the reason p gives no residue.  The difference is only needed mod
     p^(3r+1): that fixes its divisibility by p^(3r) and the quotient mod p.
@@ -643,7 +640,7 @@ def _cm_residue(at: _LiftPrime, m: int, r: int) -> Union[int, str]:
         _require(p > row.p_above, f"requires p > {row.p_above}")
         _require(m % p != 0, "p divides m")
         _, diff, _ = at.sides(row, m, r)
-        b = at.b3() % p
+        b = at.b3 % p
         _require(b != 0, "B_{p-3} = 0 (mod p)")
         q, rem = divmod(diff, p ** (3 * r))
         _require(rem == 0, f"difference not divisible by p^{3 * r}")
@@ -696,6 +693,6 @@ def recover_cm(
     CRT-combined by cm_recovery to the symmetric representative."""
     _require_mr(m, r)
     return cm_recovery(m, r, [
-        (p, _lift_results(["conj2.5"], p, [m], [r])[0].recovery)
+        (p, _prime_results(["conj2.5"], p, [m], [r])[0].recovery)
         for p in _prime_list(primes)
     ])

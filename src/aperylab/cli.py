@@ -48,7 +48,8 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
-    """A list `a,b,...` or range `a..b` of values, each at least 1."""
+    """A list `a,b,...` or range `a..b` of distinct values, each at least 1,
+    in first-occurrence order."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -61,7 +62,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"selects no value: {text!r}")
     if min(values) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {min(values)}")
-    return values
+    return list(dict.fromkeys(values))  # a repeated value runs once
 
 
 def _positive_int(text: str) -> int:

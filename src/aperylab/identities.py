@@ -16,7 +16,7 @@ from typing import Union
 
 from .exactcore import series_arctanh, series_inv_sqrt_one_minus_x2, series_mul
 from .modring import FactorialTable
-from .sequences import harmonic_values, t_closed_form, t_exact
+from .sequences import harmonic_values, t_closed_form, t_values
 
 Value = Union[int, Fraction]
 
@@ -164,8 +164,7 @@ def eq31_identity(max_n: int, trials: int = 20, seed: int = 20240811) -> Identit
 def thm31_dual(max_n: int) -> IdentityOutcome:
     """t_n by recurrence equals the (2n+1)! central-binomial sum, exactly."""
     spot = None
-    for n in range(max_n + 1):
-        lhs = t_exact(n)
+    for n, lhs in zip(range(max_n + 1), t_values()):
         rhs = t_closed_form(n)
         if rhs.denominator != 1 or lhs != rhs:
             return _fail(n, lhs, rhs)
@@ -196,30 +195,31 @@ def _s_thm32_square(n: int) -> Fraction:
     )
 
 
-def _s_thm32_neg_square(n: int) -> Fraction:
-    return -Fraction(t_exact(n), factorial(2 * n + 1)) ** 2
+def _thm32_neg_squares(count: int) -> list[Fraction]:
+    """-(t_n / (2n+1)!)^2 for n < count, the other side of thm32_harmonic_sum."""
+    return [-Fraction(t, factorial(2 * n + 1)) ** 2 for n, t in zip(range(count), t_values())]
 
 
 def thm32_identity(max_n: int) -> IdentityOutcome:
     """t_n^2 = -(2n+1)!^2 sum_k binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) w_k,
     for both weights w_k = sum 1/(2i-1)^2 and w_k = (sum 1/(2i-1))^2."""
     spot = None
-    for n in range(max_n + 1):
-        lhs = t_exact(n) ** 2
+    for n, t in zip(range(max_n + 1), t_values()):
+        lhs = t ** 2
         f2 = factorial(2 * n + 1) ** 2
         for s_fn in (thm32_harmonic_sum, _s_thm32_square):
             rhs = -f2 * s_fn(n)
             if lhs != rhs:
                 return _fail(n, lhs, rhs)
         if n == min(2, max_n):
-            spot = (n, thm32_harmonic_sum(n), _s_thm32_neg_square(n))
+            spot = (n, thm32_harmonic_sum(n), -Fraction(lhs, f2))
     return IdentityOutcome(True, *spot)
 
 
 def order5_certificate(max_n: int) -> IdentityOutcome:
     """The 5-term recurrence annihilating both sides of the thm32 identity."""
-    for s_fn in (thm32_harmonic_sum, _s_thm32_neg_square):
-        vals = [s_fn(n) for n in range(max_n + 5)]
+    count = max_n + 5
+    for vals in ([thm32_harmonic_sum(n) for n in range(count)], _thm32_neg_squares(count)):
         for n in range(max_n + 1):
             res = (
                 4 * (n + 4) ** 2 * (2 * n + 7) ** 2 * (2 * n + 9) ** 2
@@ -249,9 +249,8 @@ def gf_oracle(max_n: int) -> IdentityOutcome:
     order = 2 * max_n + 2
     prod = series_mul(series_arctanh(order), series_inv_sqrt_one_minus_x2(order))
     spot = None
-    for n in range(max_n + 1):
+    for n, rhs in zip(range(max_n + 1), t_values()):
         lhs = factorial(2 * n + 1) * prod.coefficient(2 * n + 1)
-        rhs = t_exact(n)
         if lhs != rhs:
             return _fail(n, lhs, rhs)
         if n == min(1, max_n):

@@ -1,10 +1,11 @@
 """Integer and harmonic sequences, exact and modular.
 
-Exact evaluators return big integers or fractions: A and A' by their three-term
-recurrences, rolled over two values; t by its recurrence, with its closed form
-as a second route.  seq_mod evaluates residues without ever constructing the
-exact value (apery_mod over a factorial table for the Apery sums, the
-division-free recurrence for t, incremental inverses for the harmonic family).
+Exact evaluators return big integers or fractions: A, A' and t by their
+three-term recurrences, rolled over two values (t_values walks t_0, t_1, ...
+for the verifiers that read them in turn), with t's closed form as a second
+route.  seq_mod evaluates residues without ever constructing the exact value
+(apery_mod over a factorial table for the Apery sums, the division-free
+recurrence for t, incremental inverses for the harmonic family).
 The O(n^2) direct sums for A and A' live in the tests, as the oracles that
 apery_mod and the recurrences are checked against.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from math import comb, factorial
 
 from .modring import FactorialTable, NotPIntegral, Residue
@@ -54,17 +56,23 @@ def apery_aprime_recurrence(n: int) -> int:
     return b if n else a
 
 
-_T = [1, 5]
+def t_values(modulus: int = 0):
+    """t_0, t_1, ... by t_{n+1} = (8n^2+12n+5) t_n - 4n^2 (2n+1)^2 t_{n-1},
+    t_0=1, t_1=5, holding two values at a time; reduced mod `modulus` if given."""
+    a, b = 1, 5
+    yield a
+    for i in count(1):
+        yield b
+        a, b = b, (8 * i * i + 12 * i + 5) * b - 4 * i * i * (2 * i + 1) ** 2 * a
+        if modulus:
+            b %= modulus
 
 
 def t_exact(n: int) -> int:
-    """t_n by t_{n+1} = (8n^2+12n+5) t_n - 4n^2 (2n+1)^2 t_{n-1}, t_0=1, t_1=5."""
+    """t_n, rolled from t_values."""
     if n < 0:
         raise ValueError("need n >= 0")
-    while len(_T) <= n:
-        i = len(_T) - 1
-        _T.append((8 * i * i + 12 * i + 5) * _T[i] - 4 * i * i * (2 * i + 1) ** 2 * _T[i - 1])
-    return _T[n]
+    return next(islice(t_values(), n, None))
 
 
 def t_closed_form(n: int) -> Fraction:
@@ -186,13 +194,7 @@ def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
     if sid in (SeqId.A, SeqId.APRIME):
         return Residue(apery_mod(sid, n, p, e), p, e)
     if sid is SeqId.T:
-        m = p ** e
-        a, b = 1, 5
-        if n == 0:
-            return Residue(1, p, e)
-        for i in range(1, n):
-            a, b = b, ((8 * i * i + 12 * i + 5) * b - 4 * i * i * (2 * i + 1) ** 2 * a) % m
-        return Residue(b, p, e)
+        return Residue(next(islice(t_values(p ** e), n, None)), p, e)
     if sid in (SeqId.H, SeqId.OODD, SeqId.OODD2, SeqId.D):
         m = p ** e
         h = o = o2 = 0

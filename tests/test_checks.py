@@ -9,6 +9,8 @@ from aperylab import checks, special
 from aperylab.checks import (
     CHECKS,
     CrtAccumulator,
+    Identity,
+    Lift,
     Status,
     cm_recovery,
     recover_cm,
@@ -151,6 +153,7 @@ def test_lemma24_sum_matches_exact():
         ("lemma2.3", 13), ("lemma2.3", 11),
         ("lemma2.7a", 13), ("lemma2.7a", 11),
         ("lemma2.7b", 13), ("lemma2.7b", 11),
+        ("lemma2.4", 11), ("lemma2.4", 13),
     ],
 )
 def test_central_sum_checks_fail_when_pass_is_perturbed(monkeypatch, name, p):
@@ -296,21 +299,88 @@ def test_sweep_bounds_workers(monkeypatch, jobs, cpus, primes, workers):
 
 def _per_row(names, primes, m_list, r_list):
     """The canonical order of a sweep, one run_check call per record."""
-    return [run_check(name, p, m, r) for name in names for p in primes
-            for m in m_list for r in r_list]
+    out = []
+    for name in names:
+        lift = isinstance(CHECKS[name].runner, Lift)
+        for p in primes:
+            if lift:
+                out.extend(run_check(name, p, m, r) for m in m_list for r in r_list)
+            else:
+                out.append(run_check(name, p))
+    return out
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_lift_sweep_matches_per_row_run_check(monkeypatch, jobs):
-    # m and r unsorted on purpose: the task keeps the given list order
+# every row that runs at a prime: all but the fixed-range identities
+PRIME_ROWS = [
+    name for name, cd in CHECKS.items()
+    if not (isinstance(cd.runner, Identity) and cd.runner.max_n is not None)
+]
+
+
+@pytest.mark.parametrize(
+    "names, jobs",
+    [
+        pytest.param(LIFT_CHECKS, 1, id="1"),
+        pytest.param(LIFT_CHECKS, 2, id="2"),
+        pytest.param(PRIME_ROWS, 1, id="prime-rows-1"),
+        pytest.param(PRIME_ROWS, 2, id="prime-rows-2"),
+    ],
+)
+def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
+    # m and r unsorted on purpose: the task keeps the given list order.  In
+    # the sweep every row at p reads its values at the largest precision of
+    # all of them; run_check reads at the row's own.
     started = []
     monkeypatch.setattr(checks, "ProcessPoolExecutor", serial_pool(started))
     monkeypatch.setattr(checks.os, "cpu_count", lambda: 2)
     primes = [pi.p for pi in primes_in_range(3, 60)]
-    got = sweep(LIFT_CHECKS, (3, 60), m_list=[3, 1, 7], r_list=[2, 1], jobs=jobs)
+    assert {3, 5} <= set(primes) and {p % 4 for p in primes} == {1, 3}
+    got = sweep(names, (3, 60), m_list=[3, 1, 7], r_list=[2, 1], jobs=jobs)
     assert started == ([] if jobs == 1 else [2])
-    assert got == _per_row(LIFT_CHECKS, primes, [3, 1, 7], [2, 1])
+    assert got == _per_row(names, primes, [3, 1, 7], [2, 1])
     assert {r.verdict for r in got} == {"pass", "skip"}
+
+
+def test_prime_task_reads_each_value_once(monkeypatch):
+    # per prime: each sequence value once, the central pass once per
+    # precision, p B_{p-1} once, E_{p-3} and Gamma_p(1/4) mod p at most once
+    calls = []
+
+    def counted(kernel):
+        real = getattr(checks, kernel)
+
+        def wrapper(*args):
+            calls.append((kernel, *args))
+            return real(*args)
+
+        monkeypatch.setattr(checks, kernel, wrapper)
+
+    for kernel in ("seq_mod", "_central_cubed_terms", "pb_pm1_mod", "euler_pm3_mod",
+                   "padic_gamma"):
+        counted(kernel)
+    primes = [pi.p for pi in primes_in_range(3, 60)]
+    sweep(PRIME_ROWS, (3, 60), m_list=[1, 2], r_list=[1])
+    for q in primes:
+        seq = [c[1:3] for c in calls if c[0] == "seq_mod" and c[3] == q]  # (sid, n)
+        assert seq and len(seq) == len(set(seq)), q
+        central = [c[2] for c in calls if c[0] == "_central_cubed_terms" and c[1] == q]
+        assert central and len(central) == len(set(central)), q
+        assert calls.count(("pb_pm1_mod", q)) == 1
+        assert calls.count(("euler_pm3_mod", q)) <= 1
+        assert calls.count(("padic_gamma", Fraction(1, 4), q, 1)) <= 1
+    assert any(c[0] == "euler_pm3_mod" for c in calls)
+    assert any(c[0] == "padic_gamma" and c[3] == 1 for c in calls)
+
+
+def test_prime_sweep_fails_when_euler_value_is_perturbed(monkeypatch):
+    # the rows share one E_{p-3} per prime; each must still see the shift
+    names, primes = ["thm2.1ii", "lemma2.6", "lemma2.7b", "conj2.1"], [13, 17, 29]
+    assert all(r.verdict == "pass" for r in sweep(names, primes))
+    real = checks.euler_pm3_mod
+    monkeypatch.setattr(checks, "euler_pm3_mod", lambda q: (real(q) + 1) % q)
+    got = sweep(names, primes)
+    assert len(got) == 4 * 3
+    assert all(r.verdict == "fail" for r in got)
 
 
 def test_lift_sweep_under_size_cap_matches_per_row_run_check(monkeypatch):
@@ -472,6 +542,21 @@ def test_recover_cm_skips_p_dividing_m():
     value, report = recover_cm(5, [5, 7, 11, 13, 17, 19, 23])
     assert value == -21499
     assert (5, "p divides m") in report["skipped"]
+
+
+# c_7..c_12, recovered by CRT over the primes 5..199 and not tabulated
+RECOVERED_CM = {
+    7: -18289445, 8: -536223935, 9: -15869694815, 10: -474140997499,
+    11: -14291638744657, 12: -434239298847217,
+}
+
+
+def test_recovered_cm_holds_at_held_out_primes():
+    for m, c in RECOVERED_CM.items():
+        assert recover_cm(m, (5, 199))[0] == c
+    got = sweep(["conj2.5"], (211, 397), m_list=range(7, 13))
+    assert len(got) == 192
+    assert all(res.recovery == RECOVERED_CM[res.m] % res.p for res in got)
 
 
 def test_recover_cm_at_r2():

@@ -1,9 +1,14 @@
 """CLI surface: record formats, exit codes, flag handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aperylab
 from aperylab.cli import main
 from aperylab.sequences import apery_a_recurrence
 
@@ -90,6 +95,15 @@ def test_verify_recovery_follows_r(capsys):
     assert lines[2].startswith("conj2.5 recovery m=3: c_3 = -17 ")
 
 
+def test_verify_runs_a_repeated_m_or_r_value_once(capsys):
+    args = ("verify", "--checks", "conj2.5,liu_a", "--primes", "3..30",
+            "--format", "csv")
+    repeated = run_cli(capsys, *args, "--m", "1,1,3", "--r", "2,1,2")
+    distinct = run_cli(capsys, *args, "--m", "1,3", "--r", "2,1")
+    assert repeated == distinct
+    assert "liu_a [theorem]: ok (32 pass, 0 fail, 4 skip)" in distinct[2]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_rejects_jobs_below_one(capsys, jobs):
     with pytest.raises(SystemExit) as exc:
@@ -172,6 +186,24 @@ def test_seq_prints_values_past_the_str_digit_limit(capsys):
         value = value * 10 ** len(chunk) + int(chunk)
     assert code == 0 and len(digits) == 4588
     assert value == apery_a_recurrence(3000)
+
+
+def test_seq_t_runs_in_small_memory():
+    # t_n is rolled over two values, not kept for every index.  The run is
+    # started from a small intermediate parent, since a child's ru_maxrss
+    # (KB on Linux) also counts the RSS its parent had when it was forked.
+    script = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'aperylab', 'seq', '--name', 't',"
+        " '--n', '8000'], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(aperylab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=env, check=True)
+    assert int(done.stdout) / 1024 < 60
 
 
 def test_seq_unknown_name_exits_2(capsys):
