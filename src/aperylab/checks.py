@@ -13,11 +13,12 @@ A sweep runs each fixed-range identity as one task and each prime as one
 task, which covers every selected Lift and AtPrime row, every (m, r) and the
 per-prime identity.  Its rows read one _PrimeValues, which computes each
 value they share once, at its first use (A_n and A'_n at the largest
-precision the rows need, the central-binomial pass, E_{p-3}, p B_{p-1},
-B_{p-3}, Gamma_p(1/4)^4), and keeps nothing past the task.  run_check runs
-the same evaluator on one row.  The conj2.5 records carry each prime's
-residue of c_m, so the CRT recovery (cm_recovery) reads the sweep's own
-values; recover_cm runs the same evaluator on the conj2.5 row alone.
+precision the rows need, t_0..t_p from one walk of the recurrence, the
+central-binomial pass, E_{p-3}, p B_{p-1}, B_{p-3}, Gamma_p(1/4)^4), and
+keeps nothing past the task.  run_check runs the same evaluator on one row.
+The conj2.5 records carry each prime's residue of c_m, so the CRT recovery
+(cm_recovery) reads the sweep's own values; recover_cm runs the same
+evaluator on the conj2.5 row alone.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from math import comb, gcd
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import identities, special
 from .modring import PrimeInfo, prime_info, primes_in_range, reduce_rat
-from .sequences import SeqId, apery_mod, c_coeffs, seq_mod
+from .sequences import SeqId, apery_mod, c_coeffs, t_values
 from .special import (
     bernoulli_mod_p2,
     euler_pm3_mod,
@@ -115,31 +116,30 @@ def _central_cubed_terms(p: int, e: int):
 
 class _PrimeValues:
     """The values the rows at one prime p read, each taken at its first use
-    and kept only as long as this object: A_n, A'_n (apery_mod) and other
-    sequence values (seq_mod) mod p^e_max, once per index and all from one
-    factorial table; the central pass once per precision asked for; and the
-    Bernoulli, Euler and Gamma_p values below.  Each kernel is looked up in
-    this module when it runs, so a patched kernel is the one called.  The
-    size cap is read from APERY_LAB_SIZE_CAP when the object is made."""
+    and kept only as long as this object: A_n and A'_n (apery_mod) mod
+    p^e_max, once per index and all from one factorial table; t_0..t_p mod
+    p^e_max from one walk; the central pass once per precision asked for;
+    and the Bernoulli, Euler and Gamma_p values below.  Each kernel is looked
+    up in this module when it runs, so a patched kernel is the one called.
+    The size cap is read from APERY_LAB_SIZE_CAP when the object is made."""
 
     def __init__(self, pi: PrimeInfo, e_max: int) -> None:
         self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
         self.e_max = e_max
         self.cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
         self._apery: dict[tuple[SeqId, int], int] = {}
-        self._seq: dict[tuple[SeqId, int], int] = {}
         self._central: dict[int, list[tuple[int, int, int]]] = {}
 
-    def _value(self, sid: SeqId, n: int) -> int:
+    def apery(self, sid: SeqId, n: int) -> int:
+        """A_n or A'_n mod p^e_max."""
         if (sid, n) not in self._apery:
             self._apery[sid, n] = apery_mod(sid, n, self.p, self.e_max)
         return self._apery[sid, n]
 
-    def seq(self, sid: SeqId, n: int) -> int:
-        """The sequence value mod p^e_max, through seq_mod."""
-        if (sid, n) not in self._seq:
-            self._seq[sid, n] = seq_mod(sid, n, self.p, self.e_max).value
-        return self._seq[sid, n]
+    @cached_property
+    def t(self) -> list[int]:
+        """t_0, ..., t_p mod p^e_max, from one walk."""
+        return list(islice(t_values(self.p ** self.e_max), self.p + 1))
 
     def central(self, e: int) -> list[tuple[int, int, int]]:
         """The central pass mod p^e, kept per precision, not reduced from the
@@ -156,7 +156,7 @@ class _PrimeValues:
         _require(hi <= self.cap, f"size cap: index {hi} exceeds {self.cap}")
         e = 3 * r + row.extra
         modulus = p ** e
-        a_hi, a_lo = self._value(row.sid, hi) % modulus, self._value(row.sid, lo) % modulus
+        a_hi, a_lo = self.apery(row.sid, hi) % modulus, self.apery(row.sid, lo) % modulus
         if row.difference:
             return e, (a_hi - a_lo) % modulus, 0
         return e, a_hi, a_lo
@@ -284,7 +284,7 @@ def _eq13(at, modulus):
     # A'_1 = 3 is divisible by p but not p^2, so the statement needs p > 3.
     p = at.p
     rhs = 4 * at.rep[0] ** 2 - 2 * p if at.klass == 1 else 0
-    return at.seq(SeqId.APRIME, (p - 1) // 2), rhs
+    return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
 
 
 def _thm21i(at, modulus):
@@ -295,7 +295,7 @@ def _thm21i(at, modulus):
     else:
         b = comb((p - 3) // 2, (p - 3) // 4)
         rhs = p * p * pow(3, -1, modulus) % modulus * pow(b, -2, modulus)
-    return at.seq(SeqId.APRIME, (p - 1) // 2), rhs
+    return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
 
 
 def _thm21ii(at, modulus):
@@ -306,7 +306,7 @@ def _thm21ii(at, modulus):
         + 3 * p * p * x * x * at.euler
         + p * p * pow(2, -1, modulus) * s
     )
-    return at.seq(SeqId.APRIME, (p - 1) // 2), rhs
+    return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
 
 
 def _lemma23(at, modulus):
@@ -316,7 +316,7 @@ def _lemma23(at, modulus):
         t * (1 - p * o + p * p * inv2 * (o * o - 3 * o2))
         for t, o, o2 in at.central(3)
     )
-    return at.seq(SeqId.APRIME, (p - 1) // 2), rhs
+    return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
 
 
 def _lemma24(at, modulus):
@@ -376,30 +376,30 @@ def _conj21(at, modulus):
 
 def _thm33_tp(at, modulus):
     p = at.p
-    return at.seq(SeqId.T, p), (1 + 4 * _parity_sign(p)) * p * p
+    return at.t[p], (1 + 4 * _parity_sign(p)) * p * p
 
 
 def _thm33_tpm1(at, modulus):
     p = at.p
     rhs = _parity_sign(p) * (2 * p + pow(2, p, modulus) - 2 + at.pb * at.pb)
-    return at.seq(SeqId.T, p - 1), rhs
+    return at.t[p - 1], rhs
 
 
 def _thm33_thalf(at, modulus):
     p = at.p
     rhs = at.pb - p + pow(2, p - 1, modulus) - 1
-    return at.seq(SeqId.T, (p - 1) // 2), rhs
+    return at.t[(p - 1) // 2], rhs
 
 
 def _thm33_thalfp1(at, modulus):
     p = at.p
     rhs = at.pb - 3 * p + pow(2, p - 1, modulus) - 1
-    return at.seq(SeqId.T, (p + 1) // 2), rhs
+    return at.t[(p + 1) // 2], rhs
 
 
 def _thm33_tquarter(at, modulus):
     p = at.p
-    lhs = at.seq(SeqId.T, (p - 3) // 4) % p
+    lhs = at.t[(p - 3) // 4] % p
     binv = pow(comb((p - 1) // 2, (p - 3) // 4), -1, p)
     if lhs == binv:
         return lhs, binv, "+"
@@ -674,10 +674,6 @@ def cm_recovery(
         "odd": value % 2 != 0,
         "skipped": skipped,
     }
-    if value % 2 == 0:
-        # both symmetric candidates are reported rather than guessing parity
-        alt = value - acc.modulus if value > 0 else value + acc.modulus
-        report["alternatives"] = [value, alt]
     return value, report
 
 

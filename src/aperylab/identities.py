@@ -4,6 +4,12 @@ Each verifier returns an IdentityOutcome: on success it carries a small spot
 value (index, lhs, rhs) for reporting; on failure it carries the first
 counterexample.  The two long recurrences are the certificates that annihilate
 both sides of the hardest identities, checked numerically over the range.
+
+Each verifier builds the values it reads once: D_k, O_k and O2_k from one
+walk of sequences.harmonic_family, t_n from one walk of t_values.  The
+lemma2.1 and thm3.2 families build both sides' value lists in one helper
+each (_lemma21_sides, _thm32_sums), which the identity and its certificate
+both read.
 """
 
 from __future__ import annotations
@@ -11,12 +17,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 from typing import Union
 
 from .exactcore import series_arctanh, series_inv_sqrt_one_minus_x2, series_mul
 from .modring import FactorialTable
-from .sequences import harmonic_values, t_closed_form, t_values
+from .sequences import harmonic_family, t_closed_form, t_values
 
 Value = Union[int, Fraction]
 
@@ -34,8 +41,20 @@ def _fail(n: int, lhs: Value, rhs: Value, modulus: int | None = None) -> Identit
     return IdentityOutcome(False, n, lhs, rhs, modulus)
 
 
-def _central_weight(k: int) -> Fraction:
-    return Fraction(comb(2 * k, k), 4 ** k)
+def _weighted_d(count: int, base: int) -> list[Fraction]:
+    """(binom(2k,k)/base^k) D_k for k < count, from one harmonic walk."""
+    return [
+        Fraction(comb(2 * k, k), base ** k) * (o * o - o2)
+        for k, (_, o, o2) in enumerate(islice(harmonic_family(), count))
+    ]
+
+
+def _lemma21_sides(count: int) -> tuple[list[Fraction], list[Fraction]]:
+    """s_n = (binom(2n,n)/4^n) D_n for n < count, and its alternating binomial
+    transform sum_k binom(n,k) (-1)^k s_k: the two sides of lemma21_identity."""
+    s = _weighted_d(count, 4)
+    transform = [sum(comb(n, k) * (-1) ** k * s[k] for k in range(n + 1)) for n in range(count)]
+    return s, transform
 
 
 def lemma21_identity(max_n: int) -> IdentityOutcome:
@@ -44,28 +63,12 @@ def lemma21_identity(max_n: int) -> IdentityOutcome:
     This also says the weighted sequence is its own alternating binomial
     transform (self-inverse).
     """
-    ds = [harmonic_values(k)[3] for k in range(max_n + 1)]
-    ws = [_central_weight(k) for k in range(max_n + 1)]
-    spot = None
-    for n in range(max_n + 1):
-        lhs = sum(comb(n, k) * (-1) ** k * ws[k] * ds[k] for k in range(n + 1))
-        rhs = ws[n] * ds[n]
+    s, transform = _lemma21_sides(max_n + 1)
+    for n, (lhs, rhs) in enumerate(zip(transform, s)):
         if lhs != rhs:
             return _fail(n, lhs, rhs)
-        if n == min(2, max_n):
-            spot = (n, lhs, rhs)
-    return IdentityOutcome(True, *spot)
-
-
-def _s_lemma21(n: int) -> Fraction:
-    return _central_weight(n) * harmonic_values(n)[3]
-
-
-def _s_lemma21_sum(n: int) -> Fraction:
-    return sum(
-        comb(n, k) * (-1) ** k * _central_weight(k) * harmonic_values(k)[3]
-        for k in range(n + 1)
-    )
+    n = min(2, max_n)
+    return IdentityOutcome(True, n, transform[n], s[n])
 
 
 def order4_certificate(max_n: int) -> IdentityOutcome:
@@ -74,8 +77,7 @@ def order4_certificate(max_n: int) -> IdentityOutcome:
     8(n+1)(n+2)(n+3) S(n+3) - 12(n+1)(n+2)(2n+3) S(n+2)
       + 2(n+1)(12n^2+24n+13) S(n+1) - (2n+1)^3 S(n) = 0.
     """
-    for s_fn in (_s_lemma21, _s_lemma21_sum):
-        vals = [s_fn(n) for n in range(max_n + 4)]
+    for vals in _lemma21_sides(max_n + 4):
         for n in range(max_n + 1):
             res = (
                 8 * (n + 1) * (n + 2) * (n + 3) * vals[n + 3]
@@ -90,15 +92,10 @@ def order4_certificate(max_n: int) -> IdentityOutcome:
 
 def eq21_identity(max_n: int) -> IdentityOutcome:
     """sum_k binom(n,k) binom(n+k,k) (binom(2k,k)/(-4)^k) D_k = 0 for odd n."""
+    s = _weighted_d(max_n + 1, -4)
     spot = None
     for n in range(1, max_n + 1, 2):
-        lhs = sum(
-            comb(n, k)
-            * comb(n + k, k)
-            * Fraction(comb(2 * k, k), (-4) ** k)
-            * harmonic_values(k)[3]
-            for k in range(n + 1)
-        )
+        lhs = sum(comb(n, k) * comb(n + k, k) * s[k] for k in range(n + 1))
         if lhs != 0:
             return _fail(n, lhs, Fraction(0))
         if spot is None:
@@ -173,26 +170,27 @@ def thm31_dual(max_n: int) -> IdentityOutcome:
     return IdentityOutcome(True, *spot)
 
 
+def _thm32_sums(ns: range) -> tuple[list[Fraction], list[Fraction]]:
+    """For n in ns, sum_{k=0}^{2n+1} binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) w_k
+    with w_k = O2_k, and with w_k = O_k^2: the two weighted sides of
+    thm32_identity, from one harmonic walk."""
+    o2s, squares = [], []
+    for k, (_, o, o2) in enumerate(islice(harmonic_family(), 2 * ns[-1] + 2)):
+        c = Fraction(comb(2 * k, k) ** 2, (-4) ** k)
+        o2s.append(c * o2)
+        squares.append(c * o * o)
+    sums = ([], [])
+    for n in ns:
+        binoms = [comb(2 * n + 1 + k, 2 * k) for k in range(2 * n + 2)]
+        for out, ws in zip(sums, (o2s, squares)):
+            out.append(sum(b * w for b, w in zip(binoms, ws)))
+    return sums
+
+
 def thm32_harmonic_sum(n: int) -> Fraction:
     """sum_{k=0}^{2n+1} binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) O2_k,
     the series whose negative (2n+1)!^2 multiple is t_n^2."""
-    return sum(
-        comb(2 * n + 1 + k, 2 * k)
-        * comb(2 * k, k) ** 2
-        * Fraction(1, (-4) ** k)
-        * harmonic_values(k)[2]
-        for k in range(2 * n + 2)
-    )
-
-
-def _s_thm32_square(n: int) -> Fraction:
-    return sum(
-        comb(2 * n + 1 + k, 2 * k)
-        * comb(2 * k, k) ** 2
-        * Fraction(1, (-4) ** k)
-        * harmonic_values(k)[1] ** 2
-        for k in range(2 * n + 2)
-    )
+    return _thm32_sums(range(n, n + 1))[0][0]
 
 
 def _thm32_neg_squares(count: int) -> list[Fraction]:
@@ -203,23 +201,24 @@ def _thm32_neg_squares(count: int) -> list[Fraction]:
 def thm32_identity(max_n: int) -> IdentityOutcome:
     """t_n^2 = -(2n+1)!^2 sum_k binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) w_k,
     for both weights w_k = sum 1/(2i-1)^2 and w_k = (sum 1/(2i-1))^2."""
+    o2_sums, square_sums = _thm32_sums(range(max_n + 1))
     spot = None
-    for n, t in zip(range(max_n + 1), t_values()):
+    for n, t, *sums in zip(range(max_n + 1), t_values(), o2_sums, square_sums):
         lhs = t ** 2
         f2 = factorial(2 * n + 1) ** 2
-        for s_fn in (thm32_harmonic_sum, _s_thm32_square):
-            rhs = -f2 * s_fn(n)
+        for s in sums:
+            rhs = -f2 * s
             if lhs != rhs:
                 return _fail(n, lhs, rhs)
         if n == min(2, max_n):
-            spot = (n, thm32_harmonic_sum(n), -Fraction(lhs, f2))
+            spot = (n, sums[0], -Fraction(lhs, f2))
     return IdentityOutcome(True, *spot)
 
 
 def order5_certificate(max_n: int) -> IdentityOutcome:
     """The 5-term recurrence annihilating both sides of the thm32 identity."""
     count = max_n + 5
-    for vals in ([thm32_harmonic_sum(n) for n in range(count)], _thm32_neg_squares(count)):
+    for vals in (_thm32_sums(range(count))[0], _thm32_neg_squares(count)):
         for n in range(max_n + 1):
             res = (
                 4 * (n + 4) ** 2 * (2 * n + 7) ** 2 * (2 * n + 9) ** 2

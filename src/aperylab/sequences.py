@@ -2,10 +2,13 @@
 
 Exact evaluators return big integers or fractions: A, A' and t by their
 three-term recurrences, rolled over two values (t_values walks t_0, t_1, ...
-for the verifiers that read them in turn), with t's closed form as a second
-route.  seq_mod evaluates residues without ever constructing the exact value
-(apery_mod over a factorial table for the Apery sums, the division-free
-recurrence for t, incremental inverses for the harmonic family).
+for the verifiers and the per-prime checks that read them in turn), with t's
+closed form as a second route.  The harmonic family H, O, O2 rolls the same
+way through harmonic_family, and D = O^2 - O2 is formed where it is read;
+neither keeps a value between calls.  seq_mod evaluates residues without ever
+constructing the exact value (apery_mod over a factorial table for the Apery
+sums, the division-free recurrence for t, incremental inverses for the
+harmonic family).
 The O(n^2) direct sums for A and A' live in the tests, as the oracles that
 apery_mod and the recurrences are checked against.
 """
@@ -105,22 +108,27 @@ def c_coeffs(m: int) -> tuple[int, int]:
     return big, prime
 
 
-_H = [Fraction(0)]
-_O = [Fraction(0)]
-_O2 = [Fraction(0)]
+def harmonic_family():
+    """(H_n, O_n, O2_n) for n = 0, 1, ..., holding one tuple at a time, with
+    O_n = sum 1/(2i-1) and O2_n = sum 1/(2i-1)^2.  D_n = O_n^2 - O2_n is left
+    to the reader: rolled along, each step would add two fractions whose
+    denominators both grow with n, where the walk adds only 1/i-sized terms."""
+    h = o = o2 = Fraction(0)
+    yield h, o, o2
+    for i in count(1):
+        inv = Fraction(1, 2 * i - 1)
+        h += Fraction(1, i)
+        o += inv
+        o2 += inv * inv
+        yield h, o, o2
 
 
 def harmonic_values(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(H_n, O_n, O2_n, D_n) with O_n = sum 1/(2i-1), O2_n = sum 1/(2i-1)^2,
-    D_n = O_n^2 - O2_n."""
+    """(H_n, O_n, O2_n, D_n), with D_n = O_n^2 - O2_n, read off harmonic_family."""
     if n < 0:
         raise ValueError("need n >= 0")
-    while len(_H) <= n:
-        i = len(_H)
-        _H.append(_H[-1] + Fraction(1, i))
-        _O.append(_O[-1] + Fraction(1, 2 * i - 1))
-        _O2.append(_O2[-1] + Fraction(1, (2 * i - 1) ** 2))
-    return _H[n], _O[n], _O2[n], _O[n] ** 2 - _O2[n]
+    h, o, o2 = next(islice(harmonic_family(), n, None))
+    return h, o, o2, o * o - o2
 
 
 def seq_exact(sid: SeqId, n: int):
@@ -196,25 +204,14 @@ def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
     if sid is SeqId.T:
         return Residue(next(islice(t_values(p ** e), n, None)), p, e)
     if sid in (SeqId.H, SeqId.OODD, SeqId.OODD2, SeqId.D):
+        # sum 1/i for H, else 1/(2i-1) and 1/(2i-1)^2, over i = 1..n
         m = p ** e
-        h = o = o2 = 0
-        for i in range(1, n + 1):
-            if sid is SeqId.H:
-                if i % p == 0:
-                    raise NotPIntegral(f"denominator {i} divisible by {p}", -1)
-                h = (h + pow(i, -1, m)) % m
-            else:
-                d = 2 * i - 1
-                if d % p == 0:
-                    raise NotPIntegral(f"denominator {d} divisible by {p}", -1)
-                inv = pow(d, -1, m)
-                o = (o + inv) % m
-                o2 = (o2 + inv * inv) % m
-        if sid is SeqId.H:
-            return Residue(h, p, e)
-        if sid is SeqId.OODD:
-            return Residue(o, p, e)
-        if sid is SeqId.OODD2:
-            return Residue(o2, p, e)
-        return Residue(o * o - o2, p, e)
+        s1 = s2 = 0
+        for d in range(1, n + 1) if sid is SeqId.H else range(1, 2 * n, 2):
+            if d % p == 0:
+                raise NotPIntegral(f"denominator {d} divisible by {p}", -1)
+            inv = pow(d, -1, m)
+            s1, s2 = (s1 + inv) % m, (s2 + inv * inv) % m
+        value = {SeqId.H: s1, SeqId.OODD: s1, SeqId.OODD2: s2, SeqId.D: s1 * s1 - s2}[sid]
+        return Residue(value, p, e)
     raise ValueError(f"no modular evaluator for {sid.value}; reduce the exact value")

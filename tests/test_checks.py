@@ -203,19 +203,33 @@ def test_thm33_checks_fail_when_pb_value_is_perturbed(monkeypatch, name, p):
     "name, p",
     [
         ("eq1.3", 7), ("eq1.3", 13), ("thm2.1i", 7), ("thm2.1i", 19),
+        ("thm2.1ii", 13), ("thm2.1ii", 17), ("lemma2.3", 11), ("lemma2.3", 13),
         ("thm3.3_tp", 11), ("thm3.3_tp", 13),
+        ("thm3.3_tpm1", 11), ("thm3.3_tpm1", 13),
+        ("thm3.3_thalf", 11), ("thm3.3_thalf", 13),
+        ("thm3.3_thalfp1", 11), ("thm3.3_thalfp1", 13),
         # not 23: there the shifted t_{(p-3)/4} is the other accepted sign
         ("thm3.3_tquarter", 7), ("thm3.3_tquarter", 11), ("thm3.3_tquarter", 19),
     ],
 )
 def test_prime_checks_fail_when_seq_value_is_perturbed(monkeypatch, name, p):
+    # the t rows read t_0..t_p from one t_values walk, the others A'_{(p-1)/2}
+    # from apery_mod; either is shifted by p^(e-1) at the row's precision e
     assert run_check(name, p).verdict == "pass"
-    real = checks.seq_mod
+    if name.startswith("thm3.3"):
+        real_t = checks.t_values
 
-    def shifted(sid, n, q, e):
-        return Residue(real(sid, n, q, e).value + q ** (e - 1), q, e)
+        def walk(modulus):
+            return ((t + modulus // p) % modulus for t in real_t(modulus))
 
-    monkeypatch.setattr(checks, "seq_mod", shifted)
+        monkeypatch.setattr(checks, "t_values", walk)
+    else:
+        real = checks.apery_mod
+
+        def shifted(sid, n, q, e):
+            return (real(sid, n, q, e) + q ** (e - 1)) % q ** e
+
+        monkeypatch.setattr(checks, "apery_mod", shifted)
     assert run_check(name, p).verdict == "fail"
 
 
@@ -342,7 +356,7 @@ def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
 
 
 def test_prime_task_reads_each_value_once(monkeypatch):
-    # per prime: each sequence value once, the central pass once per
+    # per prime: each Apery value once, one t walk, the central pass once per
     # precision, p B_{p-1} once, E_{p-3} and Gamma_p(1/4) mod p at most once
     calls = []
 
@@ -355,14 +369,16 @@ def test_prime_task_reads_each_value_once(monkeypatch):
 
         monkeypatch.setattr(checks, kernel, wrapper)
 
-    for kernel in ("seq_mod", "_central_cubed_terms", "pb_pm1_mod", "euler_pm3_mod",
+    for kernel in ("apery_mod", "t_values", "_central_cubed_terms", "pb_pm1_mod", "euler_pm3_mod",
                    "padic_gamma"):
         counted(kernel)
     primes = [pi.p for pi in primes_in_range(3, 60)]
     sweep(PRIME_ROWS, (3, 60), m_list=[1, 2], r_list=[1])
     for q in primes:
-        seq = [c[1:3] for c in calls if c[0] == "seq_mod" and c[3] == q]  # (sid, n)
-        assert seq and len(seq) == len(set(seq)), q
+        apery = [c[1:3] for c in calls if c[0] == "apery_mod" and c[3] == q]  # (sid, n)
+        assert apery and len(apery) == len(set(apery)), q
+        # t_values takes one argument, the modulus p^e_max
+        assert sum(c[0] == "t_values" and c[1] % q == 0 for c in calls) == 1, q
         central = [c[2] for c in calls if c[0] == "_central_cubed_terms" and c[1] == q]
         assert central and len(central) == len(set(central)), q
         assert calls.count(("pb_pm1_mod", q)) == 1

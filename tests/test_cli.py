@@ -188,14 +188,15 @@ def test_seq_prints_values_past_the_str_digit_limit(capsys):
     assert value == apery_a_recurrence(3000)
 
 
-def test_seq_t_runs_in_small_memory():
-    # t_n is rolled over two values, not kept for every index.  The run is
-    # started from a small intermediate parent, since a child's ru_maxrss
-    # (KB on Linux) also counts the RSS its parent had when it was forked.
+@pytest.mark.parametrize("name, n", [("t", 8000), ("H", 8000)])
+def test_seq_t_runs_in_small_memory(name, n):
+    # t_n and the harmonic family are rolled, not kept for every index.  The
+    # run is started from a small intermediate parent, since a child's
+    # ru_maxrss (KB on Linux) also counts the RSS its parent had when forked.
     script = (
         "import resource, subprocess, sys\n"
-        "subprocess.run([sys.executable, '-m', 'aperylab', 'seq', '--name', 't',"
-        " '--n', '8000'], check=True, stdout=subprocess.DEVNULL)\n"
+        f"subprocess.run([sys.executable, '-m', 'aperylab', 'seq', '--name', '{name}',"
+        f" '--n', '{n}'], check=True, stdout=subprocess.DEVNULL)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
     env = dict(os.environ)
@@ -226,6 +227,21 @@ def test_identity_pass_with_spot(capsys):
     code, out, _ = run_cli(capsys, "identity", "--name", "lemma2.1", "--max-n", "20")
     assert code == 0
     assert "PASS" in out and "1/4" in out
+
+
+@pytest.mark.parametrize("name, line", [
+    ("lemma2.1", "lemma2.1: PASS (n <= 100); spot n = 2: value 1/4"),
+    ("eq2.1", "eq2.1: PASS (n <= 99); spot n = 1: value 0/1"),
+    ("eq2.2", "eq2.2: PASS (primes <= 500)"),
+    ("eq3.1", "eq3.1: PASS (n <= 30); spot n = 0: value 12/1"),
+    ("thm3.1", "thm3.1: PASS (n <= 200); spot n = 6: value 3555578025"),
+    ("thm3.2", "thm3.2: PASS (n <= 40); spot n = 2: value -7921/14400"),
+    ("gf", "gf: PASS (n <= 15); spot n = 1: value 5"),
+])
+def test_identity_default_range_output(capsys, name, line):
+    # the exact stdout of every identity command at its default range
+    code, out, err = run_cli(capsys, "identity", "--name", name)
+    assert (code, out, err) == (0, line + "\n", "")
 
 
 def test_identity_thm31(capsys):
