@@ -171,12 +171,17 @@ def cmd_verify(args) -> int:
             sys.stderr.write("argument --checks: names no check\n")
             return 2
     try:
+        plist = [pi.p for pi in primes_in_range(*args.primes)]
+    except ValueError as exc:
+        sys.stderr.write(f"argument --primes: {exc}\n")
+        return 2
+    try:
         # only the fixed-range identities run without a prime
         fixed_range = all(
             isinstance(CHECKS[n].runner, Identity) and CHECKS[n].runner.max_n is not None
             for n in names
         )
-        if not fixed_range and not primes_in_range(*args.primes):
+        if not fixed_range and not plist:
             lo, hi = args.primes
             raise ValueError(f"argument --primes: no odd prime in {lo}..{hi}")
         results = sweep(
@@ -195,7 +200,6 @@ def cmd_verify(args) -> int:
         # each conj2.5 record carries its prime's residue of c_m
         residues = {(res.p, res.m, res.r): res.recovery for res in results
                     if res.check == "conj2.5"}
-        plist = [pi.p for pi in primes_in_range(*args.primes)]
         # a plain --r 1 run keeps its recovery lines free of an r tag
         show_r = args.r != [1]
         for m in args.m:

@@ -5,11 +5,15 @@ value (index, lhs, rhs) for reporting; on failure it carries the first
 counterexample.  The two long recurrences are the certificates that annihilate
 both sides of the hardest identities, checked numerically over the range.
 
-Each verifier builds the values it reads once: D_k, O_k and O2_k from one
-walk of sequences.harmonic_family, t_n from one walk of t_values.  The
-lemma2.1 and thm3.2 families build both sides' value lists in one helper
-each (_lemma21_sides, _thm32_sums), which the identity and its certificate
-both read.
+The rational verifiers sum in plain ints: each call puts its values over one
+common denominator, keeps integer numerators through the O(n^2) binomial
+sums, and forms a Fraction only for the spot or counterexample it reports.
+The O_k and O2_k values come from one walk of sequences.harmonic_family,
+rescaled to the lcm of the walk's odd denominators, squared, times a power
+of 4; t_n comes from one walk of t_values.  The lemma2.1 and thm3.2 families
+build both sides' numerators in one helper each (_lemma21_sides,
+_thm32_sums), which the identity and its certificate both read.  The
+Fraction sums these replace are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from typing import Union
 
 from .exactcore import series_arctanh, series_inv_sqrt_one_minus_x2, series_mul
@@ -41,20 +45,41 @@ def _fail(n: int, lhs: Value, rhs: Value, modulus: int | None = None) -> Identit
     return IdentityOutcome(False, n, lhs, rhs, modulus)
 
 
-def _weighted_d(count: int, base: int) -> list[Fraction]:
-    """(binom(2k,k)/base^k) D_k for k < count, from one harmonic walk."""
-    return [
-        Fraction(comb(2 * k, k), base ** k) * (o * o - o2)
-        for k, (_, o, o2) in enumerate(islice(harmonic_family(), count))
+def _harmonic_numerators(count: int) -> tuple[list[int], list[int], int]:
+    """O_k^2 and O2_k for k < count, from one harmonic walk, as integer
+    numerators over one denominator q = lcm(L^2, the O2_k denominators), L
+    the lcm of the O_k denominators.  For the walk's values q is the lcm of
+    1, 3, ..., 2 count - 3, squared; it is read off the values, so it is a
+    common denominator whatever values the walk yields."""
+    walk = [(o, o2) for _, o, o2 in islice(harmonic_family(), count)]
+    lo = lcm(*(o.denominator for o, _ in walk))
+    q = lcm(lo * lo, *(o2.denominator for _, o2 in walk))
+    scale = q // (lo * lo)
+    squares = [(o.numerator * (lo // o.denominator)) ** 2 * scale for o, _ in walk]
+    return squares, [o2.numerator * (q // o2.denominator) for _, o2 in walk], q
+
+
+def _weighted_d(count: int, sign: int) -> tuple[list[int], int]:
+    """(binom(2k,k)/(4 sign)^k) D_k for k < count, sign = +1 or -1, as integer
+    numerators over one denominator 4^(count-1) q."""
+    squares, o2s, q = _harmonic_numerators(count)
+    top = count - 1
+    nums = [
+        comb(2 * k, k) * sign ** k * (sq - o2) << 2 * (top - k)
+        for k, (sq, o2) in enumerate(zip(squares, o2s))
     ]
+    return nums, q << 2 * top
 
 
-def _lemma21_sides(count: int) -> tuple[list[Fraction], list[Fraction]]:
+def _lemma21_sides(count: int) -> tuple[list[int], list[int], int]:
     """s_n = (binom(2n,n)/4^n) D_n for n < count, and its alternating binomial
-    transform sum_k binom(n,k) (-1)^k s_k: the two sides of lemma21_identity."""
-    s = _weighted_d(count, 4)
-    transform = [sum(comb(n, k) * (-1) ** k * s[k] for k in range(n + 1)) for n in range(count)]
-    return s, transform
+    transform sum_k binom(n,k) (-1)^k s_k: the two sides of lemma21_identity,
+    as integer numerators over their one denominator."""
+    s, den = _weighted_d(count, 1)
+    transform = [
+        sum(comb(n, k) * (-1) ** k * s[k] for k in range(n + 1)) for n in range(count)
+    ]
+    return s, transform, den
 
 
 def lemma21_identity(max_n: int) -> IdentityOutcome:
@@ -63,12 +88,12 @@ def lemma21_identity(max_n: int) -> IdentityOutcome:
     This also says the weighted sequence is its own alternating binomial
     transform (self-inverse).
     """
-    s, transform = _lemma21_sides(max_n + 1)
+    s, transform, den = _lemma21_sides(max_n + 1)
     for n, (lhs, rhs) in enumerate(zip(transform, s)):
         if lhs != rhs:
-            return _fail(n, lhs, rhs)
+            return _fail(n, Fraction(lhs, den), Fraction(rhs, den))
     n = min(2, max_n)
-    return IdentityOutcome(True, n, transform[n], s[n])
+    return IdentityOutcome(True, n, Fraction(transform[n], den), Fraction(s[n], den))
 
 
 def order4_certificate(max_n: int) -> IdentityOutcome:
@@ -77,7 +102,8 @@ def order4_certificate(max_n: int) -> IdentityOutcome:
     8(n+1)(n+2)(n+3) S(n+3) - 12(n+1)(n+2)(2n+3) S(n+2)
       + 2(n+1)(12n^2+24n+13) S(n+1) - (2n+1)^3 S(n) = 0.
     """
-    for vals in _lemma21_sides(max_n + 4):
+    *sides, den = _lemma21_sides(max_n + 4)
+    for vals in sides:
         for n in range(max_n + 1):
             res = (
                 8 * (n + 1) * (n + 2) * (n + 3) * vals[n + 3]
@@ -86,20 +112,20 @@ def order4_certificate(max_n: int) -> IdentityOutcome:
                 - (2 * n + 1) ** 3 * vals[n]
             )
             if res != 0:
-                return _fail(n, res, Fraction(0))
+                return _fail(n, Fraction(res, den), Fraction(0))
     return IdentityOutcome(True, max_n, Fraction(0), Fraction(0))
 
 
 def eq21_identity(max_n: int) -> IdentityOutcome:
     """sum_k binom(n,k) binom(n+k,k) (binom(2k,k)/(-4)^k) D_k = 0 for odd n."""
-    s = _weighted_d(max_n + 1, -4)
+    s, den = _weighted_d(max_n + 1, -1)
     spot = None
     for n in range(1, max_n + 1, 2):
         lhs = sum(comb(n, k) * comb(n + k, k) * s[k] for k in range(n + 1))
         if lhs != 0:
-            return _fail(n, lhs, Fraction(0))
+            return _fail(n, Fraction(lhs, den), Fraction(0))
         if spot is None:
-            spot = (n, lhs, Fraction(0))
+            spot = (n, Fraction(0), Fraction(0))
     return IdentityOutcome(True, *spot)
 
 
@@ -131,30 +157,38 @@ def eq22_congruence(p: int) -> IdentityOutcome:
 
 
 def generalized_binomial(x: Fraction, n: int) -> Fraction:
-    """binom(x, n) = x(x-1)...(x-n+1)/n! for rational x."""
-    num = Fraction(1)
-    for i in range(n):
-        num *= x - i
-    return num / factorial(n)
+    """binom(x, n) = x(x-1)...(x-n+1)/n! for rational x = a/b: the integer
+    prod_{i<n} (a - ib) over b^n n!."""
+    a, b = x.numerator, x.denominator
+    return Fraction(prod(a - i * b for i in range(n)), b ** n * factorial(n))
 
 
 def eq31_identity(max_n: int, trials: int = 20, seed: int = 20240811) -> IdentityOutcome:
     """sum_k binom(n,k)(-1)^k/(x-k) = (-1)^n / ((x-n) binom(x,n)) at random
-    rational x outside {0, ..., n}."""
+    rational x outside {0, ..., n}.
+
+    For x = a/b both sides lie over P = prod_{i<=n} (a - ib): the lhs
+    numerator is b sum_k binom(n,k)(-1)^k P/(a - kb), the rhs numerator
+    (-1)^n b^(n+1) n!.
+    """
     rng = random.Random(seed)
     spot = None
     for n in range(max_n + 1):
+        sign_n_fact = (-1) ** n * factorial(n)
         for _ in range(trials):
             while True:
                 x = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
                 if not (x.denominator == 1 and 0 <= x <= n):
                     break
-            lhs = sum(comb(n, k) * (-1) ** k / (x - k) for k in range(n + 1))
-            rhs = (-1) ** n / ((x - n) * generalized_binomial(x, n))
+            a, b = x.numerator, x.denominator
+            factors = [a - k * b for k in range(n + 1)]
+            den = prod(factors)
+            lhs = b * sum(comb(n, k) * (-1) ** k * (den // f) for k, f in enumerate(factors))
+            rhs = sign_n_fact * b ** (n + 1)
             if lhs != rhs:
-                return _fail(n, lhs, rhs)
+                return _fail(n, Fraction(lhs, den), Fraction(rhs, den))
             if spot is None:
-                spot = (n, lhs, rhs)
+                spot = (n, Fraction(lhs, den), Fraction(rhs, den))
     return IdentityOutcome(True, *spot)
 
 
@@ -163,62 +197,69 @@ def thm31_dual(max_n: int) -> IdentityOutcome:
     spot = None
     for n, lhs in zip(range(max_n + 1), t_values()):
         rhs = t_closed_form(n)
-        if rhs.denominator != 1 or lhs != rhs:
+        if lhs != rhs:
             return _fail(n, lhs, rhs)
         if n == min(6, max_n):
-            spot = (n, lhs, int(rhs))
+            spot = (n, lhs, lhs)
     return IdentityOutcome(True, *spot)
 
 
-def _thm32_sums(ns: range) -> tuple[list[Fraction], list[Fraction]]:
+def _thm32_sums(ns: range) -> tuple[list[int], list[int], int]:
     """For n in ns, sum_{k=0}^{2n+1} binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) w_k
     with w_k = O2_k, and with w_k = O_k^2: the two weighted sides of
-    thm32_identity, from one harmonic walk."""
-    o2s, squares = [], []
-    for k, (_, o, o2) in enumerate(islice(harmonic_family(), 2 * ns[-1] + 2)):
-        c = Fraction(comb(2 * k, k) ** 2, (-4) ** k)
-        o2s.append(c * o2)
-        squares.append(c * o * o)
+    thm32_identity, from one harmonic walk, as integer numerators over their
+    one denominator 4^(2K+1) q for K = ns[-1]."""
+    count = 2 * ns[-1] + 2
+    squares, o2s, q = _harmonic_numerators(count)
+    top = count - 1
+    weights = [comb(2 * k, k) ** 2 * (-1) ** k << 2 * (top - k) for k in range(count)]
+    o2s = [c * w for c, w in zip(weights, o2s)]
+    squares = [c * w for c, w in zip(weights, squares)]
     sums = ([], [])
     for n in ns:
         binoms = [comb(2 * n + 1 + k, 2 * k) for k in range(2 * n + 2)]
         for out, ws in zip(sums, (o2s, squares)):
             out.append(sum(b * w for b, w in zip(binoms, ws)))
-    return sums
+    return *sums, q << 2 * top
 
 
 def thm32_harmonic_sum(n: int) -> Fraction:
     """sum_{k=0}^{2n+1} binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) O2_k,
     the series whose negative (2n+1)!^2 multiple is t_n^2."""
-    return _thm32_sums(range(n, n + 1))[0][0]
+    o2_sums, _, den = _thm32_sums(range(n, n + 1))
+    return Fraction(o2_sums[0], den)
 
 
-def _thm32_neg_squares(count: int) -> list[Fraction]:
-    """-(t_n / (2n+1)!)^2 for n < count, the other side of thm32_harmonic_sum."""
-    return [-Fraction(t, factorial(2 * n + 1)) ** 2 for n, t in zip(range(count), t_values())]
+def _thm32_neg_squares(count: int) -> tuple[list[int], int]:
+    """-(t_n / (2n+1)!)^2 for n < count, the other side of thm32_harmonic_sum,
+    as integer numerators over (2 count - 1)!^2."""
+    top = factorial(2 * count - 1)
+    return [
+        -(t * (top // factorial(2 * n + 1))) ** 2 for n, t in zip(range(count), t_values())
+    ], top * top
 
 
 def thm32_identity(max_n: int) -> IdentityOutcome:
     """t_n^2 = -(2n+1)!^2 sum_k binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) w_k,
     for both weights w_k = sum 1/(2i-1)^2 and w_k = (sum 1/(2i-1))^2."""
-    o2_sums, square_sums = _thm32_sums(range(max_n + 1))
+    o2_sums, square_sums, den = _thm32_sums(range(max_n + 1))
     spot = None
     for n, t, *sums in zip(range(max_n + 1), t_values(), o2_sums, square_sums):
         lhs = t ** 2
         f2 = factorial(2 * n + 1) ** 2
         for s in sums:
-            rhs = -f2 * s
-            if lhs != rhs:
-                return _fail(n, lhs, rhs)
+            if lhs * den != -f2 * s:
+                return _fail(n, lhs, Fraction(-f2 * s, den))
         if n == min(2, max_n):
-            spot = (n, sums[0], -Fraction(lhs, f2))
+            spot = (n, Fraction(sums[0], den), -Fraction(lhs, f2))
     return IdentityOutcome(True, *spot)
 
 
 def order5_certificate(max_n: int) -> IdentityOutcome:
     """The 5-term recurrence annihilating both sides of the thm32 identity."""
     count = max_n + 5
-    for vals in (_thm32_sums(range(count))[0], _thm32_neg_squares(count)):
+    o2_sums, _, o2_den = _thm32_sums(range(count))
+    for vals, den in ((o2_sums, o2_den), _thm32_neg_squares(count)):
         for n in range(max_n + 1):
             res = (
                 4 * (n + 4) ** 2 * (2 * n + 7) ** 2 * (2 * n + 9) ** 2
@@ -239,7 +280,7 @@ def order5_certificate(max_n: int) -> IdentityOutcome:
                 * (4 * n + 13) * (163 + 104 * n + 16 * n * n) * vals[n]
             )
             if res != 0:
-                return _fail(n, res, Fraction(0))
+                return _fail(n, Fraction(res, den), Fraction(0))
     return IdentityOutcome(True, max_n, Fraction(0), Fraction(0))
 
 

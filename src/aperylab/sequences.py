@@ -3,11 +3,13 @@
 Exact evaluators return big integers or fractions: A, A' and t by their
 three-term recurrences, rolled over two values (t_values walks t_0, t_1, ...
 for the verifiers and the per-prime checks that read them in turn), with t's
-closed form as a second route.  The harmonic family H, O, O2 rolls the same
-way through harmonic_family, and D = O^2 - O2 is formed where it is read;
-neither keeps a value between calls.  seq_mod evaluates residues without ever
-constructing the exact value (apery_mod over a factorial table for the Apery
-sums, the division-free recurrence for t, incremental inverses for the
+closed form as a second route, summed as one integer numerator over 4^n.
+The harmonic family H, O, O2 rolls the same way through harmonic_family, and
+D = O^2 - O2 is formed where it is read; neither keeps a value between calls.
+The identity verifiers rescale that walk's O and O2 to integer numerators
+over a common denominator of their own.  seq_mod evaluates residues without
+ever constructing the exact value (apery_mod over a factorial table for the
+Apery sums, the division-free recurrence for t, incremental inverses for the
 harmonic family).
 The O(n^2) direct sums for A and A' live in the tests, as the oracles that
 apery_mod and the recurrences are checked against.
@@ -19,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .modring import FactorialTable, NotPIntegral, Residue
 
@@ -79,11 +81,18 @@ def t_exact(n: int) -> int:
 
 
 def t_closed_form(n: int) -> Fraction:
-    """(2n+1)! sum_{k=0}^n binom(2k,k) / (4^k (2(n-k)+1)); equals t_n."""
+    """(2n+1)! sum_{k=0}^n binom(2k,k) / (4^k (2(n-k)+1)); equals t_n.  Summed
+    as the integer sum_k binom(2k,k) 4^(n-k) ((2n+1)!/(2(n-k)+1)) over 4^n,
+    whose terms are taken over the lcm l of 1, 3, ..., 2n+1 and then scaled
+    by (2n+1)!/l."""
     if n < 0:
         raise ValueError("need n >= 0")
-    s = sum(Fraction(comb(2 * k, k), 4 ** k * (2 * (n - k) + 1)) for k in range(n + 1))
-    return factorial(2 * n + 1) * s
+    l = lcm(*range(1, 2 * n + 2, 2))
+    num, central = 0, 1  # central = binom(2k, k)
+    for k in range(n + 1):
+        num += central * (l // (2 * (n - k) + 1)) << 2 * (n - k)
+        central = central * (4 * k + 2) // (k + 1)
+    return Fraction(num * (factorial(2 * n + 1) // l), 4 ** n)
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,14 @@
 """Independent routes that only the tests use, as oracles for the fast kernels."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import islice
+from math import comb, factorial
 
 from aperylab.identities import IdentityOutcome, _fail
 from aperylab.modring import PadicFactored, Residue
+from aperylab.sequences import harmonic_family, t_values
 
 
 @lru_cache(maxsize=None)
@@ -114,3 +117,192 @@ def eq22_comb(p: int) -> IdentityOutcome:
     if spot is None:
         spot = (0, 1, 1)
     return IdentityOutcome(True, *spot, modulus=m)
+
+
+# ---------------------------------------------------------------------------
+# The identity verifiers and t's closed form summed in Fraction arithmetic,
+# term by term: the oracles of identities' integer-numerator sums.  Each
+# reads harmonic_family, t_values and comb through this module, so a test
+# that patches one of them here and in identities shifts both routes alike.
+
+def t_closed_form(n: int) -> Fraction:
+    """(2n+1)! sum_{k=0}^n binom(2k,k) / (4^k (2(n-k)+1)); equals t_n."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    s = sum(Fraction(comb(2 * k, k), 4 ** k * (2 * (n - k) + 1)) for k in range(n + 1))
+    return factorial(2 * n + 1) * s
+
+
+def _weighted_d(count: int, base: int) -> list[Fraction]:
+    """(binom(2k,k)/base^k) D_k for k < count, from one harmonic walk."""
+    return [
+        Fraction(comb(2 * k, k), base ** k) * (o * o - o2)
+        for k, (_, o, o2) in enumerate(islice(harmonic_family(), count))
+    ]
+
+
+def _lemma21_sides(count: int) -> tuple[list[Fraction], list[Fraction]]:
+    """s_n = (binom(2n,n)/4^n) D_n for n < count, and its alternating binomial
+    transform sum_k binom(n,k) (-1)^k s_k: the two sides of lemma21_identity."""
+    s = _weighted_d(count, 4)
+    transform = [sum(comb(n, k) * (-1) ** k * s[k] for k in range(n + 1)) for n in range(count)]
+    return s, transform
+
+
+def lemma21_identity(max_n: int) -> IdentityOutcome:
+    """sum_k binom(n,k)(-1)^k (binom(2k,k)/4^k) D_k = (binom(2n,n)/4^n) D_n.
+
+    This also says the weighted sequence is its own alternating binomial
+    transform (self-inverse).
+    """
+    s, transform = _lemma21_sides(max_n + 1)
+    for n, (lhs, rhs) in enumerate(zip(transform, s)):
+        if lhs != rhs:
+            return _fail(n, lhs, rhs)
+    n = min(2, max_n)
+    return IdentityOutcome(True, n, transform[n], s[n])
+
+
+def order4_certificate(max_n: int) -> IdentityOutcome:
+    """The 4-term recurrence annihilating both sides of the lemma21 identity:
+
+    8(n+1)(n+2)(n+3) S(n+3) - 12(n+1)(n+2)(2n+3) S(n+2)
+      + 2(n+1)(12n^2+24n+13) S(n+1) - (2n+1)^3 S(n) = 0.
+    """
+    for vals in _lemma21_sides(max_n + 4):
+        for n in range(max_n + 1):
+            res = (
+                8 * (n + 1) * (n + 2) * (n + 3) * vals[n + 3]
+                - 12 * (n + 1) * (n + 2) * (2 * n + 3) * vals[n + 2]
+                + 2 * (n + 1) * (12 * n * n + 24 * n + 13) * vals[n + 1]
+                - (2 * n + 1) ** 3 * vals[n]
+            )
+            if res != 0:
+                return _fail(n, res, Fraction(0))
+    return IdentityOutcome(True, max_n, Fraction(0), Fraction(0))
+
+
+def eq21_identity(max_n: int) -> IdentityOutcome:
+    """sum_k binom(n,k) binom(n+k,k) (binom(2k,k)/(-4)^k) D_k = 0 for odd n."""
+    s = _weighted_d(max_n + 1, -4)
+    spot = None
+    for n in range(1, max_n + 1, 2):
+        lhs = sum(comb(n, k) * comb(n + k, k) * s[k] for k in range(n + 1))
+        if lhs != 0:
+            return _fail(n, lhs, Fraction(0))
+        if spot is None:
+            spot = (n, lhs, Fraction(0))
+    return IdentityOutcome(True, *spot)
+
+
+def generalized_binomial(x: Fraction, n: int) -> Fraction:
+    """binom(x, n) = x(x-1)...(x-n+1)/n! for rational x."""
+    num = Fraction(1)
+    for i in range(n):
+        num *= x - i
+    return num / factorial(n)
+
+
+def eq31_identity(max_n: int, trials: int = 20, seed: int = 20240811) -> IdentityOutcome:
+    """sum_k binom(n,k)(-1)^k/(x-k) = (-1)^n / ((x-n) binom(x,n)) at random
+    rational x outside {0, ..., n}."""
+    rng = random.Random(seed)
+    spot = None
+    for n in range(max_n + 1):
+        for _ in range(trials):
+            while True:
+                x = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                if not (x.denominator == 1 and 0 <= x <= n):
+                    break
+            lhs = sum(comb(n, k) * (-1) ** k / (x - k) for k in range(n + 1))
+            rhs = (-1) ** n / ((x - n) * generalized_binomial(x, n))
+            if lhs != rhs:
+                return _fail(n, lhs, rhs)
+            if spot is None:
+                spot = (n, lhs, rhs)
+    return IdentityOutcome(True, *spot)
+
+
+def thm31_dual(max_n: int) -> IdentityOutcome:
+    """t_n by recurrence equals the (2n+1)! central-binomial sum, exactly."""
+    spot = None
+    for n, lhs in zip(range(max_n + 1), t_values()):
+        rhs = t_closed_form(n)
+        if rhs.denominator != 1 or lhs != rhs:
+            return _fail(n, lhs, rhs)
+        if n == min(6, max_n):
+            spot = (n, lhs, int(rhs))
+    return IdentityOutcome(True, *spot)
+
+
+def _thm32_sums(ns: range) -> tuple[list[Fraction], list[Fraction]]:
+    """For n in ns, sum_{k=0}^{2n+1} binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) w_k
+    with w_k = O2_k, and with w_k = O_k^2: the two weighted sides of
+    thm32_identity, from one harmonic walk."""
+    o2s, squares = [], []
+    for k, (_, o, o2) in enumerate(islice(harmonic_family(), 2 * ns[-1] + 2)):
+        c = Fraction(comb(2 * k, k) ** 2, (-4) ** k)
+        o2s.append(c * o2)
+        squares.append(c * o * o)
+    sums = ([], [])
+    for n in ns:
+        binoms = [comb(2 * n + 1 + k, 2 * k) for k in range(2 * n + 2)]
+        for out, ws in zip(sums, (o2s, squares)):
+            out.append(sum(b * w for b, w in zip(binoms, ws)))
+    return sums
+
+
+def thm32_harmonic_sum(n: int) -> Fraction:
+    """sum_{k=0}^{2n+1} binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) O2_k,
+    the series whose negative (2n+1)!^2 multiple is t_n^2."""
+    return _thm32_sums(range(n, n + 1))[0][0]
+
+
+def _thm32_neg_squares(count: int) -> list[Fraction]:
+    """-(t_n / (2n+1)!)^2 for n < count, the other side of thm32_harmonic_sum."""
+    return [-Fraction(t, factorial(2 * n + 1)) ** 2 for n, t in zip(range(count), t_values())]
+
+
+def thm32_identity(max_n: int) -> IdentityOutcome:
+    """t_n^2 = -(2n+1)!^2 sum_k binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) w_k,
+    for both weights w_k = sum 1/(2i-1)^2 and w_k = (sum 1/(2i-1))^2."""
+    o2_sums, square_sums = _thm32_sums(range(max_n + 1))
+    spot = None
+    for n, t, *sums in zip(range(max_n + 1), t_values(), o2_sums, square_sums):
+        lhs = t ** 2
+        f2 = factorial(2 * n + 1) ** 2
+        for s in sums:
+            rhs = -f2 * s
+            if lhs != rhs:
+                return _fail(n, lhs, rhs)
+        if n == min(2, max_n):
+            spot = (n, sums[0], -Fraction(lhs, f2))
+    return IdentityOutcome(True, *spot)
+
+
+def order5_certificate(max_n: int) -> IdentityOutcome:
+    """The 5-term recurrence annihilating both sides of the thm32 identity."""
+    count = max_n + 5
+    for vals in (_thm32_sums(range(count))[0], _thm32_neg_squares(count)):
+        for n in range(max_n + 1):
+            res = (
+                4 * (n + 4) ** 2 * (2 * n + 7) ** 2 * (2 * n + 9) ** 2
+                * (4 * n + 9) * (75 + 72 * n + 16 * n * n) * vals[n + 4]
+                - (2 * n + 7) ** 2
+                * (6913575 + 17355348 * n + 18370228 * n ** 2 + 10658464 * n ** 3
+                   + 3670400 * n ** 4 + 751872 * n ** 5 + 84992 * n ** 6
+                   + 4096 * n ** 7) * vals[n + 3]
+                + (4 * n + 11)
+                * (18889425 + 56173260 * n + 72583012 * n ** 2 + 53324832 * n ** 3
+                   + 24399376 * n ** 4 + 7128000 * n ** 5 + 1299328 * n ** 6
+                   + 135168 * n ** 7 + 6144 * n ** 8) * vals[n + 2]
+                - 8 * (n + 2) ** 2
+                * (1254375 + 3543600 * n + 4277038 * n ** 2 + 2861712 * n ** 3
+                   + 1146240 * n ** 4 + 274560 * n ** 5 + 36352 * n ** 6
+                   + 2048 * n ** 7) * vals[n + 1]
+                + 16 * (n + 1) ** 2 * (n + 2) ** 2 * (2 * n + 3) ** 2
+                * (4 * n + 13) * (163 + 104 * n + 16 * n * n) * vals[n]
+            )
+            if res != 0:
+                return _fail(n, res, Fraction(0))
+    return IdentityOutcome(True, max_n, Fraction(0), Fraction(0))

@@ -307,3 +307,12 @@ def test_gamma_cost_guard_past_every_precision(capsys):
 def test_invalid_prime_range_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--checks", "eq1.3", "--primes", "50..3")
     assert code == 2
+
+
+@pytest.mark.parametrize("checks", ["eq1.3", "id_gf"])
+@pytest.mark.parametrize("primes", ["50..3", "2..50"])
+def test_invalid_prime_range_names_the_flag(capsys, checks, primes):
+    code, out, err = run_cli(capsys, "verify", "--checks", checks, "--primes", primes)
+    lo, hi = primes.split("..")
+    assert (code, out) == (2, "")
+    assert err == f"argument --primes: need 3 <= lo <= hi, got [{lo}, {hi}]\n"

@@ -1,10 +1,15 @@
 """Exact identity verifiers and their recurrence certificates."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aperylab import identities
+import oracles
+from aperylab import identities, sequences
+from aperylab.checks import CHECKS, Identity, run_check
 from aperylab.modring import FactorialTable, primes_in_range
 from aperylab.identities import (
     eq21_identity,
@@ -108,3 +113,97 @@ def test_order5_certificate():
 def test_gf_oracle():
     out = gf_oracle(15)
     assert out.ok and out.lhs == 5
+
+
+# The rational verifiers against the Fraction sums they replaced.  An
+# outcome's lhs and rhs must match in type as well as value: the CLI prints
+# an int and a Fraction differently.
+DEFAULT_MAX_N = {
+    v: cd.runner.max_n for cd in CHECKS.values()
+    if isinstance(cd.runner, Identity) and cd.runner.max_n is not None
+    for v in cd.runner.verifiers
+}
+RATIONAL_VERIFIERS = [
+    "lemma21_identity", "order4_certificate", "eq21_identity", "eq31_identity",
+    "thm31_dual", "thm32_identity", "order5_certificate",
+]
+
+
+def _typed(out):
+    return out, type(out.lhs), type(out.rhs)
+
+
+@pytest.mark.parametrize("name", RATIONAL_VERIFIERS)
+def test_verifier_matches_fraction_oracle(name):
+    for max_n in [*range(1, 13), DEFAULT_MAX_N[name]]:
+        assert _typed(getattr(identities, name)(max_n)) == _typed(
+            getattr(oracles, name)(max_n)
+        ), max_n
+
+
+def test_thm32_harmonic_sum_matches_fraction_oracle():
+    for n in range(13):
+        assert identities.thm32_harmonic_sum(n) == oracles.thm32_harmonic_sum(n)
+
+
+def test_t_closed_form_matches_fraction_oracle():
+    for n in range(301):
+        assert sequences.t_closed_form(n) == oracles.t_closed_form(n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-200, max_value=200, max_denominator=60),
+       st.integers(0, 30))
+def test_generalized_binomial_matches_fraction_oracle(x, n):
+    got = generalized_binomial(x, n)
+    assert type(got) is Fraction and got == oracles.generalized_binomial(x, n)
+
+
+# Perturbations: shift one value a verifier reads, in identities and in the
+# oracles alike.  The row must turn from pass to fail, and every verifier of
+# the row must report what its Fraction oracle reports under the same shift.
+
+def _shifted_t(index):
+    def t_values(modulus=0):
+        for n, t in enumerate(sequences.t_values(modulus)):
+            yield t + 1 if n == index else t
+    return t_values
+
+
+def _shifted_o(index):
+    # a shift by 1/2 brings in an even denominator, which no O_k has
+    def harmonic_family():
+        for k, (h, o, o2) in enumerate(sequences.harmonic_family()):
+            yield h, o + Fraction(1, 2) if k == index else o, o2
+    return harmonic_family
+
+
+def _shifted_comb(at):
+    def shifted(n, k):
+        return comb(n, k) + ((n, k) == at)
+    return shifted
+
+
+@pytest.mark.parametrize("row, name, fake", [
+    ("id_lemma2.1", "harmonic_family", _shifted_o(5)),
+    ("id_eq2.1", "harmonic_family", _shifted_o(4)),
+    ("id_eq3.1", "comb", _shifted_comb((3, 1))),
+    ("id_thm3.1", "t_values", _shifted_t(7)),
+    ("id_thm3.2", "t_values", _shifted_t(3)),
+    ("id_thm3.2", "harmonic_family", _shifted_o(6)),
+], ids=["lemma2.1-O5", "eq2.1-O4", "eq3.1-summand", "thm3.1-t7", "thm3.2-t3",
+        "thm3.2-O6"])
+def test_identity_row_fails_when_a_value_is_shifted(monkeypatch, row, name, fake):
+    spec = CHECKS[row].runner
+    assert run_check(row).verdict == "pass"
+    for module in (identities, oracles):
+        monkeypatch.setattr(module, name, fake)
+    res = run_check(row)
+    assert res.verdict == "fail"
+    expected = [getattr(oracles, v)(spec.max_n) for v in spec.verifiers]
+    assert [_typed(getattr(identities, v)(spec.max_n)) for v in spec.verifiers] == [
+        _typed(out) for out in expected
+    ]
+    first = next(out for out in expected if not out.ok)
+    assert _typed(first)[1:] == (type(res.lhs), type(res.rhs))
+    assert (res.m, res.lhs, res.rhs) == (first.n, first.lhs, first.rhs)
