@@ -12,10 +12,11 @@ hypotheses), or an Identity (exact identity verifiers).
 A sweep runs each fixed-range identity as one task and each prime as one
 task, which covers every selected Lift and AtPrime row, every (m, r) and the
 per-prime identity.  Its rows read one _PrimeValues, which computes each
-value they share once, at its first use (A_n and A'_n at the largest
-precision the rows need, t_0..t_p from one walk of the recurrence, the
-central-binomial pass, E_{p-3}, p B_{p-1}, B_{p-3}, Gamma_p(1/4)^4), and
-keeps nothing past the task.  run_check runs the same evaluator on one row.
+value they share once, at its first use (A_n and A'_n together, from one
+apery_pair_mod pass per index at the largest precision the rows need,
+t_0..t_p from one walk of the recurrence, the central-binomial pass,
+E_{p-3}, p B_{p-1}, B_{p-3}, Gamma_p(1/4)^4), and keeps nothing past the
+task.  run_check runs the same evaluator on one row.
 The conj2.5 records carry each prime's residue of c_m, so the CRT recovery
 (cm_recovery) reads the sweep's own values; recover_cm runs the same
 evaluator on the conj2.5 row alone.
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import identities, special
 from .modring import PrimeInfo, prime_info, primes_in_range, reduce_rat
-from .sequences import SeqId, apery_mod, c_coeffs, t_values
+from .sequences import SeqId, apery_pair_mod, c_coeffs, t_values
 from .special import (
     bernoulli_mod_p2,
     euler_pm3_mod,
@@ -116,25 +117,26 @@ def _central_cubed_terms(p: int, e: int):
 
 class _PrimeValues:
     """The values the rows at one prime p read, each taken at its first use
-    and kept only as long as this object: A_n and A'_n (apery_mod) mod
-    p^e_max, once per index and all from one factorial table; t_0..t_p mod
-    p^e_max from one walk; the central pass once per precision asked for;
-    and the Bernoulli, Euler and Gamma_p values below.  Each kernel is looked
-    up in this module when it runs, so a patched kernel is the one called.
-    The size cap is read from APERY_LAB_SIZE_CAP when the object is made."""
+    and kept only as long as this object: the pair A_n, A'_n mod p^e_max
+    (apery_pair_mod), once per index and all from one factorial table;
+    t_0..t_p mod p^e_max from one walk; the central pass once per precision
+    asked for; and the Bernoulli, Euler and Gamma_p values below.  Each
+    kernel is looked up in this module when it runs, so a patched kernel is
+    the one called.  The size cap is read from APERY_LAB_SIZE_CAP when the
+    object is made."""
 
     def __init__(self, pi: PrimeInfo, e_max: int) -> None:
         self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
         self.e_max = e_max
         self.cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
-        self._apery: dict[tuple[SeqId, int], int] = {}
+        self._apery: dict[int, tuple[int, int]] = {}
         self._central: dict[int, list[tuple[int, int, int]]] = {}
 
     def apery(self, sid: SeqId, n: int) -> int:
-        """A_n or A'_n mod p^e_max."""
-        if (sid, n) not in self._apery:
-            self._apery[sid, n] = apery_mod(sid, n, self.p, self.e_max)
-        return self._apery[sid, n]
+        """A_n or A'_n mod p^e_max; the first read of n takes both."""
+        if n not in self._apery:
+            self._apery[n] = apery_pair_mod(n, self.p, self.e_max)
+        return self._apery[n][sid is SeqId.APRIME]
 
     @cached_property
     def t(self) -> list[int]:

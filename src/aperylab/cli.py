@@ -216,6 +216,10 @@ def cmd_verify(args) -> int:
 
 def cmd_seq(args) -> int:
     sid = SeqId(args.name)
+    least = 1 if sid in (SeqId.CBIG, SeqId.CPRIME) else 0
+    if args.n < least:
+        sys.stderr.write(f"argument --n: need n >= {least}, got {args.n}\n")
+        return 2
     if args.mod is not None:
         p, e = _odd_prime_power(args.mod)
         try:
@@ -242,7 +246,7 @@ def cmd_seq(args) -> int:
 
 def _odd_prime_power(mod: int) -> tuple[int, int]:
     if mod < 3 or mod % 2 == 0:
-        raise argparse.ArgumentTypeError(f"--mod must be an odd prime power, got {mod}")
+        raise argparse.ArgumentTypeError(f"argument --mod: need an odd prime power, got {mod}")
     p = 3
     while p * p <= mod and mod % p:
         p += 2
@@ -254,7 +258,7 @@ def _odd_prime_power(mod: int) -> tuple[int, int]:
         rest //= p
         e += 1
     if rest != 1:
-        raise argparse.ArgumentTypeError(f"--mod must be an odd prime power, got {mod}")
+        raise argparse.ArgumentTypeError(f"argument --mod: need an odd prime power, got {mod}")
     return p, e
 
 

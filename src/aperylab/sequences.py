@@ -8,11 +8,14 @@ The harmonic family H, O, O2 rolls the same way through harmonic_family, and
 D = O^2 - O2 is formed where it is read; neither keeps a value between calls.
 The identity verifiers rescale that walk's O and O2 to integer numerators
 over a common denominator of their own.  seq_mod evaluates residues without
-ever constructing the exact value (apery_mod over a factorial table for the
-Apery sums, the division-free recurrence for t, incremental inverses for the
-harmonic family).
-The O(n^2) direct sums for A and A' live in the tests, as the oracles that
-apery_mod and the recurrences are checked against.
+ever constructing the exact value (apery_pair_mod for the Apery sums, the
+division-free recurrence for t, incremental inverses for the harmonic
+family).  apery_pair_mod gives A_n and A'_n together from one pass over a
+factorial table, the two summands sharing one unit that is reduced once per
+term, and each sum reduced once at the end.
+The O(n^2) direct sums for A and A', and the earlier two-pass apery_mod, live
+in the tests, as the oracles that apery_pair_mod and the recurrences are
+checked against.
 """
 
 from __future__ import annotations
@@ -166,17 +169,17 @@ def factorial_table(p: int, e: int) -> FactorialTable:
     return FactorialTable(p, e)
 
 
-def apery_mod(sid: SeqId, n: int, p: int, e: int) -> int:
-    """Least residue of A_n or A'_n mod p^e, summed term by term in plain ints.
+def apery_pair_mod(n: int, p: int, e: int) -> tuple[int, int]:
+    """Least residues (A_n, A'_n) mod p^e, from one pass over the factorial
+    table rows n + k, k and n - k.
 
-    Each term is p^v * unit, read off the factorial table:
-      A:  binom(n,k)^2 binom(n+k,k)^2 = ((n+k)! / (k!^2 (n-k)!))^2,
-      A': binom(n,k)^2 binom(n+k,k)   = n! (n+k)! / (k!^3 (n-k)!^2);
-    terms with v >= e vanish mod p^e and are skipped.
+    Both summands are p^v * unit and share u = U[n+k] IU[k]^2 IU[n-k], the
+    unit of (n+k)! / (k!^2 (n-k)!) = binom(n+k,k) binom(n,k), of valuation w:
+      A:  binom(n,k)^2 binom(n+k,k)^2 = p^(2w) u^2,
+      A': binom(n,k)^2 binom(n+k,k)   = p^(v[n] + w - v[k] - v[n-k]) U[n] u IU[k] IU[n-k].
+    A term with v >= e vanishes mod p^e and is skipped.  u is reduced once per
+    k; the sums are reduced once, at the end (A' after the factor U[n]).
     """
-    sid = SeqId(sid)
-    if sid not in (SeqId.A, SeqId.APRIME):
-        raise ValueError(f"apery_mod evaluates A and Aprime, not {sid.value}")
     if n < 0:
         raise ValueError("need n >= 0")
     table = factorial_table(p, e)
@@ -184,23 +187,29 @@ def apery_mod(sid: SeqId, n: int, p: int, e: int) -> int:
     m = table.modulus
     ppow = [p ** v for v in range(e)]
     val, unit, inv = table.val, table.unit, table.inv_unit
+    vn = val[n]
     # rows indexed by n + k, k and n - k for k = 0..n
     rows = zip(val[n : 2 * n + 1], unit[n : 2 * n + 1], val, inv, val[n::-1], inv[n::-1])
-    acc = 0
-    if sid is SeqId.A:
-        for v_nk, u_nk, v_k, iu_k, v_d, iu_d in rows:
-            v = 2 * (v_nk - 2 * v_k - v_d)
-            if v < e:
-                u = u_nk * iu_k % m * iu_k % m * iu_d % m
-                acc += ppow[v] * (u * u % m)
-        return acc % m
-    vn = val[n]
+    acc_a = acc_b = 0
     for v_nk, u_nk, v_k, iu_k, v_d, iu_d in rows:
-        v = vn + v_nk - 3 * v_k - 2 * v_d
+        w = v_nk - 2 * v_k - v_d
+        v = vn + w - v_k - v_d
+        # v = 2 v(binom(n,k)) + v(binom(n+k,k)) <= 2w: an A term survives
+        # only where the A' term does
         if v < e:
-            u = u_nk * iu_k % m * iu_k % m * iu_k % m * iu_d % m * iu_d % m
-            acc += ppow[v] * u
-    return acc % m * unit[n] % m
+            u = u_nk * iu_k * iu_k * iu_d % m
+            acc_b += ppow[v] * u * iu_k * iu_d
+            if 2 * w < e:
+                acc_a += ppow[2 * w] * u * u
+    return acc_a % m, acc_b % m * unit[n] % m
+
+
+def apery_mod(sid: SeqId, n: int, p: int, e: int) -> int:
+    """Least residue of A_n or A'_n mod p^e, read off apery_pair_mod."""
+    sid = SeqId(sid)
+    if sid not in (SeqId.A, SeqId.APRIME):
+        raise ValueError(f"apery_mod evaluates A and Aprime, not {sid.value}")
+    return apery_pair_mod(n, p, e)[sid is SeqId.APRIME]
 
 
 def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:

@@ -8,7 +8,7 @@ from math import comb, factorial
 
 from aperylab.identities import IdentityOutcome, _fail
 from aperylab.modring import PadicFactored, Residue
-from aperylab.sequences import harmonic_family, t_values
+from aperylab.sequences import SeqId, factorial_table, harmonic_family, t_values
 
 
 @lru_cache(maxsize=None)
@@ -25,6 +25,43 @@ def apery_aprime_exact(n: int) -> int:
     if n < 0:
         raise ValueError("need n >= 0")
     return sum(comb(n, k) ** 2 * comb(n + k, k) for k in range(n + 1))
+
+
+def apery_mod(sid: SeqId, n: int, p: int, e: int) -> int:
+    """Least residue of A_n or A'_n mod p^e, summed term by term in plain ints.
+
+    Each term is p^v * unit, read off the factorial table:
+      A:  binom(n,k)^2 binom(n+k,k)^2 = ((n+k)! / (k!^2 (n-k)!))^2,
+      A': binom(n,k)^2 binom(n+k,k)   = n! (n+k)! / (k!^3 (n-k)!^2);
+    terms with v >= e vanish mod p^e and are skipped.
+    """
+    sid = SeqId(sid)
+    if sid not in (SeqId.A, SeqId.APRIME):
+        raise ValueError(f"apery_mod evaluates A and Aprime, not {sid.value}")
+    if n < 0:
+        raise ValueError("need n >= 0")
+    table = factorial_table(p, e)
+    table.extend(2 * n)
+    m = table.modulus
+    ppow = [p ** v for v in range(e)]
+    val, unit, inv = table.val, table.unit, table.inv_unit
+    # rows indexed by n + k, k and n - k for k = 0..n
+    rows = zip(val[n : 2 * n + 1], unit[n : 2 * n + 1], val, inv, val[n::-1], inv[n::-1])
+    acc = 0
+    if sid is SeqId.A:
+        for v_nk, u_nk, v_k, iu_k, v_d, iu_d in rows:
+            v = 2 * (v_nk - 2 * v_k - v_d)
+            if v < e:
+                u = u_nk * iu_k % m * iu_k % m * iu_d % m
+                acc += ppow[v] * (u * u % m)
+        return acc % m
+    vn = val[n]
+    for v_nk, u_nk, v_k, iu_k, v_d, iu_d in rows:
+        v = vn + v_nk - 3 * v_k - 2 * v_d
+        if v < e:
+            u = u_nk * iu_k % m * iu_k % m * iu_k % m * iu_d % m * iu_d % m
+            acc += ppow[v] * u
+    return acc % m * unit[n] % m
 
 
 _EULER_MOD: dict[int, list[int]] = {}

@@ -114,14 +114,14 @@ LIFT_CHECKS = [
 @pytest.mark.parametrize("p, m", [(7, 1), (11, 2), (13, 3)])
 def test_lift_checks_fail_when_kernel_is_perturbed(monkeypatch, name, p, m):
     assert run_check(name, p, m, 1).verdict == "pass"
-    real = checks.apery_mod
+    real = checks.apery_pair_mod
     hi = m * p - 1  # the smaller of the two r = 1 upper indices, m p - 1 and m p
 
-    def shifted(sid, n, q, e):
-        value = real(sid, n, q, e)
-        return (value + q ** (e - 1)) % q ** e if n >= hi else value
+    def shifted(n, q, e):
+        pair = real(n, q, e)
+        return tuple((v + q ** (e - 1)) % q ** e for v in pair) if n >= hi else pair
 
-    monkeypatch.setattr(checks, "apery_mod", shifted)
+    monkeypatch.setattr(checks, "apery_pair_mod", shifted)
     assert run_check(name, p, m, 1).verdict == "fail"
 
 
@@ -214,7 +214,7 @@ def test_thm33_checks_fail_when_pb_value_is_perturbed(monkeypatch, name, p):
 )
 def test_prime_checks_fail_when_seq_value_is_perturbed(monkeypatch, name, p):
     # the t rows read t_0..t_p from one t_values walk, the others A'_{(p-1)/2}
-    # from apery_mod; either is shifted by p^(e-1) at the row's precision e
+    # from apery_pair_mod; either is shifted by p^(e-1) at the row's precision e
     assert run_check(name, p).verdict == "pass"
     if name.startswith("thm3.3"):
         real_t = checks.t_values
@@ -224,12 +224,12 @@ def test_prime_checks_fail_when_seq_value_is_perturbed(monkeypatch, name, p):
 
         monkeypatch.setattr(checks, "t_values", walk)
     else:
-        real = checks.apery_mod
+        real = checks.apery_pair_mod
 
-        def shifted(sid, n, q, e):
-            return (real(sid, n, q, e) + q ** (e - 1)) % q ** e
+        def shifted(n, q, e):
+            return tuple((v + q ** (e - 1)) % q ** e for v in real(n, q, e))
 
-        monkeypatch.setattr(checks, "apery_mod", shifted)
+        monkeypatch.setattr(checks, "apery_pair_mod", shifted)
     assert run_check(name, p).verdict == "fail"
 
 
@@ -356,7 +356,7 @@ def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
 
 
 def test_prime_task_reads_each_value_once(monkeypatch):
-    # per prime: each Apery value once, one t walk, the central pass once per
+    # per prime: each Apery index once, one t walk, the central pass once per
     # precision, p B_{p-1} once, E_{p-3} and Gamma_p(1/4) mod p at most once
     calls = []
 
@@ -369,13 +369,13 @@ def test_prime_task_reads_each_value_once(monkeypatch):
 
         monkeypatch.setattr(checks, kernel, wrapper)
 
-    for kernel in ("apery_mod", "t_values", "_central_cubed_terms", "pb_pm1_mod", "euler_pm3_mod",
-                   "padic_gamma"):
+    for kernel in ("apery_pair_mod", "t_values", "_central_cubed_terms", "pb_pm1_mod",
+                   "euler_pm3_mod", "padic_gamma"):
         counted(kernel)
     primes = [pi.p for pi in primes_in_range(3, 60)]
     sweep(PRIME_ROWS, (3, 60), m_list=[1, 2], r_list=[1])
     for q in primes:
-        apery = [c[1:3] for c in calls if c[0] == "apery_mod" and c[3] == q]  # (sid, n)
+        apery = [c[1] for c in calls if c[0] == "apery_pair_mod" and c[2] == q]  # n
         assert apery and len(apery) == len(set(apery)), q
         # t_values takes one argument, the modulus p^e_max
         assert sum(c[0] == "t_values" and c[1] % q == 0 for c in calls) == 1, q
@@ -410,24 +410,25 @@ def test_lift_sweep_under_size_cap_matches_per_row_run_check(monkeypatch):
 
 
 def test_lift_task_reads_each_value_once(monkeypatch):
-    # one precision per prime, each (sequence, index) once, two Bernoulli sums
+    # one precision per prime, each index once for both sequences, two
+    # Bernoulli sums
     apery_calls, bern_calls = [], []
-    real_apery, real_bern = checks.apery_mod, checks.bernoulli_mod_p2
+    real_apery, real_bern = checks.apery_pair_mod, checks.bernoulli_mod_p2
 
-    def apery(sid, n, q, e):
-        apery_calls.append((sid, n, q, e))
-        return real_apery(sid, n, q, e)
+    def apery(n, q, e):
+        apery_calls.append((n, q, e))
+        return real_apery(n, q, e)
 
     def bern(n, q):
         bern_calls.append((n, q))
         return real_bern(n, q)
 
-    monkeypatch.setattr(checks, "apery_mod", apery)
+    monkeypatch.setattr(checks, "apery_pair_mod", apery)
     monkeypatch.setattr(checks, "bernoulli_mod_p2", bern)
     primes = [pi.p for pi in primes_in_range(7, 40)]
     sweep(LIFT_CHECKS, (7, 40), m_list=[1, 2], r_list=[1, 2])
     assert len(apery_calls) == len(set(apery_calls))
-    assert {(q, e) for _, _, q, e in apery_calls} == {(q, 8) for q in primes}
+    assert {(q, e) for _, q, e in apery_calls} == {(q, 8) for q in primes}
     assert sorted(bern_calls) == sorted(
         [(q - 3, q) for q in primes] + [(2 * q - 4, q) for q in primes])
 
@@ -435,16 +436,16 @@ def test_lift_task_reads_each_value_once(monkeypatch):
 def test_lift_sweep_fails_when_kernel_is_perturbed(monkeypatch):
     primes, m_list = [7, 11, 13], [1, 2, 3]
     assert all(r.verdict == "pass" for r in sweep(LIFT_CHECKS, primes, m_list=m_list))
-    real = checks.apery_mod
+    real = checks.apery_pair_mod
 
-    def shifted(sid, n, q, e):
+    def shifted(n, q, e):
         # each task reads its values mod p^5, the largest r = 1 precision; a
         # shift by q^2 is still seen mod p^3, the least one.  The upper indices
         # m q - 1 and m q are at least q - 1; the lower ones, m - 1 and m, not.
-        value = real(sid, n, q, e)
-        return (value + q * q) % q ** e if n >= q - 1 else value
+        pair = real(n, q, e)
+        return tuple((v + q * q) % q ** e for v in pair) if n >= q - 1 else pair
 
-    monkeypatch.setattr(checks, "apery_mod", shifted)
+    monkeypatch.setattr(checks, "apery_pair_mod", shifted)
     got = sweep(LIFT_CHECKS, primes, m_list=m_list)
     assert len(got) == 8 * 3 * 3
     assert all(r.verdict == "fail" for r in got)

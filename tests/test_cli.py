@@ -218,6 +218,19 @@ def test_seq_bad_modulus_exits_2(capsys):
     assert code == 2 and "prime power" in err
 
 
+def test_seq_bad_modulus_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "seq", "--name", "A", "--n", "5", "--mod", "12")
+    assert (code, out) == (2, "")
+    assert err == "argument --mod: need an odd prime power, got 12\n"
+
+
+@pytest.mark.parametrize("name, n, least", [("C", "0", 1), ("Cprime", "-3", 1), ("A", "-1", 0)])
+def test_seq_bad_index_names_the_flag(capsys, name, n, least):
+    code, out, err = run_cli(capsys, "seq", "--name", name, "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"argument --n: need n >= {least}, got {n}\n"
+
+
 def test_seq_non_integral_residue_exits_1(capsys):
     code, _, err = run_cli(capsys, "seq", "--name", "H", "--n", "5", "--mod", "5")
     assert code == 1 and "divisible" in err

@@ -12,6 +12,7 @@ from aperylab.sequences import (
     apery_a_recurrence,
     apery_aprime_recurrence,
     apery_mod,
+    apery_pair_mod,
     c_coeffs,
     harmonic_values,
     seq_exact,
@@ -20,6 +21,7 @@ from aperylab.sequences import (
     t_exact,
 )
 
+import oracles
 from oracles import apery_a_exact, apery_aprime_exact
 
 A_VALUES = [1, 5, 73, 1445, 33001, 819005, 21460825]
@@ -130,11 +132,14 @@ KERNEL_PRIMES = [3, 5, 7, 11, 13, 31, 149]
 
 
 @st.composite
-def kernel_cases(draw, max_n):
-    """(n, p, e) with n drawn at large, or next to a multiple of p^2 or p^3,
-    where the factorial valuations of n, n + k and n - k jump."""
-    p = draw(st.sampled_from(KERNEL_PRIMES))
-    e = draw(st.integers(1, 7))
+def kernel_cases(draw, max_n, primes=KERNEL_PRIMES, max_e=7):
+    """(n, p, e) with n <= max_n (a bound, or a function of p) drawn at large,
+    or next to a multiple of p^2 or p^3, where the factorial valuations of
+    n, n + k and n - k jump."""
+    p = draw(st.sampled_from(primes))
+    e = draw(st.integers(1, max_e))
+    if callable(max_n):
+        max_n = max_n(p)
     near = sorted({
         j * p ** k + d
         for k in (2, 3)
@@ -173,3 +178,35 @@ def test_apery_mod_rejects_other_sequences():
         apery_mod(SeqId.T, 3, 5, 2)
     with pytest.raises(ValueError):
         apery_mod(SeqId.A, -1, 5, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_apery_pair_mod_matches_oracles_everywhere(p):
+    # every n up to 3p^2 + 4, past the multiples of p^2 where n + k carries
+    # and n - k borrows twice, at every precision the lift rows read
+    top = 3 * p * p + 4
+    exact = [(apery_a_recurrence(n), apery_aprime_recurrence(n)) for n in range(top + 1)]
+    for e in range(1, 9):
+        m = p ** e
+        for n, (a, b) in enumerate(exact):
+            got = apery_pair_mod(n, p, e)
+            assert got == (a % m, b % m), (n, e)
+            assert got == (oracles.apery_mod(SeqId.A, n, p, e),
+                           oracles.apery_mod(SeqId.APRIME, n, p, e)), (n, e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_cases(lambda p: 4 * p ** 3, primes=[3, 5], max_e=8))
+@example((4 * 5 ** 3, 5, 8))
+@example((2 * 3 ** 3 - 1, 3, 8))
+def test_apery_pair_mod_matches_oracles_past_p_cubed(case):
+    n, p, e = case
+    m = p ** e
+    got = apery_pair_mod(n, p, e)
+    assert got == (apery_a_recurrence(n) % m, apery_aprime_recurrence(n) % m)
+    assert got == (oracles.apery_mod(SeqId.A, n, p, e), oracles.apery_mod(SeqId.APRIME, n, p, e))
+
+
+def test_apery_pair_mod_rejects_negative_index():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        apery_pair_mod(-1, 5, 2)
