@@ -7,7 +7,9 @@ deterministic: worker count never changes verdicts or ordering.
 
 Every registry row is one of three specs: a Lift (an m, r congruence between
 two Apery values), an AtPrime (a congruence at one prime under its
-hypotheses), or an Identity (exact identity verifiers).
+hypotheses), or an Identity (exact identity verifiers).  A Lift's weight is
+data too, (a, b, d) for m^3 (a S_{m-1} + b S_m) / d with S its A or A'; for
+conj2.5 that is (2/3) m^3 c_m with c_m = (17 A_{m-1} - A_m) / 12, any m.
 
 A sweep runs each fixed-range identity as one task and each prime as one
 task, which covers every selected Lift and AtPrime row, every (m, r) and the
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import identities, special
 from .modring import PrimeInfo, prime_info, primes_in_range, reduce_rat
-from .sequences import SeqId, apery_pair_mod, c_coeffs, t_values
+from .sequences import SeqId, apery_neighbours, apery_pair_mod, t_values
 from .special import (
     bernoulli_mod_p2,
     euler_pm3_mod,
@@ -47,9 +49,6 @@ from .special import (
 
 SIZE_CAP_ENV = "APERY_LAB_SIZE_CAP"
 DEFAULT_SIZE_CAP = 100_000
-
-# Tabulated reference constants for the conj2.5 family, m = 1..6.
-REFERENCE_CM = {1: 1, 2: 1, 3: -17, 4: -703, 5: -21499, 6: -628145}
 
 
 class Status(str, Enum):
@@ -196,19 +195,6 @@ class _PrimeValues:
 # ---------------------------------------------------------------------------
 # m, r lift congruences: one data row each
 
-def _conj22_weight(m: int) -> Fraction:
-    wm = sum(
-        comb(m, k) * comb(m - 1, k - 1) * comb(m + k - 1, k - 1)
-        for k in range(1, m + 1)
-    )
-    return Fraction(5, 3) * m ** 3 * wm
-
-
-def _reference_cm(m: int) -> int:
-    _require(m in REFERENCE_CM, f"no tabulated reference c_m for m = {m}")
-    return REFERENCE_CM[m]
-
-
 def _require_mr(m: int, r: int) -> None:
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m = {m}, r = {r}")
@@ -221,28 +207,36 @@ class Lift:
 
         A_hi = A_lo + C p^(3r),   or   A_hi - A_lo = C p^(3r) for a difference row,
 
-    with C = weight(m) * B, where B is B_{p-3}, or the bracket
-    B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) when `bracket` is set; no weight, or a
-    zero one, means no correction.  The record is (A_hi, A_lo + C p^(3r)), or
-    (A_hi - A_lo, C p^(3r)).  The weight is taken before the size cap, so a
-    weight may skip (conj2.5 for an m without a tabulated c_m); B is read
-    only for a record that is not skipped.  Since extra <= 2 and every weight is
-    p-integral for p > 3, C is needed only mod p^2, and B is that residue.
+    with C = w_m B.  For weight = (a, b, d) the weight is
+    w_m = m^3 (a S_{m-1} + b S_m) / d, with S the row's own sequence; no
+    weight, or a zero one, means no correction.  B is B_{p-3}, or the bracket
+    B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) when `bracket` is set.  The record is
+    (A_hi, A_lo + C p^(3r)), or (A_hi - A_lo, C p^(3r)).  Since extra <= 2
+    and d divides 18, so that every weight is p-integral for p > 3, C is
+    needed only mod p^2, and B is that residue.
     """
 
     sid: SeqId
     shift: int
     extra: int
     p_above: int = 3
-    weight: Optional[Callable[[int], Union[int, Fraction]]] = None
+    weight: Optional[tuple[int, int, int]] = None
     bracket: bool = False
     difference: bool = False
+
+    def weight_at(self, m: int) -> Fraction:
+        """w_m = m^3 (a S_{m-1} + b S_m) / d, or 0 for a row without a weight."""
+        if self.weight is None:
+            return Fraction(0)
+        a, b, d = self.weight
+        prev, cur = apery_neighbours(self.sid, m)
+        return Fraction(m ** 3 * (a * prev + b * cur), d)
 
     def __call__(self, at: _PrimeValues, m: int, r: int):
         _require_mr(m, r)
         p = at.p
         _require(p > self.p_above, f"requires p > {self.p_above}")
-        w = self.weight(m) if self.weight else 0
+        w = self.weight_at(m)
         e, lhs, base = at.sides(self, m, r)
         modulus = p ** e
         corr = 0
@@ -435,9 +429,8 @@ def _defs() -> dict:
     rows = [
         ("beukers_a", theorem, Lift(a, -1, 0)),
         ("beukers_aprime", theorem, Lift(aprime, -1, 0)),
-        ("liu_a", theorem, Lift(a, 0, 1, weight=lambda m: Fraction(2, 3) * c_coeffs(m)[0])),
-        ("liu_aprime", theorem,
-         Lift(aprime, 0, 1, weight=lambda m: Fraction(1, 3) * c_coeffs(m)[1])),
+        ("liu_a", theorem, Lift(a, 0, 1, weight=(1, -17, 18))),
+        ("liu_aprime", theorem, Lift(aprime, 0, 1, weight=(1, -2, 3))),
         ("eq1.3", theorem, AtPrime(2, _eq13, p_above=3)),
         ("thm2.1i", theorem, AtPrime(3, _thm21i, klass=3)),
         ("thm2.1ii", theorem, AtPrime(3, _thm21ii, klass=1)),
@@ -448,15 +441,11 @@ def _defs() -> dict:
         ("lemma2.7a", lemma, AtPrime(2, _lemma27a, p_above=3)),
         ("lemma2.7b", lemma, AtPrime(1, _lemma27b, p_above=3)),
         ("conj2.1", conjecture, AtPrime(1, _conj21, klass=1)),
-        ("conj2.2", conjecture, Lift(aprime, -1, 1, weight=_conj22_weight, difference=True)),
-        ("conj2.3", conjecture,
-         Lift(aprime, 0, 2, weight=lambda m: c_coeffs(m)[1], bracket=True)),
+        ("conj2.2", conjecture, Lift(aprime, -1, 1, weight=(2, 1, 3), difference=True)),
+        ("conj2.3", conjecture, Lift(aprime, 0, 2, weight=(1, -2, 1), bracket=True)),
         ("conj2.4", conjecture,
-         Lift(a, 0, 2, p_above=5, weight=lambda m: 2 * c_coeffs(m)[0], bracket=True,
-              difference=True)),
-        ("conj2.5", conjecture,
-         Lift(a, -1, 1, weight=lambda m: Fraction(2, 3) * m ** 3 * _reference_cm(m),
-              difference=True)),
+         Lift(a, 0, 2, p_above=5, weight=(1, -17, 6), bracket=True, difference=True)),
+        ("conj2.5", conjecture, Lift(a, -1, 1, weight=(17, -1, 18), difference=True)),
         ("thm3.3_tp", theorem, AtPrime(3, _thm33_tp)),
         ("thm3.3_tpm1", theorem, AtPrime(2, _thm33_tpm1)),
         ("thm3.3_thalf", theorem, AtPrime(2, _thm33_thalf)),
@@ -635,7 +624,8 @@ def _cm_residue(at: _PrimeValues, m: int, r: int) -> Union[int, str]:
     """c_m mod p from the conj2.5 difference at one prime (see recover_cm),
     or the reason p gives no residue.  The difference is only needed mod
     p^(3r+1): that fixes its divisibility by p^(3r) and the quotient mod p.
-    No tabulated c_m is read, so an m that the row skips is still recovered."""
+    No weight is read, so this stays a route to c_m apart from the row's
+    closed form."""
     row = CHECKS["conj2.5"].runner
     p = at.p
     try:

@@ -7,15 +7,17 @@ closed form as a second route, summed as one integer numerator over 4^n.
 The harmonic family H, O, O2 rolls the same way through harmonic_family, and
 D = O^2 - O2 is formed where it is read; neither keeps a value between calls.
 The identity verifiers rescale that walk's O and O2 to integer numerators
-over a common denominator of their own.  seq_mod evaluates residues without
-ever constructing the exact value (apery_pair_mod for the Apery sums, the
-division-free recurrence for t, incremental inverses for the harmonic
-family).  apery_pair_mod gives A_n and A'_n together from one pass over a
+over a common denominator of their own.  apery_neighbours caches
+(S_{m-1}, S_m) for S = A, A', which the lift weights and c_coeffs read:
+C_m = m^3 (A_{m-1} - 17 A_m) / 12, C'_m = m^3 (A'_{m-1} - 2 A'_m).
+seq_mod evaluates residues without ever constructing the exact value
+(apery_pair_mod for the Apery sums, the division-free recurrence for t,
+incremental inverses for the harmonic family).  apery_pair_mod gives A_n and A'_n together from one pass over a
 factorial table, the two summands sharing one unit that is reduced once per
 term, and each sum reduced once at the end.
-The O(n^2) direct sums for A and A', and the earlier two-pass apery_mod, live
-in the tests, as the oracles that apery_pair_mod and the recurrences are
-checked against.
+The O(n^2) direct sums for A and A', the earlier two-pass apery_mod and the
+binomial sums for C and C' live in the tests, as the oracles that
+apery_pair_mod, the recurrences and c_coeffs are checked against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 from .modring import FactorialTable, NotPIntegral, Residue
 
@@ -99,25 +101,24 @@ def t_closed_form(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def apery_neighbours(sid: SeqId, m: int) -> tuple[int, int]:
+    """(S_{m-1}, S_m) for S = A or A' by `sid`, m >= 1, from the recurrences;
+    the lift weights and c_coeffs read these two values."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    walk = apery_a_recurrence if SeqId(sid) is SeqId.A else apery_aprime_recurrence
+    return walk(m - 1), walk(m)
+
+
 def c_coeffs(m: int) -> tuple[int, int]:
     """The integer pair (C_m, C'_m) weighting the p^(3r) B_{p-3} corrections.
 
-    C_m  = sum_k binom(m,k)^2 binom(m+k,k)^2 ((m-k)^2 - 2km^2)
-    C'_m = sum_k binom(m,k)^2 binom(m+k,k) (2(m-k)^2 - 3m^2(m-k) - 2k^2 m)
+    C_m  = m^3 (A_{m-1} - 17 A_m) / 12
+    C'_m = m^3 (A'_{m-1} - 2 A'_m)
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    big = sum(
-        comb(m, k) ** 2 * comb(m + k, k) ** 2 * ((m - k) ** 2 - 2 * k * m * m)
-        for k in range(m + 1)
-    )
-    prime = sum(
-        comb(m, k) ** 2
-        * comb(m + k, k)
-        * (2 * (m - k) ** 2 - 3 * m * m * (m - k) - 2 * k * k * m)
-        for k in range(m + 1)
-    )
-    return big, prime
+    a_prev, a = apery_neighbours(SeqId.A, m)
+    b_prev, b = apery_neighbours(SeqId.APRIME, m)
+    return m ** 3 * (a_prev - 17 * a) // 12, m ** 3 * (b_prev - 2 * b)
 
 
 def harmonic_family():

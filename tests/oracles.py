@@ -64,6 +64,51 @@ def apery_mod(sid: SeqId, n: int, p: int, e: int) -> int:
     return acc % m * unit[n] % m
 
 
+@lru_cache(maxsize=None)
+def c_coeffs(m: int) -> tuple[int, int]:
+    """The integer pair (C_m, C'_m) weighting the p^(3r) B_{p-3} corrections.
+
+    C_m  = sum_k binom(m,k)^2 binom(m+k,k)^2 ((m-k)^2 - 2km^2)
+    C'_m = sum_k binom(m,k)^2 binom(m+k,k) (2(m-k)^2 - 3m^2(m-k) - 2k^2 m)
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    big = sum(
+        comb(m, k) ** 2 * comb(m + k, k) ** 2 * ((m - k) ** 2 - 2 * k * m * m)
+        for k in range(m + 1)
+    )
+    prime = sum(
+        comb(m, k) ** 2
+        * comb(m + k, k)
+        * (2 * (m - k) ** 2 - 3 * m * m * (m - k) - 2 * k * k * m)
+        for k in range(m + 1)
+    )
+    return big, prime
+
+
+def _conj22_weight(m: int) -> Fraction:
+    wm = sum(
+        comb(m, k) * comb(m - 1, k - 1) * comb(m + k - 1, k - 1)
+        for k in range(1, m + 1)
+    )
+    return Fraction(5, 3) * m ** 3 * wm
+
+
+# The paper's tabulated constants of the conj2.5 family, m = 1..6.
+REFERENCE_CM = {1: 1, 2: 1, 3: -17, 4: -703, 5: -21499, 6: -628145}
+
+# The lift weights as sums over binomials and the tabulated c_m, one per
+# weighted Lift row; conj2.5's is defined for the m in REFERENCE_CM only.
+LIFT_WEIGHTS = {
+    "liu_a": lambda m: Fraction(2, 3) * c_coeffs(m)[0],
+    "liu_aprime": lambda m: Fraction(1, 3) * c_coeffs(m)[1],
+    "conj2.2": _conj22_weight,
+    "conj2.3": lambda m: c_coeffs(m)[1],
+    "conj2.4": lambda m: 2 * c_coeffs(m)[0],
+    "conj2.5": lambda m: Fraction(2, 3) * m ** 3 * REFERENCE_CM[m],
+}
+
+
 _EULER_MOD: dict[int, list[int]] = {}
 
 

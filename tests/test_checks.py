@@ -1,5 +1,6 @@
 """Check registry behavior: spot results, skips, ordering, determinism, CRT."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -25,7 +26,7 @@ from aperylab.sequences import (
     seq_mod,
 )
 
-from oracles import apery_aprime_exact
+from oracles import LIFT_WEIGHTS, REFERENCE_CM, apery_aprime_exact
 
 
 def test_registry_shape():
@@ -453,13 +454,13 @@ def test_lift_sweep_fails_when_kernel_is_perturbed(monkeypatch):
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_recovery_from_sweep_matches_recover_cm(r):
-    # m = 5 and 7 meet p | m; conj2.5 skips m = 7, which has no tabulated c_m
+    # m = 5 and 7 meet p | m; m = 7 has no tabulated c_m and passes at every p > 3
     primes = [pi.p for pi in primes_in_range(3, 23)]
     got = sweep(["conj2.5"], (3, 23), m_list=[1, 3, 5, 7], r_list=[r])
     for m in (1, 3, 5, 7):
         residues = [(res.p, res.recovery) for res in got if res.m == m]
         assert cm_recovery(m, r, residues) == recover_cm(m, primes, r)
-    assert any(res.m == 7 and res.verdict == "skip" for res in got)
+    assert all(res.verdict == "pass" for res in got if res.m == 7 and res.p > 3)
     assert recover_cm(3, primes, r)[0] == -17
 
 
@@ -481,9 +482,10 @@ def test_conj24_requires_p_gt_5():
     assert run_check("conj2.4", 7, 1, 1).verdict == "pass"
 
 
-def test_conj25_needs_reference():
-    res = run_check("conj2.5", 7, 7, 1)
-    assert res.verdict == "skip" and "no tabulated" in res.skip_reason
+def test_conj25_passes_past_the_tabulated_m():
+    # m = 7 has no tabulated c_m; the closed form (17 A_6 - A_7) / 12 serves
+    for p in (5, 11, 13, 17, 19, 23, 29):
+        assert run_check("conj2.5", p, 7, 1).verdict == "pass", p
 
 
 def test_lemma23_ties_factored_machinery():
@@ -574,8 +576,38 @@ def test_recovered_cm_holds_at_held_out_primes():
     got = sweep(["conj2.5"], (211, 397), m_list=range(7, 13))
     assert len(got) == 192
     assert all(res.recovery == RECOVERED_CM[res.m] % res.p for res in got)
+    assert all(res.verdict == "pass" for res in got)
 
 
 def test_recover_cm_at_r2():
     value, report = recover_cm(3, [5, 7, 11, 13, 17, 19, 23], r=2)
     assert value == -17 and report["r"] == 2
+
+
+WEIGHTED_LIFTS = ["liu_a", "liu_aprime", "conj2.2", "conj2.3", "conj2.4", "conj2.5"]
+
+
+@pytest.mark.parametrize("name", WEIGHTED_LIFTS)
+def test_lift_weight_matches_binomial_sums(name):
+    row = CHECKS[name].runner
+    assert len(row.weight) == 3 and all(type(v) is int for v in row.weight)
+    for m in REFERENCE_CM if name == "conj2.5" else range(1, 201):
+        assert row.weight_at(m) == LIFT_WEIGHTS[name](m), m
+    if name == "conj2.5":
+        # past the paper's table: (2/3) m^3 c_m at the recovered c_7..c_12
+        for m, c in RECOVERED_CM.items():
+            assert row.weight_at(m) == Fraction(2, 3) * m ** 3 * c, m
+
+
+@pytest.mark.parametrize("name", WEIGHTED_LIFTS)
+def test_lift_sweep_fails_when_weight_is_perturbed(monkeypatch, name):
+    def run():
+        return sweep([name], [11, 13, 17, 19], m_list=[1, 2, 7], r_list=[1, 2])
+
+    assert [res.verdict for res in run()] == ["pass"] * 24
+    row = CHECKS[name].runner
+    a, b, d = row.weight
+    monkeypatch.setitem(
+        checks.CHECKS, name, replace(CHECKS[name], runner=replace(row, weight=(a + 1, b, d)))
+    )
+    assert [res.verdict for res in run()] == ["fail"] * 24

@@ -1,8 +1,9 @@
 """Byte gates: the output of fixed sweeps must not change.
 
-The mixed sweep covers every check at r = 1 and 2, including the m = 7 rows
-that conj2.5 skips for want of a tabulated reference constant, and the c_m
-recovery lines on stderr.  The large-prime sweep runs every check that reads
+The mixed sweep covers every check at r = 1 and 2, including the conj2.5
+records at m = 7, past the paper's tabulated c_1..c_6, which pass through
+the closed form c_m = (17 A_{m-1} - A_m) / 12, and the c_m recovery lines on
+stderr.  The large-prime sweep runs every check that reads
 E_{p-3}, p B_{p-1}, B_{p-3} or B_{2p-4} up to p = 400, far past the p = 5
 Bernoulli fallback.  A refactor has to reproduce these bytes exactly; a
 deliberate change of the records has to update the hashes.
@@ -20,8 +21,8 @@ from aperylab.checks import SIZE_CAP_ENV
 
 ARGV = ["verify", "--checks", "all", "--primes", "3..40", "--m", "1,2,7",
         "--r", "1,2", "--format", "json", "--jobs", "1"]
-STDOUT_SHA256 = "741603c77a54c8c943bb556d16e231bceff6581914537630e56c73cf52b78f26"
-STDERR_SHA256 = "a64cc6336b26fb50d13d5cfc65442179cf74d66b2128a0abd4e17d8d4e305da9"
+STDOUT_SHA256 = "62b988e429c24e2311a554b7a580e5d0a9b5b6ad36e43a9e66f35c6084e5a50e"
+STDERR_SHA256 = "b011351e7a1301384c6bd931b30cc2529aab5e556a07c73735ae87d680f91502"
 
 LARGE_ARGV = ["verify", "--checks",
               "thm2.1ii,lemma2.5,lemma2.6,lemma2.7b,conj2.1,thm3.3_tpm1,thm3.3_thalf,"
@@ -46,9 +47,9 @@ def _verify(argv):
 def test_fixed_sweep_output_bytes():
     done, records = _verify(ARGV)
     assert len(records) == 710
-    assert sum(r["verdict"] == "skip" for r in records) == 106
-    assert any(r["check"] == "conj2.5" and r["m"] == 7
-               and "no tabulated reference" in r["skip_reason"] for r in records)
+    assert sum(r["verdict"] == "skip" for r in records) == 86
+    conj25_m7 = [r for r in records if r["check"] == "conj2.5" and r["m"] == 7 and r["p"] > 3]
+    assert len(conj25_m7) == 20 and all(r["verdict"] == "pass" for r in conj25_m7)
     assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256
     assert hashlib.sha256(done.stderr).hexdigest() == STDERR_SHA256
 

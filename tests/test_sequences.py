@@ -70,8 +70,15 @@ def test_t_dual_route():
 def test_c_coeffs():
     assert c_coeffs(1) == (-7, -5)
     assert c_coeffs(2) == (-824, -280)
+    assert c_coeffs(7) == (-283311265195, -652953665)
     with pytest.raises(ValueError):
         c_coeffs(0)
+
+
+def test_c_coeffs_match_binomial_sums():
+    # C_m = m^3 (A_{m-1} - 17 A_m) / 12 and C'_m = m^3 (A'_{m-1} - 2 A'_m)
+    for m in range(1, 201):
+        assert c_coeffs(m) == oracles.c_coeffs(m), m
 
 
 def test_harmonic_values():
