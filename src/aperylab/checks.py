@@ -16,9 +16,9 @@ task, which covers every selected Lift and AtPrime row, every (m, r) and the
 per-prime identity.  Its rows read one _PrimeValues, which computes each
 value they share once, at its first use (A_n and A'_n together, from one
 apery_pair_mod pass per index at the largest precision the rows need,
-t_0..t_p from one walk of the recurrence, the central-binomial pass,
-E_{p-3}, p B_{p-1}, B_{p-3}, Gamma_p(1/4)^4), and keeps nothing past the
-task.  run_check runs the same evaluator on one row.
+t_0..t_p from one walk, the four central-binomial harmonic sums from one
+pass, E_{p-3}, p B_{p-1}, B_{p-3}, Gamma_p(1/4)^4), and keeps nothing past
+the task.  run_check runs the same evaluator on one row.
 The conj2.5 records carry each prime's residue of c_m, so the CRT recovery
 (cm_recovery) reads the sweep's own values; recover_cm runs the same
 evaluator on the conj2.5 row alone.
@@ -89,8 +89,9 @@ def _parity_sign(p: int) -> int:
 # ---------------------------------------------------------------------------
 # shared kernels
 
-def _central_cubed_terms(p: int, e: int):
-    """(binom(2k,k)^3 / 64^k, O_k, O2_k) mod p^e for k = 1..(p-1)/2, where
+def _central_sums(p: int, e: int) -> tuple[int, int, int, int]:
+    """(S, S_O, S_O2, S_OO) = sum_k c_k (1, O_k, O2_k, O_k^2) mod p^e over
+    k = 1..(p-1)/2, where c_k = binom(2k,k)^3 / 64^k,
     O_k = sum_{i<=k} 1/(2i-1) and O2_k = sum_{i<=k} 1/(2i-1)^2.
 
     For the full-range statements summed to p-1: a term with (p-1)/2 < k < p
@@ -102,13 +103,17 @@ def _central_cubed_terms(p: int, e: int):
     inv64 = pow(64, -1, m)
     c = w64 = 1
     o = o2 = 0
+    s = s_o = s_o2 = s_oo = 0
     for k in range(1, (p - 1) // 2 + 1):
         c = c * 2 * (2 * k - 1) % m * pow(k, -1, m) % m
         w64 = w64 * inv64 % m
         inv = pow(2 * k - 1, -1, m)
         o = (o + inv) % m
         o2 = (o2 + inv * inv) % m
-        yield c * c % m * c % m * w64 % m, o, o2
+        t = c * c % m * c % m * w64 % m
+        to = t * o % m
+        s, s_o, s_o2, s_oo = s + t, s_o + to, s_o2 + t * o2, s_oo + to * o
+    return s % m, s_o % m, s_o2 % m, s_oo % m
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +123,17 @@ class _PrimeValues:
     """The values the rows at one prime p read, each taken at its first use
     and kept only as long as this object: the pair A_n, A'_n mod p^e_max
     (apery_pair_mod), once per index and all from one factorial table;
-    t_0..t_p mod p^e_max from one walk; the central pass once per precision
-    asked for; and the Bernoulli, Euler and Gamma_p values below.  Each
-    kernel is looked up in this module when it runs, so a patched kernel is
-    the one called.  The size cap is read from APERY_LAB_SIZE_CAP when the
-    object is made."""
+    t_0..t_p mod p^e_max from one walk; the four central sums mod p^e_max
+    from one pass; and the Bernoulli, Euler and Gamma_p values below.  A row
+    reduces what it reads to its own modulus.  Each kernel is looked up in
+    this module when it runs, so a patched kernel is the one called.  The
+    size cap is read from APERY_LAB_SIZE_CAP when the object is made."""
 
     def __init__(self, pi: PrimeInfo, e_max: int) -> None:
         self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
         self.e_max = e_max
         self.cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
         self._apery: dict[int, tuple[int, int]] = {}
-        self._central: dict[int, list[tuple[int, int, int]]] = {}
 
     def apery(self, sid: SeqId, n: int) -> int:
         """A_n or A'_n mod p^e_max; the first read of n takes both."""
@@ -142,12 +146,10 @@ class _PrimeValues:
         """t_0, ..., t_p mod p^e_max, from one walk."""
         return list(islice(t_values(self.p ** self.e_max), self.p + 1))
 
-    def central(self, e: int) -> list[tuple[int, int, int]]:
-        """The central pass mod p^e, kept per precision, not reduced from the
-        largest one, so a row reads exactly the residues it needs."""
-        if e not in self._central:
-            self._central[e] = list(_central_cubed_terms(self.p, e))
-        return self._central[e]
+    @cached_property
+    def central_sums(self) -> tuple[int, int, int, int]:
+        """(S, S_O, S_O2, S_OO) mod p^e_max, from one pass (_central_sums)."""
+        return _central_sums(self.p, self.e_max)
 
     def sides(self, row: Lift, m: int, r: int) -> tuple[int, int, int]:
         """(e, lhs, base) with lhs = A_hi, base = A_lo mod p^e, or for a
@@ -296,22 +298,20 @@ def _thm21i(at, modulus):
 
 def _thm21ii(at, modulus):
     p, x = at.p, at.rep[0]
-    s = sum(t * o * o for t, o, _ in at.central(1)) % p
+    _, _, _, s_oo = at.central_sums
     rhs = (
         _x_side(at, modulus)
         + 3 * p * p * x * x * at.euler
-        + p * p * pow(2, -1, modulus) * s
+        + p * p * pow(2, -1, modulus) * s_oo
     )
     return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
 
 
 def _lemma23(at, modulus):
+    # sum_k c_k (1 - p O_k + (p^2/2)(O_k^2 - 3 O2_k)), split by linearity
     p = at.p
-    inv2 = pow(2, -1, modulus)
-    rhs = 1 + sum(
-        t * (1 - p * o + p * p * inv2 * (o * o - 3 * o2))
-        for t, o, o2 in at.central(3)
-    )
+    s, s_o, s_o2, s_oo = at.central_sums
+    rhs = 1 + s - p * s_o + p * p * pow(2, -1, modulus) * (s_oo - 3 * s_o2)
     return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
 
 
@@ -319,7 +319,7 @@ def _lemma24(at, modulus):
     # the k = 0 term, then k = 1..(p-1)/2 from the central pass: for
     # (p-1)/2 < k < p, p divides binom(2k,k) once and its cube vanishes mod p^3
     p = at.p
-    lhs = 1 + sum(t for t, _, _ in at.central(3))
+    lhs = 1 + at.central_sums[0]
     if at.klass == 1:
         return lhs, _x_side(at, modulus)
     b = comb((p - 3) // 2, (p - 3) // 4)
@@ -350,7 +350,7 @@ def _lemma26(at, modulus):
 def _lemma27a(at, modulus):
     # the factor p means Gamma_p(1/4)^4 is needed only mod p
     p = at.p
-    lhs = sum(t * o for t, o, _ in at.central(2))
+    _, lhs, _, _ = at.central_sums
     if at.klass == 1:
         return lhs, 0
     return lhs, -p * pow(12, -1, modulus) * at.gamma4
@@ -358,7 +358,7 @@ def _lemma27a(at, modulus):
 
 def _lemma27b(at, modulus):
     p = at.p
-    lhs = sum(t * o2 for t, _, o2 in at.central(1))
+    _, _, lhs, _ = at.central_sums
     if at.klass == 1:
         return lhs, pow(2, -1, p) * at.gamma4 * at.euler
     return lhs, -pow(16, -1, p) * at.gamma4
@@ -366,7 +366,7 @@ def _lemma27b(at, modulus):
 
 def _conj21(at, modulus):
     p, x = at.p, at.rep[0]
-    lhs = sum(t * o * o for t, o, _ in at.central(1))
+    _, _, _, lhs = at.central_sums
     return lhs, 2 * pow(3, -1, p) * x * x * at.euler
 
 
@@ -484,31 +484,30 @@ def _identity_result(name: str, p: Optional[int], verifiers, arg: int) -> CheckR
     )
 
 
-def _prime_results(names: Sequence[str], p, m_list, r_list) -> list[CheckResult]:
+def _prime_results(names: Sequence[str], p: int, m_list, r_list) -> list[CheckResult]:
     """The records of the named prime-indexed rows at one prime, each a
     verdict or a skip, in the given row order, then m and r in list order
     for a Lift row.  The rows share one _PrimeValues at the largest precision
     they need (3r + extra for a Lift row, e for an AtPrime row), so each
     value is computed once.  A conj2.5 record also carries the prime's
     residue of c_m for the recovery."""
-    pi = p if isinstance(p, PrimeInfo) else prime_info(p)
     rows = [(name, CHECKS[name].runner) for name in names]
     e_max = max([3 * r + row.extra for _, row in rows if isinstance(row, Lift) for r in r_list]
                 + [row.e for _, row in rows if isinstance(row, AtPrime)], default=1)
-    at = _PrimeValues(pi, e_max)
+    at = _PrimeValues(prime_info(p), e_max)
     out = []
     for name, row in rows:
         if isinstance(row, Identity):
-            out.append(_identity_result(name, pi.p, row.verifiers, pi.p))
+            out.append(_identity_result(name, p, row.verifiers, p))
             continue
         lift = isinstance(row, Lift)
         for m, r in product(m_list, r_list) if lift else [(None, None)]:
             try:
                 modulus, lhs, rhs, sign = row(at, m, r) if lift else row(at)
-                res = CheckResult(name, pi.p, m, r, modulus, lhs, rhs,
+                res = CheckResult(name, p, m, r, modulus, lhs, rhs,
                                   "pass" if lhs == rhs else "fail", None, sign)
             except SkipCheck as sk:
-                res = CheckResult(name, pi.p, m, r, None, None, None, "skip", str(sk))
+                res = CheckResult(name, p, m, r, None, None, None, "skip", str(sk))
             if name == "conj2.5":
                 res = replace(res, recovery=_cm_residue(at, m, r))
             out.append(res)
@@ -517,7 +516,7 @@ def _prime_results(names: Sequence[str], p, m_list, r_list) -> list[CheckResult]
 
 def run_check(
     name: str,
-    p: Union[int, PrimeInfo, None] = None,
+    p: Optional[int] = None,
     m: Optional[int] = None,
     r: Optional[int] = None,
     max_n: Optional[int] = None,
@@ -532,6 +531,8 @@ def run_check(
         return _identity_result(name, None, row.verifiers, n)
     if isinstance(row, Lift) and (m is None or r is None):
         raise ValueError(f"check {name} requires parameters m and r")
+    if p is None:
+        raise ValueError(f"check {name} requires parameter p")
     return _prime_results([name], p, [m], [r])[0]
 
 
@@ -544,14 +545,12 @@ def _run_task(task) -> list[CheckResult]:
 
 
 def _prime_list(primes) -> list[int]:
+    """The primes of a (lo, hi) range, or of an iterable, each once, ascending."""
     if isinstance(primes, tuple) and len(primes) == 2 and all(
         isinstance(v, int) for v in primes
     ):
         return [pi.p for pi in primes_in_range(*primes)]
-    out = []
-    for p in primes:
-        out.append(p.p if isinstance(p, PrimeInfo) else int(p))
-    return sorted(out)
+    return sorted({int(p) for p in primes})
 
 
 def sweep(

@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"argument --primes: no odd prime in {lo}..{hi}")
         results = sweep(
             names,
-            args.primes,
+            plist,
             m_list=args.m,
             r_list=args.r,
             jobs=args.jobs,

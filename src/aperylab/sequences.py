@@ -205,21 +205,13 @@ def apery_pair_mod(n: int, p: int, e: int) -> tuple[int, int]:
     return acc_a % m, acc_b % m * unit[n] % m
 
 
-def apery_mod(sid: SeqId, n: int, p: int, e: int) -> int:
-    """Least residue of A_n or A'_n mod p^e, read off apery_pair_mod."""
-    sid = SeqId(sid)
-    if sid not in (SeqId.A, SeqId.APRIME):
-        raise ValueError(f"apery_mod evaluates A and Aprime, not {sid.value}")
-    return apery_pair_mod(n, p, e)[sid is SeqId.APRIME]
-
-
 def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
     """Residue of the exact sequence value mod p^e, computed modularly."""
     sid = SeqId(sid)
     if n < 0:
         raise ValueError("need n >= 0")
     if sid in (SeqId.A, SeqId.APRIME):
-        return Residue(apery_mod(sid, n, p, e), p, e)
+        return Residue(apery_pair_mod(n, p, e)[sid is SeqId.APRIME], p, e)
     if sid is SeqId.T:
         return Residue(next(islice(t_values(p ** e), n, None)), p, e)
     if sid in (SeqId.H, SeqId.OODD, SeqId.OODD2, SeqId.D):

@@ -126,17 +126,20 @@ def test_lift_checks_fail_when_kernel_is_perturbed(monkeypatch, name, p, m):
     assert run_check(name, p, m, 1).verdict == "fail"
 
 
-def test_central_cubed_terms_match_exact_sums():
-    # (binom(2k,k)^3/64^k, O_k, O2_k) against exact fractions, k = 1..(p-1)/2
+def test_central_sums_match_exact_sums():
+    # sum_k binom(2k,k)^3/64^k (1, O_k, O2_k, O_k^2) over k = 1..(p-1)/2 against
+    # exact fractions, at every precision a task asks for: 3r + 2 = 8 at r = 2
     for pi in primes_in_range(3, 59):
         p = pi.p
-        for e in (1, 2, 3):
-            terms = list(checks._central_cubed_terms(p, e))
-            assert len(terms) == (p - 1) // 2
-            for k, got in enumerate(terms, 1):
-                _, o, o2, _ = harmonic_values(k)
-                exact = (Fraction(comb(2 * k, k) ** 3, 64 ** k), o, o2)
-                assert got == tuple(reduce_rat(q, p, e).value for q in exact), (p, e, k)
+        exact = [Fraction(0)] * 4
+        for k in range(1, (p - 1) // 2 + 1):
+            _, o, o2, _ = harmonic_values(k)
+            c = Fraction(comb(2 * k, k) ** 3, 64 ** k)
+            for i, w in enumerate((1, o, o2, o * o)):
+                exact[i] += c * w
+        for e in range(1, 9):
+            want = tuple(reduce_rat(q, p, e).value for q in exact)
+            assert checks._central_sums(p, e) == want, (p, e)
 
 
 def test_lemma24_sum_matches_exact():
@@ -158,17 +161,49 @@ def test_lemma24_sum_matches_exact():
     ],
 )
 def test_central_sum_checks_fail_when_pass_is_perturbed(monkeypatch, name, p):
+    # each sum moves by p^(d-1), the top p-adic digit that the row reads;
+    # thm2.1ii reads S_OO only mod p, through p^2 S_OO mod p^3
+    digits = {"thm2.1ii": 1, "lemma2.3": 3, "lemma2.4": 3, "lemma2.7a": 2,
+              "lemma2.7b": 1, "conj2.1": 1}[name]
     assert run_check(name, p).verdict == "pass"
-    real = checks._central_cubed_terms
+    real = checks._central_sums
 
     def shifted(q, e):
-        terms = real(q, e)
-        t, o, o2 = next(terms)
-        yield (t + q ** (e - 1)) % q ** e, o, o2
-        yield from terms
+        return tuple((v + q ** (digits - 1)) % q ** e for v in real(q, e))
 
-    monkeypatch.setattr(checks, "_central_cubed_terms", shifted)
+    monkeypatch.setattr(checks, "_central_sums", shifted)
     assert run_check(name, p).verdict == "fail"
+
+
+CENTRAL_ROWS = ["thm2.1ii", "lemma2.3", "lemma2.4", "lemma2.7a", "lemma2.7b", "conj2.1"]
+
+
+@pytest.mark.parametrize(
+    "which, failing",
+    [
+        (0, {"lemma2.3", "lemma2.4"}),  # S
+        (1, {"lemma2.3", "lemma2.7a"}),  # S_O
+        (2, {"lemma2.3", "lemma2.7b"}),  # S_O2
+        (3, {"thm2.1ii", "lemma2.3", "conj2.1"}),  # S_OO
+    ],
+)
+def test_central_rows_read_exactly_their_sums(monkeypatch, which, failing):
+    # one central pass per prime feeds all six rows; shifting one of its four
+    # sums by 1 fails exactly the rows that read that sum
+    real = checks._central_sums
+
+    def shifted(q, e):
+        sums = list(real(q, e))
+        sums[which] = (sums[which] + 1) % q ** e
+        return tuple(sums)
+
+    monkeypatch.setattr(checks, "_central_sums", shifted)
+    got = sweep(CENTRAL_ROWS, [11, 13, 17, 19, 29])
+    assert len(got) == 6 * 5
+    for res in got:
+        if res.verdict != "skip":
+            assert res.verdict == ("fail" if res.check in failing else "pass"), res
+    assert {res.check for res in got if res.verdict == "fail"} == failing
 
 
 @pytest.mark.parametrize(
@@ -357,8 +392,8 @@ def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
 
 
 def test_prime_task_reads_each_value_once(monkeypatch):
-    # per prime: each Apery index once, one t walk, the central pass once per
-    # precision, p B_{p-1} once, E_{p-3} and Gamma_p(1/4) mod p at most once
+    # per prime: each Apery index once, one t walk, one central pass at
+    # e_max, p B_{p-1} once, E_{p-3} and Gamma_p(1/4) mod p at most once
     calls = []
 
     def counted(kernel):
@@ -370,7 +405,7 @@ def test_prime_task_reads_each_value_once(monkeypatch):
 
         monkeypatch.setattr(checks, kernel, wrapper)
 
-    for kernel in ("apery_pair_mod", "t_values", "_central_cubed_terms", "pb_pm1_mod",
+    for kernel in ("apery_pair_mod", "t_values", "_central_sums", "pb_pm1_mod",
                    "euler_pm3_mod", "padic_gamma"):
         counted(kernel)
     primes = [pi.p for pi in primes_in_range(3, 60)]
@@ -380,8 +415,8 @@ def test_prime_task_reads_each_value_once(monkeypatch):
         assert apery and len(apery) == len(set(apery)), q
         # t_values takes one argument, the modulus p^e_max
         assert sum(c[0] == "t_values" and c[1] % q == 0 for c in calls) == 1, q
-        central = [c[2] for c in calls if c[0] == "_central_cubed_terms" and c[1] == q]
-        assert central and len(central) == len(set(central)), q
+        # e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at r = 1
+        assert [c[1:] for c in calls if c[0] == "_central_sums" and c[1] == q] == [(q, 5)]
         assert calls.count(("pb_pm1_mod", q)) == 1
         assert calls.count(("euler_pm3_mod", q)) <= 1
         assert calls.count(("padic_gamma", Fraction(1, 4), q, 1)) <= 1
@@ -529,6 +564,19 @@ def test_sweep_rejects_unknown_names():
 def test_sweep_accepts_explicit_prime_list():
     res = sweep(["thm3.3_tp"], [13, 5, 7])
     assert [r.p for r in res] == [5, 7, 13]
+
+
+def test_repeated_prime_runs_once():
+    assert [r.p for r in sweep(["thm3.3_tp"], [5, 5, 7])] == [5, 7]
+    value, report = recover_cm(1, [5, 5, 7, 11])
+    assert (value, report) == recover_cm(1, [5, 7, 11])
+    assert report["modulus"] == 5 * 7 * 11
+
+
+@pytest.mark.parametrize("name", ["eq1.3", "id_eq2.2"])
+def test_prime_row_requires_p(name):
+    with pytest.raises(ValueError, match=f"check {name} requires parameter p"):
+        run_check(name)
 
 
 def test_crt_accumulator():

@@ -11,7 +11,6 @@ from aperylab.sequences import (
     SeqId,
     apery_a_recurrence,
     apery_aprime_recurrence,
-    apery_mod,
     apery_pair_mod,
     c_coeffs,
     harmonic_values,
@@ -167,8 +166,8 @@ def kernel_cases(draw, max_n, primes=KERNEL_PRIMES, max_e=7):
 def test_apery_mod_matches_recurrence(case):
     n, p, e = case
     m = p ** e
-    assert apery_mod(SeqId.A, n, p, e) == apery_a_recurrence(n) % m
-    assert apery_mod(SeqId.APRIME, n, p, e) == apery_aprime_recurrence(n) % m
+    assert seq_mod(SeqId.A, n, p, e).value == apery_a_recurrence(n) % m
+    assert seq_mod(SeqId.APRIME, n, p, e).value == apery_aprime_recurrence(n) % m
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,15 +175,13 @@ def test_apery_mod_matches_recurrence(case):
 def test_apery_mod_matches_direct_sum(case):
     n, p, e = case
     m = p ** e
-    assert apery_mod(SeqId.A, n, p, e) == apery_a_exact(n) % m
-    assert apery_mod(SeqId.APRIME, n, p, e) == apery_aprime_exact(n) % m
+    assert seq_mod(SeqId.A, n, p, e).value == apery_a_exact(n) % m
+    assert seq_mod(SeqId.APRIME, n, p, e).value == apery_aprime_exact(n) % m
 
 
-def test_apery_mod_rejects_other_sequences():
-    with pytest.raises(ValueError):
-        apery_mod(SeqId.T, 3, 5, 2)
-    with pytest.raises(ValueError):
-        apery_mod(SeqId.A, -1, 5, 2)
+def test_seq_mod_rejects_negative_index():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        seq_mod(SeqId.A, -1, 5, 2)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
