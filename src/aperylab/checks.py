@@ -14,11 +14,13 @@ conj2.5 that is (2/3) m^3 c_m with c_m = (17 A_{m-1} - A_m) / 12, any m.
 A sweep runs each fixed-range identity as one task and each prime as one
 task, which covers every selected Lift and AtPrime row, every (m, r) and the
 per-prime identity.  Its rows read one _PrimeValues, which computes each
-value they share once, at its first use (A_n and A'_n together, from one
-apery_pair_mod pass per index at the largest precision the rows need,
-t_0..t_p from one walk, the four central-binomial harmonic sums from one
-pass, E_{p-3}, p B_{p-1}, B_{p-3}, Gamma_p(1/4)^4), and keeps nothing past
-the task.  run_check runs the same evaluator on one row.
+value they share once, at its first use, and keeps nothing past the task.
+One factorial table per prime, at the largest precision the rows need, is
+the source of every factorial they read: A_n and A'_n together, from one
+apery_pair_mod pass per index; the four central-binomial harmonic sums,
+from one pass; p B_{p-1} = (p-1)! + p (mod p^2) by Glaisher's congruence;
+and eq2.2's binomials.  t_0..t_p come from one walk, and E_{p-3}, B_{p-3}
+and Gamma_p(1/4)^4 once each.  run_check runs the same evaluator on one row.
 The conj2.5 records carry each prime's residue of c_m, so the CRT recovery
 (cm_recovery) reads the sweep's own values; recover_cm runs the same
 evaluator on the conj2.5 row alone.
@@ -37,15 +39,9 @@ from math import comb, gcd
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import identities, special
-from .modring import PrimeInfo, prime_info, primes_in_range, reduce_rat
-from .sequences import SeqId, apery_neighbours, apery_pair_mod, t_values
-from .special import (
-    bernoulli_mod_p2,
-    euler_pm3_mod,
-    gamma_quarter_closed_form,
-    padic_gamma,
-    pb_pm1_mod,
-)
+from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range, reduce_rat
+from .sequences import SeqId, apery_neighbours, apery_pair_mod, factorial_table, t_values
+from .special import bernoulli_mod_p2, euler_pm3_mod, gamma_quarter_closed_form, padic_gamma
 
 SIZE_CAP_ENV = "APERY_LAB_SIZE_CAP"
 DEFAULT_SIZE_CAP = 100_000
@@ -94,22 +90,28 @@ def _central_sums(p: int, e: int) -> tuple[int, int, int, int]:
     k = 1..(p-1)/2, where c_k = binom(2k,k)^3 / 64^k,
     O_k = sum_{i<=k} 1/(2i-1) and O2_k = sum_{i<=k} 1/(2i-1)^2.
 
+    Every factorial index is below p, so each is a unit read off the rows of
+    factorial_table(p, e): binom(2k,k) = U[2k] IU[k]^2 and
+    1/(2k-1) = U[2k-2] IU[2k-1], with no inversion per k.
+
     For the full-range statements summed to p-1: a term with (p-1)/2 < k < p
     carries p^3 from the cubed central binomial and at worst p^-1 (weight O)
     or p^-2 (weights O2, O^2), so those terms vanish at e <= 2 and e <= 1
     respectively and the half sum already equals the full sum.
     """
-    m = p ** e
+    table = factorial_table(p, e)
+    table.extend(p - 1)
+    m, unit, inv = table.modulus, table.unit, table.inv_unit
     inv64 = pow(64, -1, m)
-    c = w64 = 1
+    w64 = 1
     o = o2 = 0
     s = s_o = s_o2 = s_oo = 0
     for k in range(1, (p - 1) // 2 + 1):
-        c = c * 2 * (2 * k - 1) % m * pow(k, -1, m) % m
+        c = unit[2 * k] * inv[k] % m * inv[k] % m
         w64 = w64 * inv64 % m
-        inv = pow(2 * k - 1, -1, m)
-        o = (o + inv) % m
-        o2 = (o2 + inv * inv) % m
+        i = unit[2 * k - 2] * inv[2 * k - 1] % m
+        o = (o + i) % m
+        o2 = (o2 + i * i) % m
         t = c * c % m * c % m * w64 % m
         to = t * o % m
         s, s_o, s_o2, s_oo = s + t, s_o + to, s_o2 + t * o2, s_oo + to * o
@@ -121,13 +123,16 @@ def _central_sums(p: int, e: int) -> tuple[int, int, int, int]:
 
 class _PrimeValues:
     """The values the rows at one prime p read, each taken at its first use
-    and kept only as long as this object: the pair A_n, A'_n mod p^e_max
-    (apery_pair_mod), once per index and all from one factorial table;
-    t_0..t_p mod p^e_max from one walk; the four central sums mod p^e_max
-    from one pass; and the Bernoulli, Euler and Gamma_p values below.  A row
-    reduces what it reads to its own modulus.  Each kernel is looked up in
-    this module when it runs, so a patched kernel is the one called.  The
-    size cap is read from APERY_LAB_SIZE_CAP when the object is made."""
+    and kept only as long as this object.  One factorial table per prime,
+    factorial_table(p, e_max), is the source of every factorial the values
+    read: the pair A_n, A'_n mod p^e_max (apery_pair_mod), once per index;
+    the four central sums mod p^e_max from one pass; p B_{p-1} from its
+    entry (p-1)!; and the table handed to the per-prime identity.  Besides
+    it: t_0..t_p mod p^e_max from one walk, and the Bernoulli, Euler and
+    Gamma_p values below.  A row reduces what it reads to its own modulus.
+    Each kernel is looked up in this module when it runs, so a patched
+    kernel is the one called.  The size cap is read from APERY_LAB_SIZE_CAP
+    when the object is made."""
 
     def __init__(self, pi: PrimeInfo, e_max: int) -> None:
         self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
@@ -140,6 +145,13 @@ class _PrimeValues:
         if n not in self._apery:
             self._apery[n] = apery_pair_mod(n, self.p, self.e_max)
         return self._apery[n][sid is SeqId.APRIME]
+
+    @cached_property
+    def table(self) -> FactorialTable:
+        """factorial_table(p, e_max), its rows extended to p - 1."""
+        table = factorial_table(self.p, self.e_max)
+        table.extend(self.p - 1)
+        return table
 
     @cached_property
     def t(self) -> list[int]:
@@ -185,8 +197,10 @@ class _PrimeValues:
 
     @cached_property
     def pb(self) -> int:
-        """p B_{p-1} mod p^2."""
-        return pb_pm1_mod(self.p)
+        """p B_{p-1} mod p^2, as (p-1)! + p by Glaisher's congruence; every
+        row that reads it is stated mod p^2, so e_max >= 2 here."""
+        m = self.p * self.p
+        return (self.table.unit[self.p - 1] + self.p) % m
 
     @cached_property
     def gamma4(self) -> int:
@@ -468,13 +482,14 @@ CHECKS = _defs()
 # ---------------------------------------------------------------------------
 # execution
 
-def _identity_result(name: str, p: Optional[int], verifiers, arg: int) -> CheckResult:
-    """Runs the verifiers in turn and records the first failing outcome, or
-    the first outcome when all hold.  Each is looked up in identities when it
-    runs, so a wrapped or patched verifier is the one called."""
+def _identity_result(name: str, p: Optional[int], verifiers, *args) -> CheckResult:
+    """Runs the verifiers in turn on args and records the first failing
+    outcome, or the first outcome when all hold.  Each is looked up in
+    identities when it runs, so a wrapped or patched verifier is the one
+    called."""
     outs = []
     for v in verifiers:
-        outs.append(getattr(identities, v)(arg))
+        outs.append(getattr(identities, v)(*args))
         if not outs[-1].ok:
             break
     out = outs[-1] if not outs[-1].ok else outs[0]
@@ -488,17 +503,19 @@ def _prime_results(names: Sequence[str], p: int, m_list, r_list) -> list[CheckRe
     """The records of the named prime-indexed rows at one prime, each a
     verdict or a skip, in the given row order, then m and r in list order
     for a Lift row.  The rows share one _PrimeValues at the largest precision
-    they need (3r + extra for a Lift row, e for an AtPrime row), so each
-    value is computed once.  A conj2.5 record also carries the prime's
-    residue of c_m for the recovery."""
+    they need (3r + extra for a Lift row, e for an AtPrime row, 2 for the
+    per-prime identity, which reads the task's table mod p^2), so each value
+    is computed once.  A conj2.5 record also carries the prime's residue of
+    c_m for the recovery."""
     rows = [(name, CHECKS[name].runner) for name in names]
     e_max = max([3 * r + row.extra for _, row in rows if isinstance(row, Lift) for r in r_list]
-                + [row.e for _, row in rows if isinstance(row, AtPrime)], default=1)
+                + [row.e for _, row in rows if isinstance(row, AtPrime)]
+                + [2 for _, row in rows if isinstance(row, Identity)], default=1)
     at = _PrimeValues(prime_info(p), e_max)
     out = []
     for name, row in rows:
         if isinstance(row, Identity):
-            out.append(_identity_result(name, p, row.verifiers, p))
+            out.append(_identity_result(name, p, row.verifiers, p, at.table))
             continue
         lift = isinstance(row, Lift)
         for m, r in product(m_list, r_list) if lift else [(None, None)]:
@@ -545,7 +562,9 @@ def _run_task(task) -> list[CheckResult]:
 
 
 def _prime_list(primes) -> list[int]:
-    """The primes of a (lo, hi) range, or of an iterable, each once, ascending."""
+    """The primes of a (lo, hi) range, or of an iterable, each once, ascending.
+    A tuple of two ints is always a range: (5, 11) is 5, 7, 11, while
+    [5, 11] is 5, 11."""
     if isinstance(primes, tuple) and len(primes) == 2 and all(
         isinstance(v, int) for v in primes
     ):
@@ -562,6 +581,8 @@ def sweep(
 ) -> list[CheckResult]:
     """Run the cross product of checks, primes, and parameters.
 
+    primes is a (lo, hi) range or an iterable of primes, each run once; a
+    tuple of two ints is read as a range, so pass [5, 11] for just 5 and 11.
     Each fixed-range identity is one task; then each prime is one task,
     which covers every selected Lift, AtPrime and per-prime Identity row and
     every (m, r).  Results come back in canonical order (registry order,
@@ -677,7 +698,8 @@ def recover_cm(
 
         A_{mp^r - 1} - A_{mp^(r-1) - 1} = (2/3) m^3 c_m p^(3r) B_{p-3}  (mod p^(3r+1)),
 
-    CRT-combined by cm_recovery to the symmetric representative."""
+    CRT-combined by cm_recovery to the symmetric representative.  primes is
+    read as in sweep: a tuple of two ints is a (lo, hi) range."""
     _require_mr(m, r)
     return cm_recovery(m, r, [
         (p, _prime_results(["conj2.5"], p, [m], [r])[0].recovery)

@@ -129,15 +129,21 @@ def eq21_identity(max_n: int) -> IdentityOutcome:
     return IdentityOutcome(True, *spot)
 
 
-def eq22_congruence(p: int) -> IdentityOutcome:
+def eq22_congruence(p: int, table: FactorialTable | None = None) -> IdentityOutcome:
     """binom((p-1)/2 + k, 2k) = binom(2k,k)/(-16)^k (mod p^2), k = 1..(p-1)/2.
 
     Every factorial index is below p, so both binomials are units read off the
-    unit and inverse-unit rows of one FactorialTable(p, 2).
+    unit and inverse-unit rows of a factorial table for p: the given one,
+    which may be at any p^e with e >= 2 (a sweep passes its prime's table),
+    or else a FactorialTable(p, 2) of its own.  Every product is reduced
+    mod p^2, which divides the table's modulus.
     """
     m = p * p
     half = (p - 1) // 2
-    table = FactorialTable(p, 2)
+    if table is None:
+        table = FactorialTable(p, 2)
+    elif table.p != p or table.e < 2:
+        raise ValueError(f"need a table for p = {p} at e >= 2, got p = {table.p}, e = {table.e}")
     table.extend(p - 1)
     unit, inv = table.unit, table.inv_unit
     inv_m16 = pow(-16, -1, m)

@@ -4,18 +4,21 @@ The checks need only a few residues of these numbers, and each has an O(p)
 route by a classical congruence:
 
 - E_{p-3} mod p by Lehmer's sum of k^-2 over k <= p/4 (euler_pm3_mod);
-- p B_{p-1} mod p^2 by the power sum of k^(p-1) over k < p (pb_pm1_mod);
 - B_n mod p^2 by Faulhaber's formula, sum_{k<p} k^n = p B_n (mod p^3)
   (bernoulli_mod_p2).
+
+p B_{p-1} mod p^2 is not computed here: a prime's checks read it as
+(p-1)! + p by Glaisher's congruence, off the factorial table they already
+hold, and the power sum of k^(p-1) over k < p is its oracle in the tests.
 
 The exact Bernoulli table, from the defining recurrence over Fraction, stays:
 it answers where Faulhaber's route does not hold (p = 5) and is the oracle of
 those congruences.  The Euler-number recurrence in Z/pZ, the Fermat quotients
-and (p-1)! mod p^2 are oracles only, and live in the tests.  Gamma_p mod p^e
-is the product definition taken by blocks of p factors, in about
-p e + e^3 log2(p^(e-1)) steps rather than p^e; the factor-by-factor product
-stays in the tests as its oracle, and the quarter-value closed form is checked
-against both.
+and (p-1)! mod p^2 by its own product are oracles only, and live in the tests.
+Gamma_p mod p^e is the product definition taken by blocks of p factors, in
+about p e + e^3 log2(p^(e-1)) steps rather than p^e; the factor-by-factor
+product stays in the tests as its oracle, and the quarter-value closed form is
+checked against both.
 """
 
 from __future__ import annotations
@@ -60,12 +63,6 @@ def euler_pm3_mod(p: int) -> int:
     s = sum(pow(k, -2, p) for k in range(1, p // 4 + 1))
     sign = -1 if (p - 1) // 2 % 2 else 1
     return sign * s * pow(4, -1, p) % p
-
-
-def pb_pm1_mod(p: int) -> int:
-    """p B_{p-1} mod p^2 for an odd prime p, as sum_{k<p} k^(p-1) (Faulhaber)."""
-    m = p * p
-    return sum(pow(k, p - 1, m) for k in range(1, p)) % m
 
 
 def bernoulli_mod_p2(n: int, p: int) -> int:

@@ -65,6 +65,29 @@ def apery_mod(sid: SeqId, n: int, p: int, e: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def central_sums(p: int, e: int) -> tuple[int, int, int, int]:
+    """(S, S_O, S_O2, S_OO) = sum_k c_k (1, O_k, O2_k, O_k^2) mod p^e over
+    k = 1..(p-1)/2, with c_k = binom(2k,k)^3 / 64^k rolled by
+    binom(2k,k) = binom(2k-2,k-1) 2(2k-1)/k and each 1/k, 1/(2k-1) a modular
+    inversion: the oracle of checks._central_sums, which reads a factorial
+    table."""
+    m = p ** e
+    inv64 = pow(64, -1, m)
+    c = w64 = 1
+    o = o2 = 0
+    s = s_o = s_o2 = s_oo = 0
+    for k in range(1, (p - 1) // 2 + 1):
+        c = c * 2 * (2 * k - 1) % m * pow(k, -1, m) % m
+        w64 = w64 * inv64 % m
+        inv = pow(2 * k - 1, -1, m)
+        o = (o + inv) % m
+        o2 = (o2 + inv * inv) % m
+        t = c * c % m * c % m * w64 % m
+        to = t * o % m
+        s, s_o, s_o2, s_oo = s + t, s_o + to, s_o2 + t * o2, s_oo + to * o
+    return s % m, s_o % m, s_o2 % m, s_oo % m
+
+
 def c_coeffs(m: int) -> tuple[int, int]:
     """The integer pair (C_m, C'_m) weighting the p^(3r) B_{p-3} corrections.
 
@@ -124,6 +147,12 @@ def euler_mod(n: int, p: int) -> Residue:
         s = sum(comb(2 * m, 2 * k) * table[m - k] for k in range(1, m + 1))
         table.append(-s % p)
     return Residue(table[n // 2], p, 1)
+
+
+def pb_pm1_mod(p: int) -> int:
+    """p B_{p-1} mod p^2 for an odd prime p, as sum_{k<p} k^(p-1) (Faulhaber)."""
+    m = p * p
+    return sum(pow(k, p - 1, m) for k in range(1, p)) % m
 
 
 def fermat_quotient(a: int, p: int) -> Residue:

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from aperylab import checks, special
+from aperylab import checks, sequences, special
 from aperylab.checks import (
     CHECKS,
     CrtAccumulator,
@@ -18,7 +18,7 @@ from aperylab.checks import (
     run_check,
     sweep,
 )
-from aperylab.modring import Residue, primes_in_range, reduce_rat
+from aperylab.modring import FactorialTable, Residue, prime_info, primes_in_range, reduce_rat
 from aperylab.sequences import (
     SeqId,
     apery_a_recurrence,
@@ -26,7 +26,28 @@ from aperylab.sequences import (
     seq_mod,
 )
 
-from oracles import LIFT_WEIGHTS, REFERENCE_CM, apery_aprime_exact
+from oracles import (
+    LIFT_WEIGHTS,
+    REFERENCE_CM,
+    apery_aprime_exact,
+    central_sums,
+    pb_pm1_mod,
+)
+
+
+def shifted_table(index):
+    """A stand-in for factorial_table whose unit-row entry at index(p) is
+    moved by p when the table is extended over it."""
+
+    class Shifted(FactorialTable):
+        def extend(self, n):
+            start = len(self.unit)
+            super().extend(n)
+            i = index(self.p)
+            if start <= i <= n:
+                self.unit[i] = (self.unit[i] + self.p) % self.modulus
+
+    return Shifted
 
 
 def test_registry_shape():
@@ -142,6 +163,21 @@ def test_central_sums_match_exact_sums():
             assert checks._central_sums(p, e) == want, (p, e)
 
 
+def test_central_sums_match_pow_oracle():
+    # the table route against the rolled binomial with two inversions per k
+    for pi in primes_in_range(3, 399):
+        for e in (1, 2, 3, 5, 8):
+            assert checks._central_sums(pi.p, e) == central_sums(pi.p, e), (pi.p, e)
+
+
+def test_glaisher_pb_matches_power_sum():
+    # p B_{p-1} = (p-1)! + p (mod p^2), read off a table at p^2 and at p^5
+    for pi in primes_in_range(3, 1999):
+        want = pb_pm1_mod(pi.p)
+        for e in (2, 5):
+            assert checks._PrimeValues(prime_info(pi.p), e).pb == want, (pi.p, e)
+
+
 def test_lemma24_sum_matches_exact():
     # the full k < p sum, including the terms that p divides
     for pi in primes_in_range(3, 59):
@@ -229,10 +265,23 @@ def test_euler_checks_fail_when_euler_value_is_perturbed(monkeypatch, name, p):
 @pytest.mark.parametrize("name", ["thm3.3_tpm1", "thm3.3_thalf", "thm3.3_thalfp1"])
 @pytest.mark.parametrize("p", [11, 13])
 def test_thm33_checks_fail_when_pb_value_is_perturbed(monkeypatch, name, p):
+    # p B_{p-1} is (p-1)! + p off the task's table: moving U[p-1] by p moves it by p
     assert run_check(name, p).verdict == "pass"
-    real = checks.pb_pm1_mod
-    monkeypatch.setattr(checks, "pb_pm1_mod", lambda q: (real(q) + q) % (q * q))
+    monkeypatch.setattr(checks, "factorial_table", shifted_table(lambda q: q - 1))
     assert run_check(name, p).verdict == "fail"
+
+
+def test_prime_sweep_fails_when_eq22_table_row_is_shifted(monkeypatch):
+    # id_eq2.2 reads the task's table: (h+1)! with h = (p-1)/2 is the lhs
+    # numerator at k = 1 only
+    primes = [5, 7, 13, 101]
+    assert all(r.verdict == "pass" for r in sweep(["id_eq2.2", "thm3.3_tp"], primes))
+    monkeypatch.setattr(checks, "factorial_table", shifted_table(lambda q: (q - 1) // 2 + 1))
+    got = sweep(["id_eq2.2", "thm3.3_tp"], primes)
+    assert [(r.check, r.p, r.m, r.verdict) for r in got if r.check == "id_eq2.2"] == [
+        ("id_eq2.2", q, 1, "fail") for q in primes
+    ]
+    assert all(r.verdict == "pass" for r in got if r.check == "thm3.3_tp")
 
 
 @pytest.mark.parametrize(
@@ -392,9 +441,19 @@ def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
 
 
 def test_prime_task_reads_each_value_once(monkeypatch):
-    # per prime: each Apery index once, one t walk, one central pass at
-    # e_max, p B_{p-1} once, E_{p-3} and Gamma_p(1/4) mod p at most once
+    # per prime: one factorial table, at e_max, which id_eq2.2 reads too;
+    # each Apery index once, one t walk, one central pass at e_max, E_{p-3}
+    # and Gamma_p(1/4) mod p at most once
     calls = []
+    tables = []
+    real_init = FactorialTable.__init__
+
+    def counted_init(table, p, e):
+        tables.append((p, e))
+        real_init(table, p, e)
+
+    monkeypatch.setattr(FactorialTable, "__init__", counted_init)
+    sequences.factorial_table.cache_clear()
 
     def counted(kernel):
         real = getattr(checks, kernel)
@@ -405,8 +464,8 @@ def test_prime_task_reads_each_value_once(monkeypatch):
 
         monkeypatch.setattr(checks, kernel, wrapper)
 
-    for kernel in ("apery_pair_mod", "t_values", "_central_sums", "pb_pm1_mod",
-                   "euler_pm3_mod", "padic_gamma"):
+    for kernel in ("apery_pair_mod", "t_values", "_central_sums", "euler_pm3_mod",
+                   "padic_gamma"):
         counted(kernel)
     primes = [pi.p for pi in primes_in_range(3, 60)]
     sweep(PRIME_ROWS, (3, 60), m_list=[1, 2], r_list=[1])
@@ -417,7 +476,7 @@ def test_prime_task_reads_each_value_once(monkeypatch):
         assert sum(c[0] == "t_values" and c[1] % q == 0 for c in calls) == 1, q
         # e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at r = 1
         assert [c[1:] for c in calls if c[0] == "_central_sums" and c[1] == q] == [(q, 5)]
-        assert calls.count(("pb_pm1_mod", q)) == 1
+        assert [t for t in tables if t[0] == q] == [(q, 5)], q
         assert calls.count(("euler_pm3_mod", q)) <= 1
         assert calls.count(("padic_gamma", Fraction(1, 4), q, 1)) <= 1
     assert any(c[0] == "euler_pm3_mod" for c in calls)
@@ -564,6 +623,14 @@ def test_sweep_rejects_unknown_names():
 def test_sweep_accepts_explicit_prime_list():
     res = sweep(["thm3.3_tp"], [13, 5, 7])
     assert [r.p for r in res] == [5, 7, 13]
+
+
+def test_two_ints_in_a_tuple_are_a_range():
+    # a tuple of two ints is read as (lo, hi); a list names the primes
+    assert [r.p for r in sweep(["thm3.3_tp"], [5, 11])] == [5, 11]
+    assert [r.p for r in sweep(["thm3.3_tp"], (5, 11))] == [5, 7, 11]
+    assert recover_cm(1, [5, 11])[1]["modulus"] == 5 * 11
+    assert recover_cm(1, (5, 11))[1]["modulus"] == 5 * 7 * 11
 
 
 def test_repeated_prime_runs_once():

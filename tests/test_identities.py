@@ -58,6 +58,19 @@ def test_eq22_table_rows_match_comb():
         assert eq22_congruence(pi.p) == eq22_comb(pi.p), pi.p
 
 
+def test_eq22_reads_a_given_table_at_any_precision():
+    # a sweep hands eq2.2 its prime's table, at p^e_max; the products are
+    # reduced mod p^2 all the same
+    for pi in primes_in_range(3, 399):
+        for e in (2, 3, 5):
+            table = sequences.factorial_table(pi.p, e)
+            assert eq22_congruence(pi.p, table) == eq22_congruence(pi.p), (pi.p, e)
+    with pytest.raises(ValueError, match="e >= 2"):
+        eq22_congruence(7, FactorialTable(7, 1))
+    with pytest.raises(ValueError, match="p = 7"):
+        eq22_congruence(7, FactorialTable(11, 2))
+
+
 @pytest.mark.parametrize("p", [5, 7, 13, 101])
 def test_eq22_fails_when_a_table_row_is_shifted(monkeypatch, p):
     class ShiftedTable(FactorialTable):

@@ -25,10 +25,9 @@ from aperylab.special import (
     euler_pm3_mod,
     gamma_quarter_closed_form,
     padic_gamma,
-    pb_pm1_mod,
 )
 
-from oracles import euler_mod, fermat_quotient, gamma_product, wilson_side
+from oracles import euler_mod, fermat_quotient, gamma_product, pb_pm1_mod, wilson_side
 
 try:
     import sympy
