@@ -9,17 +9,14 @@ from .checks import (
     run_check,
     sweep,
 )
-from .exactcore import PowerSeries
 from .modring import (
     FactorialTable,
     NotPIntegral,
-    PadicFactored,
     PrimeInfo,
     Residue,
     prime_info,
     primes_in_range,
     reduce_rat,
-    to_residue,
 )
 from .sequences import SeqId, seq_exact, seq_mod
 from .special import (

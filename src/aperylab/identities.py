@@ -12,8 +12,9 @@ The O_k and O2_k values come from one walk of sequences.harmonic_family,
 rescaled to the lcm of the walk's odd denominators, squared, times a power
 of 4; t_n comes from one walk of t_values.  The lemma2.1 and thm3.2 families
 build both sides' numerators in one helper each (_lemma21_sides,
-_thm32_sums), which the identity and its certificate both read.  The
-Fraction sums these replace are the tests' oracles.
+_thm32_sums), which the identity and its certificate both read.  gf_oracle
+multiplies exactcore's integer series.  The Fraction sums and series these
+replace, and binom(x, n) for eq31's rhs, are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -162,13 +163,6 @@ def eq22_congruence(p: int, table: FactorialTable | None = None) -> IdentityOutc
     return IdentityOutcome(True, *spot, modulus=m)
 
 
-def generalized_binomial(x: Fraction, n: int) -> Fraction:
-    """binom(x, n) = x(x-1)...(x-n+1)/n! for rational x = a/b: the integer
-    prod_{i<n} (a - ib) over b^n n!."""
-    a, b = x.numerator, x.denominator
-    return Fraction(prod(a - i * b for i in range(n)), b ** n * factorial(n))
-
-
 def eq31_identity(max_n: int, trials: int = 20, seed: int = 20240811) -> IdentityOutcome:
     """sum_k binom(n,k)(-1)^k/(x-k) = (-1)^n / ((x-n) binom(x,n)) at random
     rational x outside {0, ..., n}.
@@ -293,12 +287,12 @@ def order5_certificate(max_n: int) -> IdentityOutcome:
 def gf_oracle(max_n: int) -> IdentityOutcome:
     """(2n+1)! [x^(2n+1)] arctanh(x)/sqrt(1-x^2) equals t_n from the recurrence."""
     order = 2 * max_n + 2
-    prod = series_mul(series_arctanh(order), series_inv_sqrt_one_minus_x2(order))
+    nums, den = series_mul(series_arctanh(order), series_inv_sqrt_one_minus_x2(order))
     spot = None
     for n, rhs in zip(range(max_n + 1), t_values()):
-        lhs = factorial(2 * n + 1) * prod.coefficient(2 * n + 1)
-        if lhs != rhs:
-            return _fail(n, lhs, rhs)
+        lhs = factorial(2 * n + 1) * nums[2 * n + 1]
+        if lhs != rhs * den:
+            return _fail(n, Fraction(lhs, den), rhs)
         if n == min(1, max_n):
-            spot = (n, int(lhs), rhs)
+            spot = (n, lhs // den, rhs)
     return IdentityOutcome(True, *spot)

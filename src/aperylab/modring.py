@@ -1,9 +1,8 @@
 """Odd primes and arithmetic in Z/p^e Z, with p-valuations kept explicit.
 
-Residue refuses arithmetic across different moduli, and PadicFactored keeps a
-value split as p^v * unit so that p-divisible factorials and binomials remain
-exactly computable modulo p^e.  FactorialTable is the one route to them: rows
-of valuations, units and inverse units per p^e, read in O(1) per binomial.
+Residue refuses arithmetic across different moduli.  FactorialTable keeps i!
+as p^v * unit in rows of valuations, units and inverse units per p^e, which
+the kernels read directly: a p-divisible binomial is exact mod p^e at O(1).
 """
 
 from __future__ import annotations
@@ -177,40 +176,7 @@ class Residue:
 
 
 # ---------------------------------------------------------------------------
-# factored values
-
-@dataclass(frozen=True)
-class PadicFactored:
-    """A value p^valuation * unit, the unit kept as a residue coprime to p.
-
-    The valuation may go negative mid-computation (quotients); conversion to a
-    plain residue requires valuation >= 0.
-    """
-
-    valuation: int
-    unit: Residue
-
-    def __mul__(self, other: "PadicFactored") -> "PadicFactored":
-        return PadicFactored(self.valuation + other.valuation, self.unit * other.unit)
-
-    def __truediv__(self, other: "PadicFactored") -> "PadicFactored":
-        return PadicFactored(self.valuation - other.valuation, self.unit * other.unit.inv())
-
-    def __pow__(self, k: int) -> "PadicFactored":
-        return PadicFactored(self.valuation * k, self.unit ** k)
-
-
-def to_residue(x: PadicFactored) -> Residue:
-    """p^valuation * unit as a residue (zero once the valuation reaches e)."""
-    if x.valuation < 0:
-        raise NotPIntegral(
-            f"not p-integral: valuation {x.valuation}", x.valuation
-        )
-    r = x.unit
-    if x.valuation >= r.e:
-        return Residue(0, r.p, r.e)
-    return r * r.p ** x.valuation
-
+# rational reduction and factorial tables
 
 def reduce_rat(q: Union[Fraction, int], p: int, e: int) -> Residue:
     """A p-integral rational reduced mod p^e."""
@@ -232,7 +198,8 @@ class FactorialTable:
     Three rows are kept as plain ints: the Legendre valuation of i!, its unit
     part with every factor p stripped, and the inverse of that unit.  The
     inverse row costs one modular inversion per extension and is then filled
-    backwards, so binomial() is O(1) and long binomial sums run in linear time.
+    backwards, so a binomial off the rows is O(1) and long binomial sums run
+    in linear time.
     """
 
     def __init__(self, p: int, e: int) -> None:
@@ -267,18 +234,3 @@ class FactorialTable:
             inv.append(iu)
         inv.reverse()
         self.inv_unit.extend(inv)
-
-    def factorial(self, n: int) -> PadicFactored:
-        if n < 0:
-            raise ValueError("need n >= 0")
-        self.extend(n)
-        return PadicFactored(self.val[n], Residue(self.unit[n], self.p, self.e))
-
-    def binomial(self, n: int, k: int) -> PadicFactored:
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        self.extend(n)
-        m = self.modulus
-        v = self.val[n] - self.val[k] - self.val[n - k]
-        u = self.unit[n] * self.inv_unit[k] % m * self.inv_unit[n - k] % m
-        return PadicFactored(v, Residue(u, self.p, self.e))

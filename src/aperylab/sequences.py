@@ -12,9 +12,9 @@ over a common denominator of their own.  apery_neighbours caches
 C_m = m^3 (A_{m-1} - 17 A_m) / 12, C'_m = m^3 (A'_{m-1} - 2 A'_m).
 seq_mod evaluates residues without ever constructing the exact value
 (apery_pair_mod for the Apery sums, the division-free recurrence for t,
-incremental inverses for the harmonic family).  apery_pair_mod gives A_n and A'_n together from one pass over a
-factorial table, the two summands sharing one unit that is reduced once per
-term, and each sum reduced once at the end.
+incremental inverses for the harmonic family).  apery_pair_mod gives A_n and
+A'_n together from one pass over a factorial table, the two summands sharing
+one unit that is reduced once per term, and each sum reduced once at the end.
 The O(n^2) direct sums for A and A', the earlier two-pass apery_mod and the
 binomial sums for C and C' live in the tests, as the oracles that
 apery_pair_mod, the recurrences and c_coeffs are checked against.
@@ -164,9 +164,9 @@ def seq_exact(sid: SeqId, n: int):
 # ---------------------------------------------------------------------------
 # modular evaluators
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def factorial_table(p: int, e: int) -> FactorialTable:
-    # Sweeps visit (p, e) in order, so a few live tables suffice.
+    # A sweep task reads one (p, e), so only the current table is kept alive.
     return FactorialTable(p, e)
 
 

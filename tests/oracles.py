@@ -1,13 +1,14 @@
 """Independent routes that only the tests use, as oracles for the fast kernels."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from aperylab.identities import IdentityOutcome, _fail
-from aperylab.modring import PadicFactored, Residue
+from aperylab.modring import FactorialTable, NotPIntegral, Residue
 from aperylab.sequences import SeqId, factorial_table, harmonic_family, t_values
 
 
@@ -172,6 +173,60 @@ def wilson_side(p: int) -> Residue:
     return Residue(v, p, 2)
 
 
+@dataclass(frozen=True)
+class PadicFactored:
+    """A value p^valuation * unit, the unit kept as a residue coprime to p.
+
+    The valuation may go negative mid-computation (quotients); conversion to a
+    plain residue requires valuation >= 0.
+    """
+
+    valuation: int
+    unit: Residue
+
+    def __mul__(self, other: "PadicFactored") -> "PadicFactored":
+        return PadicFactored(self.valuation + other.valuation, self.unit * other.unit)
+
+    def __truediv__(self, other: "PadicFactored") -> "PadicFactored":
+        return PadicFactored(self.valuation - other.valuation, self.unit * other.unit.inv())
+
+    def __pow__(self, k: int) -> "PadicFactored":
+        return PadicFactored(self.valuation * k, self.unit ** k)
+
+
+def to_residue(x: PadicFactored) -> Residue:
+    """p^valuation * unit as a residue (zero once the valuation reaches e)."""
+    if x.valuation < 0:
+        raise NotPIntegral(
+            f"not p-integral: valuation {x.valuation}", x.valuation
+        )
+    r = x.unit
+    if x.valuation >= r.e:
+        return Residue(0, r.p, r.e)
+    return r * r.p ** x.valuation
+
+
+# n! and binom(n, k) read off the val, unit and inv_unit rows of a
+# FactorialTable, the rows that apery_pair_mod, _central_sums and
+# eq22_congruence read.
+
+def table_factorial(table: FactorialTable, n: int) -> PadicFactored:
+    if n < 0:
+        raise ValueError("need n >= 0")
+    table.extend(n)
+    return PadicFactored(table.val[n], Residue(table.unit[n], table.p, table.e))
+
+
+def table_binomial(table: FactorialTable, n: int, k: int) -> PadicFactored:
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    table.extend(n)
+    m = table.modulus
+    v = table.val[n] - table.val[k] - table.val[n - k]
+    u = table.unit[n] * table.inv_unit[k] % m * table.inv_unit[n - k] % m
+    return PadicFactored(v, Residue(u, table.p, table.e))
+
+
 def factored_factorial(n: int, p: int, e: int) -> PadicFactored:
     """n! as p^v * unit mod p^e; v is the Legendre valuation."""
     if n < 0:
@@ -314,6 +369,13 @@ def generalized_binomial(x: Fraction, n: int) -> Fraction:
     return num / factorial(n)
 
 
+def generalized_binomial_product(x: Fraction, n: int) -> Fraction:
+    """binom(x, n) = x(x-1)...(x-n+1)/n! for rational x = a/b: the integer
+    prod_{i<n} (a - ib) over b^n n!."""
+    a, b = x.numerator, x.denominator
+    return Fraction(prod(a - i * b for i in range(n)), b ** n * factorial(n))
+
+
 def eq31_identity(max_n: int, trials: int = 20, seed: int = 20240811) -> IdentityOutcome:
     """sum_k binom(n,k)(-1)^k/(x-k) = (-1)^n / ((x-n) binom(x,n)) at random
     rational x outside {0, ..., n}."""
@@ -417,3 +479,76 @@ def order5_certificate(max_n: int) -> IdentityOutcome:
             if res != 0:
                 return _fail(n, res, Fraction(0))
     return IdentityOutcome(True, max_n, Fraction(0), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Truncated power series with Fraction coefficients, and gf_oracle read off
+# their product: the oracles of exactcore's integer-numerator series.
+
+@dataclass(frozen=True)
+class PowerSeries:
+    """Dense rational power series truncated at a fixed order.
+
+    coeffs[k] is the coefficient of x^k; len(coeffs) is the truncation order.
+    """
+
+    coeffs: tuple[Fraction, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs)
+
+    def coefficient(self, k: int) -> Fraction:
+        return self.coeffs[k]
+
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        return series_mul(self, other)
+
+
+def series_arctanh(order: int) -> PowerSeries:
+    """arctanh(x) = sum_{m>=0} x^(2m+1)/(2m+1), truncated at the given order."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    coeffs = tuple(Fraction(1, k) if k % 2 else Fraction(0) for k in range(order))
+    return PowerSeries(coeffs)
+
+
+def series_inv_sqrt_one_minus_x2(order: int) -> PowerSeries:
+    """1/sqrt(1-x^2) = sum_{k>=0} binom(2k,k)/4^k x^(2k), truncated."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    coeffs = tuple(
+        Fraction(comb(k, k // 2), 4 ** (k // 2)) if k % 2 == 0 else Fraction(0)
+        for k in range(order)
+    )
+    return PowerSeries(coeffs)
+
+
+def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """Cauchy product truncated at the common order of the operands."""
+    if a.order != b.order:
+        raise ValueError(f"mismatched orders: {a.order} != {b.order}")
+    n = a.order
+    out = [Fraction(0)] * n
+    for i, ca in enumerate(a.coeffs):
+        if not ca:
+            continue
+        for j in range(n - i):
+            cb = b.coeffs[j]
+            if cb:
+                out[i + j] += ca * cb
+    return PowerSeries(tuple(out))
+
+
+def gf_oracle(max_n: int) -> IdentityOutcome:
+    """(2n+1)! [x^(2n+1)] arctanh(x)/sqrt(1-x^2) equals t_n from the recurrence."""
+    order = 2 * max_n + 2
+    product = series_mul(series_arctanh(order), series_inv_sqrt_one_minus_x2(order))
+    spot = None
+    for n, rhs in zip(range(max_n + 1), t_values()):
+        lhs = factorial(2 * n + 1) * product.coefficient(2 * n + 1)
+        if lhs != rhs:
+            return _fail(n, lhs, rhs)
+        if n == min(1, max_n):
+            spot = (n, int(lhs), rhs)
+    return IdentityOutcome(True, *spot)

@@ -483,6 +483,13 @@ def test_prime_task_reads_each_value_once(monkeypatch):
     assert any(c[0] == "padic_gamma" and c[3] == 1 for c in calls)
 
 
+def test_factorial_table_cache_keeps_one_table():
+    # each task reads one (p, e), so the previous prime's table is let go
+    sequences.factorial_table.cache_clear()
+    sweep(["beukers_a"], [5, 7], r_list=[2])
+    assert sequences.factorial_table.cache_info().currsize == 1
+
+
 def test_prime_sweep_fails_when_euler_value_is_perturbed(monkeypatch):
     # the rows share one E_{p-3} per prime; each must still see the shift
     names, primes = ["thm2.1ii", "lemma2.6", "lemma2.7b", "conj2.1"], [13, 17, 29]

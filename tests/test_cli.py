@@ -1,5 +1,6 @@
 """CLI surface: record formats, exit codes, flag handling."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -329,3 +330,12 @@ def test_invalid_prime_range_names_the_flag(capsys, checks, primes):
     lo, hi = primes.split("..")
     assert (code, out) == (2, "")
     assert err == f"argument --primes: need 3 <= lo <= hi, got [{lo}, {hi}]\n"
+
+
+# perfbench/tracer.py imports each of these layers by name (its LAYERS), so
+# none of them may go, even one whose code has moved, until that list changes.
+@pytest.mark.parametrize(
+    "layer", ["cli", "checks", "sequences", "special", "modring", "identities", "exactcore"]
+)
+def test_traced_layer_imports(layer):
+    assert importlib.import_module(f"aperylab.{layer}").__name__ == f"aperylab.{layer}"

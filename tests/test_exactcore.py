@@ -1,4 +1,8 @@
-"""Exact substrate: rationals, series, and the generating-function oracle."""
+"""Exact substrate: rationals, series, and the generating-function oracle.
+
+The Fraction series live in tests/oracles.py; exactcore's integer-numerator
+series are checked against them coefficient by coefficient.
+"""
 
 from fractions import Fraction
 
@@ -6,13 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aperylab.exactcore import (
+from aperylab import exactcore, identities
+from aperylab.cli import main
+from aperylab.sequences import t_exact
+from oracles import (
     PowerSeries,
     series_arctanh,
     series_inv_sqrt_one_minus_x2,
     series_mul,
 )
-from aperylab.sequences import t_exact
 
 
 def test_rat_reduce_examples():
@@ -60,6 +66,37 @@ def test_series_mul_identity_element():
 def test_series_mul_order_mismatch():
     with pytest.raises(ValueError):
         series_mul(series_arctanh(3), series_arctanh(4))
+    with pytest.raises(ValueError, match="mismatched orders"):
+        exactcore.series_mul(exactcore.series_arctanh(3), exactcore.series_arctanh(4))
+
+
+def test_integer_series_match_fraction_oracle():
+    for order in range(1, 65):
+        ints = (exactcore.series_arctanh(order), exactcore.series_inv_sqrt_one_minus_x2(order))
+        fracs = (series_arctanh(order), series_inv_sqrt_one_minus_x2(order))
+        for fast, slow in (*zip(ints, fracs), (exactcore.series_mul(*ints), series_mul(*fracs))):
+            nums, den = fast
+            assert [Fraction(c, den) for c in nums] == list(slow.coeffs), order
+
+
+def test_gf_fails_when_an_arctanh_numerator_is_bumped(monkeypatch, capsys):
+    # x^7/7 gains 1/den: (2n+1)! [x^(2n+1)] of the product moves for n >= 3
+    def bumped(order):
+        nums, den = exactcore.series_arctanh(order)
+        if order > 7:
+            nums[7] += 1
+        return nums, den
+
+    assert identities.gf_oracle(15).ok
+    monkeypatch.setattr(identities, "series_arctanh", bumped)
+    out = identities.gf_oracle(15)
+    assert not out.ok and out.n == 3
+    assert main(["verify", "--checks", "id_gf", "--primes", "3..3", "--format", "csv"]) == 1
+    records = capsys.readouterr()
+    assert records.out.splitlines()[1].split(",")[7] == "fail"
+    assert "id_gf [theorem]: FAILED (0 pass, 1 fail, 0 skip)" in records.err
+    assert main(["identity", "--name", "gf"]) == 1
+    assert capsys.readouterr().out.startswith("gf: FAIL at n = 3: ")
 
 
 def test_generating_function_matches_recurrence():

@@ -15,7 +15,6 @@ from aperylab.modring import (
     primes_in_range,
     quadratic_rep,
     reduce_rat,
-    to_residue,
 )
 from aperylab.sequences import seq_mod, SeqId
 from aperylab.special import (
@@ -27,7 +26,15 @@ from aperylab.special import (
     padic_gamma,
 )
 
-from oracles import euler_mod, fermat_quotient, gamma_product, pb_pm1_mod, wilson_side
+from oracles import (
+    euler_mod,
+    fermat_quotient,
+    gamma_product,
+    pb_pm1_mod,
+    table_binomial,
+    to_residue,
+    wilson_side,
+)
 
 try:
     import sympy
@@ -276,7 +283,7 @@ def test_central_binomial_sums_vs_fermat_quotient():
         half = full = 0
         for k in range(1, p):
             w = w * inv4 % p
-            term = to_residue(table.binomial(2 * k, k)).value * w % p * pow(k, -1, p) % p
+            term = to_residue(table_binomial(table, 2 * k, k)).value * w % p * pow(k, -1, p) % p
             full = (full + term) % p
             if k == (p - 1) // 2:
                 half = full
