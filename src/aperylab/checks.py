@@ -24,19 +24,21 @@ and Gamma_p(1/4)^4 once each.  run_check runs the same evaluator on one row.
 The conj2.5 records carry each prime's residue of c_m, so the CRT recovery
 (cm_recovery) reads the sweep's own values; recover_cm runs the same
 evaluator on the conj2.5 row alone.
+
+A sweep with one worker runs its tasks in-process, and the process pool's
+modules load only when a sweep starts a pool.  The records and the registry
+rows are immutable typing.NamedTuples; ._replace(...) gives an edited copy.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, product
 from math import comb, gcd
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import identities, special
 from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range, reduce_rat
@@ -57,8 +59,7 @@ class SkipCheck(Exception):
     """Raised inside a runner when the check does not apply or exceeds a cap."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     p: Optional[int]
     m: Optional[int]
@@ -216,8 +217,7 @@ def _require_mr(m: int, r: int) -> None:
         raise ValueError(f"need m >= 1 and r >= 1, got m = {m}, r = {r}")
 
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(NamedTuple):
     """A congruence between A_hi and A_lo (A or A' by `sid`) mod p^(3r + extra),
     where hi = m p^r + shift and lo = m p^(r-1) + shift, for p > p_above:
 
@@ -265,8 +265,7 @@ class Lift:
 # ---------------------------------------------------------------------------
 # prime-indexed congruences: one data row each
 
-@dataclass(frozen=True)
-class AtPrime:
+class AtPrime(NamedTuple):
     """A congruence at one prime p, stated mod p^e for p > p_above and, when
     klass is set, p = klass (mod 4).  sides(at, p^e) reads the prime's values
     from `at` and returns (lhs, rhs), or (lhs, rhs, sign) for a check that
@@ -421,8 +420,7 @@ def _thm33_tquarter(at, modulus):
 # ---------------------------------------------------------------------------
 # registry
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """Names of `identities` verifiers, run in turn on n <= max_n, or on each
     swept prime p when max_n is None."""
 
@@ -430,8 +428,7 @@ class Identity:
     max_n: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(NamedTuple):
     name: str
     status: Status
     runner: Union[Lift, AtPrime, Identity]
@@ -526,7 +523,7 @@ def _prime_results(names: Sequence[str], p: int, m_list, r_list) -> list[CheckRe
             except SkipCheck as sk:
                 res = CheckResult(name, p, m, r, None, None, None, "skip", str(sk))
             if name == "conj2.5":
-                res = replace(res, recovery=_cm_residue(at, m, r))
+                res = res._replace(recovery=_cm_residue(at, m, r))
             out.append(res)
     return out
 
@@ -609,6 +606,9 @@ def sweep(
     if workers <= 1:
         batches = [_run_task(t) for t in tasks]
     else:
+        # the pool's modules load only when a sweep starts one
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_task, tasks))
     # a stable sort by registry position keeps each row's p, m, r order

@@ -206,6 +206,14 @@ def cmd_verify(args) -> int:
             for r in args.r:
                 r_tag = f" at r={r}" if show_r else ""
                 value, report = cm_recovery(m, r, [(p, residues[p, m, r]) for p in plist])
+                if report["modulus"] == 1:
+                    # no prime gave a residue, so there is no value to report
+                    n = len(report["skipped"])
+                    sys.stderr.write(
+                        f"conj2.5 recovery m={m}: no residue{r_tag} "
+                        f"({n} prime{'' if n == 1 else 's'} skipped)\n"
+                    )
+                    continue
                 parts = ", ".join(f"{v} (mod {p})" for p, v in report["residues"])
                 sys.stderr.write(
                     f"conj2.5 recovery m={m}: c_{m} = {value}{r_tag} "

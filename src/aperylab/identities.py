@@ -20,11 +20,10 @@ replace, and binom(x, n) for eq31's rhs, are the tests' oracles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, lcm, prod
-from typing import Union
+from typing import NamedTuple, Union
 
 from .exactcore import series_arctanh, series_inv_sqrt_one_minus_x2, series_mul
 from .modring import FactorialTable
@@ -33,8 +32,7 @@ from .sequences import harmonic_family, t_closed_form, t_values
 Value = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class IdentityOutcome:
+class IdentityOutcome(NamedTuple):
     ok: bool
     n: int
     lhs: Value

@@ -7,10 +7,9 @@ the kernels read directly: a p-divisible binomial is exact mod p^e at O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 class NotPIntegral(ValueError):
@@ -63,8 +62,7 @@ def quadratic_rep(p: int) -> tuple[int, int]:
     raise ValueError(f"no representation p = x^2 + 4y^2 found for {p}")
 
 
-@dataclass(frozen=True)
-class PrimeInfo:
+class PrimeInfo(NamedTuple):
     """A verified odd prime with its class mod 4 and, for class 1, p = x^2 + 4y^2."""
 
     p: int

@@ -1,6 +1,6 @@
 """Check registry behavior: spot results, skips, ordering, determinism, CRT."""
 
-from dataclasses import replace
+import concurrent.futures
 from fractions import Fraction
 from math import comb
 
@@ -18,6 +18,7 @@ from aperylab.checks import (
     run_check,
     sweep,
 )
+from aperylab.identities import IdentityOutcome
 from aperylab.modring import FactorialTable, Residue, prime_info, primes_in_range, reduce_rat
 from aperylab.sequences import (
     SeqId,
@@ -359,7 +360,8 @@ def test_lift_checks_fail_when_bernoulli_value_is_perturbed(monkeypatch, name, p
 
 def serial_pool(started):
     """A stand-in for ProcessPoolExecutor that records max_workers in
-    `started` and maps in-process."""
+    `started` and maps in-process.  sweep imports the pool from
+    concurrent.futures only when it starts one, so the tests patch it there."""
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -389,11 +391,34 @@ def serial_pool(started):
 )
 def test_sweep_bounds_workers(monkeypatch, jobs, cpus, primes, workers):
     started = []
-    monkeypatch.setattr(checks, "ProcessPoolExecutor", serial_pool(started))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
     monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
     got = sweep(["thm3.3_tp"], primes, jobs=jobs)
     assert started == ([] if workers is None else [workers])
     assert got == sweep(["thm3.3_tp"], primes, jobs=1)
+
+
+def _frozen_records():
+    """One of each record and registry row type, with a field to assign."""
+    res = run_check("thm2.1i", 7)
+    return [
+        pytest.param(CHECKS["beukers_a"], "name", id="CheckDef"),
+        pytest.param(CHECKS["liu_a"].runner, "weight", id="Lift"),
+        pytest.param(CHECKS["thm2.1i"].runner, "e", id="AtPrime"),
+        pytest.param(CHECKS["id_gf"].runner, "max_n", id="Identity"),
+        pytest.param(res, "verdict", id="CheckResult"),
+        pytest.param(prime_info(13), "klass", id="PrimeInfo"),
+        pytest.param(IdentityOutcome(True, 1, 5, 5), "ok", id="IdentityOutcome"),
+    ]
+
+
+@pytest.mark.parametrize("record, field", _frozen_records())
+def test_records_and_rows_are_immutable(record, field):
+    # a sweep's rows and records are shared values: none may be edited in place
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert repr(record) == before
 
 
 def _per_row(names, primes, m_list, r_list):
@@ -430,7 +455,7 @@ def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
     # the sweep every row at p reads its values at the largest precision of
     # all of them; run_check reads at the row's own.
     started = []
-    monkeypatch.setattr(checks, "ProcessPoolExecutor", serial_pool(started))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
     monkeypatch.setattr(checks.os, "cpu_count", lambda: 2)
     primes = [pi.p for pi in primes_in_range(3, 60)]
     assert {3, 5} <= set(primes) and {p % 4 for p in primes} == {1, 3}
@@ -730,6 +755,6 @@ def test_lift_sweep_fails_when_weight_is_perturbed(monkeypatch, name):
     row = CHECKS[name].runner
     a, b, d = row.weight
     monkeypatch.setitem(
-        checks.CHECKS, name, replace(CHECKS[name], runner=replace(row, weight=(a + 1, b, d)))
+        checks.CHECKS, name, CHECKS[name]._replace(runner=row._replace(weight=(a + 1, b, d)))
     )
     assert [res.verdict for res in run()] == ["fail"] * 24

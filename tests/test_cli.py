@@ -96,6 +96,25 @@ def test_verify_recovery_follows_r(capsys):
     assert lines[2].startswith("conj2.5 recovery m=3: c_3 = -17 ")
 
 
+@pytest.mark.parametrize(
+    "primes, r, lines",
+    [
+        # p = 5 divides m = 5; p = 3 is below conj2.5's p > 3
+        ("5..5", "1", ["conj2.5 recovery m=5: no residue (1 prime skipped)"]),
+        ("3..3", "1", ["conj2.5 recovery m=5: no residue (1 prime skipped)"]),
+        ("3..5", "1,2", ["conj2.5 recovery m=5: no residue at r=1 (2 primes skipped)",
+                         "conj2.5 recovery m=5: no residue at r=2 (2 primes skipped)"]),
+    ],
+)
+def test_verify_recovery_without_a_residue_reports_no_value(capsys, primes, r, lines):
+    code, _, err = run_cli(
+        capsys, "verify", "--checks", "conj2.5", "--primes", primes, "--m", "5", "--r", r,
+    )
+    assert code == 0
+    assert [line for line in err.splitlines() if line.startswith("conj2.5 recovery")] == lines
+    assert "c_5 =" not in err
+
+
 def test_verify_runs_a_repeated_m_or_r_value_once(capsys):
     args = ("verify", "--checks", "conj2.5,liu_a", "--primes", "3..30",
             "--format", "csv")
@@ -206,6 +225,21 @@ def test_seq_t_runs_in_small_memory(name, n):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=env, check=True)
     assert int(done.stdout) / 1024 < 60
+
+
+def test_jobs_1_sweep_loads_no_pool_or_dataclasses():
+    # a fresh interpreter, so that only the modules `python -c pass` loads
+    # precede the import; tests/lean_import.py names any module it rejects
+    env = dict(os.environ)
+    src = str(Path(aperylab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = Path(__file__).with_name("lean_import.py")
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith(
+        "none of concurrent.futures, multiprocessing, dataclasses, inspect\n"
+    )
 
 
 def test_seq_unknown_name_exits_2(capsys):
