@@ -15,15 +15,16 @@ A sweep runs each fixed-range identity as one task and each prime as one
 task, which covers every selected Lift and AtPrime row, every (m, r) and the
 per-prime identity.  Its rows read one _PrimeValues, which computes each
 value they share once, at its first use, and keeps nothing past the task.
-One factorial table per prime, at the largest precision the rows need, is
-the source of every factorial they read: A_n and A'_n together, from one
-apery_pair_mod pass per index; the four central-binomial harmonic sums,
-from one pass; p B_{p-1} = (p-1)! + p (mod p^2) by Glaisher's congruence;
-and eq2.2's binomials.  t_0..t_p come from one walk, and E_{p-3}, B_{p-3}
+It owns the prime's one factorial table, at the largest precision the rows
+need, and hands it to the kernels, pure functions of what they are given:
+A_n and A'_n together, from one apery_pair_mod pass per index; the four
+central-binomial harmonic sums, from one pass; and eq2.2's binomials.
+p B_{p-1} = (p-1)! + p (mod p^2) by Glaisher's congruence is read off it.  No
+table outlives its task.  t_0..t_p come from one walk, and E_{p-3}, B_{p-3}
 and Gamma_p(1/4)^4 once each.  run_check runs the same evaluator on one row.
-The conj2.5 records carry each prime's residue of c_m, so the CRT recovery
-(cm_recovery) reads the sweep's own values; recover_cm runs the same
-evaluator on the conj2.5 row alone.
+A conj2.5 record carries its prime's residue of c_m, read off the record's
+difference, so the CRT recovery (cm_recovery) reads the sweep's own values;
+recover_cm runs the same evaluator on the conj2.5 row alone.
 
 A sweep with one worker runs its tasks in-process, and the process pool's
 modules load only when a sweep starts a pool.  The records and the registry
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import identities, special
 from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range, reduce_rat
-from .sequences import SeqId, apery_neighbours, apery_pair_mod, factorial_table, t_values
+from .sequences import SeqId, apery_neighbours, apery_pair_mod, t_values
 from .special import bernoulli_mod_p2, euler_pm3_mod, gamma_quarter_closed_form, padic_gamma
 
 SIZE_CAP_ENV = "APERY_LAB_SIZE_CAP"
@@ -86,13 +87,13 @@ def _parity_sign(p: int) -> int:
 # ---------------------------------------------------------------------------
 # shared kernels
 
-def _central_sums(p: int, e: int) -> tuple[int, int, int, int]:
-    """(S, S_O, S_O2, S_OO) = sum_k c_k (1, O_k, O2_k, O_k^2) mod p^e over
-    k = 1..(p-1)/2, where c_k = binom(2k,k)^3 / 64^k,
+def _central_sums(table: FactorialTable) -> tuple[int, int, int, int]:
+    """(S, S_O, S_O2, S_OO) = sum_k c_k (1, O_k, O2_k, O_k^2) mod p^e, for the
+    p and e of `table`, over k = 1..(p-1)/2, where c_k = binom(2k,k)^3 / 64^k,
     O_k = sum_{i<=k} 1/(2i-1) and O2_k = sum_{i<=k} 1/(2i-1)^2.
 
-    Every factorial index is below p, so each is a unit read off the rows of
-    factorial_table(p, e): binom(2k,k) = U[2k] IU[k]^2 and
+    Every factorial index is below p, so each is a unit read off the table's
+    rows, which this extends to p - 1: binom(2k,k) = U[2k] IU[k]^2 and
     1/(2k-1) = U[2k-2] IU[2k-1], with no inversion per k.
 
     For the full-range statements summed to p-1: a term with (p-1)/2 < k < p
@@ -100,7 +101,7 @@ def _central_sums(p: int, e: int) -> tuple[int, int, int, int]:
     or p^-2 (weights O2, O^2), so those terms vanish at e <= 2 and e <= 1
     respectively and the half sum already equals the full sum.
     """
-    table = factorial_table(p, e)
+    p = table.p
     table.extend(p - 1)
     m, unit, inv = table.modulus, table.unit, table.inv_unit
     inv64 = pow(64, -1, m)
@@ -124,16 +125,17 @@ def _central_sums(p: int, e: int) -> tuple[int, int, int, int]:
 
 class _PrimeValues:
     """The values the rows at one prime p read, each taken at its first use
-    and kept only as long as this object.  One factorial table per prime,
-    factorial_table(p, e_max), is the source of every factorial the values
-    read: the pair A_n, A'_n mod p^e_max (apery_pair_mod), once per index;
-    the four central sums mod p^e_max from one pass; p B_{p-1} from its
-    entry (p-1)!; and the table handed to the per-prime identity.  Besides
-    it: t_0..t_p mod p^e_max from one walk, and the Bernoulli, Euler and
-    Gamma_p values below.  A row reduces what it reads to its own modulus.
-    Each kernel is looked up in this module when it runs, so a patched
-    kernel is the one called.  The size cap is read from APERY_LAB_SIZE_CAP
-    when the object is made."""
+    and kept only as long as this object.  It owns the prime's one factorial
+    table, FactorialTable(p, e_max), and hands it to the kernels: the pair
+    A_n, A'_n mod p^e_max (apery_pair_mod), once per index; the four central
+    sums from one pass (_central_sums); p B_{p-1} from its entry (p-1)!; and
+    the per-prime identity.  The single central binomials of thm2.1i,
+    lemma2.4, lemma2.6, thm3.3_tquarter and lemma2.5's closed form come from
+    math.comb instead.  Besides: t_0..t_p mod p^e_max from one walk, and the
+    Bernoulli, Euler and Gamma_p values below.  A row reduces what it reads
+    to its own modulus.  The kernels and FactorialTable are looked up in this
+    module when called, so a patched one is used.  The size cap is read from
+    APERY_LAB_SIZE_CAP when the object is made."""
 
     def __init__(self, pi: PrimeInfo, e_max: int) -> None:
         self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
@@ -144,13 +146,13 @@ class _PrimeValues:
     def apery(self, sid: SeqId, n: int) -> int:
         """A_n or A'_n mod p^e_max; the first read of n takes both."""
         if n not in self._apery:
-            self._apery[n] = apery_pair_mod(n, self.p, self.e_max)
+            self._apery[n] = apery_pair_mod(n, self.table)
         return self._apery[n][sid is SeqId.APRIME]
 
     @cached_property
     def table(self) -> FactorialTable:
-        """factorial_table(p, e_max), its rows extended to p - 1."""
-        table = factorial_table(self.p, self.e_max)
+        """The prime's one FactorialTable(p, e_max), its rows extended to p - 1."""
+        table = FactorialTable(self.p, self.e_max)
         table.extend(self.p - 1)
         return table
 
@@ -162,20 +164,7 @@ class _PrimeValues:
     @cached_property
     def central_sums(self) -> tuple[int, int, int, int]:
         """(S, S_O, S_O2, S_OO) mod p^e_max, from one pass (_central_sums)."""
-        return _central_sums(self.p, self.e_max)
-
-    def sides(self, row: Lift, m: int, r: int) -> tuple[int, int, int]:
-        """(e, lhs, base) with lhs = A_hi, base = A_lo mod p^e, or for a
-        difference row lhs = A_hi - A_lo, base = 0.  Skips past the size cap."""
-        p = self.p
-        hi, lo = m * p ** r + row.shift, m * p ** (r - 1) + row.shift
-        _require(hi <= self.cap, f"size cap: index {hi} exceeds {self.cap}")
-        e = 3 * r + row.extra
-        modulus = p ** e
-        a_hi, a_lo = self.apery(row.sid, hi) % modulus, self.apery(row.sid, lo) % modulus
-        if row.difference:
-            return e, (a_hi - a_lo) % modulus, 0
-        return e, a_hi, a_lo
+        return _central_sums(self.table)
 
     @cached_property
     def b3(self) -> int:
@@ -253,8 +242,12 @@ class Lift(NamedTuple):
         p = at.p
         _require(p > self.p_above, f"requires p > {self.p_above}")
         w = self.weight_at(m)
-        e, lhs, base = at.sides(self, m, r)
-        modulus = p ** e
+        hi, lo = m * p ** r + self.shift, m * p ** (r - 1) + self.shift
+        _require(hi <= at.cap, f"size cap: index {hi} exceeds {at.cap}")
+        modulus = p ** (3 * r + self.extra)
+        lhs, base = at.apery(self.sid, hi) % modulus, at.apery(self.sid, lo) % modulus
+        if self.difference:
+            lhs, base = (lhs - base) % modulus, 0
         corr = 0
         if w:
             b = at.bracket if self.bracket else at.b3
@@ -523,7 +516,7 @@ def _prime_results(names: Sequence[str], p: int, m_list, r_list) -> list[CheckRe
             except SkipCheck as sk:
                 res = CheckResult(name, p, m, r, None, None, None, "skip", str(sk))
             if name == "conj2.5":
-                res = res._replace(recovery=_cm_residue(at, m, r))
+                res = res._replace(recovery=_cm_residue(at, res))
             out.append(res)
     return out
 
@@ -640,21 +633,23 @@ class CrtAccumulator:
         return v - self.modulus if 2 * v > self.modulus else v
 
 
-def _cm_residue(at: _PrimeValues, m: int, r: int) -> Union[int, str]:
-    """c_m mod p from the conj2.5 difference at one prime (see recover_cm),
-    or the reason p gives no residue.  The difference is only needed mod
-    p^(3r+1): that fixes its divisibility by p^(3r) and the quotient mod p.
-    No weight is read, so this stays a route to c_m apart from the row's
-    closed form."""
-    row = CHECKS["conj2.5"].runner
-    p = at.p
+def _cm_residue(at: _PrimeValues, res: CheckResult) -> Union[int, str]:
+    """c_m mod p from a conj2.5 record at one prime (see recover_cm), or the
+    reason p gives no residue.  The record's lhs is the difference
+    A_hi - A_lo mod p^(3r+1): that fixes its divisibility by p^(3r) and the
+    quotient mod p.  No weight is read, so this stays a route to c_m apart
+    from the row's closed form.  A skipped record gives its own reason,
+    except that p | m is reported ahead of a size-cap skip."""
+    p, m, r = at.p, res.m, res.r
+    skip = res.skip_reason or ""
+    cap = skip.startswith("size cap")
     try:
-        _require(p > row.p_above, f"requires p > {row.p_above}")
+        _require(not skip or cap, skip)
         _require(m % p != 0, "p divides m")
-        _, diff, _ = at.sides(row, m, r)
+        _require(not cap, skip)
         b = at.b3 % p
         _require(b != 0, "B_{p-3} = 0 (mod p)")
-        q, rem = divmod(diff, p ** (3 * r))
+        q, rem = divmod(res.lhs, p ** (3 * r))
         _require(rem == 0, f"difference not divisible by p^{3 * r}")
     except SkipCheck as sk:
         return str(sk)

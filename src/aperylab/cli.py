@@ -175,25 +175,17 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"argument --primes: {exc}\n")
         return 2
-    try:
-        # only the fixed-range identities run without a prime
-        fixed_range = all(
-            isinstance(CHECKS[n].runner, Identity) and CHECKS[n].runner.max_n is not None
-            for n in names
-        )
-        if not fixed_range and not plist:
-            lo, hi = args.primes
-            raise ValueError(f"argument --primes: no odd prime in {lo}..{hi}")
-        results = sweep(
-            names,
-            plist,
-            m_list=args.m,
-            r_list=args.r,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
+    # only the fixed-range identities run without a prime
+    fixed_range = all(
+        isinstance(CHECKS[n].runner, Identity) and CHECKS[n].runner.max_n is not None
+        for n in names
+    )
+    if not fixed_range and not plist:
+        lo, hi = args.primes
+        raise ValueError(f"argument --primes: no odd prime in {lo}..{hi}")
+    # the sweep's ValueErrors (the gamma cost cap) are main's exit 2; no check
+    # reduces a value that is not p-integral, so no NotPIntegral leaves it
+    results = sweep(names, plist, m_list=args.m, r_list=args.r, jobs=args.jobs)
     _emit(results, args.format, args.balanced, sys.stdout)
     code = _summarize(results, sys.stderr)
     if "conj2.5" in names:
@@ -230,15 +222,9 @@ def cmd_seq(args) -> int:
         return 2
     if args.mod is not None:
         p, e = _odd_prime_power(args.mod)
-        try:
-            if sid in (SeqId.CBIG, SeqId.CPRIME):
-                value = seq_exact(sid, args.n) % args.mod
-            else:
-                value = seq_mod(sid, args.n, p, e).value
-        except NotPIntegral as exc:
-            sys.stderr.write(f"{exc}\n")
-            return 1
-        print(value)
+        # a value that is not p-integral raises NotPIntegral: main's exit 1
+        exact = sid in (SeqId.CBIG, SeqId.CPRIME)
+        print(seq_exact(sid, args.n) % args.mod if exact else seq_mod(sid, args.n, p, e).value)
         return 0
     value = seq_exact(sid, args.n)
     # exact values pass Python's default 4300-digit int-to-str limit

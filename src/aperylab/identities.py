@@ -13,8 +13,10 @@ rescaled to the lcm of the walk's odd denominators, squared, times a power
 of 4; t_n comes from one walk of t_values.  The lemma2.1 and thm3.2 families
 build both sides' numerators in one helper each (_lemma21_sides,
 _thm32_sums), which the identity and its certificate both read.  gf_oracle
-multiplies exactcore's integer series.  The Fraction sums and series these
-replace, and binom(x, n) for eq31's rhs, are the tests' oracles.
+multiplies exactcore's integer series.  eq22_congruence reads its binomials
+off the factorial table it is handed, the one its prime's sweep task owns.
+The Fraction sums and series these replace, and binom(x, n) for eq31's rhs,
+are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -128,20 +130,17 @@ def eq21_identity(max_n: int) -> IdentityOutcome:
     return IdentityOutcome(True, *spot)
 
 
-def eq22_congruence(p: int, table: FactorialTable | None = None) -> IdentityOutcome:
+def eq22_congruence(p: int, table: FactorialTable) -> IdentityOutcome:
     """binom((p-1)/2 + k, 2k) = binom(2k,k)/(-16)^k (mod p^2), k = 1..(p-1)/2.
 
     Every factorial index is below p, so both binomials are units read off the
-    unit and inverse-unit rows of a factorial table for p: the given one,
-    which may be at any p^e with e >= 2 (a sweep passes its prime's table),
-    or else a FactorialTable(p, 2) of its own.  Every product is reduced
-    mod p^2, which divides the table's modulus.
+    unit and inverse-unit rows of the given factorial table for p, at any
+    p^e with e >= 2 (a sweep passes its prime's table).  Every product is
+    reduced mod p^2, which divides the table's modulus.
     """
     m = p * p
     half = (p - 1) // 2
-    if table is None:
-        table = FactorialTable(p, 2)
-    elif table.p != p or table.e < 2:
+    if table.p != p or table.e < 2:
         raise ValueError(f"need a table for p = {p} at e >= 2, got p = {table.p}, e = {table.e}")
     table.extend(p - 1)
     unit, inv = table.unit, table.inv_unit

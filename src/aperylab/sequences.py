@@ -10,11 +10,13 @@ The identity verifiers rescale that walk's O and O2 to integer numerators
 over a common denominator of their own.  apery_neighbours caches
 (S_{m-1}, S_m) for S = A, A', which the lift weights and c_coeffs read:
 C_m = m^3 (A_{m-1} - 17 A_m) / 12, C'_m = m^3 (A'_{m-1} - 2 A'_m).
-seq_mod evaluates residues without ever constructing the exact value
-(apery_pair_mod for the Apery sums, the division-free recurrence for t,
-incremental inverses for the harmonic family).  apery_pair_mod gives A_n and
-A'_n together from one pass over a factorial table, the two summands sharing
-one unit that is reduced once per term, and each sum reduced once at the end.
+seq_mod evaluates residues without the exact value (apery_pair_mod for the
+Apery sums, the division-free recurrence for t, incremental inverses for the
+harmonic family), except where p divides a harmonic term's denominator and
+the terms may cancel.  apery_pair_mod gives A_n and A'_n together from one
+pass over the factorial table it is handed (a sweep's prime task owns one),
+the two summands sharing one unit that is reduced once per term, and each
+sum reduced once at the end.
 The O(n^2) direct sums for A and A', the earlier two-pass apery_mod and the
 binomial sums for C and C' live in the tests, as the oracles that
 apery_pair_mod, the recurrences and c_coeffs are checked against.
@@ -28,7 +30,7 @@ from functools import lru_cache
 from itertools import count, islice
 from math import factorial, lcm
 
-from .modring import FactorialTable, NotPIntegral, Residue
+from .modring import FactorialTable, NotPIntegral, Residue, reduce_rat
 
 
 class SeqId(str, Enum):
@@ -164,15 +166,9 @@ def seq_exact(sid: SeqId, n: int):
 # ---------------------------------------------------------------------------
 # modular evaluators
 
-@lru_cache(maxsize=1)
-def factorial_table(p: int, e: int) -> FactorialTable:
-    # A sweep task reads one (p, e), so only the current table is kept alive.
-    return FactorialTable(p, e)
-
-
-def apery_pair_mod(n: int, p: int, e: int) -> tuple[int, int]:
-    """Least residues (A_n, A'_n) mod p^e, from one pass over the factorial
-    table rows n + k, k and n - k.
+def apery_pair_mod(n: int, table: FactorialTable) -> tuple[int, int]:
+    """Least residues (A_n, A'_n) mod p^e, for the p and e of `table`, from one
+    pass over its rows n + k, k and n - k, which it extends to 2n.
 
     Both summands are p^v * unit and share u = U[n+k] IU[k]^2 IU[n-k], the
     unit of (n+k)! / (k!^2 (n-k)!) = binom(n+k,k) binom(n,k), of valuation w:
@@ -183,9 +179,8 @@ def apery_pair_mod(n: int, p: int, e: int) -> tuple[int, int]:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    table = factorial_table(p, e)
     table.extend(2 * n)
-    m = table.modulus
+    p, e, m = table.p, table.e, table.modulus
     ppow = [p ** v for v in range(e)]
     val, unit, inv = table.val, table.unit, table.inv_unit
     vn = val[n]
@@ -206,12 +201,13 @@ def apery_pair_mod(n: int, p: int, e: int) -> tuple[int, int]:
 
 
 def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
-    """Residue of the exact sequence value mod p^e, computed modularly."""
+    """Residue of the exact sequence value mod p^e, computed modularly; a
+    harmonic value with a term 1/d, p | d, is reduced from its exact value."""
     sid = SeqId(sid)
     if n < 0:
         raise ValueError("need n >= 0")
     if sid in (SeqId.A, SeqId.APRIME):
-        return Residue(apery_pair_mod(n, p, e)[sid is SeqId.APRIME], p, e)
+        return Residue(apery_pair_mod(n, FactorialTable(p, e))[sid is SeqId.APRIME], p, e)
     if sid is SeqId.T:
         return Residue(next(islice(t_values(p ** e), n, None)), p, e)
     if sid in (SeqId.H, SeqId.OODD, SeqId.OODD2, SeqId.D):
@@ -220,6 +216,10 @@ def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
         s1 = s2 = 0
         for d in range(1, n + 1) if sid is SeqId.H else range(1, 2 * n, 2):
             if d % p == 0:
+                # the terms with p in their denominators may cancel
+                q = seq_exact(sid, n)
+                if q.denominator % p:
+                    return reduce_rat(q, p, e)
                 raise NotPIntegral(f"denominator {d} divisible by {p}", -1)
             inv = pow(d, -1, m)
             s1, s2 = (s1 + inv) % m, (s2 + inv * inv) % m

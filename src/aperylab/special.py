@@ -113,7 +113,9 @@ def padic_gamma(x: Fraction, p: int, e: int) -> Residue:
 
     Gamma_p(n) = (-1)^n prod_{k<n, p!|k} k, and continuity gives
     Gamma_p(x) = Gamma_p(n) mod p^e for n = x mod p^e, so the product over the
-    least nonnegative residue of x is exact at this precision.
+    least nonnegative residue of x is exact at this precision.  At p = 2 the
+    units mod 4 multiply to -1, so Gamma_2(n + 4) = -Gamma_2(n) (mod 4);
+    there n = x mod 2^(e+1).
 
     With n - 1 = J p + s the product is J full blocks
     block(j) = prod_{0<i<p} (jp + i) and a partial block of s factors.
@@ -137,7 +139,8 @@ def padic_gamma(x: Fraction, p: int, e: int) -> Residue:
             f"exceed {GAMMA_STEP_LIMIT}; {hint}"
         )
     m = p ** e
-    n = x.numerator * pow(x.denominator, -1, m) % m
+    period = 2 * m if p == 2 else m
+    n = x.numerator * pow(x.denominator, -1, period) % period
     v = 1
     if n:
         blocks, s = divmod(n - 1, p)

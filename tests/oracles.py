@@ -9,7 +9,7 @@ from math import comb, factorial, prod
 
 from aperylab.identities import IdentityOutcome, _fail
 from aperylab.modring import FactorialTable, NotPIntegral, Residue
-from aperylab.sequences import SeqId, factorial_table, harmonic_family, t_values
+from aperylab.sequences import SeqId, harmonic_family, t_values
 
 
 @lru_cache(maxsize=None)
@@ -41,7 +41,7 @@ def apery_mod(sid: SeqId, n: int, p: int, e: int) -> int:
         raise ValueError(f"apery_mod evaluates A and Aprime, not {sid.value}")
     if n < 0:
         raise ValueError("need n >= 0")
-    table = factorial_table(p, e)
+    table = FactorialTable(p, e)
     table.extend(2 * n)
     m = table.modulus
     ppow = [p ** v for v in range(e)]
@@ -252,7 +252,8 @@ def factored_binomial(n: int, k: int, p: int, e: int) -> PadicFactored:
 
 def gamma_product(x, p: int, e: int) -> Residue:
     """Gamma_p(x) mod p^e as the definition product, one factor at a time:
-    Gamma_p(n) = (-1)^n prod_{k<n, p!|k} k for n = x mod p^e.  O(p^e) steps."""
+    Gamma_p(n) = (-1)^n prod_{k<n, p!|k} k for n = x mod p^e.  O(p^e) steps.
+    Odd p only: x mod 4 does not fix Gamma_2(x) mod 4."""
     x = Fraction(x)
     m = p ** e
     n = x.numerator * pow(x.denominator, -1, m) % m

@@ -22,7 +22,7 @@ from aperylab.identities import (
     thm32_harmonic_sum,
     thm32_identity,
 )
-from aperylab.modring import primes_in_range
+from aperylab.modring import FactorialTable, primes_in_range
 
 SMALL_PRIMES = [5, 7, 11, 13]
 
@@ -151,7 +151,7 @@ def test_criterion_11_identity_suites():
         lemma21_identity(100).ok,
         order4_certificate(100).ok,
         eq21_identity(99).ok,
-        all(eq22_congruence(pi.p).ok for pi in primes_in_range(3, 500)),
+        all(eq22_congruence(pi.p, FactorialTable(pi.p, 2)).ok for pi in primes_in_range(3, 500)),
         eq31_identity(30, trials=20).ok,
         thm31_dual(200).ok,
         thm32_identity(40).ok,

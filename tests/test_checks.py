@@ -1,12 +1,14 @@
 """Check registry behavior: spot results, skips, ordering, determinism, CRT."""
 
 import concurrent.futures
+import gc
+import weakref
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from aperylab import checks, sequences, special
+from aperylab import checks, special
 from aperylab.checks import (
     CHECKS,
     CrtAccumulator,
@@ -37,7 +39,7 @@ from oracles import (
 
 
 def shifted_table(index):
-    """A stand-in for factorial_table whose unit-row entry at index(p) is
+    """A stand-in for FactorialTable whose unit-row entry at index(p) is
     moved by p when the table is extended over it."""
 
     class Shifted(FactorialTable):
@@ -140,8 +142,9 @@ def test_lift_checks_fail_when_kernel_is_perturbed(monkeypatch, name, p, m):
     real = checks.apery_pair_mod
     hi = m * p - 1  # the smaller of the two r = 1 upper indices, m p - 1 and m p
 
-    def shifted(n, q, e):
-        pair = real(n, q, e)
+    def shifted(n, table):
+        q, e = table.p, table.e
+        pair = real(n, table)
         return tuple((v + q ** (e - 1)) % q ** e for v in pair) if n >= hi else pair
 
     monkeypatch.setattr(checks, "apery_pair_mod", shifted)
@@ -161,14 +164,15 @@ def test_central_sums_match_exact_sums():
                 exact[i] += c * w
         for e in range(1, 9):
             want = tuple(reduce_rat(q, p, e).value for q in exact)
-            assert checks._central_sums(p, e) == want, (p, e)
+            assert checks._central_sums(FactorialTable(p, e)) == want, (p, e)
 
 
 def test_central_sums_match_pow_oracle():
     # the table route against the rolled binomial with two inversions per k
     for pi in primes_in_range(3, 399):
         for e in (1, 2, 3, 5, 8):
-            assert checks._central_sums(pi.p, e) == central_sums(pi.p, e), (pi.p, e)
+            got = checks._central_sums(FactorialTable(pi.p, e))
+            assert got == central_sums(pi.p, e), (pi.p, e)
 
 
 def test_glaisher_pb_matches_power_sum():
@@ -205,8 +209,9 @@ def test_central_sum_checks_fail_when_pass_is_perturbed(monkeypatch, name, p):
     assert run_check(name, p).verdict == "pass"
     real = checks._central_sums
 
-    def shifted(q, e):
-        return tuple((v + q ** (digits - 1)) % q ** e for v in real(q, e))
+    def shifted(table):
+        q, e = table.p, table.e
+        return tuple((v + q ** (digits - 1)) % q ** e for v in real(table))
 
     monkeypatch.setattr(checks, "_central_sums", shifted)
     assert run_check(name, p).verdict == "fail"
@@ -229,9 +234,9 @@ def test_central_rows_read_exactly_their_sums(monkeypatch, which, failing):
     # sums by 1 fails exactly the rows that read that sum
     real = checks._central_sums
 
-    def shifted(q, e):
-        sums = list(real(q, e))
-        sums[which] = (sums[which] + 1) % q ** e
+    def shifted(table):
+        sums = list(real(table))
+        sums[which] = (sums[which] + 1) % table.modulus
         return tuple(sums)
 
     monkeypatch.setattr(checks, "_central_sums", shifted)
@@ -268,7 +273,7 @@ def test_euler_checks_fail_when_euler_value_is_perturbed(monkeypatch, name, p):
 def test_thm33_checks_fail_when_pb_value_is_perturbed(monkeypatch, name, p):
     # p B_{p-1} is (p-1)! + p off the task's table: moving U[p-1] by p moves it by p
     assert run_check(name, p).verdict == "pass"
-    monkeypatch.setattr(checks, "factorial_table", shifted_table(lambda q: q - 1))
+    monkeypatch.setattr(checks, "FactorialTable", shifted_table(lambda q: q - 1))
     assert run_check(name, p).verdict == "fail"
 
 
@@ -277,7 +282,7 @@ def test_prime_sweep_fails_when_eq22_table_row_is_shifted(monkeypatch):
     # numerator at k = 1 only
     primes = [5, 7, 13, 101]
     assert all(r.verdict == "pass" for r in sweep(["id_eq2.2", "thm3.3_tp"], primes))
-    monkeypatch.setattr(checks, "factorial_table", shifted_table(lambda q: (q - 1) // 2 + 1))
+    monkeypatch.setattr(checks, "FactorialTable", shifted_table(lambda q: (q - 1) // 2 + 1))
     got = sweep(["id_eq2.2", "thm3.3_tp"], primes)
     assert [(r.check, r.p, r.m, r.verdict) for r in got if r.check == "id_eq2.2"] == [
         ("id_eq2.2", q, 1, "fail") for q in primes
@@ -312,8 +317,9 @@ def test_prime_checks_fail_when_seq_value_is_perturbed(monkeypatch, name, p):
     else:
         real = checks.apery_pair_mod
 
-        def shifted(n, q, e):
-            return tuple((v + q ** (e - 1)) % q ** e for v in real(n, q, e))
+        def shifted(n, table):
+            q, e = table.p, table.e
+            return tuple((v + q ** (e - 1)) % q ** e for v in real(n, table))
 
         monkeypatch.setattr(checks, "apery_pair_mod", shifted)
     assert run_check(name, p).verdict == "fail"
@@ -478,7 +484,6 @@ def test_prime_task_reads_each_value_once(monkeypatch):
         real_init(table, p, e)
 
     monkeypatch.setattr(FactorialTable, "__init__", counted_init)
-    sequences.factorial_table.cache_clear()
 
     def counted(kernel):
         real = getattr(checks, kernel)
@@ -495,12 +500,13 @@ def test_prime_task_reads_each_value_once(monkeypatch):
     primes = [pi.p for pi in primes_in_range(3, 60)]
     sweep(PRIME_ROWS, (3, 60), m_list=[1, 2], r_list=[1])
     for q in primes:
-        apery = [c[1] for c in calls if c[0] == "apery_pair_mod" and c[2] == q]  # n
+        apery = [c[1] for c in calls if c[0] == "apery_pair_mod" and c[2].p == q]  # n
         assert apery and len(apery) == len(set(apery)), q
         # t_values takes one argument, the modulus p^e_max
         assert sum(c[0] == "t_values" and c[1] % q == 0 for c in calls) == 1, q
         # e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at r = 1
-        assert [c[1:] for c in calls if c[0] == "_central_sums" and c[1] == q] == [(q, 5)]
+        central = [c[1] for c in calls if c[0] == "_central_sums" and c[1].p == q]
+        assert [(t.p, t.e) for t in central] == [(q, 5)], q
         assert [t for t in tables if t[0] == q] == [(q, 5)], q
         assert calls.count(("euler_pm3_mod", q)) <= 1
         assert calls.count(("padic_gamma", Fraction(1, 4), q, 1)) <= 1
@@ -508,11 +514,31 @@ def test_prime_task_reads_each_value_once(monkeypatch):
     assert any(c[0] == "padic_gamma" and c[3] == 1 for c in calls)
 
 
-def test_factorial_table_cache_keeps_one_table():
-    # each task reads one (p, e), so the previous prime's table is let go
-    sequences.factorial_table.cache_clear()
+def test_prime_task_tables_die_with_their_task(monkeypatch):
+    # each prime task builds one table, at 3r = 6, and no cache keeps it
+    made = []
+    real_init = FactorialTable.__init__
+
+    def tracked_init(table, p, e):
+        real_init(table, p, e)
+        made.append((p, e, weakref.ref(table)))
+
+    monkeypatch.setattr(FactorialTable, "__init__", tracked_init)
     sweep(["beukers_a"], [5, 7], r_list=[2])
-    assert sequences.factorial_table.cache_info().currsize == 1
+    gc.collect()
+    assert [(p, e) for p, e, _ in made] == [(5, 6), (7, 6)]
+    assert [ref() for *_, ref in made] == [None, None]
+
+
+def test_no_check_reduces_a_value_that_is_not_p_integral():
+    # the check path reduces a rational only for a Lift weight, whose d
+    # divides 18, at p > 3, and takes Gamma_p only at 1/4 for odd p; so no
+    # NotPIntegral leaves a sweep, and verify's errors all exit 2
+    lifts = [cd.runner for cd in CHECKS.values() if isinstance(cd.runner, Lift)]
+    assert all(row.p_above >= 3 for row in lifts)
+    assert all(18 % row.weight[2] == 0 for row in lifts if row.weight)
+    got = sweep(list(CHECKS), (3, 13), m_list=[1, 2, 3, 5, 6], r_list=[1, 2])
+    assert {res.verdict for res in got} == {"pass", "skip"}
 
 
 def test_prime_sweep_fails_when_euler_value_is_perturbed(monkeypatch):
@@ -542,9 +568,9 @@ def test_lift_task_reads_each_value_once(monkeypatch):
     apery_calls, bern_calls = [], []
     real_apery, real_bern = checks.apery_pair_mod, checks.bernoulli_mod_p2
 
-    def apery(n, q, e):
-        apery_calls.append((n, q, e))
-        return real_apery(n, q, e)
+    def apery(n, table):
+        apery_calls.append((n, table.p, table.e))
+        return real_apery(n, table)
 
     def bern(n, q):
         bern_calls.append((n, q))
@@ -565,11 +591,12 @@ def test_lift_sweep_fails_when_kernel_is_perturbed(monkeypatch):
     assert all(r.verdict == "pass" for r in sweep(LIFT_CHECKS, primes, m_list=m_list))
     real = checks.apery_pair_mod
 
-    def shifted(n, q, e):
+    def shifted(n, table):
         # each task reads its values mod p^5, the largest r = 1 precision; a
         # shift by q^2 is still seen mod p^3, the least one.  The upper indices
         # m q - 1 and m q are at least q - 1; the lower ones, m - 1 and m, not.
-        pair = real(n, q, e)
+        q, e = table.p, table.e
+        pair = real(n, table)
         return tuple((v + q * q) % q ** e for v in pair) if n >= q - 1 else pair
 
     monkeypatch.setattr(checks, "apery_pair_mod", shifted)
@@ -710,6 +737,16 @@ def test_recover_cm_skips_p_dividing_m():
     assert (5, "p divides m") in report["skipped"]
 
 
+def test_recovery_skip_reasons_keep_their_order(monkeypatch):
+    # the record's p > 3 skip comes first, then p | m, then its size-cap skip:
+    # at m = 21, 3 divides m, and every index m p - 1 is past a cap of 30
+    monkeypatch.setenv(checks.SIZE_CAP_ENV, "30")
+    _, report = recover_cm(21, [3, 5, 7])
+    assert report["skipped"] == [
+        (3, "requires p > 3"), (5, "size cap: index 104 exceeds 30"), (7, "p divides m"),
+    ]
+
+
 # c_7..c_12, recovered by CRT over the primes 5..199 and not tabulated
 RECOVERED_CM = {
     7: -18289445, 8: -536223935, 9: -15869694815, 10: -474140997499,
@@ -758,3 +795,16 @@ def test_lift_sweep_fails_when_weight_is_perturbed(monkeypatch, name):
         checks.CHECKS, name, CHECKS[name]._replace(runner=row._replace(weight=(a + 1, b, d)))
     )
     assert [res.verdict for res in run()] == ["fail"] * 24
+
+
+def test_recovery_reads_the_difference_not_the_weight(monkeypatch):
+    # the recovery is a route to c_m apart from the row's closed form: with
+    # the weight perturbed the records fail, and the recovered c_3 stays -17
+    row = CHECKS["conj2.5"]
+    perturbed = row._replace(runner=row.runner._replace(weight=(18, -1, 18)))
+    monkeypatch.setitem(checks.CHECKS, "conj2.5", perturbed)
+    got = sweep(["conj2.5"], (5, 23), m_list=[3], r_list=[1, 2])
+    assert [res.verdict for res in got] == ["fail"] * 14
+    for r in (1, 2):
+        residues = [(res.p, res.recovery) for res in got if res.r == r]
+        assert cm_recovery(3, r, residues)[0] == -17

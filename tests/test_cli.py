@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import aperylab
+from aperylab import special
 from aperylab.cli import main
 from aperylab.sequences import apery_a_recurrence
 
@@ -188,6 +189,8 @@ def test_seq_values(capsys):
     out = run_cli(capsys, "seq", "--name", "Aprime", "--n", "3", "--mod", "343")[1]
     assert out == "147\n"
     assert run_cli(capsys, "seq", "--name", "D", "--n", "2")[1] == "2/3\n"
+    # H_6 = 49/20: the 3s of the terms 1/3 and 1/6 cancel
+    assert run_cli(capsys, "seq", "--name", "H", "--n", "6", "--mod", "9")[1] == "2\n"
 
 
 @pytest.mark.parametrize("name, n", [("A", "-1"), ("Aprime", "-2")])
@@ -271,6 +274,15 @@ def test_seq_non_integral_residue_exits_1(capsys):
     assert code == 1 and "divisible" in err
 
 
+def test_verify_sweep_error_exits_2(capsys, monkeypatch):
+    # a ValueError raised inside the sweep is a usage error, with its message
+    monkeypatch.setattr(special, "GAMMA_STEP_LIMIT", 5)
+    code, out, err = run_cli(capsys, "verify", "--checks", "lemma2.7b", "--primes", "11..11",
+                             "--jobs", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("gamma cost cap: about 11 product steps at p = 11, e = 1")
+
+
 def test_identity_pass_with_spot(capsys):
     code, out, _ = run_cli(capsys, "identity", "--name", "lemma2.1", "--max-n", "20")
     assert code == 0
@@ -312,6 +324,8 @@ def test_gamma_command(capsys):
         capsys, "gamma", "--x", "1/4", "--p", "7", "--e", "3", "--pow", "4"
     )
     assert code == 0 and out == "127\n"
+    # Gamma_2(5) = -(1 * 3) = 1 (mod 4): x mod 4 alone does not fix the value
+    assert run_cli(capsys, "gamma", "--x", "5", "--p", "2", "--e", "2") == (0, "1\n", "")
 
 
 def test_gamma_non_integral_exits_1(capsys):

@@ -42,19 +42,19 @@ def test_eq21_vanishes_for_odd_n():
 
 def test_eq22_spot_p5():
     # k = 1: binom(3,2) = 3 and 2/(-16) = -1/8 = 3 (mod 25)
-    out = eq22_congruence(5)
+    out = eq22_congruence(5, FactorialTable(5, 2))
     assert out.ok and out.modulus == 25
     assert out.n == 1 and out.lhs == 3 == out.rhs
 
 
 def test_eq22_up_to_100():
     for p in (3, 7, 11, 13, 97):
-        assert eq22_congruence(p).ok
+        assert eq22_congruence(p, FactorialTable(p, 2)).ok
 
 
 def test_eq22_table_rows_match_comb():
     for pi in primes_in_range(3, 399):
-        assert eq22_congruence(pi.p) == eq22_comb(pi.p), pi.p
+        assert eq22_congruence(pi.p, FactorialTable(pi.p, 2)) == eq22_comb(pi.p), pi.p
 
 
 def test_eq22_reads_a_given_table_at_any_precision():
@@ -62,8 +62,8 @@ def test_eq22_reads_a_given_table_at_any_precision():
     # reduced mod p^2 all the same
     for pi in primes_in_range(3, 399):
         for e in (2, 3, 5):
-            table = sequences.factorial_table(pi.p, e)
-            assert eq22_congruence(pi.p, table) == eq22_congruence(pi.p), (pi.p, e)
+            table = FactorialTable(pi.p, e)
+            assert eq22_congruence(pi.p, table) == eq22_comb(pi.p), (pi.p, e)
     with pytest.raises(ValueError, match="e >= 2"):
         eq22_congruence(7, FactorialTable(7, 1))
     with pytest.raises(ValueError, match="p = 7"):
@@ -71,7 +71,7 @@ def test_eq22_reads_a_given_table_at_any_precision():
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 101])
-def test_eq22_fails_when_a_table_row_is_shifted(monkeypatch, p):
+def test_eq22_fails_when_a_table_row_is_shifted(p):
     class ShiftedTable(FactorialTable):
         # (h+1)! shifted by p, h = (p-1)/2: the lhs numerator at k = 1 only
         def extend(self, n):
@@ -79,9 +79,8 @@ def test_eq22_fails_when_a_table_row_is_shifted(monkeypatch, p):
             h = (self.p - 1) // 2
             self.unit[h + 1] = (self.unit[h + 1] + self.p) % self.modulus
 
-    assert eq22_congruence(p).ok
-    monkeypatch.setattr(identities, "FactorialTable", ShiftedTable)
-    out = eq22_congruence(p)
+    assert eq22_congruence(p, FactorialTable(p, 2)).ok
+    out = eq22_congruence(p, ShiftedTable(p, 2))
     assert not out.ok and out.n == 1
 
 

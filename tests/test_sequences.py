@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aperylab.modring import NotPIntegral
+from aperylab.modring import FactorialTable, NotPIntegral, reduce_rat
 from aperylab.sequences import (
     SeqId,
     apery_a_recurrence,
@@ -121,6 +121,30 @@ def test_seq_mod_rejects_p_in_denominator():
         seq_mod(SeqId.OODD, 3, 5, 2)  # term 1/5 at i = 3
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_harmonic_seq_mod_matches_reduced_exact_value(p):
+    # past n = p - 2 (H) and (p - 1)/2 (O, O2, D) a term has p in its
+    # denominator, and such terms may cancel: H_6 = 49/20 is 2 mod 9
+    for n in range(60):
+        for sid, q in zip((SeqId.H, SeqId.OODD, SeqId.OODD2, SeqId.D), harmonic_values(n)):
+            for e in (1, 2, 3):
+                try:
+                    want = reduce_rat(q, p, e).value
+                except NotPIntegral:
+                    with pytest.raises(NotPIntegral, match=f"divisible by {p}"):
+                        seq_mod(sid, n, p, e)
+                else:
+                    assert seq_mod(sid, n, p, e).value == want, (sid, n, e)
+    assert seq_mod(SeqId.H, 6, 3, 2).value == 2
+
+
+def test_seq_mod_does_not_format_a_large_non_integral_value():
+    # H_10000 is not 3-integral, and its numerator has past the 4300 digits
+    # that Python formats by default: the error names the term, not the value
+    with pytest.raises(NotPIntegral, match="denominator 3 divisible by 3"):
+        seq_mod(SeqId.H, 10000, 3, 2)
+
+
 def test_seq_mod_no_route_for_c():
     with pytest.raises(ValueError):
         seq_mod(SeqId.CBIG, 2, 5, 1)
@@ -192,8 +216,9 @@ def test_apery_pair_mod_matches_oracles_everywhere(p):
     exact = [(apery_a_recurrence(n), apery_aprime_recurrence(n)) for n in range(top + 1)]
     for e in range(1, 9):
         m = p ** e
+        table = FactorialTable(p, e)
         for n, (a, b) in enumerate(exact):
-            got = apery_pair_mod(n, p, e)
+            got = apery_pair_mod(n, table)
             assert got == (a % m, b % m), (n, e)
             assert got == (oracles.apery_mod(SeqId.A, n, p, e),
                            oracles.apery_mod(SeqId.APRIME, n, p, e)), (n, e)
@@ -206,11 +231,11 @@ def test_apery_pair_mod_matches_oracles_everywhere(p):
 def test_apery_pair_mod_matches_oracles_past_p_cubed(case):
     n, p, e = case
     m = p ** e
-    got = apery_pair_mod(n, p, e)
+    got = apery_pair_mod(n, FactorialTable(p, e))
     assert got == (apery_a_recurrence(n) % m, apery_aprime_recurrence(n) % m)
     assert got == (oracles.apery_mod(SeqId.A, n, p, e), oracles.apery_mod(SeqId.APRIME, n, p, e))
 
 
 def test_apery_pair_mod_rejects_negative_index():
     with pytest.raises(ValueError, match="need n >= 0"):
-        apery_pair_mod(-1, 5, 2)
+        apery_pair_mod(-1, FactorialTable(5, 2))

@@ -1,7 +1,7 @@
 """Bernoulli/Euler numbers, quotients, and the p-adic Gamma function."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -220,7 +220,7 @@ def test_padic_gamma_matches_definition_product_at_random_rationals(p, e, num, d
     assert padic_gamma(x, p, e).value == gamma_product(x, p, e).value
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
 def test_padic_gamma_tower_and_functional_equation_at_e9(p):
     m = p ** 9
     xs = [x for x in GAMMA_ARGS if x.denominator % p] + [Fraction(p), Fraction(-3 * p, 2)]
@@ -231,6 +231,17 @@ def test_padic_gamma_tower_and_functional_equation_at_e9(p):
         # Gamma_p(x + 1) = -x Gamma_p(x), or -Gamma_p(x) when p | x
         factor = -1 if x.numerator % p == 0 else -reduce_rat(x, p, 9).value
         assert padic_gamma(x + 1, p, 9).value == factor * g % m, x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_padic_gamma_matches_unreduced_product_at_integers(p):
+    # Gamma_p(x) = (-1)^x prod_{k<x, p !| k} k, taken with no reduction of x:
+    # at p = 2 the units mod 4 multiply to -1, so x mod 4 does not fix the
+    # value mod 4 (oracles.gamma_product reduces x mod p^e, and cannot judge)
+    for x in range(1, 41):
+        want = (-1) ** x * prod(k for k in range(1, x) if k % p)
+        for e in range(1, 7):
+            assert padic_gamma(Fraction(x), p, e).value == want % p ** e, (x, e)
 
 
 def test_padic_gamma_quarter_matches_closed_form_past_the_old_cap():
