@@ -24,7 +24,7 @@ table outlives its task.  t_0..t_p come from one walk, and E_{p-3}, B_{p-3}
 and Gamma_p(1/4)^4 once each.  run_check runs the same evaluator on one row.
 A conj2.5 record carries its prime's residue of c_m, read off the record's
 difference, so the CRT recovery (cm_recovery) reads the sweep's own values;
-recover_cm runs the same evaluator on the conj2.5 row alone.
+recover_cm reads those of a sweep of the conj2.5 row alone.
 
 A sweep with one worker runs its tasks in-process, and the process pool's
 modules load only when a sweep starts a pool.  The records and the registry
@@ -521,6 +521,12 @@ def _prime_results(names: Sequence[str], p: int, m_list, r_list) -> list[CheckRe
     return out
 
 
+def fixed_range(name: str) -> bool:
+    """Whether the check is an identity over a fixed n range, run without a prime."""
+    row = CHECKS[name].runner
+    return isinstance(row, Identity) and row.max_n is not None
+
+
 def run_check(
     name: str,
     p: Optional[int] = None,
@@ -533,7 +539,7 @@ def run_check(
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
     row = CHECKS[name].runner
-    if isinstance(row, Identity) and row.max_n is not None:
+    if fixed_range(name):
         n = max_n if max_n is not None else row.max_n
         return _identity_result(name, None, row.verifiers, n)
     if isinstance(row, Lift) and (m is None or r is None):
@@ -585,10 +591,7 @@ def sweep(
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     plist = _prime_list(primes)
 
-    fixed = [
-        name for name, cd in CHECKS.items()
-        if name in wanted and isinstance(cd.runner, Identity) and cd.runner.max_n is not None
-    ]
+    fixed = [name for name in CHECKS if name in wanted and fixed_range(name)]
     at_prime = tuple(name for name in CHECKS if name in wanted and name not in fixed)
     # the fixed-range identities are the largest tasks, so they go first
     tasks = [(name,) for name in fixed]
@@ -696,7 +699,5 @@ def recover_cm(
     CRT-combined by cm_recovery to the symmetric representative.  primes is
     read as in sweep: a tuple of two ints is a (lo, hi) range."""
     _require_mr(m, r)
-    return cm_recovery(m, r, [
-        (p, _prime_results(["conj2.5"], p, [m], [r])[0].recovery)
-        for p in _prime_list(primes)
-    ])
+    results = sweep(["conj2.5"], primes, [m], [r])
+    return cm_recovery(m, r, [(res.p, res.recovery) for res in results])

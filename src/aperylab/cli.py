@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .checks import (
     CHECKS,
@@ -21,6 +22,7 @@ from .checks import (
     Identity,
     Status,
     cm_recovery,
+    fixed_range,
     run_check,
     sweep,
 )
@@ -176,11 +178,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"argument --primes: {exc}\n")
         return 2
     # only the fixed-range identities run without a prime
-    fixed_range = all(
-        isinstance(CHECKS[n].runner, Identity) and CHECKS[n].runner.max_n is not None
-        for n in names
-    )
-    if not fixed_range and not plist:
+    if not all(map(fixed_range, names)) and not plist:
         lo, hi = args.primes
         raise ValueError(f"argument --primes: no odd prime in {lo}..{hi}")
     # the sweep's ValueErrors (the gamma cost cap) are main's exit 2; no check
@@ -223,47 +221,35 @@ def cmd_seq(args) -> int:
     if args.mod is not None:
         p, e = _odd_prime_power(args.mod)
         # a value that is not p-integral raises NotPIntegral: main's exit 1
-        exact = sid in (SeqId.CBIG, SeqId.CPRIME)
-        print(seq_exact(sid, args.n) % args.mod if exact else seq_mod(sid, args.n, p, e).value)
+        print(seq_mod(sid, args.n, p, e).value)
         return 0
-    value = seq_exact(sid, args.n)
     # exact values pass Python's default 4300-digit int-to-str limit
     # (A_n from n = 2813 on); print them whole
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    if isinstance(value, Fraction):
-        print(f"{value.numerator}/{value.denominator}")
-    else:
-        print(value)
+    print(_render_value(seq_exact(sid, args.n), None, False))
     return 0
 
 
 def _odd_prime_power(mod: int) -> tuple[int, int]:
-    if mod < 3 or mod % 2 == 0:
-        raise argparse.ArgumentTypeError(f"argument --mod: need an odd prime power, got {mod}")
-    p = 3
-    while p * p <= mod and mod % p:
-        p += 2
-    if p * p > mod:
-        p = mod
-    e = 0
-    rest = mod
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
-        raise argparse.ArgumentTypeError(f"argument --mod: need an odd prime power, got {mod}")
-    return p, e
+    if mod >= 3 and mod % 2:
+        # the least factor of mod is a prime p; mod must be a power of it
+        p = next((q for q in range(3, isqrt(mod) + 1, 2) if mod % q == 0), mod)
+        e = 1
+        while p ** e < mod:
+            e += 1
+        if p ** e == mod:
+            return p, e
+    raise argparse.ArgumentTypeError(f"argument --mod: need an odd prime power, got {mod}")
 
 
 def cmd_identity(args) -> int:
     name = IDENTITY_NAMES[args.name]
-    row = CHECKS[name].runner
     max_n = args.max_n
     if max_n is not None and max_n < 1:
         sys.stderr.write("--max-n must be >= 1\n")
         return 2
-    if row.max_n is None:
+    if not fixed_range(name):
         # the free parameter is the prime bound
         bound = max_n if max_n is not None else 500
         if bound < 3:
@@ -280,7 +266,7 @@ def cmd_identity(args) -> int:
                   f"{bad.lhs} != {bad.rhs} (mod {bad.modulus})")
         return 0 if ok else 1
     res = run_check(name, max_n=max_n)
-    shown = max_n if max_n is not None else row.max_n
+    shown = max_n if max_n is not None else CHECKS[name].runner.max_n
     if res.verdict == "pass":
         lhs = _render_value(res.lhs, None, False)
         print(f"{args.name}: PASS (n <= {shown}); spot n = {res.m}: value {lhs}")
@@ -298,9 +284,8 @@ def cmd_gamma(args) -> int:
         return 2
     try:
         value = padic_gamma(x, args.p, args.e) ** args.pow
-    except NotPIntegral as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 1
+    except NotPIntegral:
+        raise  # main's exit 1
     except ValueError as exc:  # the cost guard: a precision out of reach
         sys.stderr.write(f"argument --e: {exc}\n")
         return 2

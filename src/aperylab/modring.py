@@ -176,18 +176,25 @@ class Residue:
 # ---------------------------------------------------------------------------
 # rational reduction and factorial tables
 
+def _digits(x: int) -> int:
+    """The decimal digits of |x|, counted without str(), which stops at 4300."""
+    k = int((abs(x).bit_length() - 1) * 0.3010299956639812) + 1  # log10(2)
+    return k + (abs(x) >= 10 ** k)
+
+
 def reduce_rat(q: Union[Fraction, int], p: int, e: int) -> Residue:
-    """A p-integral rational reduced mod p^e."""
+    """A p-integral rational reduced mod p^e; else NotPIntegral, naming sizes."""
     q = Fraction(q)
     num, den = q.numerator, q.denominator
-    if den % p == 0:
-        v = 0
-        while den % p == 0:
-            den //= p
-            v += 1
-        raise NotPIntegral(f"not p-integral: {q} has p-valuation {-v}", -v)
-    m = p ** e
-    return Residue(num * pow(q.denominator, -1, m), p, e)
+    v = 0
+    while den % p == 0:
+        den //= p
+        v += 1
+    if v:
+        raise NotPIntegral(
+            f"not p-integral: a {_digits(num)}-digit numerator over a "
+            f"{_digits(q.denominator)}-digit denominator has p-valuation {-v}", -v)
+    return Residue(num * pow(den, -1, p ** e), p, e)
 
 
 class FactorialTable:

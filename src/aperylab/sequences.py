@@ -10,13 +10,13 @@ The identity verifiers rescale that walk's O and O2 to integer numerators
 over a common denominator of their own.  apery_neighbours caches
 (S_{m-1}, S_m) for S = A, A', which the lift weights and c_coeffs read:
 C_m = m^3 (A_{m-1} - 17 A_m) / 12, C'_m = m^3 (A'_{m-1} - 2 A'_m).
-seq_mod evaluates residues without the exact value (apery_pair_mod for the
-Apery sums, the division-free recurrence for t, incremental inverses for the
-harmonic family), except where p divides a harmonic term's denominator and
-the terms may cancel.  apery_pair_mod gives A_n and A'_n together from one
-pass over the factorial table it is handed (a sweep's prime task owns one),
-the two summands sharing one unit that is reduced once per term, and each
-sum reduced once at the end.
+seq_mod evaluates residues in O(n) steps without the exact value:
+apery_pair_mod for the Apery sums, the division-free recurrence for t, one
+inverse per term for the harmonic family, each term scaled by the largest
+power of p up to the largest denominator; C and C' reduce c_coeffs.
+apery_pair_mod gives A_n and A'_n together from one pass over the factorial
+table it is handed (a sweep's prime task owns one), the two summands sharing
+one unit that is reduced once per term, and each sum reduced once at the end.
 The O(n^2) direct sums for A and A', the earlier two-pass apery_mod and the
 binomial sums for C and C' live in the tests, as the oracles that
 apery_pair_mod, the recurrences and c_coeffs are checked against.
@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import count, islice
 from math import factorial, lcm
 
-from .modring import FactorialTable, NotPIntegral, Residue, reduce_rat
+from .modring import FactorialTable, NotPIntegral, Residue
 
 
 class SeqId(str, Enum):
@@ -201,8 +201,7 @@ def apery_pair_mod(n: int, table: FactorialTable) -> tuple[int, int]:
 
 
 def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
-    """Residue of the exact sequence value mod p^e, computed modularly; a
-    harmonic value with a term 1/d, p | d, is reduced from its exact value."""
+    """Residue of the exact sequence value mod p^e, computed modularly."""
     sid = SeqId(sid)
     if n < 0:
         raise ValueError("need n >= 0")
@@ -210,19 +209,27 @@ def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
         return Residue(apery_pair_mod(n, FactorialTable(p, e))[sid is SeqId.APRIME], p, e)
     if sid is SeqId.T:
         return Residue(next(islice(t_values(p ** e), n, None)), p, e)
-    if sid in (SeqId.H, SeqId.OODD, SeqId.OODD2, SeqId.D):
-        # sum 1/i for H, else 1/(2i-1) and 1/(2i-1)^2, over i = 1..n
-        m = p ** e
-        s1 = s2 = 0
-        for d in range(1, n + 1) if sid is SeqId.H else range(1, 2 * n, 2):
-            if d % p == 0:
-                # the terms with p in their denominators may cancel
-                q = seq_exact(sid, n)
-                if q.denominator % p:
-                    return reduce_rat(q, p, e)
-                raise NotPIntegral(f"denominator {d} divisible by {p}", -1)
-            inv = pow(d, -1, m)
-            s1, s2 = (s1 + inv) % m, (s2 + inv * inv) % m
-        value = {SeqId.H: s1, SeqId.OODD: s1, SeqId.OODD2: s2, SeqId.D: s1 * s1 - s2}[sid]
-        return Residue(value, p, e)
-    raise ValueError(f"no modular evaluator for {sid.value}; reduce the exact value")
+    if sid in (SeqId.CBIG, SeqId.CPRIME):
+        return Residue(c_coeffs(n)[sid is SeqId.CPRIME], p, e)
+    # 1/d over d = 1..n for H, else d = 1, 3, ..., 2n - 1, each term scaled to
+    # p^v / d, with p^v the largest power of p up to the largest d
+    step, top = (1, n) if sid is SeqId.H else (2, 2 * n - 1)
+    v = 0
+    while p ** (v + 1) <= top:
+        v += 1
+    m = p ** (e + 2 * v)
+    s1 = s2 = 0  # the sums of p^v / d and of its square
+    for k in range(v + 1):
+        # the d = p^k d' with p not dividing d' (d' odd where d is), as p^(v-k) / d'
+        u1 = u2 = 0
+        for d in range(1, top // p ** k + 1, step):
+            if d % p:
+                inv = pow(d, -1, m)
+                u1, u2 = u1 + inv, u2 + inv * inv
+        s1, s2 = s1 + p ** (v - k) * u1, s2 + p ** (2 * (v - k)) * u2
+    value = {SeqId.H: s1, SeqId.OODD: s1, SeqId.OODD2: s2, SeqId.D: s1 * s1 - s2}[sid] % m
+    scale = p ** (v if sid in (SeqId.H, SeqId.OODD) else 2 * v)
+    if value % scale:
+        # then v >= 1, and p itself is the first denominator that p divides
+        raise NotPIntegral(f"denominator {p} divisible by {p}", -1)
+    return Residue(value // scale, p, e)

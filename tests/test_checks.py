@@ -679,6 +679,13 @@ def test_sweep_rejects_unknown_names():
         sweep(["nope"], (3, 10))
 
 
+def test_fixed_range_identities_are_the_id_rows_but_eq22():
+    # the identities that run on n <= max_n with no prime; id_eq2.2 runs per prime
+    fixed = [name for name in CHECKS if checks.fixed_range(name)]
+    assert fixed == ["id_lemma2.1", "id_eq2.1", "id_eq3.1", "id_thm3.1", "id_thm3.2", "id_gf"]
+    assert not checks.fixed_range("id_eq2.2") and not checks.fixed_range("conj2.5")
+
+
 def test_sweep_accepts_explicit_prime_list():
     res = sweep(["thm3.3_tp"], [13, 5, 7])
     assert [r.p for r in res] == [5, 7, 13]

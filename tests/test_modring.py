@@ -178,6 +178,13 @@ def test_reduce_rat_examples():
     assert exc.value.valuation == -1
 
 
+def test_reduce_rat_names_sizes_not_digits():
+    # a numerator of 5000 digits is past the 4300 that Python formats by default
+    with pytest.raises(NotPIntegral, match="5000-digit numerator over a 2-digit") as exc:
+        reduce_rat(Fraction(10 ** 4999 + 1, 75), 5, 2)
+    assert exc.value.valuation == -2
+
+
 @settings(max_examples=60)
 @given(
     st.integers(-10**6, 10**6),

@@ -1,11 +1,13 @@
 """Sequence evaluators: tabulated values, dual routes, modular paths."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aperylab import sequences
 from aperylab.modring import FactorialTable, NotPIntegral, reduce_rat
 from aperylab.sequences import (
     SeqId,
@@ -123,9 +125,10 @@ def test_seq_mod_rejects_p_in_denominator():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_harmonic_seq_mod_matches_reduced_exact_value(p):
-    # past n = p - 2 (H) and (p - 1)/2 (O, O2, D) a term has p in its
-    # denominator, and such terms may cancel: H_6 = 49/20 is 2 mod 9
-    for n in range(60):
+    # past n = p - 1 (H) and (p - 1)/2 (O, O2, D) a term has p in its
+    # denominator, and such terms may cancel: H_6 = 49/20 is 2 mod 9; n < 200
+    # reaches p^2 and p^3 in a denominator for p = 3 and 5
+    for n in range(200):
         for sid, q in zip((SeqId.H, SeqId.OODD, SeqId.OODD2, SeqId.D), harmonic_values(n)):
             for e in (1, 2, 3):
                 try:
@@ -145,9 +148,25 @@ def test_seq_mod_does_not_format_a_large_non_integral_value():
         seq_mod(SeqId.H, 10000, 3, 2)
 
 
-def test_seq_mod_no_route_for_c():
-    with pytest.raises(ValueError):
-        seq_mod(SeqId.CBIG, 2, 5, 1)
+def test_harmonic_seq_mod_reads_no_exact_value(monkeypatch):
+    # the harmonic route is modular through and through: no exact value, no
+    # reduction of one, also where p divides a denominator
+    def refuse(*args):
+        raise AssertionError("exact route called")
+
+    for name in ("seq_exact", "harmonic_values", "reduce_rat"):
+        monkeypatch.setattr(sequences, name, refuse, raising=False)
+    assert seq_mod(SeqId.H, 6, 3, 2).value == 2
+    with pytest.raises(NotPIntegral, match="denominator 3 divisible by 3"):
+        seq_mod(SeqId.D, 20000, 3, 3)
+
+
+def test_seq_mod_reduces_c_coeffs():
+    for n in range(1, 40):
+        c, c_prime = c_coeffs(n)
+        for p, e in product((3, 5, 7), (1, 2, 3)):
+            assert seq_mod(SeqId.CBIG, n, p, e).value == c % p ** e
+            assert seq_mod(SeqId.CPRIME, n, p, e).value == c_prime % p ** e
 
 
 def test_seq_exact_dispatch():
