@@ -9,7 +9,8 @@ Every registry row is one of three specs: a Lift (an m, r congruence between
 two Apery values), an AtPrime (a congruence at one prime under its
 hypotheses), or an Identity (exact identity verifiers).  A Lift's weight is
 data too, (a, b, d) for m^3 (a S_{m-1} + b S_m) / d with S its A or A'; for
-conj2.5 that is (2/3) m^3 c_m with c_m = (17 A_{m-1} - A_m) / 12, any m.
+conj2.5 that is (2/3) m^3 c_m with c_m = (17 A_{m-1} - A_m) / 12, any m.  It
+is read mod p^2 from the task's own S_{m-1} and S_m, with no exact value.
 
 A sweep runs each fixed-range identity as one task and each prime as one
 task, which covers every selected Lift and AtPrime row, every (m, r) and the
@@ -17,7 +18,8 @@ per-prime identity.  Its rows read one _PrimeValues, which computes each
 value they share once, at its first use, and keeps nothing past the task.
 It owns the prime's one factorial table, at the largest precision the rows
 need, and hands it to the kernels, pure functions of what they are given:
-A_n and A'_n together, from one apery_pair_mod pass per index; the four
+A_n and A'_n together, from one apery_pair_mod pass per index, for the
+lift sides, the lift weights and the prime-indexed rows alike; the four
 central-binomial harmonic sums, from one pass; and eq2.2's binomials.
 p B_{p-1} = (p-1)! + p (mod p^2) by Glaisher's congruence is read off it.  No
 table outlives its task.  t_0..t_p come from one walk, and E_{p-3}, B_{p-3}
@@ -42,8 +44,8 @@ from math import comb, gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import identities, special
-from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range, reduce_rat
-from .sequences import SeqId, apery_neighbours, apery_pair_mod, t_values
+from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range
+from .sequences import SeqId, apery_pair_mod, t_values
 from .special import bernoulli_mod_p2, euler_pm3_mod, gamma_quarter_closed_form, padic_gamma
 
 SIZE_CAP_ENV = "APERY_LAB_SIZE_CAP"
@@ -214,11 +216,12 @@ class Lift(NamedTuple):
 
     with C = w_m B.  For weight = (a, b, d) the weight is
     w_m = m^3 (a S_{m-1} + b S_m) / d, with S the row's own sequence; no
-    weight, or a zero one, means no correction.  B is B_{p-3}, or the bracket
+    weight means no correction.  B is B_{p-3}, or the bracket
     B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) when `bracket` is set.  The record is
-    (A_hi, A_lo + C p^(3r)), or (A_hi - A_lo, C p^(3r)).  Since extra <= 2
-    and d divides 18, so that every weight is p-integral for p > 3, C is
-    needed only mod p^2, and B is that residue.
+    (A_hi, A_lo + C p^(3r)), or (A_hi - A_lo, C p^(3r)).  Since extra <= 2,
+    C is needed only mod p^2: w_m is taken mod p^2 from the task's S_{m-1}
+    and S_m, d being a unit there (d divides 18 and p > 3), and B is that
+    residue.
     """
 
     sid: SeqId
@@ -229,19 +232,10 @@ class Lift(NamedTuple):
     bracket: bool = False
     difference: bool = False
 
-    def weight_at(self, m: int) -> Fraction:
-        """w_m = m^3 (a S_{m-1} + b S_m) / d, or 0 for a row without a weight."""
-        if self.weight is None:
-            return Fraction(0)
-        a, b, d = self.weight
-        prev, cur = apery_neighbours(self.sid, m)
-        return Fraction(m ** 3 * (a * prev + b * cur), d)
-
     def __call__(self, at: _PrimeValues, m: int, r: int):
         _require_mr(m, r)
         p = at.p
         _require(p > self.p_above, f"requires p > {self.p_above}")
-        w = self.weight_at(m)
         hi, lo = m * p ** r + self.shift, m * p ** (r - 1) + self.shift
         _require(hi <= at.cap, f"size cap: index {hi} exceeds {at.cap}")
         modulus = p ** (3 * r + self.extra)
@@ -249,9 +243,12 @@ class Lift(NamedTuple):
         if self.difference:
             lhs, base = (lhs - base) % modulus, 0
         corr = 0
-        if w:
-            b = at.bracket if self.bracket else at.b3
-            corr = reduce_rat(w, p, 2).value * b * p ** (3 * r) % modulus
+        if self.weight:
+            a, b, d = self.weight
+            q = p * p
+            w = m ** 3 * (a * at.apery(self.sid, m - 1) + b * at.apery(self.sid, m))
+            w = w * pow(d, -1, q) % q
+            corr = w * (at.bracket if self.bracket else at.b3) * p ** (3 * r) % modulus
         return modulus, lhs, (base + corr) % modulus, None
 
 

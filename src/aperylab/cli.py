@@ -27,7 +27,7 @@ from .checks import (
     sweep,
 )
 from .modring import NotPIntegral, is_odd_prime, primes_in_range
-from .sequences import SeqId, seq_exact, seq_mod
+from .sequences import C_ROWS, SeqId, seq_exact, seq_mod
 from .special import padic_gamma
 
 RECORD_FIELDS = ("check", "p", "m", "r", "modulus", "lhs", "rhs",
@@ -164,19 +164,16 @@ def cmd_verify(args) -> int:
         names = [c.strip().lower() for c in args.checks.split(",") if c.strip()]
         unknown = [n for n in names if n not in CHECKS]
         if unknown:
-            sys.stderr.write(
+            raise argparse.ArgumentTypeError(
                 f"unknown checks: {', '.join(unknown)}\n"
-                f"valid names: {', '.join(CHECKS)}\n"
+                f"valid names: {', '.join(CHECKS)}"
             )
-            return 2
         if not names:
-            sys.stderr.write("argument --checks: names no check\n")
-            return 2
+            raise argparse.ArgumentTypeError("argument --checks: names no check")
     try:
         plist = [pi.p for pi in primes_in_range(*args.primes)]
     except ValueError as exc:
-        sys.stderr.write(f"argument --primes: {exc}\n")
-        return 2
+        raise argparse.ArgumentTypeError(f"argument --primes: {exc}") from None
     # only the fixed-range identities run without a prime
     if not all(map(fixed_range, names)) and not plist:
         lo, hi = args.primes
@@ -214,10 +211,9 @@ def cmd_verify(args) -> int:
 
 def cmd_seq(args) -> int:
     sid = SeqId(args.name)
-    least = 1 if sid in (SeqId.CBIG, SeqId.CPRIME) else 0
+    least = 1 if sid in C_ROWS else 0
     if args.n < least:
-        sys.stderr.write(f"argument --n: need n >= {least}, got {args.n}\n")
-        return 2
+        raise argparse.ArgumentTypeError(f"argument --n: need n >= {least}, got {args.n}")
     if args.mod is not None:
         p, e = _odd_prime_power(args.mod)
         # a value that is not p-integral raises NotPIntegral: main's exit 1
@@ -247,14 +243,13 @@ def cmd_identity(args) -> int:
     name = IDENTITY_NAMES[args.name]
     max_n = args.max_n
     if max_n is not None and max_n < 1:
-        sys.stderr.write("--max-n must be >= 1\n")
-        return 2
+        raise argparse.ArgumentTypeError("--max-n must be >= 1")
     if not fixed_range(name):
         # the free parameter is the prime bound
         bound = max_n if max_n is not None else 500
         if bound < 3:
-            sys.stderr.write("--max-n must be >= 3 for eq2.2 (it bounds the primes)\n")
-            return 2
+            raise argparse.ArgumentTypeError(
+                "--max-n must be >= 3 for eq2.2 (it bounds the primes)")
         results = [
             run_check(name, pi.p) for pi in primes_in_range(3, bound)
         ]
@@ -280,15 +275,13 @@ def cmd_gamma(args) -> int:
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
-        sys.stderr.write(f"invalid rational: {args.x!r}\n")
-        return 2
+        raise argparse.ArgumentTypeError(f"invalid rational: {args.x!r}") from None
     try:
         value = padic_gamma(x, args.p, args.e) ** args.pow
     except NotPIntegral:
         raise  # main's exit 1
     except ValueError as exc:  # the cost guard: a precision out of reach
-        sys.stderr.write(f"argument --e: {exc}\n")
-        return 2
+        raise argparse.ArgumentTypeError(f"argument --e: {exc}") from None
     print(value.value)
     return 0
 

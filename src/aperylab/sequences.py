@@ -7,26 +7,27 @@ closed form as a second route, summed as one integer numerator over 4^n.
 The harmonic family H, O, O2 rolls the same way through harmonic_family, and
 D = O^2 - O2 is formed where it is read; neither keeps a value between calls.
 The identity verifiers rescale that walk's O and O2 to integer numerators
-over a common denominator of their own.  apery_neighbours caches
-(S_{m-1}, S_m) for S = A, A', which the lift weights and c_coeffs read:
-C_m = m^3 (A_{m-1} - 17 A_m) / 12, C'_m = m^3 (A'_{m-1} - 2 A'_m).
+over a common denominator of their own.  apery_neighbours is the one exact
+walk of A or A', giving (S_{n-1}, S_n); it serves exact outputs only.
+C and C' are data rows (S, b, d) for n^3 (S_{n-1} + b S_n) / d:
+C_n = n^3 (A_{n-1} - 17 A_n) / 12, C'_n = n^3 (A'_{n-1} - 2 A'_n).
 seq_mod evaluates residues in O(n) steps without the exact value:
-apery_pair_mod for the Apery sums, the division-free recurrence for t, one
-inverse per term for the harmonic family, each term scaled by the largest
-power of p up to the largest denominator; C and C' reduce c_coeffs.
+apery_pair_mod for the Apery sums and for C and C' (both neighbours off one
+table, one digit longer where p divides d), the division-free recurrence for
+t, one inverse per term for the harmonic family, each term scaled by the
+largest power of p up to the largest denominator.
 apery_pair_mod gives A_n and A'_n together from one pass over the factorial
 table it is handed (a sweep's prime task owns one), the two summands sharing
 one unit that is reduced once per term, and each sum reduced once at the end.
 The O(n^2) direct sums for A and A', the earlier two-pass apery_mod and the
 binomial sums for C and C' live in the tests, as the oracles that
-apery_pair_mod, the recurrences and c_coeffs are checked against.
+apery_pair_mod and the recurrences are checked against.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count, islice
 from math import factorial, lcm
 
@@ -47,26 +48,6 @@ class SeqId(str, Enum):
 
 # ---------------------------------------------------------------------------
 # exact evaluators
-
-def apery_a_recurrence(n: int) -> int:
-    """A_n by (n+1)^3 A_{n+1} = (2n+1)(17n(n+1)+5) A_n - n^3 A_{n-1}, A_0=1, A_1=5."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    a, b = 1, 5
-    for i in range(1, n):
-        a, b = b, ((2 * i + 1) * (17 * i * (i + 1) + 5) * b - i ** 3 * a) // (i + 1) ** 3
-    return b if n else a
-
-
-def apery_aprime_recurrence(n: int) -> int:
-    """A'_n by (n+1)^2 A'_{n+1} = (11n(n+1)+3) A'_n + n^2 A'_{n-1}, A'_0=1, A'_1=3."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    a, b = 1, 3
-    for i in range(1, n):
-        a, b = b, ((11 * i * (i + 1) + 3) * b + i ** 2 * a) // (i + 1) ** 2
-    return b if n else a
-
 
 def t_values(modulus: int = 0):
     """t_0, t_1, ... by t_{n+1} = (8n^2+12n+5) t_n - 4n^2 (2n+1)^2 t_{n-1},
@@ -102,25 +83,25 @@ def t_closed_form(n: int) -> Fraction:
     return Fraction(num * (factorial(2 * n + 1) // l), 4 ** n)
 
 
-@lru_cache(maxsize=None)
-def apery_neighbours(sid: SeqId, m: int) -> tuple[int, int]:
-    """(S_{m-1}, S_m) for S = A or A' by `sid`, m >= 1, from the recurrences;
-    the lift weights and c_coeffs read these two values."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    walk = apery_a_recurrence if SeqId(sid) is SeqId.A else apery_aprime_recurrence
-    return walk(m - 1), walk(m)
+def apery_neighbours(sid: SeqId, n: int) -> tuple[int, int]:
+    """(S_{n-1}, S_n) for S = A or A' by `sid`, n >= 0, with S_{-1} = 0, from
+    one walk of the recurrence, rolled over two values:
+      (i+1)^3 A_{i+1} = (2i+1)(17i(i+1)+5) A_i - i^3 A_{i-1},
+      (i+1)^2 A'_{i+1} = (11i(i+1)+3) A'_i + i^2 A'_{i-1}."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    a, b = 0, 1
+    if SeqId(sid) is SeqId.A:
+        for i in range(n):
+            a, b = b, ((2 * i + 1) * (17 * i * (i + 1) + 5) * b - i ** 3 * a) // (i + 1) ** 3
+    else:
+        for i in range(n):
+            a, b = b, ((11 * i * (i + 1) + 3) * b + i ** 2 * a) // (i + 1) ** 2
+    return a, b
 
 
-def c_coeffs(m: int) -> tuple[int, int]:
-    """The integer pair (C_m, C'_m) weighting the p^(3r) B_{p-3} corrections.
-
-    C_m  = m^3 (A_{m-1} - 17 A_m) / 12
-    C'_m = m^3 (A'_{m-1} - 2 A'_m)
-    """
-    a_prev, a = apery_neighbours(SeqId.A, m)
-    b_prev, b = apery_neighbours(SeqId.APRIME, m)
-    return m ** 3 * (a_prev - 17 * a) // 12, m ** 3 * (b_prev - 2 * b)
+# C and C' as rows (S, b, d) for n^3 (S_{n-1} + b S_n) / d, n >= 1
+C_ROWS = {SeqId.CBIG: (SeqId.A, -17, 12), SeqId.CPRIME: (SeqId.APRIME, -2, 1)}
 
 
 def harmonic_family():
@@ -149,16 +130,16 @@ def harmonic_values(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 def seq_exact(sid: SeqId, n: int):
     """Exact value of the sequence: int for A, A', t, C; Fraction for the rest."""
     sid = SeqId(sid)
-    if sid is SeqId.A:
-        return apery_a_recurrence(n)
-    if sid is SeqId.APRIME:
-        return apery_aprime_recurrence(n)
+    if sid in (SeqId.A, SeqId.APRIME):
+        return apery_neighbours(sid, n)[1]
     if sid is SeqId.T:
         return t_exact(n)
-    if sid is SeqId.CBIG:
-        return c_coeffs(n)[0]
-    if sid is SeqId.CPRIME:
-        return c_coeffs(n)[1]
+    if sid in C_ROWS:
+        if n < 1:
+            raise ValueError("need n >= 1")
+        seq, b, d = C_ROWS[sid]
+        prev, cur = apery_neighbours(seq, n)
+        return n ** 3 * (prev + b * cur) // d
     h, o, o2, d = harmonic_values(n)
     return {SeqId.H: h, SeqId.OODD: o, SeqId.OODD2: o2, SeqId.D: d}[sid]
 
@@ -203,14 +184,25 @@ def apery_pair_mod(n: int, table: FactorialTable) -> tuple[int, int]:
 def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:
     """Residue of the exact sequence value mod p^e, computed modularly."""
     sid = SeqId(sid)
-    if n < 0:
-        raise ValueError("need n >= 0")
+    least = 1 if sid in C_ROWS else 0
+    if n < least:
+        raise ValueError(f"need n >= {least}")
     if sid in (SeqId.A, SeqId.APRIME):
         return Residue(apery_pair_mod(n, FactorialTable(p, e))[sid is SeqId.APRIME], p, e)
     if sid is SeqId.T:
         return Residue(next(islice(t_values(p ** e), n, None)), p, e)
-    if sid in (SeqId.CBIG, SeqId.CPRIME):
-        return Residue(c_coeffs(n)[sid is SeqId.CPRIME], p, e)
+    if sid in C_ROWS:
+        seq, b, d = C_ROWS[sid]
+        # d = p^x d' with p prime to d' (x = 1 for C at p = 3): both neighbours
+        # are read off one table x digits longer, and p^x divides out exactly
+        x = 0
+        while d % p == 0:
+            d, x = d // p, x + 1
+        table = FactorialTable(p, e + x)
+        i = seq is SeqId.APRIME
+        prev, cur = apery_pair_mod(n - 1, table)[i], apery_pair_mod(n, table)[i]
+        value = n ** 3 * (prev + b * cur) % table.modulus // p ** x
+        return Residue(value * pow(d, -1, p ** e), p, e)
     # 1/d over d = 1..n for H, else d = 1, 3, ..., 2n - 1, each term scaled to
     # p^v / d, with p^v the largest power of p up to the largest d
     step, top = (1, n) if sid is SeqId.H else (2, 2 * n - 1)

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from aperylab import checks, special
+from aperylab import checks, sequences, special
 from aperylab.checks import (
     CHECKS,
     CrtAccumulator,
@@ -24,8 +24,9 @@ from aperylab.identities import IdentityOutcome
 from aperylab.modring import FactorialTable, Residue, prime_info, primes_in_range, reduce_rat
 from aperylab.sequences import (
     SeqId,
-    apery_a_recurrence,
+    apery_neighbours,
     harmonic_values,
+    seq_exact,
     seq_mod,
 )
 
@@ -126,7 +127,7 @@ def test_default_size_cap_reaches_r2(monkeypatch):
     monkeypatch.delenv(checks.SIZE_CAP_ENV, raising=False)
     res = run_check("beukers_a", 47, 1, 2)
     assert res.verdict == "pass"
-    assert res.lhs == apery_a_recurrence(2208) % 47 ** 6
+    assert res.lhs == seq_exact(SeqId.A, 2208) % 47 ** 6
 
 
 LIFT_CHECKS = [
@@ -531,8 +532,8 @@ def test_prime_task_tables_die_with_their_task(monkeypatch):
 
 
 def test_no_check_reduces_a_value_that_is_not_p_integral():
-    # the check path reduces a rational only for a Lift weight, whose d
-    # divides 18, at p > 3, and takes Gamma_p only at 1/4 for odd p; so no
+    # the check path inverts a Lift weight's d, which divides 18, mod p^2
+    # only at p > 3, and takes Gamma_p only at 1/4 for odd p; so no
     # NotPIntegral leaves a sweep, and verify's errors all exit 2
     lifts = [cd.runner for cd in CHECKS.values() if isinstance(cd.runner, Lift)]
     assert all(row.p_above >= 3 for row in lifts)
@@ -778,16 +779,34 @@ def test_recover_cm_at_r2():
 WEIGHTED_LIFTS = ["liu_a", "liu_aprime", "conj2.2", "conj2.3", "conj2.4", "conj2.5"]
 
 
+def exact_weight(row, m):
+    """The row's weight m^3 (a S_{m-1} + b S_m) / d from the exact walk."""
+    a, b, d = row.weight
+    prev, cur = apery_neighbours(row.sid, m)
+    return Fraction(m ** 3 * (a * prev + b * cur), d)
+
+
 @pytest.mark.parametrize("name", WEIGHTED_LIFTS)
 def test_lift_weight_matches_binomial_sums(name):
     row = CHECKS[name].runner
     assert len(row.weight) == 3 and all(type(v) is int for v in row.weight)
     for m in REFERENCE_CM if name == "conj2.5" else range(1, 201):
-        assert row.weight_at(m) == LIFT_WEIGHTS[name](m), m
+        assert exact_weight(row, m) == LIFT_WEIGHTS[name](m), m
     if name == "conj2.5":
         # past the paper's table: (2/3) m^3 c_m at the recovered c_7..c_12
         for m, c in RECOVERED_CM.items():
-            assert row.weight_at(m) == Fraction(2, 3) * m ** 3 * c, m
+            assert exact_weight(row, m) == Fraction(2, 3) * m ** 3 * c, m
+
+
+def test_lift_weights_read_no_exact_walk(monkeypatch):
+    # the weights are read mod p^2 off the task's apery_pair_mod values
+    def refuse(*args):
+        raise AssertionError("exact walk called")
+
+    for module in (sequences, checks):
+        monkeypatch.setattr(module, "apery_neighbours", refuse, raising=False)
+    got = sweep(WEIGHTED_LIFTS, [11, 13, 17, 19], m_list=[1, 2, 7], r_list=[1, 2])
+    assert [res.verdict for res in got] == ["pass"] * 144
 
 
 @pytest.mark.parametrize("name", WEIGHTED_LIFTS)

@@ -12,7 +12,7 @@ import pytest
 import aperylab
 from aperylab import special
 from aperylab.cli import main
-from aperylab.sequences import apery_a_recurrence
+from aperylab.sequences import SeqId, apery_neighbours
 
 EXPECTED_JSON_LINE = (
     '{"check":"thm2.1i","p":7,"m":null,"r":null,"modulus":343,'
@@ -208,7 +208,7 @@ def test_seq_prints_values_past_the_str_digit_limit(capsys):
         chunk = digits[i : i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     assert code == 0 and len(digits) == 4588
-    assert value == apery_a_recurrence(3000)
+    assert value == apery_neighbours(SeqId.A, 3000)[1]
 
 
 @pytest.mark.parametrize("name, n", [("t", 8000), ("H", 8000)])

@@ -11,10 +11,8 @@ from aperylab import sequences
 from aperylab.modring import FactorialTable, NotPIntegral, reduce_rat
 from aperylab.sequences import (
     SeqId,
-    apery_a_recurrence,
-    apery_aprime_recurrence,
+    apery_neighbours,
     apery_pair_mod,
-    c_coeffs,
     harmonic_values,
     seq_exact,
     seq_mod,
@@ -37,17 +35,19 @@ def test_tabulated_values():
 
 
 def test_sum_and_recurrence_agree():
+    # the walk gives (S_{n-1}, S_n), with S_{-1} = 0
     for n in range(101):
-        assert apery_a_exact(n) == apery_a_recurrence(n)
-        assert apery_aprime_exact(n) == apery_aprime_recurrence(n)
+        for sid, exact in ((SeqId.A, apery_a_exact), (SeqId.APRIME, apery_aprime_exact)):
+            assert apery_neighbours(sid, n) == (exact(n - 1) if n else 0, exact(n)), (sid, n)
 
 
 def test_recurrences_reject_negative_index():
     for n in (-1, -2, -5):
-        with pytest.raises(ValueError, match="need n >= 0"):
-            apery_a_recurrence(n)
-        with pytest.raises(ValueError, match="need n >= 0"):
-            apery_aprime_recurrence(n)
+        for sid in (SeqId.A, SeqId.APRIME):
+            with pytest.raises(ValueError, match="need n >= 0"):
+                apery_neighbours(sid, n)
+            with pytest.raises(ValueError, match="need n >= 0"):
+                seq_exact(sid, n)
 
 
 def test_seq_exact_matches_direct_sums():
@@ -68,18 +68,42 @@ def test_t_dual_route():
         assert q.denominator == 1 and q == t_exact(n)
 
 
+def c_pair(m):
+    return seq_exact(SeqId.CBIG, m), seq_exact(SeqId.CPRIME, m)
+
+
 def test_c_coeffs():
-    assert c_coeffs(1) == (-7, -5)
-    assert c_coeffs(2) == (-824, -280)
-    assert c_coeffs(7) == (-283311265195, -652953665)
-    with pytest.raises(ValueError):
-        c_coeffs(0)
+    assert c_pair(1) == (-7, -5)
+    assert c_pair(2) == (-824, -280)
+    assert c_pair(7) == (-283311265195, -652953665)
+    for sid in (SeqId.CBIG, SeqId.CPRIME):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            seq_exact(sid, 0)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            seq_mod(sid, 0, 5, 2)
 
 
 def test_c_coeffs_match_binomial_sums():
     # C_m = m^3 (A_{m-1} - 17 A_m) / 12 and C'_m = m^3 (A'_{m-1} - 2 A'_m)
     for m in range(1, 201):
-        assert c_coeffs(m) == oracles.c_coeffs(m), m
+        assert c_pair(m) == oracles.c_coeffs(m), m
+
+
+@pytest.mark.parametrize("sid, walked, value", [
+    (SeqId.CBIG, SeqId.A, -283311265195),
+    (SeqId.CPRIME, SeqId.APRIME, -652953665),
+])
+def test_seq_exact_c_walks_its_own_sequence_once(monkeypatch, sid, walked, value):
+    calls = []
+    real = sequences.apery_neighbours
+
+    def recorded(s, n):
+        calls.append((SeqId(s), n))
+        return real(s, n)
+
+    monkeypatch.setattr(sequences, "apery_neighbours", recorded)
+    assert seq_exact(sid, 7) == value
+    assert calls == [(walked, 7)]
 
 
 def test_harmonic_values():
@@ -162,11 +186,23 @@ def test_harmonic_seq_mod_reads_no_exact_value(monkeypatch):
 
 
 def test_seq_mod_reduces_c_coeffs():
-    for n in range(1, 40):
-        c, c_prime = c_coeffs(n)
-        for p, e in product((3, 5, 7), (1, 2, 3)):
-            assert seq_mod(SeqId.CBIG, n, p, e).value == c % p ** e
-            assert seq_mod(SeqId.CPRIME, n, p, e).value == c_prime % p ** e
+    # p = 3 divides C's denominator 12: its neighbours are read a digit longer
+    for n in range(1, 120):
+        c, c_prime = oracles.c_coeffs(n)
+        for p, e in product((3, 5, 7, 11, 13), (1, 2, 3, 4)):
+            assert seq_mod(SeqId.CBIG, n, p, e).value == c % p ** e, (n, p, e)
+            assert seq_mod(SeqId.CPRIME, n, p, e).value == c_prime % p ** e, (n, p, e)
+    assert seq_mod(SeqId.CBIG, 7, 3, 3).value == 26
+
+
+def test_c_seq_mod_reads_no_exact_walk(monkeypatch):
+    # C and C' read both neighbours off one apery_pair_mod table, in O(n)
+    def refuse(*args):
+        raise AssertionError("exact walk called")
+
+    monkeypatch.setattr(sequences, "apery_neighbours", refuse, raising=False)
+    assert seq_mod(SeqId.CBIG, 20000, 3, 2).value == 1
+    assert seq_mod(SeqId.CPRIME, 20000, 100003, 1).value == 66593
 
 
 def test_seq_exact_dispatch():
@@ -209,8 +245,8 @@ def kernel_cases(draw, max_n, primes=KERNEL_PRIMES, max_e=7):
 def test_apery_mod_matches_recurrence(case):
     n, p, e = case
     m = p ** e
-    assert seq_mod(SeqId.A, n, p, e).value == apery_a_recurrence(n) % m
-    assert seq_mod(SeqId.APRIME, n, p, e).value == apery_aprime_recurrence(n) % m
+    assert seq_mod(SeqId.A, n, p, e).value == seq_exact(SeqId.A, n) % m
+    assert seq_mod(SeqId.APRIME, n, p, e).value == seq_exact(SeqId.APRIME, n) % m
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,7 +268,7 @@ def test_apery_pair_mod_matches_oracles_everywhere(p):
     # every n up to 3p^2 + 4, past the multiples of p^2 where n + k carries
     # and n - k borrows twice, at every precision the lift rows read
     top = 3 * p * p + 4
-    exact = [(apery_a_recurrence(n), apery_aprime_recurrence(n)) for n in range(top + 1)]
+    exact = [(seq_exact(SeqId.A, n), seq_exact(SeqId.APRIME, n)) for n in range(top + 1)]
     for e in range(1, 9):
         m = p ** e
         table = FactorialTable(p, e)
@@ -251,7 +287,7 @@ def test_apery_pair_mod_matches_oracles_past_p_cubed(case):
     n, p, e = case
     m = p ** e
     got = apery_pair_mod(n, FactorialTable(p, e))
-    assert got == (apery_a_recurrence(n) % m, apery_aprime_recurrence(n) % m)
+    assert got == (seq_exact(SeqId.A, n) % m, seq_exact(SeqId.APRIME, n) % m)
     assert got == (oracles.apery_mod(SeqId.A, n, p, e), oracles.apery_mod(SeqId.APRIME, n, p, e))
 
 
