@@ -18,9 +18,12 @@ per-prime identity.  Its rows read one _PrimeValues, which computes each
 value they share once, at its first use, and keeps nothing past the task.
 It owns the prime's one factorial table, at the largest precision the rows
 need, and hands it to the kernels, pure functions of what they are given:
-A_n and A'_n together, from one apery_pair_mod pass per index, for the
-lift sides, the lift weights and the prime-indexed rows alike; the four
-central-binomial harmonic sums, from one pass; and eq2.2's binomials.
+A_n and A'_n for the lift sides, the lift weights and the prime-indexed rows
+alike, from at most one apery_walk_mod walk per sequence, whose end the task
+plans from the indices its Lift rows read (Lift.reads), and one
+apery_pair_mod pass for each index past that end, where a walk would cost
+more; the four central-binomial harmonic sums, from one pass; and eq2.2's
+binomials.
 p B_{p-1} = (p-1)! + p (mod p^2) by Glaisher's congruence is read off it.  No
 table outlives its task.  t_0..t_p come from one walk, and E_{p-3}, B_{p-3}
 and Gamma_p(1/4)^4 once each.  run_check runs the same evaluator on one row.
@@ -36,6 +39,7 @@ rows are immutable typing.NamedTuples; ._replace(...) gives an edited copy.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -45,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import identities, special
 from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range
-from .sequences import SeqId, apery_pair_mod, t_values
+from .sequences import SeqId, apery_pair_mod, apery_walk_mod, t_values
 from .special import bernoulli_mod_p2, euler_pm3_mod, gamma_quarter_closed_form, padic_gamma
 
 SIZE_CAP_ENV = "APERY_LAB_SIZE_CAP"
@@ -122,34 +126,79 @@ def _central_sums(table: FactorialTable) -> tuple[int, int, int, int]:
     return s % m, s_o % m, s_o2 % m, s_oo % m
 
 
+def _walk_plan(p: int, e: int, reads: dict[SeqId, set[int]]) -> dict[SeqId, int]:
+    """The end of the one walk of each sequence (apery_walk_mod) mod p^e, for
+    a prime task whose Lift rows read `reads`; -1 for no walk.  The task
+    walks every read up to one bound N and reads those above N off
+    apery_pair_mod, which gives A_n and A'_n at once.
+
+    N is the read that minimises the estimated cost, counted in
+    apery_pair_mod terms, of which a read of n takes n + 1.  A walk step
+    costs about k/2 terms (k = 3 for A, 2 for A') plus one per 1000 bits of
+    its modulus, whose width falls from e + k v_p(n!) digits of p to e along
+    a walk to n.  So a range of reads, as m runs, is walked, and lone large
+    reads, such as p^2 - 1 at r = 2 for large p, are left to apery_pair_mod.
+    """
+    bits = p.bit_length() / 1000
+
+    def walk(sid: SeqId, n: int) -> float:
+        k = 3 if sid is SeqId.A else 2
+        return n * (k / 2 + (e + k * n / (p - 1) / 2) * bits) if n >= 0 else 0
+
+    indices = sorted(set().union(*reads.values()))
+    reach = {sid: -1 for sid in reads}
+    above = sum(n + 1 for n in indices)
+    best, plan = above, dict(reach)
+    for n in indices:
+        above -= n + 1
+        reach.update((sid, n) for sid, ns in reads.items() if n in ns)
+        cost = sum(walk(sid, end) for sid, end in reach.items()) + above
+        if cost < best:
+            best, plan = cost, dict(reach)
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # the values at one prime
 
 class _PrimeValues:
-    """The values the rows at one prime p read, each taken at its first use
-    and kept only as long as this object.  It owns the prime's one factorial
-    table, FactorialTable(p, e_max), and hands it to the kernels: the pair
-    A_n, A'_n mod p^e_max (apery_pair_mod), once per index; the four central
-    sums from one pass (_central_sums); p B_{p-1} from its entry (p-1)!; and
-    the per-prime identity.  The single central binomials of thm2.1i,
-    lemma2.4, lemma2.6, thm3.3_tquarter and lemma2.5's closed form come from
-    math.comb instead.  Besides: t_0..t_p mod p^e_max from one walk, and the
-    Bernoulli, Euler and Gamma_p values below.  A row reduces what it reads
-    to its own modulus.  The kernels and FactorialTable are looked up in this
-    module when called, so a patched one is used.  The size cap is read from
-    APERY_LAB_SIZE_CAP when the object is made."""
+    """The values the rows at one prime p read, each taken at its first use and
+    kept only as long as this object.  It owns the prime's one factorial table,
+    FactorialTable(p, e_max), and hands it to the kernels: A_n and A'_n mod
+    p^e_max, from one walk per sequence (apery_walk_mod) to the reach that
+    _walk_plan sets, and past it from the pair (apery_pair_mod), once per
+    index; the four central sums from one pass (_central_sums); p B_{p-1} from
+    its entry (p-1)!; and the per-prime identity.  The single central binomials
+    of thm2.1i, lemma2.4, lemma2.6, thm3.3_tquarter and lemma2.5's closed form
+    come from math.comb instead.  Besides: t_0..t_p mod p^e_max from one walk,
+    and the Bernoulli, Euler and Gamma_p values below.  A row reduces what it
+    reads to its own modulus.  The kernels and FactorialTable are looked up in
+    this module when called, so a patched one is used.  The size cap is read
+    from APERY_LAB_SIZE_CAP when the object is made."""
 
     def __init__(self, pi: PrimeInfo, e_max: int) -> None:
         self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
         self.e_max = e_max
         self.cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
-        self._apery: dict[int, tuple[int, int]] = {}
+        # the end of each sequence's walk, planned from the Lift rows' reads
+        self.reach: dict[SeqId, int] = {}
+        self._walks: dict[SeqId, list[int]] = {}
+        self._pairs: dict[int, tuple[int, int]] = {}
 
     def apery(self, sid: SeqId, n: int) -> int:
-        """A_n or A'_n mod p^e_max; the first read of n takes both."""
-        if n not in self._apery:
-            self._apery[n] = apery_pair_mod(n, self.table)
-        return self._apery[n][sid is SeqId.APRIME]
+        """A_n or A'_n mod p^e_max.  Each sequence is walked at most once, at
+        its first read, to its planned reach (_walk_plan), or to that read
+        when no Lift row reads the sequence.  An index above the reach is
+        read off apery_pair_mod, whose first read of n takes both."""
+        if sid not in self._walks:
+            reach = self.reach.setdefault(sid, n)
+            self._walks[sid] = apery_walk_mod(sid, reach, self.table) if reach >= 0 else []
+        walk = self._walks[sid]
+        if n < len(walk):
+            return walk[n]
+        if n not in self._pairs:
+            self._pairs[n] = apery_pair_mod(n, self.table)
+        return self._pairs[n][sid is SeqId.APRIME]
 
     @cached_property
     def table(self) -> FactorialTable:
@@ -232,12 +281,19 @@ class Lift(NamedTuple):
     bracket: bool = False
     difference: bool = False
 
-    def __call__(self, at: _PrimeValues, m: int, r: int):
+    def reads(self, p: int, m: int, r: int, cap: int) -> tuple[int, ...]:
+        """The indices of S the row reads at p, m, r: hi and lo, then m - 1
+        and m for a weight; SkipCheck where the row does not apply or hi
+        passes the size cap."""
         _require_mr(m, r)
-        p = at.p
         _require(p > self.p_above, f"requires p > {self.p_above}")
         hi, lo = m * p ** r + self.shift, m * p ** (r - 1) + self.shift
-        _require(hi <= at.cap, f"size cap: index {hi} exceeds {at.cap}")
+        _require(hi <= cap, f"size cap: index {hi} exceeds {cap}")
+        return (hi, lo, m - 1, m) if self.weight else (hi, lo)
+
+    def __call__(self, at: _PrimeValues, m: int, r: int):
+        p = at.p
+        hi, lo, *weight_at = self.reads(p, m, r, at.cap)
         modulus = p ** (3 * r + self.extra)
         lhs, base = at.apery(self.sid, hi) % modulus, at.apery(self.sid, lo) % modulus
         if self.difference:
@@ -246,7 +302,8 @@ class Lift(NamedTuple):
         if self.weight:
             a, b, d = self.weight
             q = p * p
-            w = m ** 3 * (a * at.apery(self.sid, m - 1) + b * at.apery(self.sid, m))
+            prev, cur = (at.apery(self.sid, n) for n in weight_at)
+            w = m ** 3 * (a * prev + b * cur)
             w = w * pow(d, -1, q) % q
             corr = w * (at.bracket if self.bracket else at.b3) * p ** (3 * r) % modulus
         return modulus, lhs, (base + corr) % modulus, None
@@ -499,6 +556,14 @@ def _prime_results(names: Sequence[str], p: int, m_list, r_list) -> list[CheckRe
                 + [row.e for _, row in rows if isinstance(row, AtPrime)]
                 + [2 for _, row in rows if isinstance(row, Identity)], default=1)
     at = _PrimeValues(prime_info(p), e_max)
+    reads: dict[SeqId, set[int]] = {}
+    for _, row in rows:
+        if isinstance(row, Lift):
+            for m, r in product(m_list, r_list):
+                with suppress(SkipCheck):
+                    indices = row.reads(p, m, r, at.cap)
+                    reads.setdefault(row.sid, set()).update(indices)
+    at.reach = _walk_plan(p, e_max, reads)
     out = []
     for name, row in rows:
         if isinstance(row, Identity):

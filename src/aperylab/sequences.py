@@ -19,9 +19,13 @@ largest power of p up to the largest denominator.
 apery_pair_mod gives A_n and A'_n together from one pass over the factorial
 table it is handed (a sweep's prime task owns one), the two summands sharing
 one unit that is reduced once per term, and each sum reduced once at the end.
+apery_walk_mod gives S_0..S_N of one sequence from one walk of its
+recurrence mod p^e, carried over the unit denominator unit(n!)^k with the
+digits lost at each multiple of p tracked; a prime task reads the indices it
+walks this way and leaves a lone large index to apery_pair_mod.
 The O(n^2) direct sums for A and A', the earlier two-pass apery_mod and the
 binomial sums for C and C' live in the tests, as the oracles that
-apery_pair_mod and the recurrences are checked against.
+apery_pair_mod, apery_walk_mod and the recurrences are checked against.
 """
 
 from __future__ import annotations
@@ -179,6 +183,45 @@ def apery_pair_mod(n: int, table: FactorialTable) -> tuple[int, int]:
             if 2 * w < e:
                 acc_a += ppow[2 * w] * u * u
     return acc_a % m, acc_b % m * unit[n] % m
+
+
+def apery_walk_mod(sid: SeqId, n: int, table: FactorialTable) -> list[int]:
+    """Least residues S_0, ..., S_n mod p^e of S = A or A' by `sid`, for the p
+    and e of `table`, from one walk of the recurrence of apery_neighbours.
+
+    With k = 3 for A and 2 for A', the walk carries y_i = S_i unit(i!)^k,
+    whose recurrence has no division but by p: with s the unit part of i,
+      p^(3t) y_{i+1} = (2i+1)(17i(i+1)+5) y_i - (i s)^3 y_{i-1}   (A),
+      p^(2t) y_{i+1} = (11i(i+1)+3) y_i + (i s)^2 y_{i-1}          (A'),
+    where p^t || i + 1.  Each division costs kt digits, k v_p(n!) in all, so
+    the walk starts mod p^(e + k v_p(n!)) and drops to the precision it still
+    needs at each multiple of p.  S_i = y_i IU[i]^k is read off the table's
+    rows, which this extends to n: no inversion per step.
+    """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    table.extend(n)
+    p, m, val, inv = table.p, table.modulus, table.val, table.inv_unit
+    is_a = SeqId(sid) is SeqId.A
+    k = 3 if is_a else 2
+    work = m * p ** (k * val[n])
+    prev, cur, s = 0, 1, 1  # y_{i-1}, y_i and the unit part of i
+    out = [1]
+    for i in range(n):
+        if is_a:
+            y = ((2 * i + 1) * (17 * i * (i + 1) + 5) * cur - (i * s) ** 3 * prev) % work
+        else:
+            y = ((11 * i * (i + 1) + 3) * cur + (i * s) ** 2 * prev) % work
+        s = i + 1
+        if s % p == 0:
+            # exact: y_{i+1} p^(kt) is known mod `work`, which p^(kt) divides
+            drop = p ** (k * (val[i + 1] - val[i]))
+            y, work = y // drop, work // drop
+            while s % p == 0:
+                s //= p
+        prev, cur = cur, y
+        out.append(y % m * inv[i + 1] ** k % m)
+    return out
 
 
 def seq_mod(sid: SeqId, n: int, p: int, e: int) -> Residue:

@@ -54,6 +54,34 @@ def shifted_table(index):
     return Shifted
 
 
+def shift_apery(monkeypatch, shift, first=lambda q: 0,
+                routes=("apery_walk_mod", "apery_pair_mod")):
+    """Moves every Apery value a prime task reads at an index n >= first(p)
+    by shift(p, e) mod p^e, on the named routes of checks: the walk of one
+    sequence (apery_walk_mod) and the pair at one index (apery_pair_mod).
+    Returns the calls made to them as (route, n), n the walk's end or the
+    pair's index."""
+    calls = []
+    real_walk, real_pair = checks.apery_walk_mod, checks.apery_pair_mod
+
+    def moved(v, n, table):
+        q, e = table.p, table.e
+        return (v + shift(q, e)) % q ** e if n >= first(q) else v
+
+    def walk(sid, n, table):
+        calls.append(("apery_walk_mod", n))
+        return [moved(v, i, table) for i, v in enumerate(real_walk(sid, n, table))]
+
+    def pair(n, table):
+        calls.append(("apery_pair_mod", n))
+        return tuple(moved(v, n, table) for v in real_pair(n, table))
+
+    for route, fake in (("apery_walk_mod", walk), ("apery_pair_mod", pair)):
+        if route in routes:
+            monkeypatch.setattr(checks, route, fake)
+    return calls
+
+
 def test_registry_shape():
     assert len(CHECKS) == 30
     assert CHECKS["thm2.1i"].status is Status.THEOREM
@@ -139,17 +167,25 @@ LIFT_CHECKS = [
 @pytest.mark.parametrize("name", LIFT_CHECKS)
 @pytest.mark.parametrize("p, m", [(7, 1), (11, 2), (13, 3)])
 def test_lift_checks_fail_when_kernel_is_perturbed(monkeypatch, name, p, m):
+    # the task walks its r = 1 indices or reads them by pair, as costs
+    # decide, so both routes are moved
     assert run_check(name, p, m, 1).verdict == "pass"
-    real = checks.apery_pair_mod
     hi = m * p - 1  # the smaller of the two r = 1 upper indices, m p - 1 and m p
-
-    def shifted(n, table):
-        q, e = table.p, table.e
-        pair = real(n, table)
-        return tuple((v + q ** (e - 1)) % q ** e for v in pair) if n >= hi else pair
-
-    monkeypatch.setattr(checks, "apery_pair_mod", shifted)
+    shift_apery(monkeypatch, lambda q, e: q ** (e - 1), lambda q: hi)
     assert run_check(name, p, m, 1).verdict == "fail"
+
+
+@pytest.mark.parametrize("name", LIFT_CHECKS)
+@pytest.mark.parametrize("p, m", [(17, 1), (19, 2)])
+def test_r2_lift_checks_fail_when_pair_kernel_is_perturbed(monkeypatch, name, p, m):
+    # at r = 2 the upper index m p^2 + shift is one large read, which the
+    # task leaves to apery_pair_mod; only that route is moved
+    assert run_check(name, p, m, 2).verdict == "pass"
+    hi = m * p * p - 1
+    calls = shift_apery(monkeypatch, lambda q, e: q ** (e - 1), lambda q: hi,
+                        routes=("apery_pair_mod",))
+    assert run_check(name, p, m, 2).verdict == "fail"
+    assert ("apery_pair_mod", hi) in calls or ("apery_pair_mod", hi + 1) in calls
 
 
 def test_central_sums_match_exact_sums():
@@ -306,7 +342,8 @@ def test_prime_sweep_fails_when_eq22_table_row_is_shifted(monkeypatch):
 )
 def test_prime_checks_fail_when_seq_value_is_perturbed(monkeypatch, name, p):
     # the t rows read t_0..t_p from one t_values walk, the others A'_{(p-1)/2}
-    # from apery_pair_mod; either is shifted by p^(e-1) at the row's precision e
+    # from the walk of A' (apery_walk_mod), and each Apery route is moved;
+    # either value is shifted by p^(e-1) at the row's precision e
     assert run_check(name, p).verdict == "pass"
     if name.startswith("thm3.3"):
         real_t = checks.t_values
@@ -316,13 +353,7 @@ def test_prime_checks_fail_when_seq_value_is_perturbed(monkeypatch, name, p):
 
         monkeypatch.setattr(checks, "t_values", walk)
     else:
-        real = checks.apery_pair_mod
-
-        def shifted(n, table):
-            q, e = table.p, table.e
-            return tuple((v + q ** (e - 1)) % q ** e for v in real(n, table))
-
-        monkeypatch.setattr(checks, "apery_pair_mod", shifted)
+        shift_apery(monkeypatch, lambda q, e: q ** (e - 1))
     assert run_check(name, p).verdict == "fail"
 
 
@@ -474,8 +505,8 @@ def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
 
 def test_prime_task_reads_each_value_once(monkeypatch):
     # per prime: one factorial table, at e_max, which id_eq2.2 reads too;
-    # each Apery index once, one t walk, one central pass at e_max, E_{p-3}
-    # and Gamma_p(1/4) mod p at most once
+    # one walk of each Apery sequence and no pair below p^2, one t walk, one
+    # central pass at e_max, E_{p-3} and Gamma_p(1/4) mod p at most once
     calls = []
     tables = []
     real_init = FactorialTable.__init__
@@ -495,14 +526,17 @@ def test_prime_task_reads_each_value_once(monkeypatch):
 
         monkeypatch.setattr(checks, kernel, wrapper)
 
-    for kernel in ("apery_pair_mod", "t_values", "_central_sums", "euler_pm3_mod",
-                   "padic_gamma"):
+    for kernel in ("apery_walk_mod", "apery_pair_mod", "t_values", "_central_sums",
+                   "euler_pm3_mod", "padic_gamma"):
         counted(kernel)
     primes = [pi.p for pi in primes_in_range(3, 60)]
     sweep(PRIME_ROWS, (3, 60), m_list=[1, 2], r_list=[1])
     for q in primes:
-        apery = [c[1] for c in calls if c[0] == "apery_pair_mod" and c[2].p == q]  # n
-        assert apery and len(apery) == len(set(apery)), q
+        walks = [c[1] for c in calls if c[0] == "apery_walk_mod" and c[3].p == q]  # sid
+        # at p = 3 every row of A asks p > 3 and skips: A' alone is walked
+        assert sorted(walks) == [SeqId.A, SeqId.APRIME][q == 3:], q
+        pairs = [c[1] for c in calls if c[0] == "apery_pair_mod" and c[2].p == q]  # n
+        assert len(pairs) == len(set(pairs)) and all(n >= q * q for n in pairs), q
         # t_values takes one argument, the modulus p^e_max
         assert sum(c[0] == "t_values" and c[1] % q == 0 for c in calls) == 1, q
         # e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at r = 1
@@ -564,20 +598,26 @@ def test_lift_sweep_under_size_cap_matches_per_row_run_check(monkeypatch):
 
 
 def test_lift_task_reads_each_value_once(monkeypatch):
-    # one precision per prime, each index once for both sequences, two
-    # Bernoulli sums
+    # one precision per prime, one walk per sequence, each pair index once
+    # for both sequences, two Bernoulli sums
     apery_calls, bern_calls = [], []
-    real_apery, real_bern = checks.apery_pair_mod, checks.bernoulli_mod_p2
+    real_walk, real_pair = checks.apery_walk_mod, checks.apery_pair_mod
+    real_bern = checks.bernoulli_mod_p2
 
-    def apery(n, table):
+    def walk(sid, n, table):
+        apery_calls.append((sid, table.p, table.e))
+        return real_walk(sid, n, table)
+
+    def pair(n, table):
         apery_calls.append((n, table.p, table.e))
-        return real_apery(n, table)
+        return real_pair(n, table)
 
     def bern(n, q):
         bern_calls.append((n, q))
         return real_bern(n, q)
 
-    monkeypatch.setattr(checks, "apery_pair_mod", apery)
+    monkeypatch.setattr(checks, "apery_walk_mod", walk)
+    monkeypatch.setattr(checks, "apery_pair_mod", pair)
     monkeypatch.setattr(checks, "bernoulli_mod_p2", bern)
     primes = [pi.p for pi in primes_in_range(7, 40)]
     sweep(LIFT_CHECKS, (7, 40), m_list=[1, 2], r_list=[1, 2])
@@ -590,20 +630,55 @@ def test_lift_task_reads_each_value_once(monkeypatch):
 def test_lift_sweep_fails_when_kernel_is_perturbed(monkeypatch):
     primes, m_list = [7, 11, 13], [1, 2, 3]
     assert all(r.verdict == "pass" for r in sweep(LIFT_CHECKS, primes, m_list=m_list))
-    real = checks.apery_pair_mod
-
-    def shifted(n, table):
-        # each task reads its values mod p^5, the largest r = 1 precision; a
-        # shift by q^2 is still seen mod p^3, the least one.  The upper indices
-        # m q - 1 and m q are at least q - 1; the lower ones, m - 1 and m, not.
-        q, e = table.p, table.e
-        pair = real(n, table)
-        return tuple((v + q * q) % q ** e for v in pair) if n >= q - 1 else pair
-
-    monkeypatch.setattr(checks, "apery_pair_mod", shifted)
+    # each task reads its values mod p^5, the largest r = 1 precision; a shift
+    # by q^2 is still seen mod p^3, the least one.  The upper indices m q - 1
+    # and m q are at least q - 1; the lower ones, m - 1 and m, not.
+    shift_apery(monkeypatch, lambda q, e: q * q, lambda q: q - 1)
     got = sweep(LIFT_CHECKS, primes, m_list=m_list)
     assert len(got) == 8 * 3 * 3
     assert all(r.verdict == "fail" for r in got)
+
+
+# the rows of the benchmark's primes workload (perfbench/run.py)
+PRIMES_WORKLOAD_ROWS = [
+    "eq1.3", "thm2.1i", "thm2.1ii", "lemma2.3", "lemma2.4", "lemma2.5", "lemma2.6",
+    "lemma2.7a", "lemma2.7b", "conj2.1", "thm3.3_tp", "thm3.3_tpm1", "thm3.3_thalf",
+    "thm3.3_thalfp1", "thm3.3_tquarter", "id_eq2.2",
+]
+
+
+def test_r1_lift_and_prime_rows_read_no_pair(monkeypatch):
+    # every r = 1 index and A'_{(p-1)/2} comes off the walks: apery_pair_mod
+    # is never called
+    lifts = sweep(LIFT_CHECKS, (7, 40), m_list=range(1, 7), r_list=[1])
+    rows = sweep(PRIMES_WORKLOAD_ROWS, (3, 60))
+
+    def refuse(n, table):
+        raise AssertionError(f"apery_pair_mod({n}) at p = {table.p}")
+
+    monkeypatch.setattr(checks, "apery_pair_mod", refuse)
+    got = sweep(LIFT_CHECKS, (7, 40), m_list=range(1, 7), r_list=[1])
+    assert got == lifts and {res.verdict for res in got} == {"pass"}
+    got = sweep(PRIMES_WORKLOAD_ROWS, (3, 60))
+    assert got == rows and {res.verdict for res in got} == {"pass", "skip"}
+
+
+def test_r2_sweep_pairs_only_upper_indices(monkeypatch):
+    # over a range of m the lower indices m p + shift and the weights' m - 1
+    # and m come off the walks; apery_pair_mod reads only upper indices
+    # m p^2 + shift, which start at p^2 - 1, and only where a walk past them
+    # would cost more (here from p = 37 on)
+    calls = []
+    real = checks.apery_pair_mod
+
+    def pair(n, table):
+        calls.append((n, table.p))
+        return real(n, table)
+
+    monkeypatch.setattr(checks, "apery_pair_mod", pair)
+    got = sweep(LIFT_CHECKS, (7, 60), m_list=[1, 2, 3], r_list=[2])
+    assert {res.verdict for res in got} == {"pass"}
+    assert calls and all(n >= q * q - 1 for n, q in calls)
 
 
 @pytest.mark.parametrize("r", [1, 2])

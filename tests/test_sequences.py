@@ -13,6 +13,7 @@ from aperylab.sequences import (
     SeqId,
     apery_neighbours,
     apery_pair_mod,
+    apery_walk_mod,
     harmonic_values,
     seq_exact,
     seq_mod,
@@ -294,3 +295,50 @@ def test_apery_pair_mod_matches_oracles_past_p_cubed(case):
 def test_apery_pair_mod_rejects_negative_index():
     with pytest.raises(ValueError, match="need n >= 0"):
         apery_pair_mod(-1, FactorialTable(5, 2))
+
+
+# each walk's end, past p and p^2; at p = 3 past 27 and 81 too, where v_p(n!)
+# steps by 3 and 4
+WALK_ENDS = {3: 90, 5: 60, 7: 60, 11: 130, 13: 180, 31: 1000}
+# the direct sums cost over a minute to n = 1000, so past this index the
+# walk is held against apery_pair_mod alone
+DIRECT_SUMS_UP_TO = 200
+
+
+@pytest.mark.parametrize("p", sorted(WALK_ENDS))
+def test_apery_walk_mod_matches_oracles_everywhere(p):
+    top = WALK_ENDS[p]
+    exact = {SeqId.A: apery_a_exact, SeqId.APRIME: apery_aprime_exact}
+    for e in range(1, 9):
+        m = p ** e
+        walks = {sid: apery_walk_mod(sid, top, FactorialTable(p, e)) for sid in exact}
+        for sid, walk in walks.items():
+            assert len(walk) == top + 1
+            for n in range(min(top, DIRECT_SUMS_UP_TO) + 1):
+                assert walk[n] == exact[sid](n) % m, (sid, n, e)
+        table = FactorialTable(p, e)
+        for n in range(top + 1):
+            assert apery_pair_mod(n, table) == (walks[SeqId.A][n], walks[SeqId.APRIME][n]), (n, e)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_apery_walk_mod_ends_anywhere(p):
+    # a walk to any end N, 0 and 1 included, is the prefix of a longer one:
+    # its start precision e + k v_p(N!) is set by N alone.  A table already
+    # extended past N gives the same values.
+    top = WALK_ENDS[p]
+    for sid in (SeqId.A, SeqId.APRIME):
+        for e in (1, 3, 8):
+            full = apery_walk_mod(sid, top, FactorialTable(p, e))
+            for n in sorted({0, 1, p - 1, p, p + 1, p * p - 1, p * p, p * p + 1, 27, 81}):
+                if n <= top:
+                    assert apery_walk_mod(sid, n, FactorialTable(p, e)) == full[: n + 1], (sid, n, e)
+            table = FactorialTable(p, e)
+            table.extend(3 * top)
+            assert apery_walk_mod(sid, top // 2, table) == full[: top // 2 + 1]
+            assert len(table.val) == 3 * top + 1
+
+
+def test_apery_walk_mod_rejects_negative_index():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        apery_walk_mod(SeqId.A, -1, FactorialTable(5, 2))
