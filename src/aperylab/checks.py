@@ -31,9 +31,13 @@ A conj2.5 record carries its prime's residue of c_m, read off the record's
 difference, so the CRT recovery (cm_recovery) reads the sweep's own values;
 recover_cm reads those of a sweep of the conj2.5 row alone.
 
-A sweep with one worker runs its tasks in-process, and the process pool's
-modules load only when a sweep starts a pool.  The records and the registry
-rows are immutable typing.NamedTuples; ._replace(...) gives an edited copy.
+A sweep with N > 1 workers deals its tasks round-robin into N stripes.  It
+runs the first stripe itself and forks one child per other stripe, which
+pickles its results back through a pipe; the earliest failing task's
+exception is raised, as with one worker.  A sweep with one worker, or on a
+platform without os.fork, runs its tasks in-process and loads no pickle.
+The records and the registry rows are immutable typing.NamedTuples;
+._replace(...) gives an edited copy.
 """
 
 from __future__ import annotations
@@ -619,6 +623,91 @@ def _run_task(task) -> list[CheckResult]:
     return _prime_results(*task)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (taskset and cgroup cpusets narrow it), else the CPU
+    count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_stripe(tasks, first: int, step: int):
+    """(None, batches) for tasks[first::step], or (i, exc) for the first
+    task i that raises exc, counted in the whole task list."""
+    batches = []
+    for i in range(first, len(tasks), step):
+        try:
+            batches.append(_run_task(tasks[i]))
+        except Exception as exc:
+            return i, exc
+    return None, batches
+
+
+def _stripe_child(tasks, first: int, step: int, pipe, out) -> None:
+    """The body of a forked child: run tasks[first::step], pickle the
+    outcome to out and exit, never returning into the parent's frames."""
+    code = 1
+    try:
+        import pickle
+
+        pipe.close()  # the parent's read end, so a dead parent breaks the write
+        with out:
+            out.write(pickle.dumps(_run_stripe(tasks, first, step)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_stripes(tasks, workers: int) -> list[list[CheckResult]]:
+    """Each task's records, in task order, from `workers` stripes run at once.
+
+    Stripe k is tasks[k::workers]: stripe 0 runs here, each other one in a
+    forked child that pickles its outcome back through a pipe.  Each stripe
+    stops at its first failing task, and the exception of the earliest
+    failing task of all is raised, so a sweep fails as it does in-process.
+    Every child is reaped before this returns, and killed first if it is
+    still running (after an interrupt, or a sibling that died).  Fork copies
+    only the calling thread, so the caller must run no other.
+    """
+    import pickle
+    import signal
+
+    children = {}  # pid: (its first task, the read end of its pipe)
+    try:
+        for first in range(1, workers):
+            rfd, wfd = os.pipe()
+            pipe = open(rfd, "rb")
+            with open(wfd, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    _stripe_child(tasks, first, workers, pipe, out)
+            children[pid] = first, pipe
+        outcomes = [_run_stripe(tasks, 0, workers)]
+        for pid, (first, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                raise RuntimeError(
+                    f"sweep worker {pid} (stripe {first}) exited with status {status}")
+            outcomes.append(pickle.loads(data))
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [(i, exc) for i, exc in outcomes if i is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    batches = [None] * len(tasks)
+    for first, (_, stripe) in enumerate(outcomes):
+        batches[first::workers] = stripe
+    return batches
+
+
 def _prime_list(primes) -> list[int]:
     """The primes of a (lo, hi) range, or of an iterable, each once, ascending.
     A tuple of two ints is always a range: (5, 11) is 5, 7, 11, while
@@ -645,7 +734,8 @@ def sweep(
     which covers every selected Lift, AtPrime and per-prime Identity row and
     every (m, r).  Results come back in canonical order (registry order,
     then p, then m and r in list order), independent of the worker count.
-    At most min(jobs, CPU count, tasks) worker processes are started.
+    At most min(jobs, usable CPUs, tasks) workers run, this process and
+    one forked child per worker after the first (see _run_stripes).
     """
     wanted = set(names)
     unknown = wanted - set(CHECKS)
@@ -660,15 +750,11 @@ def sweep(
     if at_prime:
         tasks.extend((at_prime, p, tuple(m_list), tuple(r_list)) for p in plist)
 
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers <= 1:
+    workers = min(jobs, usable_cpus(), len(tasks))
+    if workers <= 1 or not hasattr(os, "fork"):
         batches = [_run_task(t) for t in tasks]
     else:
-        # the pool's modules load only when a sweep starts one
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_task, tasks))
+        batches = _run_stripes(tasks, workers)
     # a stable sort by registry position keeps each row's p, m, r order
     rank = {name: i for i, name in enumerate(CHECKS)}
     return sorted((res for batch in batches for res in batch), key=lambda res: rank[res.check])

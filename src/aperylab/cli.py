@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -25,6 +24,7 @@ from .checks import (
     fixed_range,
     run_check,
     sweep,
+    usable_cpus,
 )
 from .modring import NotPIntegral, is_odd_prime, primes_in_range
 from .sequences import C_ROWS, SeqId, seq_exact, seq_mod
@@ -113,8 +113,10 @@ def record_dict(res: CheckResult, balanced: bool = False) -> dict:
 def _emit(results, fmt: str, balanced: bool, out) -> None:
     rows = [record_dict(r, balanced) for r in results]
     if fmt == "json":
+        # one encoder for every row; json.dumps with separators builds one per call
+        encode = json.JSONEncoder(separators=(",", ":")).encode
         for row in rows:
-            out.write(json.dumps(row, separators=(",", ":")) + "\n")
+            out.write(encode(row) + "\n")
     elif fmt == "csv":
         out.write(",".join(RECORD_FIELDS) + "\n")
         for row in rows:
@@ -305,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--r", default="1", metavar="LIST",
                    type=lambda s: _parse_int_list(s, "r"),
                    help="r values (default 1)")
-    v.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-                   help="parallel workers, at most the CPU count and the task "
+    v.add_argument("--jobs", type=_positive_int, default=usable_cpus(),
+                   help="parallel workers, at most the usable CPUs and the task "
                         "count (default: available parallelism)")
     v.add_argument("--format", choices=("table", "json", "csv"), default="table")
     v.add_argument("--balanced", action="store_true",

@@ -1,7 +1,9 @@
 """Check registry behavior: spot results, skips, ordering, determinism, CRT."""
 
-import concurrent.futures
 import gc
+import os
+import signal
+import time
 import weakref
 from fractions import Fraction
 from math import comb
@@ -396,25 +398,15 @@ def test_lift_checks_fail_when_bernoulli_value_is_perturbed(monkeypatch, name, p
     assert run_check(name, p, m, 1).verdict == "fail"
 
 
-def serial_pool(started):
-    """A stand-in for ProcessPoolExecutor that records max_workers in
-    `started` and maps in-process.  sweep imports the pool from
-    concurrent.futures only when it starts one, so the tests patch it there."""
+def in_process_stripes(started):
+    """A stand-in for checks._run_stripes that records the stripe count in
+    `started` and runs every task in-process, in task order."""
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def run_stripes(tasks, workers):
+        started.append(workers)
+        return [checks._run_task(t) for t in tasks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    return SerialPool
+    return run_stripes
 
 
 @pytest.mark.parametrize(
@@ -428,12 +420,99 @@ def serial_pool(started):
     ],
 )
 def test_sweep_bounds_workers(monkeypatch, jobs, cpus, primes, workers):
+    # usable_cpus reads the CPU count where the platform has no affinity mask
     started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
+    monkeypatch.setattr(checks, "_run_stripes", in_process_stripes(started))
+    monkeypatch.delattr(checks.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
     got = sweep(["thm3.3_tp"], primes, jobs=jobs)
     assert started == ([] if workers is None else [workers])
     assert got == sweep(["thm3.3_tp"], primes, jobs=1)
+
+
+def test_sweep_bounds_workers_by_the_affinity_mask(monkeypatch):
+    # four CPUs, of which this process may run on one (as under taskset -c 0)
+    started = []
+    monkeypatch.setattr(checks, "_run_stripes", in_process_stripes(started))
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert checks.usable_cpus() == 1
+    got = sweep(["thm3.3_tp"], (3, 30), jobs=4)
+    assert started == []
+    assert got == sweep(["thm3.3_tp"], (3, 30), jobs=1)
+
+
+def no_child_left():
+    # waitpid raises ChildProcessError only once this process has no child
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def faulty_t_values(monkeypatch, fault):
+    """Patches the t walk of checks to call fault(p) first, in this process
+    and in every child forked from it; thm3.3_tp reads t at every p."""
+    real = checks.t_values
+
+    def t_values(modulus):
+        fault(next(p for p in range(3, modulus + 1) if modulus % p == 0))
+        return real(modulus)
+
+    monkeypatch.setattr(checks, "t_values", t_values)
+
+
+# 3..30 is nine tasks.  With two stripes 3, 7, 13, 19, 29 run in this process
+# and 5, 11, 17, 23 in the child; with three 3, 11, 19 run here.
+@pytest.mark.parametrize("bad", [(11, 13), (7, 11)])
+def test_sweep_raises_the_earliest_failing_task_at_any_jobs(monkeypatch, bad):
+    def fault(p):
+        if p in bad:
+            raise ValueError(f"planted fault at p = {p}")
+
+    faulty_t_values(monkeypatch, fault)
+    monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
+    for jobs in (1, 2, 3):
+        with pytest.raises(ValueError) as exc:
+            sweep(["thm3.3_tp"], (3, 30), jobs=jobs)
+        assert str(exc.value) == f"planted fault at p = {bad[0]}"
+        no_child_left()
+
+
+def test_sweep_names_the_exit_status_of_a_dead_child(monkeypatch):
+    parent = os.getpid()
+
+    def fault(p):
+        if p == 11 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    faulty_t_values(monkeypatch, fault)
+    monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
+    with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL}"):
+        sweep(["thm3.3_tp"], (3, 30), jobs=2)
+    no_child_left()
+
+
+def test_sweep_interrupted_in_its_own_stripe_kills_the_children(monkeypatch):
+    parent = os.getpid()
+
+    def fault(p):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a child still at work
+
+    faulty_t_values(monkeypatch, fault)
+    monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sweep(["thm3.3_tp"], (3, 30), jobs=3)
+    assert time.monotonic() - t0 < 30
+    no_child_left()
+
+
+def test_sweep_without_fork_runs_in_process(monkeypatch):
+    want = sweep(["thm3.3_tp", "eq1.3"], (3, 30), jobs=1)
+    monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
+    monkeypatch.delattr(checks.os, "fork")
+    assert sweep(["thm3.3_tp", "eq1.3"], (3, 30), jobs=4) == want
 
 
 def _frozen_records():
@@ -493,8 +572,8 @@ def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
     # the sweep every row at p reads its values at the largest precision of
     # all of them; run_check reads at the row's own.
     started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(started))
-    monkeypatch.setattr(checks.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(checks, "_run_stripes", in_process_stripes(started))
+    monkeypatch.setattr(checks, "usable_cpus", lambda: 2)
     primes = [pi.p for pi in primes_in_range(3, 60)]
     assert {3, 5} <= set(primes) and {p % 4 for p in primes} == {1, 3}
     got = sweep(names, (3, 60), m_list=[3, 1, 7], r_list=[2, 1], jobs=jobs)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import aperylab
-from aperylab import special
+from aperylab import checks, special
 from aperylab.cli import main
 from aperylab.sequences import SeqId, apery_neighbours
 
@@ -241,7 +241,8 @@ def test_jobs_1_sweep_loads_no_pool_or_dataclasses():
                           env=env)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.endswith(
-        "none of concurrent.futures, multiprocessing, dataclasses, inspect\n"
+        "at --jobs 1 and --jobs 2, none of concurrent.futures, multiprocessing, "
+        "dataclasses, inspect\n"
     )
 
 
@@ -281,6 +282,27 @@ def test_verify_sweep_error_exits_2(capsys, monkeypatch):
                              "--jobs", "1")
     assert (code, out) == (2, "")
     assert err.startswith("gamma cost cap: about 11 product steps at p = 11, e = 1")
+
+
+def test_verify_sweep_error_exits_2_at_two_jobs(capsys, monkeypatch):
+    # 11 runs in this process and 13 in a forked child, and both fail; the
+    # earlier task's error is reported, as at --jobs 1
+    monkeypatch.setattr(special, "GAMMA_STEP_LIMIT", 5)
+    monkeypatch.setattr(checks, "usable_cpus", lambda: 2)
+    started = []
+    real = checks._run_stripes
+    monkeypatch.setattr(checks, "_run_stripes",
+                        lambda tasks, workers: started.append(workers) or real(tasks, workers))
+    argv = ("verify", "--checks", "lemma2.7b", "--primes", "11..13", "--jobs")
+    one = run_cli(capsys, *argv, "1")
+    two = run_cli(capsys, *argv, "2")
+    assert started == [2]
+    assert two == one
+    code, out, err = two
+    assert (code, out) == (2, "")
+    assert err.startswith("gamma cost cap: about 11 product steps at p = 11, e = 1")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_identity_pass_with_spot(capsys):
