@@ -16,24 +16,32 @@ A sweep runs each fixed-range identity as one task and each prime as one
 task, which covers every selected Lift and AtPrime row, every (m, r) and the
 per-prime identity.  Its rows read one _PrimeValues, which computes each
 value they share once, at its first use, and keeps nothing past the task.
-It owns the prime's one factorial table, at the largest precision the rows
-need, and hands it to the kernels, pure functions of what they are given:
-A_n and A'_n for the lift sides, the lift weights and the prime-indexed rows
-alike, from at most one apery_walk_mod walk per sequence, whose end the task
-plans from the indices its Lift rows read (Lift.reads), and one
-apery_pair_mod pass for each index past that end, where a walk would cost
-more; the four central-binomial harmonic sums, from one pass; and eq2.2's
-binomials.
+Before the tasks are dealt out, the sweep plans one exact pass
+(_pass_plan): the indices of A, A' and t that each prime's rows read, named
+as data (Lift.reads, AtPrime.seq), and for each sequence the bound up to
+which one exact walk (apery_values, t_values()) costs less than the tasks'
+own routes, by one cost estimate (_pass_bounds).  It walks each chosen
+sequence once, in increasing n, and hands each task the residues of its
+reads mod p^e_max inside the task tuple (_exact_residues).
+A task owns the prime's one factorial table, at the largest precision the
+rows need, and hands it to the kernels, pure functions of what they are
+given: for the A_n and A'_n that were not handed, at most one
+apery_walk_mod walk per sequence, whose end the task plans from the indices
+its Lift rows read, and one apery_pair_mod pass for each index past that
+end, where a walk would cost more; the four central-binomial harmonic sums,
+from one pass; and eq2.2's binomials.
 p B_{p-1} = (p-1)! + p (mod p^2) by Glaisher's congruence is read off it.  No
-table outlives its task.  t_0..t_p come from one walk, and E_{p-3}, B_{p-3}
-and Gamma_p(1/4)^4 once each.  run_check runs the same evaluator on one row.
+table outlives its task.  t_0..t_p come from one walk where no t_n is
+handed, and E_{p-3}, B_{p-3} and Gamma_p(1/4)^4 once each.  run_check runs
+the same evaluator on one row, with nothing handed.
 A conj2.5 record carries its prime's residue of c_m, read off the record's
 difference, so the CRT recovery (cm_recovery) reads the sweep's own values;
 recover_cm reads those of a sweep of the conj2.5 row alone.
 
 A sweep with N > 1 workers deals its tasks round-robin into N stripes.  It
 runs the first stripe itself and forks one child per other stripe, which
-pickles its results back through a pipe; the earliest failing task's
+inherits its tasks, handed residues included, and pickles its results back
+through a pipe; the earliest failing task's
 exception is raised, as with one worker.  A sweep with one worker, or on a
 platform without os.fork, runs its tasks in-process and loads no pickle.
 The records and the registry rows are immutable typing.NamedTuples;
@@ -53,7 +61,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import identities, special
 from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range
-from .sequences import SeqId, apery_pair_mod, apery_walk_mod, t_values
+from .sequences import SeqId, apery_pair_mod, apery_values, apery_walk_mod, t_values
 from .special import bernoulli_mod_p2, euler_pm3_mod, gamma_quarter_closed_form, padic_gamma
 
 SIZE_CAP_ENV = "APERY_LAB_SIZE_CAP"
@@ -130,25 +138,27 @@ def _central_sums(table: FactorialTable) -> tuple[int, int, int, int]:
     return s % m, s_o % m, s_o2 % m, s_oo % m
 
 
+def _walk_cost(sid: SeqId, n: int, p: int, e: int) -> float:
+    """The estimated cost of apery_walk_mod(sid, n) mod p^e (0 for n < 0),
+    counted in apery_pair_mod terms, of which a read of n takes n + 1.  A
+    walk step costs about k/2 terms (k = 3 for A, 2 for A') plus one per 1000
+    bits of its modulus, whose width falls from e + k v_p(n!) digits of p to
+    e along a walk to n."""
+    k = 3 if sid is SeqId.A else 2
+    return n * (k / 2 + (e + k * n / (p - 1) / 2) * p.bit_length() / 1000) if n >= 0 else 0
+
+
 def _walk_plan(p: int, e: int, reads: dict[SeqId, set[int]]) -> dict[SeqId, int]:
     """The end of the one walk of each sequence (apery_walk_mod) mod p^e, for
     a prime task whose Lift rows read `reads`; -1 for no walk.  The task
     walks every read up to one bound N and reads those above N off
     apery_pair_mod, which gives A_n and A'_n at once.
 
-    N is the read that minimises the estimated cost, counted in
-    apery_pair_mod terms, of which a read of n takes n + 1.  A walk step
-    costs about k/2 terms (k = 3 for A, 2 for A') plus one per 1000 bits of
-    its modulus, whose width falls from e + k v_p(n!) digits of p to e along
-    a walk to n.  So a range of reads, as m runs, is walked, and lone large
-    reads, such as p^2 - 1 at r = 2 for large p, are left to apery_pair_mod.
+    N is the read that minimises the estimated cost (_walk_cost, and n + 1
+    terms for a pair read of n).  So a range of reads, as m runs, is walked,
+    and lone large reads, such as p^2 - 1 at r = 2 for large p, are left to
+    apery_pair_mod.
     """
-    bits = p.bit_length() / 1000
-
-    def walk(sid: SeqId, n: int) -> float:
-        k = 3 if sid is SeqId.A else 2
-        return n * (k / 2 + (e + k * n / (p - 1) / 2) * bits) if n >= 0 else 0
-
     indices = sorted(set().union(*reads.values()))
     reach = {sid: -1 for sid in reads}
     above = sum(n + 1 for n in indices)
@@ -156,10 +166,84 @@ def _walk_plan(p: int, e: int, reads: dict[SeqId, set[int]]) -> dict[SeqId, int]
     for n in indices:
         above -= n + 1
         reach.update((sid, n) for sid, ns in reads.items() if n in ns)
-        cost = sum(walk(sid, end) for sid, end in reach.items()) + above
+        cost = sum(_walk_cost(sid, end, p, e) for sid, end in reach.items()) + above
         if cost < best:
             best, plan = cost, dict(reach)
     return plan
+
+
+# The growth of one exact step, in apery_pair_mod terms (about 1 us each)
+# per 1000 indices, fitted to exact walks to 3000 and 10^4: on a 2-vCPU Xeon
+# with Python 3.11 those of A, A' and t took 23 / 269, 9.5 / 90 and
+# 27 / 398 ms, and a pair term 0.75-1.4 us.  A divides by the two-digit
+# (i+1)^3 past i = 1023, A' and t by nothing that wide.  Walks to a few
+# hundred take about half of this estimate.
+_EXACT_GROWTH = {SeqId.A: 2.7, SeqId.APRIME: 0.9, SeqId.T: 4.0}
+
+
+def _exact_cost(sid: SeqId, n: int) -> float:
+    """The estimated cost of one exact walk of `sid` to n, in the terms of
+    _walk_cost: step i costs 1 + 2 g i / 1000 for g = _EXACT_GROWTH[sid]."""
+    return (n + 1) * (1 + _EXACT_GROWTH[sid] * n / 1000)
+
+
+def _route_costs(sid: SeqId, p: int, e: int, ns: list[int]) -> list[float]:
+    """For the ascending reads ns of one sequence by a prime task, the
+    estimated cost of the task's own routes for the reads ns[k:], for
+    k = 0, ..., len(ns): a t_values(p^e) walk of t_0..t_p for t; for A or A'
+    one apery_walk_mod walk to some read, each read above it a pair, as
+    _walk_plan plans one sequence.  A walk starts at 0, so the reads below
+    ns[k] do not lower the cost of walking to a read above them."""
+    if sid is SeqId.T:
+        return [p + 1.0] * len(ns) + [0.0]
+    costs, pairs, walked = [0.0], 0.0, float("inf")
+    for n in reversed(ns):
+        walked = min(walked, _walk_cost(sid, n, p, e) + pairs)
+        pairs += n + 1
+        costs.append(min(pairs, walked))
+    return costs[::-1]
+
+
+def _pass_bounds(reads: dict[int, dict[SeqId, set[int]]], e: int) -> dict[SeqId, int]:
+    """The end of the one exact walk of each sequence that a sweep hands its
+    prime tasks, for tasks at the primes p that read reads[p] mod p^e; a
+    sequence with no exact walk is left out.  The bound is the read that
+    minimises the estimated cost: the exact walk to it (_exact_cost), one
+    reduction for each read up to it, costed as a step of that walk, and the
+    tasks' own routes for the reads above it (_route_costs).  So a sweep over
+    many primes walks its reads of size m p exactly, and a lone large prime,
+    or a read of size m p^2, keeps the task's routes."""
+    bounds = {}
+    for sid in (SeqId.A, SeqId.APRIME, SeqId.T):
+        ascending = {p: sorted(r[sid]) for p, r in reads.items() if r.get(sid)}
+        costs = {p: _route_costs(sid, p, e, ns) for p, ns in ascending.items()}
+        total = sum(c[0] for c in costs.values())
+        best, bound, reduced, g = total, -1, 0.0, _EXACT_GROWTH[sid]
+        events = sorted((n, p, k) for p, ns in ascending.items() for k, n in enumerate(ns))
+        for i, (n, p, k) in enumerate(events):
+            total += costs[p][k + 1] - costs[p][k]
+            reduced += 1 + 2 * g * n / 1000
+            if i + 1 < len(events) and events[i + 1][0] == n:
+                continue
+            cost = _exact_cost(sid, n) + reduced + total
+            if cost < best:
+                best, bound = cost, n
+        if bound >= 0:
+            bounds[sid] = bound
+    return bounds
+
+
+def _exact_residues(wanted: dict[SeqId, dict[int, list[int]]], e: int) -> dict:
+    """{p: {(sid, n): S_n mod p^e}} for each prime p in wanted[sid][n], from
+    one exact walk of each sequence (apery_values, or t_values with no
+    modulus), in increasing n, to its largest wanted index."""
+    out: dict = {}
+    for sid, readers in wanted.items():
+        walk = t_values() if sid is SeqId.T else apery_values(sid)
+        for n, value in enumerate(islice(walk, max(readers) + 1)):
+            for p in readers.get(n, ()):
+                out.setdefault(p, {})[sid, n] = value % p ** e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -167,33 +251,40 @@ def _walk_plan(p: int, e: int, reads: dict[SeqId, set[int]]) -> dict[SeqId, int]
 
 class _PrimeValues:
     """The values the rows at one prime p read, each taken at its first use and
-    kept only as long as this object.  It owns the prime's one factorial table,
-    FactorialTable(p, e_max), and hands it to the kernels: A_n and A'_n mod
-    p^e_max, from one walk per sequence (apery_walk_mod) to the reach that
-    _walk_plan sets, and past it from the pair (apery_pair_mod), once per
-    index; the four central sums from one pass (_central_sums); p B_{p-1} from
-    its entry (p-1)!; and the per-prime identity.  The single central binomials
-    of thm2.1i, lemma2.4, lemma2.6, thm3.3_tquarter and lemma2.5's closed form
-    come from math.comb instead.  Besides: t_0..t_p mod p^e_max from one walk,
-    and the Bernoulli, Euler and Gamma_p values below.  A row reduces what it
+    kept only as long as this object.  A_n, A'_n and t_n mod p^e_max are first
+    looked up in `handed`, the residues of the sweep's exact pass.  For the
+    rest it owns the prime's one factorial table, FactorialTable(p, e_max),
+    and hands it to the kernels: A_n and A'_n from one walk per sequence
+    (apery_walk_mod) to the reach that _walk_plan sets, and past it from the
+    pair (apery_pair_mod), once per index; the four central sums from one
+    pass (_central_sums); p B_{p-1} from its entry (p-1)!; and the per-prime
+    identity.  The single central binomials of thm2.1i, lemma2.4, lemma2.6,
+    thm3.3_tquarter and lemma2.5's closed form come from math.comb instead.
+    Besides: t_0..t_p mod p^e_max from one walk, where no t_n is handed, and
+    the Bernoulli, Euler and Gamma_p values below.  A row reduces what it
     reads to its own modulus.  The kernels and FactorialTable are looked up in
     this module when called, so a patched one is used.  The size cap is read
     from APERY_LAB_SIZE_CAP when the object is made."""
 
-    def __init__(self, pi: PrimeInfo, e_max: int) -> None:
+    def __init__(self, pi: PrimeInfo, e_max: int, handed: Optional[dict] = None) -> None:
         self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
         self.e_max = e_max
-        self.cap = int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
+        self.cap = _size_cap()
+        # {(sid, n): S_n mod p^e_max} from the sweep's exact pass
+        self.handed = handed or {}
         # the end of each sequence's walk, planned from the Lift rows' reads
         self.reach: dict[SeqId, int] = {}
         self._walks: dict[SeqId, list[int]] = {}
         self._pairs: dict[int, tuple[int, int]] = {}
 
     def apery(self, sid: SeqId, n: int) -> int:
-        """A_n or A'_n mod p^e_max.  Each sequence is walked at most once, at
-        its first read, to its planned reach (_walk_plan), or to that read
-        when no Lift row reads the sequence.  An index above the reach is
-        read off apery_pair_mod, whose first read of n takes both."""
+        """A_n or A'_n mod p^e_max: the handed residue if there is one.  Else
+        each sequence is walked at most once, at its first read, to its
+        planned reach (_walk_plan), or to that read when no Lift row reads
+        the sequence.  An index above the reach is read off apery_pair_mod,
+        whose first read of n takes both."""
+        if (sid, n) in self.handed:
+            return self.handed[sid, n]
         if sid not in self._walks:
             reach = self.reach.setdefault(sid, n)
             self._walks[sid] = apery_walk_mod(sid, reach, self.table) if reach >= 0 else []
@@ -211,9 +302,14 @@ class _PrimeValues:
         table.extend(self.p - 1)
         return table
 
+    def t(self, n: int) -> int:
+        """t_n mod p^e_max, n <= p: the handed residue if there is one, else
+        off one t_values(p^e_max) walk of t_0..t_p."""
+        got = self.handed.get((SeqId.T, n))
+        return self._t_walk[n] if got is None else got
+
     @cached_property
-    def t(self) -> list[int]:
-        """t_0, ..., t_p mod p^e_max, from one walk."""
+    def _t_walk(self) -> list[int]:
         return list(islice(t_values(self.p ** self.e_max), self.p + 1))
 
     @cached_property
@@ -318,21 +414,34 @@ class Lift(NamedTuple):
 
 class AtPrime(NamedTuple):
     """A congruence at one prime p, stated mod p^e for p > p_above and, when
-    klass is set, p = klass (mod 4).  sides(at, p^e) reads the prime's values
-    from `at` and returns (lhs, rhs), or (lhs, rhs, sign) for a check that
-    records which sign held; the row reduces both sides mod p^e."""
+    klass is set, p = klass (mod 4).  A row may read one sequence value,
+    `seq` = (sid, c, d) for S_n with n = (p + c) / d, where S is A' or t.
+    sides(at, p^e[, S_n]) reads the prime's other values from `at` and
+    returns (lhs, rhs), or (lhs, rhs, sign) for a check that records which
+    sign held; the row reduces both sides mod p^e."""
 
     e: int
     sides: Callable
     p_above: int = 2
     klass: Optional[int] = None
+    seq: Optional[tuple[SeqId, int, int]] = None
+
+    def reads(self, p: int, klass: int) -> tuple[tuple[SeqId, int], ...]:
+        """The (sid, n) the row reads at p of class klass mod 4; SkipCheck
+        where the row does not apply."""
+        _require(p > self.p_above, f"requires p > {self.p_above}")
+        if self.klass is not None:
+            _require(klass == self.klass, f"requires p = {self.klass} (mod 4)")
+        if self.seq is None:
+            return ()
+        sid, c, d = self.seq
+        return ((sid, (p + c) // d),)
 
     def __call__(self, at: _PrimeValues):
-        _require(at.p > self.p_above, f"requires p > {self.p_above}")
-        if self.klass is not None:
-            _require(at.klass == self.klass, f"requires p = {self.klass} (mod 4)")
+        values = [at.t(n) if sid is SeqId.T else at.apery(sid, n)
+                  for sid, n in self.reads(at.p, at.klass)]
         modulus = at.p ** self.e
-        lhs, rhs, *sign = self.sides(at, modulus)
+        lhs, rhs, *sign = self.sides(at, modulus, *values)
         return modulus, lhs % modulus, rhs % modulus, sign[0] if sign else None
 
 
@@ -342,14 +451,14 @@ def _x_side(at: _PrimeValues, modulus: int) -> int:
     return 4 * x * x - 2 * p - p * p * pow(4 * x * x, -1, modulus)
 
 
-def _eq13(at, modulus):
+def _eq13(at, modulus, ap):
     # A'_1 = 3 is divisible by p but not p^2, so the statement needs p > 3.
     p = at.p
     rhs = 4 * at.rep[0] ** 2 - 2 * p if at.klass == 1 else 0
-    return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
+    return ap, rhs
 
 
-def _thm21i(at, modulus):
+def _thm21i(at, modulus, ap):
     p = at.p
     if p == 3:
         # p^2/3 = 3 exactly; 3 is not invertible mod 27
@@ -357,10 +466,10 @@ def _thm21i(at, modulus):
     else:
         b = comb((p - 3) // 2, (p - 3) // 4)
         rhs = p * p * pow(3, -1, modulus) % modulus * pow(b, -2, modulus)
-    return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
+    return ap, rhs
 
 
-def _thm21ii(at, modulus):
+def _thm21ii(at, modulus, ap):
     p, x = at.p, at.rep[0]
     _, _, _, s_oo = at.central_sums
     rhs = (
@@ -368,15 +477,15 @@ def _thm21ii(at, modulus):
         + 3 * p * p * x * x * at.euler
         + p * p * pow(2, -1, modulus) * s_oo
     )
-    return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
+    return ap, rhs
 
 
-def _lemma23(at, modulus):
+def _lemma23(at, modulus, ap):
     # sum_k c_k (1 - p O_k + (p^2/2)(O_k^2 - 3 O2_k)), split by linearity
     p = at.p
     s, s_o, s_o2, s_oo = at.central_sums
     rhs = 1 + s - p * s_o + p * p * pow(2, -1, modulus) * (s_oo - 3 * s_o2)
-    return at.apery(SeqId.APRIME, (p - 1) // 2), rhs
+    return ap, rhs
 
 
 def _lemma24(at, modulus):
@@ -434,32 +543,32 @@ def _conj21(at, modulus):
     return lhs, 2 * pow(3, -1, p) * x * x * at.euler
 
 
-def _thm33_tp(at, modulus):
+def _thm33_tp(at, modulus, t):
     p = at.p
-    return at.t[p], (1 + 4 * _parity_sign(p)) * p * p
+    return t, (1 + 4 * _parity_sign(p)) * p * p
 
 
-def _thm33_tpm1(at, modulus):
+def _thm33_tpm1(at, modulus, t):
     p = at.p
     rhs = _parity_sign(p) * (2 * p + pow(2, p, modulus) - 2 + at.pb * at.pb)
-    return at.t[p - 1], rhs
+    return t, rhs
 
 
-def _thm33_thalf(at, modulus):
+def _thm33_thalf(at, modulus, t):
     p = at.p
     rhs = at.pb - p + pow(2, p - 1, modulus) - 1
-    return at.t[(p - 1) // 2], rhs
+    return t, rhs
 
 
-def _thm33_thalfp1(at, modulus):
+def _thm33_thalfp1(at, modulus, t):
     p = at.p
     rhs = at.pb - 3 * p + pow(2, p - 1, modulus) - 1
-    return at.t[(p + 1) // 2], rhs
+    return t, rhs
 
 
-def _thm33_tquarter(at, modulus):
+def _thm33_tquarter(at, modulus, t):
     p = at.p
-    lhs = at.t[(p - 3) // 4] % p
+    lhs = t % p
     binv = pow(comb((p - 1) // 2, (p - 3) // 4), -1, p)
     if lhs == binv:
         return lhs, binv, "+"
@@ -488,15 +597,17 @@ class CheckDef(NamedTuple):
 def _defs() -> dict:
     theorem, lemma, conjecture = Status.THEOREM, Status.LEMMA, Status.CONJECTURE
     a, aprime = SeqId.A, SeqId.APRIME
+    # the AtPrime rows' reads, (S, c, d) for S_n at n = (p + c) / d
+    half, t = (aprime, -1, 2), SeqId.T
     rows = [
         ("beukers_a", theorem, Lift(a, -1, 0)),
         ("beukers_aprime", theorem, Lift(aprime, -1, 0)),
         ("liu_a", theorem, Lift(a, 0, 1, weight=(1, -17, 18))),
         ("liu_aprime", theorem, Lift(aprime, 0, 1, weight=(1, -2, 3))),
-        ("eq1.3", theorem, AtPrime(2, _eq13, p_above=3)),
-        ("thm2.1i", theorem, AtPrime(3, _thm21i, klass=3)),
-        ("thm2.1ii", theorem, AtPrime(3, _thm21ii, klass=1)),
-        ("lemma2.3", lemma, AtPrime(3, _lemma23)),
+        ("eq1.3", theorem, AtPrime(2, _eq13, p_above=3, seq=half)),
+        ("thm2.1i", theorem, AtPrime(3, _thm21i, klass=3, seq=half)),
+        ("thm2.1ii", theorem, AtPrime(3, _thm21ii, klass=1, seq=half)),
+        ("lemma2.3", lemma, AtPrime(3, _lemma23, seq=half)),
         ("lemma2.4", lemma, AtPrime(3, _lemma24)),
         ("lemma2.5", lemma, AtPrime(3, _lemma25, p_above=3)),
         ("lemma2.6", lemma, AtPrime(3, _lemma26, klass=1)),
@@ -508,11 +619,11 @@ def _defs() -> dict:
         ("conj2.4", conjecture,
          Lift(a, 0, 2, p_above=5, weight=(1, -17, 6), bracket=True, difference=True)),
         ("conj2.5", conjecture, Lift(a, -1, 1, weight=(17, -1, 18), difference=True)),
-        ("thm3.3_tp", theorem, AtPrime(3, _thm33_tp)),
-        ("thm3.3_tpm1", theorem, AtPrime(2, _thm33_tpm1)),
-        ("thm3.3_thalf", theorem, AtPrime(2, _thm33_thalf)),
-        ("thm3.3_thalfp1", theorem, AtPrime(2, _thm33_thalfp1)),
-        ("thm3.3_tquarter", theorem, AtPrime(1, _thm33_tquarter, klass=3)),
+        ("thm3.3_tp", theorem, AtPrime(3, _thm33_tp, seq=(t, 0, 1))),
+        ("thm3.3_tpm1", theorem, AtPrime(2, _thm33_tpm1, seq=(t, -1, 1))),
+        ("thm3.3_thalf", theorem, AtPrime(2, _thm33_thalf, seq=(t, -1, 2))),
+        ("thm3.3_thalfp1", theorem, AtPrime(2, _thm33_thalfp1, seq=(t, 1, 2))),
+        ("thm3.3_tquarter", theorem, AtPrime(1, _thm33_tquarter, klass=3, seq=(t, -3, 4))),
         ("id_lemma2.1", theorem, Identity(("lemma21_identity", "order4_certificate"), 100)),
         ("id_eq2.1", theorem, Identity(("eq21_identity",), 99)),
         ("id_eq2.2", theorem, Identity(("eq22_congruence",))),
@@ -547,27 +658,49 @@ def _identity_result(name: str, p: Optional[int], verifiers, *args) -> CheckResu
     )
 
 
-def _prime_results(names: Sequence[str], p: int, m_list, r_list) -> list[CheckResult]:
+def _size_cap() -> int:
+    return int(os.environ.get(SIZE_CAP_ENV, DEFAULT_SIZE_CAP))
+
+
+def _e_max(rows, r_list) -> int:
+    """The largest precision the rows at one prime need: 3r + extra for a
+    Lift row, e for an AtPrime row, 2 for the per-prime identity, which
+    reads the task's table mod p^2."""
+    return max([3 * r + row.extra for row in rows if isinstance(row, Lift) for r in r_list]
+               + [row.e for row in rows if isinstance(row, AtPrime)]
+               + [2 for row in rows if isinstance(row, Identity)], default=1)
+
+
+def _lift_reads(rows, p: int, m_list, r_list, cap: int) -> dict[SeqId, set[int]]:
+    """The indices of A and A' that the Lift rows read at p (Lift.reads)."""
+    reads: dict[SeqId, set[int]] = {}
+    for row in rows:
+        if isinstance(row, Lift):
+            into = reads.setdefault(row.sid, set())
+            for m, r in product(m_list, r_list):
+                try:
+                    into.update(row.reads(p, m, r, cap))
+                except SkipCheck:
+                    pass
+    return {sid: ns for sid, ns in reads.items() if ns}
+
+
+def _prime_results(names: Sequence[str], p: int, m_list, r_list,
+                   handed: Optional[dict] = None) -> list[CheckResult]:
     """The records of the named prime-indexed rows at one prime, each a
     verdict or a skip, in the given row order, then m and r in list order
     for a Lift row.  The rows share one _PrimeValues at the largest precision
-    they need (3r + extra for a Lift row, e for an AtPrime row, 2 for the
-    per-prime identity, which reads the task's table mod p^2), so each value
-    is computed once.  A conj2.5 record also carries the prime's residue of
-    c_m for the recovery."""
+    they need (_e_max), so each value is computed once; `handed` holds the
+    residues mod p^e_max that the sweep's exact pass read for them.  A
+    conj2.5 record also carries the prime's residue of c_m for the recovery."""
     rows = [(name, CHECKS[name].runner) for name in names]
-    e_max = max([3 * r + row.extra for _, row in rows if isinstance(row, Lift) for r in r_list]
-                + [row.e for _, row in rows if isinstance(row, AtPrime)]
-                + [2 for _, row in rows if isinstance(row, Identity)], default=1)
-    at = _PrimeValues(prime_info(p), e_max)
-    reads: dict[SeqId, set[int]] = {}
-    for _, row in rows:
-        if isinstance(row, Lift):
-            for m, r in product(m_list, r_list):
-                with suppress(SkipCheck):
-                    indices = row.reads(p, m, r, at.cap)
-                    reads.setdefault(row.sid, set()).update(indices)
-    at.reach = _walk_plan(p, e_max, reads)
+    e_max = _e_max([row for _, row in rows], r_list)
+    at = _PrimeValues(prime_info(p), e_max, handed)
+    reads = _lift_reads([row for _, row in rows], p, m_list, r_list, at.cap)
+    at.reach = _walk_plan(p, e_max, {
+        sid: left for sid, ns in reads.items()
+        if (left := {n for n in ns if (sid, n) not in at.handed})
+    })
     out = []
     for name, row in rows:
         if isinstance(row, Identity):
@@ -617,7 +750,7 @@ def run_check(
 
 def _run_task(task) -> list[CheckResult]:
     """A task is (name,) for a fixed-range identity, or (names, p, m_list,
-    r_list) for the prime-indexed rows at one prime."""
+    r_list, handed) for the prime-indexed rows at one prime."""
     if len(task) == 1:
         return [run_check(*task)]
     return _prime_results(*task)
@@ -719,6 +852,32 @@ def _prime_list(primes) -> list[int]:
     return sorted({int(p) for p in primes})
 
 
+def _pass_plan(names, primes, m_list, r_list) -> tuple[dict, int]:
+    """(wanted, e_max) for the exact pass of a sweep's prime tasks: the reads
+    of A, A' and t by the named rows at each prime up to the bound that
+    _pass_bounds sets for each sequence, as wanted[sid][n], the primes that
+    read S_n, and the tasks' precision.  The tasks read every other index by
+    their own routes."""
+    rows = [CHECKS[name].runner for name in names]
+    e_max, cap = _e_max(rows, r_list), _size_cap()
+    seq_rows = [row for row in rows if isinstance(row, AtPrime) and row.seq]
+    reads = {}
+    for p in primes:
+        reads[p] = got = _lift_reads(rows, p, m_list, r_list, cap)
+        for row in seq_rows:
+            with suppress(SkipCheck):
+                for sid, n in row.reads(p, p % 4):
+                    got.setdefault(sid, set()).add(n)
+    wanted = {}
+    for sid, bound in _pass_bounds(reads, e_max).items():
+        readers = wanted[sid] = {}
+        for p, got in reads.items():
+            for n in got.get(sid, ()):
+                if n <= bound:
+                    readers.setdefault(n, []).append(p)
+    return wanted, e_max
+
+
 def sweep(
     names: Iterable[str],
     primes,
@@ -742,13 +901,15 @@ def sweep(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     plist = _prime_list(primes)
+    m_list, r_list = tuple(m_list), tuple(r_list)
 
     fixed = [name for name in CHECKS if name in wanted and fixed_range(name)]
     at_prime = tuple(name for name in CHECKS if name in wanted and name not in fixed)
     # the fixed-range identities are the largest tasks, so they go first
     tasks = [(name,) for name in fixed]
     if at_prime:
-        tasks.extend((at_prime, p, tuple(m_list), tuple(r_list)) for p in plist)
+        handed = _exact_residues(*_pass_plan(at_prime, plist, m_list, r_list))
+        tasks.extend((at_prime, p, m_list, r_list, handed.get(p, {})) for p in plist)
 
     workers = min(jobs, usable_cpus(), len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):

@@ -19,6 +19,10 @@ class NotPIntegral(ValueError):
         super().__init__(message)
         self.valuation = valuation
 
+    def __reduce__(self):
+        # pickling an exception passes back only its args, here the message
+        return type(self), (self.args[0], self.valuation)
+
 
 # ---------------------------------------------------------------------------
 # primes

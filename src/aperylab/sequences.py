@@ -7,8 +7,10 @@ closed form as a second route, summed as one integer numerator over 4^n.
 The harmonic family H, O, O2 rolls the same way through harmonic_family, and
 D = O^2 - O2 is formed where it is read; neither keeps a value between calls.
 The identity verifiers rescale that walk's O and O2 to integer numerators
-over a common denominator of their own.  apery_neighbours is the one exact
-walk of A or A', giving (S_{n-1}, S_n); it serves exact outputs only.
+over a common denominator of their own.  apery_values is the one exact walk
+of A or A'; apery_neighbours reads (S_{n-1}, S_n) off it for the exact
+outputs, and a sweep's exact pass (checks) reads it and t_values() in
+increasing n, reducing each value at the primes that read it.
 C and C' are data rows (S, b, d) for n^3 (S_{n-1} + b S_n) / d:
 C_n = n^3 (A_{n-1} - 17 A_n) / 12, C'_n = n^3 (A'_{n-1} - 2 A'_n).
 seq_mod evaluates residues in O(n) steps without the exact value:
@@ -21,8 +23,9 @@ table it is handed (a sweep's prime task owns one), the two summands sharing
 one unit that is reduced once per term, and each sum reduced once at the end.
 apery_walk_mod gives S_0..S_N of one sequence from one walk of its
 recurrence mod p^e, carried over the unit denominator unit(n!)^k with the
-digits lost at each multiple of p tracked; a prime task reads the indices it
-walks this way and leaves a lone large index to apery_pair_mod.
+digits lost at each multiple of p tracked; a prime task reads the indices
+that the exact pass does not hand it this way, and leaves a lone large
+index to apery_pair_mod.
 The O(n^2) direct sums for A and A', the earlier two-pass apery_mod and the
 binomial sums for C and C' live in the tests, as the oracles that
 apery_pair_mod, apery_walk_mod and the recurrences are checked against.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import factorial, lcm
 
 from .modring import FactorialTable, NotPIntegral, Residue
@@ -56,7 +59,7 @@ class SeqId(str, Enum):
 def t_values(modulus: int = 0):
     """t_0, t_1, ... by t_{n+1} = (8n^2+12n+5) t_n - 4n^2 (2n+1)^2 t_{n-1},
     t_0=1, t_1=5, holding two values at a time; reduced mod `modulus` if given."""
-    a, b = 1, 5
+    a, b = (1 % modulus, 5 % modulus) if modulus else (1, 5)
     yield a
     for i in count(1):
         yield b
@@ -87,21 +90,29 @@ def t_closed_form(n: int) -> Fraction:
     return Fraction(num * (factorial(2 * n + 1) // l), 4 ** n)
 
 
-def apery_neighbours(sid: SeqId, n: int) -> tuple[int, int]:
-    """(S_{n-1}, S_n) for S = A or A' by `sid`, n >= 0, with S_{-1} = 0, from
-    one walk of the recurrence, rolled over two values:
+def apery_values(sid: SeqId):
+    """S_0, S_1, ... for S = A or A' by `sid`, by the recurrence, holding two
+    values at a time:
       (i+1)^3 A_{i+1} = (2i+1)(17i(i+1)+5) A_i - i^3 A_{i-1},
       (i+1)^2 A'_{i+1} = (11i(i+1)+3) A'_i + i^2 A'_{i-1}."""
+    a, b = 0, 1
+    yield b
+    if SeqId(sid) is SeqId.A:
+        for i in count():
+            a, b = b, ((2 * i + 1) * (17 * i * (i + 1) + 5) * b - i ** 3 * a) // (i + 1) ** 3
+            yield b
+    else:
+        for i in count():
+            a, b = b, ((11 * i * (i + 1) + 3) * b + i ** 2 * a) // (i + 1) ** 2
+            yield b
+
+
+def apery_neighbours(sid: SeqId, n: int) -> tuple[int, int]:
+    """(S_{n-1}, S_n) for S = A or A' by `sid`, n >= 0, with S_{-1} = 0, read
+    off apery_values."""
     if n < 0:
         raise ValueError("need n >= 0")
-    a, b = 0, 1
-    if SeqId(sid) is SeqId.A:
-        for i in range(n):
-            a, b = b, ((2 * i + 1) * (17 * i * (i + 1) + 5) * b - i ** 3 * a) // (i + 1) ** 3
-    else:
-        for i in range(n):
-            a, b = b, ((11 * i * (i + 1) + 3) * b + i ** 2 * a) // (i + 1) ** 2
-    return a, b
+    return tuple(islice(chain((0,), apery_values(sid)), n, n + 2))
 
 
 # C and C' as rows (S, b, d) for n^3 (S_{n-1} + b S_n) / d, n >= 1

@@ -6,6 +6,7 @@ import signal
 import time
 import weakref
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
@@ -23,13 +24,23 @@ from aperylab.checks import (
     sweep,
 )
 from aperylab.identities import IdentityOutcome
-from aperylab.modring import FactorialTable, Residue, prime_info, primes_in_range, reduce_rat
+from aperylab.modring import (
+    FactorialTable,
+    NotPIntegral,
+    Residue,
+    prime_info,
+    primes_in_range,
+    reduce_rat,
+)
 from aperylab.sequences import (
     SeqId,
     apery_neighbours,
+    apery_pair_mod,
+    apery_walk_mod,
     harmonic_values,
     seq_exact,
     seq_mod,
+    t_values,
 )
 
 from oracles import (
@@ -57,28 +68,40 @@ def shifted_table(index):
 
 
 def shift_apery(monkeypatch, shift, first=lambda q: 0,
-                routes=("apery_walk_mod", "apery_pair_mod")):
+                routes=("apery_walk_mod", "apery_pair_mod", "_exact_residues")):
     """Moves every Apery value a prime task reads at an index n >= first(p)
     by shift(p, e) mod p^e, on the named routes of checks: the walk of one
-    sequence (apery_walk_mod) and the pair at one index (apery_pair_mod).
-    Returns the calls made to them as (route, n), n the walk's end or the
-    pair's index."""
+    sequence (apery_walk_mod), the pair at one index (apery_pair_mod) and the
+    residues that a sweep's exact pass hands its tasks (_exact_residues).
+    Returns the calls made to them as (route, n), n the walk's end, the
+    pair's index or the pass's largest index."""
     calls = []
     real_walk, real_pair = checks.apery_walk_mod, checks.apery_pair_mod
+    real_exact = checks._exact_residues
 
-    def moved(v, n, table):
-        q, e = table.p, table.e
+    def moved(v, n, q, e):
         return (v + shift(q, e)) % q ** e if n >= first(q) else v
 
     def walk(sid, n, table):
         calls.append(("apery_walk_mod", n))
-        return [moved(v, i, table) for i, v in enumerate(real_walk(sid, n, table))]
+        return [moved(v, i, table.p, table.e)
+                for i, v in enumerate(real_walk(sid, n, table))]
 
     def pair(n, table):
         calls.append(("apery_pair_mod", n))
-        return tuple(moved(v, n, table) for v in real_pair(n, table))
+        return tuple(moved(v, n, table.p, table.e) for v in real_pair(n, table))
 
-    for route, fake in (("apery_walk_mod", walk), ("apery_pair_mod", pair)):
+    def exact(wanted, e):
+        calls.append(("_exact_residues", max((n for ns in wanted.values() for n in ns),
+                                             default=-1)))
+        return {
+            q: {(sid, n): v if sid is SeqId.T else moved(v, n, q, e)
+                for (sid, n), v in values.items()}
+            for q, values in real_exact(wanted, e).items()
+        }
+
+    for route, fake in (("apery_walk_mod", walk), ("apery_pair_mod", pair),
+                        ("_exact_residues", exact)):
         if route in routes:
             monkeypatch.setattr(checks, route, fake)
     return calls
@@ -448,16 +471,17 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def faulty_t_values(monkeypatch, fault):
-    """Patches the t walk of checks to call fault(p) first, in this process
-    and in every child forked from it; thm3.3_tp reads t at every p."""
-    real = checks.t_values
+def faulty_central_sums(monkeypatch, fault):
+    """Patches the central pass of checks to call fault(p) first, in this
+    process and in every child forked from it; lemma2.3 reads the central
+    sums at every p, inside the prime's task."""
+    real = checks._central_sums
 
-    def t_values(modulus):
-        fault(next(p for p in range(3, modulus + 1) if modulus % p == 0))
-        return real(modulus)
+    def central_sums(table):
+        fault(table.p)
+        return real(table)
 
-    monkeypatch.setattr(checks, "t_values", t_values)
+    monkeypatch.setattr(checks, "_central_sums", central_sums)
 
 
 # 3..30 is nine tasks.  With two stripes 3, 7, 13, 19, 29 run in this process
@@ -468,11 +492,11 @@ def test_sweep_raises_the_earliest_failing_task_at_any_jobs(monkeypatch, bad):
         if p in bad:
             raise ValueError(f"planted fault at p = {p}")
 
-    faulty_t_values(monkeypatch, fault)
+    faulty_central_sums(monkeypatch, fault)
     monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
     for jobs in (1, 2, 3):
         with pytest.raises(ValueError) as exc:
-            sweep(["thm3.3_tp"], (3, 30), jobs=jobs)
+            sweep(["lemma2.3"], (3, 30), jobs=jobs)
         assert str(exc.value) == f"planted fault at p = {bad[0]}"
         no_child_left()
 
@@ -484,10 +508,10 @@ def test_sweep_names_the_exit_status_of_a_dead_child(monkeypatch):
         if p == 11 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    faulty_t_values(monkeypatch, fault)
+    faulty_central_sums(monkeypatch, fault)
     monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
     with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL}"):
-        sweep(["thm3.3_tp"], (3, 30), jobs=2)
+        sweep(["lemma2.3"], (3, 30), jobs=2)
     no_child_left()
 
 
@@ -499,12 +523,29 @@ def test_sweep_interrupted_in_its_own_stripe_kills_the_children(monkeypatch):
             raise KeyboardInterrupt
         time.sleep(60)  # a child still at work
 
-    faulty_t_values(monkeypatch, fault)
+    faulty_central_sums(monkeypatch, fault)
     monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        sweep(["thm3.3_tp"], (3, 30), jobs=3)
+        sweep(["lemma2.3"], (3, 30), jobs=3)
     assert time.monotonic() - t0 < 30
+    no_child_left()
+
+
+def test_sweep_re_raises_not_p_integral_from_a_child(monkeypatch):
+    # 11 is in the child's stripe at two workers; its NotPIntegral, message
+    # and valuation, comes back through the pipe
+    parent = os.getpid()
+
+    def fault(p):
+        if p == 11 and os.getpid() != parent:
+            raise NotPIntegral(f"planted at p = {p}", -2)
+
+    faulty_central_sums(monkeypatch, fault)
+    monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
+    with pytest.raises(NotPIntegral) as exc:
+        sweep(["lemma2.3"], (3, 30), jobs=2)
+    assert (str(exc.value), exc.value.valuation) == ("planted at p = 11", -2)
     no_child_left()
 
 
@@ -583,9 +624,11 @@ def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
 
 
 def test_prime_task_reads_each_value_once(monkeypatch):
-    # per prime: one factorial table, at e_max, which id_eq2.2 reads too;
-    # one walk of each Apery sequence and no pair below p^2, one t walk, one
-    # central pass at e_max, E_{p-3} and Gamma_p(1/4) mod p at most once
+    # per sweep: one exact walk of A, of A' and of t, whose residues mod
+    # p^e_max are handed to the tasks; per prime: one factorial table, at
+    # e_max, which id_eq2.2 reads too; no Apery walk or pair and no t walk of
+    # its own, one central pass at e_max, E_{p-3} and Gamma_p(1/4) mod p at
+    # most once
     calls = []
     tables = []
     real_init = FactorialTable.__init__
@@ -605,19 +648,17 @@ def test_prime_task_reads_each_value_once(monkeypatch):
 
         monkeypatch.setattr(checks, kernel, wrapper)
 
-    for kernel in ("apery_walk_mod", "apery_pair_mod", "t_values", "_central_sums",
-                   "euler_pm3_mod", "padic_gamma"):
+    for kernel in ("apery_values", "t_values", "_exact_residues", "apery_walk_mod",
+                   "apery_pair_mod", "_central_sums", "euler_pm3_mod", "padic_gamma"):
         counted(kernel)
     primes = [pi.p for pi in primes_in_range(3, 60)]
     sweep(PRIME_ROWS, (3, 60), m_list=[1, 2], r_list=[1])
+    # the exact walks: apery_values takes the sid, t_values no modulus
+    assert sorted(c[1] for c in calls if c[0] == "apery_values") == [SeqId.A, SeqId.APRIME]
+    assert [c for c in calls if c[0] == "t_values"] == [("t_values",)]
+    assert [c[2] for c in calls if c[0] == "_exact_residues"] == [5]
+    assert not [c for c in calls if c[0] in ("apery_walk_mod", "apery_pair_mod")]
     for q in primes:
-        walks = [c[1] for c in calls if c[0] == "apery_walk_mod" and c[3].p == q]  # sid
-        # at p = 3 every row of A asks p > 3 and skips: A' alone is walked
-        assert sorted(walks) == [SeqId.A, SeqId.APRIME][q == 3:], q
-        pairs = [c[1] for c in calls if c[0] == "apery_pair_mod" and c[2].p == q]  # n
-        assert len(pairs) == len(set(pairs)) and all(n >= q * q for n in pairs), q
-        # t_values takes one argument, the modulus p^e_max
-        assert sum(c[0] == "t_values" and c[1] % q == 0 for c in calls) == 1, q
         # e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at r = 1
         central = [c[1] for c in calls if c[0] == "_central_sums" and c[1].p == q]
         assert [(t.p, t.e) for t in central] == [(q, 5)], q
@@ -629,7 +670,8 @@ def test_prime_task_reads_each_value_once(monkeypatch):
 
 
 def test_prime_task_tables_die_with_their_task(monkeypatch):
-    # each prime task builds one table, at 3r = 6, and no cache keeps it
+    # each prime task builds one table, at 3r = 6, for lemma2.3's central
+    # sums, and no cache keeps it (beukers_a reads the sweep's exact pass)
     made = []
     real_init = FactorialTable.__init__
 
@@ -638,7 +680,7 @@ def test_prime_task_tables_die_with_their_task(monkeypatch):
         made.append((p, e, weakref.ref(table)))
 
     monkeypatch.setattr(FactorialTable, "__init__", tracked_init)
-    sweep(["beukers_a"], [5, 7], r_list=[2])
+    sweep(["beukers_a", "lemma2.3"], [5, 7], r_list=[2])
     gc.collect()
     assert [(p, e) for p, e, _ in made] == [(5, 6), (7, 6)]
     assert [ref() for *_, ref in made] == [None, None]
@@ -677,11 +719,13 @@ def test_lift_sweep_under_size_cap_matches_per_row_run_check(monkeypatch):
 
 
 def test_lift_task_reads_each_value_once(monkeypatch):
-    # one precision per prime, one walk per sequence, each pair index once
-    # for both sequences, two Bernoulli sums
-    apery_calls, bern_calls = [], []
+    # one precision per prime, one exact walk per sequence per sweep, in each
+    # task at most one walk per sequence and each pair index once for both
+    # sequences, two Bernoulli sums
+    apery_calls, bern_calls, exact_calls, tasks = [], [], [], []
     real_walk, real_pair = checks.apery_walk_mod, checks.apery_pair_mod
-    real_bern = checks.bernoulli_mod_p2
+    real_bern, real_exact = checks.bernoulli_mod_p2, checks._exact_residues
+    real_values = checks._PrimeValues
 
     def walk(sid, n, table):
         apery_calls.append((sid, table.p, table.e))
@@ -695,13 +739,25 @@ def test_lift_task_reads_each_value_once(monkeypatch):
         bern_calls.append((n, q))
         return real_bern(n, q)
 
+    def exact(wanted, e):
+        exact_calls.append((sorted(wanted), e))
+        return real_exact(wanted, e)
+
+    def values(pi, e_max, handed):
+        tasks.append((pi.p, e_max))
+        return real_values(pi, e_max, handed)
+
     monkeypatch.setattr(checks, "apery_walk_mod", walk)
     monkeypatch.setattr(checks, "apery_pair_mod", pair)
     monkeypatch.setattr(checks, "bernoulli_mod_p2", bern)
+    monkeypatch.setattr(checks, "_exact_residues", exact)
+    monkeypatch.setattr(checks, "_PrimeValues", values)
     primes = [pi.p for pi in primes_in_range(7, 40)]
     sweep(LIFT_CHECKS, (7, 40), m_list=[1, 2], r_list=[1, 2])
+    assert exact_calls == [([SeqId.A, SeqId.APRIME], 8)]
+    assert tasks == [(q, 8) for q in primes]
     assert len(apery_calls) == len(set(apery_calls))
-    assert {(q, e) for _, q, e in apery_calls} == {(q, 8) for q in primes}
+    assert {(q, e) for _, q, e in apery_calls} <= {(q, 8) for q in primes}
     assert sorted(bern_calls) == sorted(
         [(q - 3, q) for q in primes] + [(2 * q - 4, q) for q in primes])
 
@@ -709,9 +765,10 @@ def test_lift_task_reads_each_value_once(monkeypatch):
 def test_lift_sweep_fails_when_kernel_is_perturbed(monkeypatch):
     primes, m_list = [7, 11, 13], [1, 2, 3]
     assert all(r.verdict == "pass" for r in sweep(LIFT_CHECKS, primes, m_list=m_list))
-    # each task reads its values mod p^5, the largest r = 1 precision; a shift
-    # by q^2 is still seen mod p^3, the least one.  The upper indices m q - 1
-    # and m q are at least q - 1; the lower ones, m - 1 and m, not.
+    # each task reads its values mod p^5, the largest r = 1 precision, off
+    # the sweep's exact pass or its own routes; a shift by q^2 is still seen
+    # mod p^3, the least one.  The upper indices m q - 1 and m q are at least
+    # q - 1; the lower ones, m - 1 and m, not.
     shift_apery(monkeypatch, lambda q, e: q * q, lambda q: q - 1)
     got = sweep(LIFT_CHECKS, primes, m_list=m_list)
     assert len(got) == 8 * 3 * 3
@@ -758,6 +815,105 @@ def test_r2_sweep_pairs_only_upper_indices(monkeypatch):
     got = sweep(LIFT_CHECKS, (7, 60), m_list=[1, 2, 3], r_list=[2])
     assert {res.verdict for res in got} == {"pass"}
     assert calls and all(n >= q * q - 1 for n, q in calls)
+
+
+def task_route(sid, p, e, top):
+    """S_0..S_top mod p^e by the routes a prime task takes on its own."""
+    if sid is SeqId.T:
+        return list(islice(t_values(p ** e), top + 1))
+    return apery_walk_mod(sid, top, FactorialTable(p, e))
+
+
+@pytest.mark.parametrize("sid", [SeqId.A, SeqId.APRIME, SeqId.T])
+def test_exact_pass_matches_the_task_walks_past_27_and_81_at_p3(sid):
+    # v_3(n!) jumps by 3 at 27 and by 4 at 81, where the walks mod 3^e
+    # divide the most digits out
+    for e in range(1, 9):
+        got = checks._exact_residues({sid: {n: [3] for n in range(101)}}, e)
+        assert [got[3][sid, n] for n in range(101)] == task_route(sid, 3, e, 100), e
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_exact_pass_matches_the_task_routes_next_to_p_and_p2(e):
+    # the Lift reads m p^r + shift for m <= 12 and r <= 2, each with its
+    # neighbours (so the r = 2 lower indices m p + shift too), and the
+    # weights' m - 1 and m, up to e = 3r + 2 = 8; one pass serves every prime
+    primes = [5, 7, 11, 13]
+    reads = {p: {m * p ** r + s for m in range(1, 13) for r in (1, 2) for s in (-1, 0, 1)}
+             | set(range(13)) for p in primes}
+    readers = {}
+    for p in primes:
+        for n in reads[p]:
+            readers.setdefault(n, []).append(p)
+    got = checks._exact_residues({SeqId.A: readers, SeqId.APRIME: readers}, e)
+    for p in primes:
+        assert set(got[p]) == {(sid, n) for sid in (SeqId.A, SeqId.APRIME) for n in reads[p]}
+        table = FactorialTable(p, e)
+        for sid in (SeqId.A, SeqId.APRIME):
+            walk = apery_walk_mod(sid, 12 * p * p + 1, table)
+            assert all(got[p][sid, n] == walk[n] for n in reads[p]), (p, sid)
+        for n in (p - 1, p, p * p - 1, p * p, p * p + 1, 12 * p * p):
+            assert apery_pair_mod(n, table) == (got[p][SeqId.A, n], got[p][SeqId.APRIME, n])
+
+
+def test_exact_pass_hands_t_at_a_quarter():
+    # thm3.3_tquarter reads t_{(p-3)/4}: t_0 at p = 3, t_1 at p = 7
+    wanted, e_max = checks._pass_plan(["thm3.3_tquarter"], [3, 7], [1], [1])
+    assert (wanted, e_max) == ({SeqId.T: {0: [3], 1: [7]}}, 1)
+    for e in range(1, 9):
+        got = checks._exact_residues(wanted, e)
+        assert got == {3: {(SeqId.T, 0): task_route(SeqId.T, 3, e, 0)[0]},
+                       7: {(SeqId.T, 1): task_route(SeqId.T, 7, e, 1)[1]}}
+
+
+def test_sweeps_at_small_primes_read_only_the_exact_pass(monkeypatch):
+    # with the tasks' own Apery and t routes refused, the lift rows and the
+    # primes workload's rows at p <= 60 pass as before: every read is handed
+    lifts = sweep(LIFT_CHECKS, (5, 60), m_list=range(1, 7), r_list=[1])
+    rows = sweep(PRIMES_WORKLOAD_ROWS, (3, 60))
+    real_t = checks.t_values
+
+    def refuse(*args):
+        raise AssertionError(f"a task's own route read {args}")
+
+    def t_values(modulus=0):
+        if modulus:
+            refuse(modulus)
+        return real_t()
+
+    monkeypatch.setattr(checks, "apery_walk_mod", refuse)
+    monkeypatch.setattr(checks, "apery_pair_mod", refuse)
+    monkeypatch.setattr(checks, "t_values", t_values)
+    got = sweep(LIFT_CHECKS, (5, 60), m_list=range(1, 7), r_list=[1])
+    assert got == lifts and {res.verdict for res in got} == {"pass", "skip"}
+    got = sweep(PRIMES_WORKLOAD_ROWS, (3, 60))
+    assert got == rows and {res.verdict for res in got} == {"pass", "skip"}
+
+
+def test_lone_large_prime_keeps_the_task_walk(monkeypatch):
+    # an exact walk to m p costs O((m p)^2) bits: at p = 9973 and m <= 6 the
+    # task's walks mod p^5 cost less, while p <= 10^4 at m = 1 takes the pass
+    # for every read
+    assert checks._pass_plan(LIFT_CHECKS, [9973], range(1, 7), [1]) == ({}, 5)
+    primes = [pi.p for pi in primes_in_range(3, 10 ** 4)]
+    wanted, _ = checks._pass_plan(LIFT_CHECKS, primes, [1], [1])
+    assert {sid: max(readers) for sid, readers in wanted.items()} == {
+        SeqId.A: 9973, SeqId.APRIME: 9973}
+    calls = []
+    real = checks.apery_walk_mod
+
+    def walk(sid, n, table):
+        calls.append((sid, n, table.p))
+        return real(sid, n, table)
+
+    def refuse(sid):
+        raise AssertionError(f"exact walk of {sid}")
+
+    monkeypatch.setattr(checks, "apery_walk_mod", walk)
+    monkeypatch.setattr(checks, "apery_values", refuse)
+    got = sweep(["beukers_a"], [9973], m_list=range(1, 7))
+    assert calls == [(SeqId.A, 6 * 9973 - 1, 9973)]
+    assert [res.verdict for res in got] == ["pass"] * 6
 
 
 @pytest.mark.parametrize("r", [1, 2])

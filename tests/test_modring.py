@@ -1,5 +1,6 @@
 """Residues, factored factorials and binomials, prime enumeration."""
 
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -176,6 +177,13 @@ def test_reduce_rat_examples():
     with pytest.raises(NotPIntegral) as exc:
         reduce_rat(Fraction(-1, 30), 5, 2)
     assert exc.value.valuation == -1
+
+
+def test_not_p_integral_survives_pickling():
+    # a forked sweep stripe pickles its exception back to the parent
+    exc = pickle.loads(pickle.dumps(NotPIntegral("denominator 5 divisible by 5", -1)))
+    assert type(exc) is NotPIntegral
+    assert (str(exc), exc.valuation) == ("denominator 5 divisible by 5", -1)
 
 
 def test_reduce_rat_names_sizes_not_digits():
