@@ -16,24 +16,32 @@ A sweep runs each fixed-range identity as one task and each prime as one
 task, which covers every selected Lift and AtPrime row, every (m, r) and the
 per-prime identity.  Its rows read one _PrimeValues, which computes each
 value they share once, at its first use, and keeps nothing past the task.
-Before the tasks are dealt out, the sweep plans one exact pass
-(_pass_plan): the indices of A, A' and t that each prime's rows read, named
-as data (Lift.reads, AtPrime.seq), and for each sequence the bound up to
-which one exact walk (apery_values, t_values()) costs less than the tasks'
-own routes, by one cost estimate (_pass_bounds).  It walks each chosen
-sequence once, in increasing n, and hands each task the residues of its
-reads mod p^e_max inside the task tuple (_exact_residues).
+Before the tasks are dealt out, the sweep reads each prime's Lift reads once
+(_lift_reads) and plans one exact pass: the indices of A, A' and t that each
+prime's rows read, named as data (Lift.reads, AtPrime.seq), and for each
+sequence the bound up to which one exact walk (apery_values, t_values())
+costs less than the tasks' own routes, by one cost estimate (_pass_bounds,
+_pass_plan).  Beside them it plans one exact harmonic walk (harmonic_walk,
+_harmonic_plan) over the primes whose rows read B_{p-3} (a weighted Lift),
+E_{p-3} or the central sums (AtPrime.euler, .central), bounded by the same
+estimate; it carries the central sums only where a row reads them.  It
+walks each chosen sequence once, in increasing n, and hands each task its
+values mod p^e_max, and its Lift reads, inside the task tuple
+(_exact_residues, _harmonic_residues).
 A task owns the prime's one factorial table, at the largest precision the
 rows need, and hands it to the kernels, pure functions of what they are
 given: for the A_n and A'_n that were not handed, at most one
 apery_walk_mod walk per sequence, whose end the task plans from the indices
 its Lift rows read, and one apery_pair_mod pass for each index past that
-end, where a walk would cost more; the four central-binomial harmonic sums,
-from one pass; and eq2.2's binomials.
+end, where a walk would cost more; where they were not handed, the four
+central-binomial harmonic sums from one pass and H_{p-1} with Lehmer's sum
+from another; and eq2.2's binomials.
 p B_{p-1} = (p-1)! + p (mod p^2) by Glaisher's congruence is read off it.  No
 table outlives its task.  t_0..t_p come from one walk where no t_n is
-handed, and E_{p-3}, B_{p-3} and Gamma_p(1/4)^4 once each.  run_check runs
-the same evaluator on one row, with nothing handed.
+handed.  B_{p-3} mod p and the bracket mod p^2 are read off H_{p-1} mod p^4
+(for p >= 7; the exact B_2 and B_6 at p = 5), E_{p-3} mod p off Lehmer's
+sum, and Gamma_p(1/4)^4 is taken once.  run_check runs the same evaluator
+on one row, with nothing handed.
 A conj2.5 record carries its prime's residue of c_m, read off the record's
 difference, so the CRT recovery (cm_recovery) reads the sweep's own values;
 recover_cm reads those of a sweep of the conj2.5 row alone.
@@ -57,12 +65,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice, product
 from math import comb, gcd
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import identities, special
-from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range
-from .sequences import SeqId, apery_pair_mod, apery_values, apery_walk_mod, t_values
-from .special import bernoulli_mod_p2, euler_pm3_mod, gamma_quarter_closed_form, padic_gamma
+from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range, reduce_rat
+from .sequences import (
+    SeqId, apery_pair_mod, apery_values, apery_walk_mod, harmonic_walk, t_values,
+)
+from .special import bernoulli, gamma_quarter_closed_form, padic_gamma
 
 SIZE_CAP_ENV = "APERY_LAB_SIZE_CAP"
 DEFAULT_SIZE_CAP = 100_000
@@ -138,6 +149,24 @@ def _central_sums(table: FactorialTable) -> tuple[int, int, int, int]:
     return s % m, s_o % m, s_o2 % m, s_oo % m
 
 
+def _harmonic_sums(table: FactorialTable) -> tuple[int, int]:
+    """(H_{p-1} mod p^e, sum_{k<=p/4} 1/k^2 mod p), for the p and e of
+    `table`, with 1/k = U[k-1] IU[k] read off the table's rows, which this
+    extends to p - 1: one product per k, summed in C, with no inversion.
+
+    They give B_{p-3}, the bracket and E_{p-3} (see _PrimeValues): for
+    p >= 7, H_{p-1} = -p^2 (B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3)) (mod p^4)
+    (Glaisher; Z.-H. Sun, Discrete Appl. Math. 105, 2000), and Lehmer's sum
+    is (-1)^((p-1)/2) 4 E_{p-3} (mod p) (Ann. of Math. 39, 1938).
+    """
+    p = table.p
+    table.extend(p - 1)
+    unit, inv = table.unit, table.inv_unit
+    h = sum(map(mul, unit[: p - 1], inv[1:p])) % table.modulus
+    quarter = list(map(mul, unit[: p // 4], inv[1 : p // 4 + 1]))
+    return h, sum(map(mul, quarter, quarter)) % p
+
+
 def _walk_cost(sid: SeqId, n: int, p: int, e: int) -> float:
     """The estimated cost of apery_walk_mod(sid, n) mod p^e (0 for n < 0),
     counted in apery_pair_mod terms, of which a read of n takes n + 1.  A
@@ -172,30 +201,52 @@ def _walk_plan(p: int, e: int, reads: dict[SeqId, set[int]]) -> dict[SeqId, int]
     return plan
 
 
+# The harmonic walk (harmonic_walk) as a sequence of the exact pass: its
+# plain walk, which gives B_{p-3}, the bracket and E_{p-3}, is keyed SeqId.H;
+# the walk that carries the central sums besides is keyed CENTRAL.  A prime
+# reads either at (p - 1)/2.
+CENTRAL = "central"
+
 # The growth of one exact step, in apery_pair_mod terms (about 1 us each)
 # per 1000 indices, fitted to exact walks to 3000 and 10^4: on a 2-vCPU Xeon
 # with Python 3.11 those of A, A' and t took 23 / 269, 9.5 / 90 and
 # 27 / 398 ms, and a pair term 0.75-1.4 us.  A divides by the two-digit
 # (i+1)^3 past i = 1023, A' and t by nothing that wide.  Walks to a few
-# hundred take about half of this estimate.
-_EXACT_GROWTH = {SeqId.A: 2.7, SeqId.APRIME: 0.9, SeqId.T: 4.0}
+# hundred take about half of this estimate.  The harmonic walk to 1500 and
+# 4986 took 9 / 77 ms, and 154 / 1930 ms with its central products.
+_EXACT_GROWTH = {SeqId.A: 2.7, SeqId.APRIME: 0.9, SeqId.T: 4.0, SeqId.H: 3.0, CENTRAL: 75.0}
+
+# A reduction at one prime is costed as one step of its walk, but for the
+# harmonic walks, whose steps multiply big integers and whose reductions
+# do not: those of the central walk took 15 / 52 / 174 us at k = 153 /
+# 1500 / 4986.
+_REDUCE_GROWTH = {SeqId.H: 8.0, CENTRAL: 16.0}
+
+# A prime task's own harmonic pass, in terms per unit of p: the table rows
+# to p - 1 (0.35 us a row at p = 9973, if no other read builds them),
+# _harmonic_sums (0.15 us) and, with the central sums, _central_sums
+# (0.8 us).
+_HARMONIC_ROUTE = {SeqId.H: 0.5, CENTRAL: 1.3}
 
 
-def _exact_cost(sid: SeqId, n: int) -> float:
+def _exact_cost(sid, n: int) -> float:
     """The estimated cost of one exact walk of `sid` to n, in the terms of
     _walk_cost: step i costs 1 + 2 g i / 1000 for g = _EXACT_GROWTH[sid]."""
     return (n + 1) * (1 + _EXACT_GROWTH[sid] * n / 1000)
 
 
-def _route_costs(sid: SeqId, p: int, e: int, ns: list[int]) -> list[float]:
+def _route_costs(sid, p: int, e: int, ns: list[int]) -> list[float]:
     """For the ascending reads ns of one sequence by a prime task, the
     estimated cost of the task's own routes for the reads ns[k:], for
-    k = 0, ..., len(ns): a t_values(p^e) walk of t_0..t_p for t; for A or A'
+    k = 0, ..., len(ns): a t_values(p^e) walk of t_0..t_p for t; a harmonic
+    pass (_HARMONIC_ROUTE) for the harmonic walk's one read; for A or A'
     one apery_walk_mod walk to some read, each read above it a pair, as
     _walk_plan plans one sequence.  A walk starts at 0, so the reads below
     ns[k] do not lower the cost of walking to a read above them."""
     if sid is SeqId.T:
         return [p + 1.0] * len(ns) + [0.0]
+    if sid in _HARMONIC_ROUTE:
+        return [_HARMONIC_ROUTE[sid] * p] * len(ns) + [0.0]
     costs, pairs, walked = [0.0], 0.0, float("inf")
     for n in reversed(ns):
         walked = min(walked, _walk_cost(sid, n, p, e) + pairs)
@@ -204,21 +255,24 @@ def _route_costs(sid: SeqId, p: int, e: int, ns: list[int]) -> list[float]:
     return costs[::-1]
 
 
-def _pass_bounds(reads: dict[int, dict[SeqId, set[int]]], e: int) -> dict[SeqId, int]:
-    """The end of the one exact walk of each sequence that a sweep hands its
-    prime tasks, for tasks at the primes p that read reads[p] mod p^e; a
-    sequence with no exact walk is left out.  The bound is the read that
-    minimises the estimated cost: the exact walk to it (_exact_cost), one
-    reduction for each read up to it, costed as a step of that walk, and the
-    tasks' own routes for the reads above it (_route_costs).  So a sweep over
-    many primes walks its reads of size m p exactly, and a lone large prime,
-    or a read of size m p^2, keeps the task's routes."""
+def _pass_bounds(reads: dict[int, dict], e: int,
+                 sids=(SeqId.A, SeqId.APRIME, SeqId.T)) -> dict:
+    """The end of the one exact walk of each sequence of `sids` that a sweep
+    hands its prime tasks, for tasks at the primes p that read reads[p] mod
+    p^e; a sequence with no exact walk is left out.  The bound is the read
+    that minimises the estimated cost: the exact walk to it (_exact_cost), one
+    reduction for each read up to it, costed as a step of that walk
+    (_REDUCE_GROWTH for the harmonic walks), and the tasks' own routes for
+    the reads above it (_route_costs).  So a sweep over many primes walks its
+    reads of size m p exactly, and a lone large prime, or a read of size
+    m p^2, keeps the task's routes."""
     bounds = {}
-    for sid in (SeqId.A, SeqId.APRIME, SeqId.T):
+    for sid in sids:
         ascending = {p: sorted(r[sid]) for p, r in reads.items() if r.get(sid)}
         costs = {p: _route_costs(sid, p, e, ns) for p, ns in ascending.items()}
         total = sum(c[0] for c in costs.values())
-        best, bound, reduced, g = total, -1, 0.0, _EXACT_GROWTH[sid]
+        best, bound, reduced = total, -1, 0.0
+        g = _REDUCE_GROWTH.get(sid, _EXACT_GROWTH[sid])
         events = sorted((n, p, k) for p, ns in ascending.items() for k, n in enumerate(ns))
         for i, (n, p, k) in enumerate(events):
             total += costs[p][k + 1] - costs[p][k]
@@ -246,23 +300,57 @@ def _exact_residues(wanted: dict[SeqId, dict[int, list[int]]], e: int) -> dict:
     return out
 
 
+def _harmonic_residues(wanted: dict, e: int) -> dict:
+    """{p: {SeqId.H: (H_{p-1} mod p^e, sum_{k<=p/4} 1/k^2 mod p)}} for each
+    prime p in wanted[key][(p-1)/2], and CENTRAL: (S, S_O, S_O2, S_OO) mod p^e
+    besides for key CENTRAL (see _central_sums), from one exact walk
+    (harmonic_walk, with its central sums for CENTRAL) in increasing k to the
+    largest wanted index.  It reads Lehmer's sum at k = p // 4, and the rest
+    at k = (p - 1)/2, where H_{p-1} = O_k + H_k / 2; every denominator there
+    is prime to p."""
+    out: dict = {}
+    for key, readers in wanted.items():
+        quarters: dict[int, list[int]] = {}
+        for ps in readers.values():
+            for p in ps:
+                quarters.setdefault(p // 4, []).append(p)
+        lehmer = {}
+        walk = harmonic_walk(central=key == CENTRAL)
+        for k, (l, h, q, d, o, o2, sums) in enumerate(islice(walk, max(readers) + 1)):
+            for p in quarters.get(k, ()):
+                lehmer[p] = q * pow(l, -2, p) % p
+            for p in readers.get(k, ()):
+                m = p ** e
+                inv_d = pow(d, -1, m)
+                got = out.setdefault(p, {})
+                got[SeqId.H] = ((o % m * inv_d + h % m * pow(2 * l, -1, m)) % m, lehmer[p])
+                if sums:
+                    w, inv_d2 = pow(64, -k, m), inv_d * inv_d % m
+                    s, s_o, s_o2, s_oo = (v % m * w % m for v in sums)
+                    got[CENTRAL] = (s, s_o * inv_d % m, s_o2 * inv_d2 % m, s_oo * inv_d2 % m)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the values at one prime
 
 class _PrimeValues:
     """The values the rows at one prime p read, each taken at its first use and
-    kept only as long as this object.  A_n, A'_n and t_n mod p^e_max are first
-    looked up in `handed`, the residues of the sweep's exact pass.  For the
-    rest it owns the prime's one factorial table, FactorialTable(p, e_max),
-    and hands it to the kernels: A_n and A'_n from one walk per sequence
-    (apery_walk_mod) to the reach that _walk_plan sets, and past it from the
-    pair (apery_pair_mod), once per index; the four central sums from one
-    pass (_central_sums); p B_{p-1} from its entry (p-1)!; and the per-prime
-    identity.  The single central binomials of thm2.1i, lemma2.4, lemma2.6,
-    thm3.3_tquarter and lemma2.5's closed form come from math.comb instead.
-    Besides: t_0..t_p mod p^e_max from one walk, where no t_n is handed, and
-    the Bernoulli, Euler and Gamma_p values below.  A row reduces what it
-    reads to its own modulus.  The kernels and FactorialTable are looked up in
+    kept only as long as this object.  A_n, A'_n, t_n, the four central sums
+    and the harmonic pair (H_{p-1}, Lehmer's sum) are first looked up in
+    `handed`, the residues of the sweep's exact pass.  For the rest it owns
+    the prime's one factorial table, FactorialTable(p, e_max), and hands it
+    to the kernels: A_n and A'_n from one walk per sequence (apery_walk_mod)
+    to the reach that _walk_plan sets, and past it from the pair
+    (apery_pair_mod), once per index; the four central sums from one pass
+    (_central_sums) and the harmonic pair from another (_harmonic_sums);
+    p B_{p-1} from its entry (p-1)!; and the per-prime identity.  B_{p-3}
+    mod p, the bracket mod p^2 and E_{p-3} mod p are read off the harmonic
+    pair, with no power sum.  The single central binomials of thm2.1i,
+    lemma2.4, lemma2.6, thm3.3_tquarter and lemma2.5's closed form come from
+    math.comb instead.  Besides: t_0..t_p mod p^e_max from one walk, where no
+    t_n is handed, and Gamma_p(1/4)^4 mod p.  A row reduces what it reads to
+    its own modulus.  The kernels and FactorialTable are looked up in
     this module when called, so a patched one is used.  The size cap is read
     from APERY_LAB_SIZE_CAP when the object is made."""
 
@@ -314,27 +402,40 @@ class _PrimeValues:
 
     @cached_property
     def central_sums(self) -> tuple[int, int, int, int]:
-        """(S, S_O, S_O2, S_OO) mod p^e_max, from one pass (_central_sums)."""
-        return _central_sums(self.table)
+        """(S, S_O, S_O2, S_OO) mod p^e_max: handed, or from one pass
+        (_central_sums)."""
+        got = self.handed.get(CENTRAL)
+        return _central_sums(self.table) if got is None else got
 
     @cached_property
-    def b3(self) -> int:
-        """B_{p-3} mod p^2."""
-        return bernoulli_mod_p2(self.p - 3, self.p)
+    def harmonic(self) -> tuple[int, int]:
+        """(H_{p-1} mod p^e_max, sum_{k<=p/4} 1/k^2 mod p): handed, or from
+        one pass (_harmonic_sums)."""
+        got = self.handed.get(SeqId.H)
+        return _harmonic_sums(self.table) if got is None else got
 
     @cached_property
     def bracket(self) -> int:
-        """B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) mod p^2."""
-        p, m = self.p, self.p * self.p
-        return (
-            bernoulli_mod_p2(2 * p - 4, p) * pow(2 * p - 4, -1, m)
-            - 2 * self.b3 * pow(p - 3, -1, m)
-        ) % m
+        """B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) mod p^2, for p >= 5: -H_{p-1}/p^2,
+        read off H_{p-1} mod p^4 (every row that reads it has e_max >= 4), for
+        p >= 7; at p = 5, where that congruence fails, from the exact B_2, B_6."""
+        p, q = self.p, self.p * self.p
+        if p == 5:
+            return reduce_rat(bernoulli(6) / 6 - bernoulli(2), 5, 2).value
+        return -(self.harmonic[0] // q) % q
+
+    @cached_property
+    def b3(self) -> int:
+        """B_{p-3} mod p, as 3 times the bracket (Kummer: B_{2p-4}/(2p-4) =
+        B_{p-3}/(p-3) (mod p))."""
+        return 3 * self.bracket % self.p
 
     @cached_property
     def euler(self) -> int:
-        """E_{p-3} mod p."""
-        return euler_pm3_mod(self.p)
+        """E_{p-3} mod p, p >= 5, by Lehmer's congruence
+        sum_{k<=p/4} 1/k^2 = (-1)^((p-1)/2) 4 E_{p-3} (mod p)."""
+        p = self.p
+        return _parity_sign(p) * self.harmonic[1] * pow(4, -1, p) % p
 
     @cached_property
     def pb(self) -> int:
@@ -367,10 +468,12 @@ class Lift(NamedTuple):
     w_m = m^3 (a S_{m-1} + b S_m) / d, with S the row's own sequence; no
     weight means no correction.  B is B_{p-3}, or the bracket
     B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) when `bracket` is set.  The record is
-    (A_hi, A_lo + C p^(3r)), or (A_hi - A_lo, C p^(3r)).  Since extra <= 2,
-    C is needed only mod p^2: w_m is taken mod p^2 from the task's S_{m-1}
-    and S_m, d being a unit there (d divides 18 and p > 3), and B is that
-    residue.
+    (A_hi, A_lo + C p^(3r)), or (A_hi - A_lo, C p^(3r)).  C is needed only
+    mod p^extra: w_m is taken mod p^2 from the task's S_{m-1} and S_m, d
+    being a unit there (d divides 18 and p > 3); B_{p-3} is read mod p, for
+    its rows have extra = 1, and the bracket mod p^2, for its rows have
+    extra = 2.  A weighted row reads B, and so the harmonic walk's
+    (p - 1)/2 (_lift_reads).
     """
 
     sid: SeqId
@@ -386,9 +489,11 @@ class Lift(NamedTuple):
         and m for a weight; SkipCheck where the row does not apply or hi
         passes the size cap."""
         _require_mr(m, r)
-        _require(p > self.p_above, f"requires p > {self.p_above}")
+        if p <= self.p_above:
+            raise SkipCheck(f"requires p > {self.p_above}")
         hi, lo = m * p ** r + self.shift, m * p ** (r - 1) + self.shift
-        _require(hi <= cap, f"size cap: index {hi} exceeds {cap}")
+        if hi > cap:
+            raise SkipCheck(f"size cap: index {hi} exceeds {cap}")
         return (hi, lo, m - 1, m) if self.weight else (hi, lo)
 
     def __call__(self, at: _PrimeValues, m: int, r: int):
@@ -415,23 +520,28 @@ class Lift(NamedTuple):
 class AtPrime(NamedTuple):
     """A congruence at one prime p, stated mod p^e for p > p_above and, when
     klass is set, p = klass (mod 4).  A row may read one sequence value,
-    `seq` = (sid, c, d) for S_n with n = (p + c) / d, where S is A' or t.
-    sides(at, p^e[, S_n]) reads the prime's other values from `at` and
-    returns (lhs, rhs), or (lhs, rhs, sign) for a check that records which
-    sign held; the row reduces both sides mod p^e."""
+    `seq` = (sid, c, d) for S_n with n = (p + c) / d, where S is A' or t,
+    and says whether it reads the central sums (`central`) or E_{p-3}
+    (`euler`), the harmonic walk's values.  sides(at, p^e[, S_n]) reads the
+    prime's other values from `at` and returns (lhs, rhs), or
+    (lhs, rhs, sign) for a check that records which sign held; the row
+    reduces both sides mod p^e."""
 
     e: int
     sides: Callable
     p_above: int = 2
     klass: Optional[int] = None
     seq: Optional[tuple[SeqId, int, int]] = None
+    central: bool = False
+    euler: bool = False
 
     def reads(self, p: int, klass: int) -> tuple[tuple[SeqId, int], ...]:
         """The (sid, n) the row reads at p of class klass mod 4; SkipCheck
         where the row does not apply."""
-        _require(p > self.p_above, f"requires p > {self.p_above}")
-        if self.klass is not None:
-            _require(klass == self.klass, f"requires p = {self.klass} (mod 4)")
+        if p <= self.p_above:
+            raise SkipCheck(f"requires p > {self.p_above}")
+        if self.klass is not None and klass != self.klass:
+            raise SkipCheck(f"requires p = {self.klass} (mod 4)")
         if self.seq is None:
             return ()
         sid, c, d = self.seq
@@ -606,14 +716,15 @@ def _defs() -> dict:
         ("liu_aprime", theorem, Lift(aprime, 0, 1, weight=(1, -2, 3))),
         ("eq1.3", theorem, AtPrime(2, _eq13, p_above=3, seq=half)),
         ("thm2.1i", theorem, AtPrime(3, _thm21i, klass=3, seq=half)),
-        ("thm2.1ii", theorem, AtPrime(3, _thm21ii, klass=1, seq=half)),
-        ("lemma2.3", lemma, AtPrime(3, _lemma23, seq=half)),
-        ("lemma2.4", lemma, AtPrime(3, _lemma24)),
+        ("thm2.1ii", theorem,
+         AtPrime(3, _thm21ii, klass=1, seq=half, central=True, euler=True)),
+        ("lemma2.3", lemma, AtPrime(3, _lemma23, seq=half, central=True)),
+        ("lemma2.4", lemma, AtPrime(3, _lemma24, central=True)),
         ("lemma2.5", lemma, AtPrime(3, _lemma25, p_above=3)),
-        ("lemma2.6", lemma, AtPrime(3, _lemma26, klass=1)),
-        ("lemma2.7a", lemma, AtPrime(2, _lemma27a, p_above=3)),
-        ("lemma2.7b", lemma, AtPrime(1, _lemma27b, p_above=3)),
-        ("conj2.1", conjecture, AtPrime(1, _conj21, klass=1)),
+        ("lemma2.6", lemma, AtPrime(3, _lemma26, klass=1, euler=True)),
+        ("lemma2.7a", lemma, AtPrime(2, _lemma27a, p_above=3, central=True)),
+        ("lemma2.7b", lemma, AtPrime(1, _lemma27b, p_above=3, central=True, euler=True)),
+        ("conj2.1", conjecture, AtPrime(1, _conj21, klass=1, central=True, euler=True)),
         ("conj2.2", conjecture, Lift(aprime, -1, 1, weight=(2, 1, 3), difference=True)),
         ("conj2.3", conjecture, Lift(aprime, 0, 2, weight=(1, -2, 1), bracket=True)),
         ("conj2.4", conjecture,
@@ -672,7 +783,8 @@ def _e_max(rows, r_list) -> int:
 
 
 def _lift_reads(rows, p: int, m_list, r_list, cap: int) -> dict[SeqId, set[int]]:
-    """The indices of A and A' that the Lift rows read at p (Lift.reads)."""
+    """The indices of A and A' that the Lift rows read at p (Lift.reads), and
+    under SeqId.H the harmonic walk's (p - 1)/2 where a weighted row reads B."""
     reads: dict[SeqId, set[int]] = {}
     for row in rows:
         if isinstance(row, Lift):
@@ -681,25 +793,31 @@ def _lift_reads(rows, p: int, m_list, r_list, cap: int) -> dict[SeqId, set[int]]
                 try:
                     into.update(row.reads(p, m, r, cap))
                 except SkipCheck:
-                    pass
+                    continue
+                if row.weight:
+                    reads[SeqId.H] = {(p - 1) // 2}
     return {sid: ns for sid, ns in reads.items() if ns}
 
 
 def _prime_results(names: Sequence[str], p: int, m_list, r_list,
-                   handed: Optional[dict] = None) -> list[CheckResult]:
+                   handed: Optional[dict] = None, lifts: Optional[dict] = None,
+                   ) -> list[CheckResult]:
     """The records of the named prime-indexed rows at one prime, each a
     verdict or a skip, in the given row order, then m and r in list order
     for a Lift row.  The rows share one _PrimeValues at the largest precision
     they need (_e_max), so each value is computed once; `handed` holds the
-    residues mod p^e_max that the sweep's exact pass read for them.  A
-    conj2.5 record also carries the prime's residue of c_m for the recovery."""
+    values mod p^e_max that the sweep's exact pass read for them, and
+    `lifts` the Lift rows' reads that it planned (_lift_reads), which are
+    read here where it is not given.  A conj2.5 record also carries the
+    prime's residue of c_m for the recovery."""
     rows = [(name, CHECKS[name].runner) for name in names]
     e_max = _e_max([row for _, row in rows], r_list)
     at = _PrimeValues(prime_info(p), e_max, handed)
-    reads = _lift_reads([row for _, row in rows], p, m_list, r_list, at.cap)
+    if lifts is None:
+        lifts = _lift_reads([row for _, row in rows], p, m_list, r_list, at.cap)
     at.reach = _walk_plan(p, e_max, {
-        sid: left for sid, ns in reads.items()
-        if (left := {n for n in ns if (sid, n) not in at.handed})
+        sid: left for sid in (SeqId.A, SeqId.APRIME)
+        if (left := {n for n in lifts.get(sid, ()) if (sid, n) not in at.handed})
     })
     out = []
     for name, row in rows:
@@ -750,7 +868,7 @@ def run_check(
 
 def _run_task(task) -> list[CheckResult]:
     """A task is (name,) for a fixed-range identity, or (names, p, m_list,
-    r_list, handed) for the prime-indexed rows at one prime."""
+    r_list, handed, lifts) for the prime-indexed rows at one prime."""
     if len(task) == 1:
         return [run_check(*task)]
     return _prime_results(*task)
@@ -852,18 +970,21 @@ def _prime_list(primes) -> list[int]:
     return sorted({int(p) for p in primes})
 
 
-def _pass_plan(names, primes, m_list, r_list) -> tuple[dict, int]:
+def _pass_plan(names, primes, m_list, r_list, lifts: Optional[dict] = None,
+               ) -> tuple[dict, int]:
     """(wanted, e_max) for the exact pass of a sweep's prime tasks: the reads
     of A, A' and t by the named rows at each prime up to the bound that
     _pass_bounds sets for each sequence, as wanted[sid][n], the primes that
     read S_n, and the tasks' precision.  The tasks read every other index by
-    their own routes."""
+    their own routes.  lifts[p] are the Lift rows' reads at p, where the
+    sweep has read them (_lift_reads)."""
     rows = [CHECKS[name].runner for name in names]
     e_max, cap = _e_max(rows, r_list), _size_cap()
     seq_rows = [row for row in rows if isinstance(row, AtPrime) and row.seq]
     reads = {}
     for p in primes:
-        reads[p] = got = _lift_reads(rows, p, m_list, r_list, cap)
+        got = _lift_reads(rows, p, m_list, r_list, cap) if lifts is None else lifts[p]
+        reads[p] = got = {sid: set(ns) for sid, ns in got.items()}
         for row in seq_rows:
             with suppress(SkipCheck):
                 for sid, n in row.reads(p, p % 4):
@@ -876,6 +997,32 @@ def _pass_plan(names, primes, m_list, r_list) -> tuple[dict, int]:
                 if n <= bound:
                     readers.setdefault(n, []).append(p)
     return wanted, e_max
+
+
+def _harmonic_plan(rows, primes, lifts: dict, e: int) -> dict:
+    """{key: {(p-1)/2: [p, ...]}} for the sweep's one exact harmonic walk
+    (_harmonic_residues): the primes p at which a weighted Lift row reads B
+    (SeqId.H in lifts[p]) or an AtPrime row reads E_{p-3} or the central
+    sums, up to the bound that _pass_bounds sets.  key is CENTRAL where a
+    row reads the central sums at some prime, else SeqId.H.  Empty where no
+    row reads them, or where the tasks' own passes cost less."""
+    harmonic = [row for row in rows if isinstance(row, AtPrime) and (row.central or row.euler)]
+    reads, central = {}, False
+    for p in primes:
+        read = SeqId.H in lifts[p]
+        for row in harmonic:
+            with suppress(SkipCheck):
+                row.reads(p, p % 4)
+                read, central = True, central or row.central
+        if read:
+            reads[p] = (p - 1) // 2
+    key = CENTRAL if central else SeqId.H
+    bound = _pass_bounds({p: {key: {n}} for p, n in reads.items()}, e, (key,)).get(key, -1)
+    readers: dict[int, list[int]] = {}
+    for p, n in reads.items():
+        if n <= bound:
+            readers.setdefault(n, []).append(p)
+    return {key: readers} if readers else {}
 
 
 def sweep(
@@ -908,8 +1055,14 @@ def sweep(
     # the fixed-range identities are the largest tasks, so they go first
     tasks = [(name,) for name in fixed]
     if at_prime:
-        handed = _exact_residues(*_pass_plan(at_prime, plist, m_list, r_list))
-        tasks.extend((at_prime, p, m_list, r_list, handed.get(p, {})) for p in plist)
+        rows, cap = [CHECKS[name].runner for name in at_prime], _size_cap()
+        lifts = {p: _lift_reads(rows, p, m_list, r_list, cap) for p in plist}
+        wanted, e_max = _pass_plan(at_prime, plist, m_list, r_list, lifts)
+        handed = _exact_residues(wanted, e_max)
+        harmonic = _harmonic_residues(_harmonic_plan(rows, plist, lifts, e_max), e_max)
+        for p, values in harmonic.items():
+            handed.setdefault(p, {}).update(values)
+        tasks.extend((at_prime, p, m_list, r_list, handed.get(p, {}), lifts[p]) for p in plist)
 
     workers = min(jobs, usable_cpus(), len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -959,7 +1112,7 @@ def _cm_residue(at: _PrimeValues, res: CheckResult) -> Union[int, str]:
         _require(not skip or cap, skip)
         _require(m % p != 0, "p divides m")
         _require(not cap, skip)
-        b = at.b3 % p
+        b = at.b3
         _require(b != 0, "B_{p-3} = 0 (mod p)")
         q, rem = divmod(res.lhs, p ** (3 * r))
         _require(rem == 0, f"difference not divisible by p^{3 * r}")

@@ -4,10 +4,15 @@ Exact evaluators return big integers or fractions: A, A' and t by their
 three-term recurrences, rolled over two values (t_values walks t_0, t_1, ...
 for the verifiers and the per-prime checks that read them in turn), with t's
 closed form as a second route, summed as one integer numerator over 4^n.
-The harmonic family H, O, O2 rolls the same way through harmonic_family, and
+harmonic_walk is the one exact walk of the harmonic sums: H_k, the sum of
+1/j^2, O_k and O2_k as integer numerators over running lcm denominators,
+and, where asked, the four central sums sum_j binom(2j,j)^3/64^j (1, O_j,
+O2_j, O_j^2).  harmonic_family reads the Fractions H, O, O2 off it, and
 D = O^2 - O2 is formed where it is read; neither keeps a value between calls.
-The identity verifiers rescale that walk's O and O2 to integer numerators
-over a common denominator of their own.  apery_values is the one exact walk
+The identity verifiers rescale harmonic_family's O and O2 to integer
+numerators over a common denominator of their own, and a sweep's exact
+harmonic walk (checks) reduces the walk at each prime's p // 4 and
+(p - 1)/2.  apery_values is the one exact walk
 of A or A'; apery_neighbours reads (S_{n-1}, S_n) off it for the exact
 outputs, and a sweep's exact pass (checks) reads it and t_values() in
 increasing n, reducing each value at the primes that read it.
@@ -36,7 +41,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, islice
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .modring import FactorialTable, NotPIntegral, Residue
 
@@ -119,19 +124,52 @@ def apery_neighbours(sid: SeqId, n: int) -> tuple[int, int]:
 C_ROWS = {SeqId.CBIG: (SeqId.A, -17, 12), SeqId.CPRIME: (SeqId.APRIME, -2, 1)}
 
 
+def harmonic_walk(central: bool = False):
+    """For k = 0, 1, ...: (l, h, q, d, o, o2, sums), the harmonic sums to k as
+    integer numerators over running lcm denominators,
+
+        H_k = h / l,   sum_{j<=k} 1/j^2 = q / l^2,   O_k = o / d,   O2_k = o2 / d^2,
+
+    with l = lcm(1, ..., k) and d = lcm(1, 3, ..., 2k - 1).  A step rescales
+    the numerators by the prime that an lcm gains where k or 2k - 1 is a
+    prime power, then adds l / k, (l / k)^2, d / (2k - 1) and its square:
+    big integers meet only small ones.  With `central`, sums is the central
+    sums sum_{j<=k} c_j (1, O_j, O2_j, O_j^2), c_j = binom(2j,j)^3 / 64^j, as
+    numerators over 64^k (1, d, d^2, d^2); else None.  Those take three
+    products of big integers per step, so they cost far more than the rest."""
+    l = l2 = d = d2 = b = 1  # l^2, d^2 and binom(2k, k)^3
+    h = q = o = o2 = s = s_o = s_o2 = s_oo = 0
+    sums = (0, 0, 0, 0) if central else None
+    yield l, h, q, d, o, o2, sums
+    for k in count(1):
+        g = k // gcd(l, k)
+        if g > 1:
+            l, l2, h, q = l * g, l2 * g * g, h * g, q * g * g
+        h += l // k
+        q += l2 // (k * k)
+        j = 2 * k - 1
+        g = j // gcd(d, j)
+        if g > 1:
+            d, d2, o, o2 = d * g, d2 * g * g, o * g, o2 * g * g
+            if central:
+                s_o, s_o2, s_oo = s_o * g, s_o2 * g * g, s_oo * g * g
+        o += d // j
+        o2 += d2 // (j * j)
+        if central:
+            b = b * (2 * j) ** 3 // k ** 3
+            bo = b * o
+            s, s_o = (s << 6) + b, (s_o << 6) + bo
+            s_o2, s_oo = (s_o2 << 6) + b * o2, (s_oo << 6) + bo * o
+            sums = s, s_o, s_o2, s_oo
+        yield l, h, q, d, o, o2, sums
+
+
 def harmonic_family():
-    """(H_n, O_n, O2_n) for n = 0, 1, ..., holding one tuple at a time, with
+    """(H_n, O_n, O2_n) for n = 0, 1, ..., read off harmonic_walk, with
     O_n = sum 1/(2i-1) and O2_n = sum 1/(2i-1)^2.  D_n = O_n^2 - O2_n is left
-    to the reader: rolled along, each step would add two fractions whose
-    denominators both grow with n, where the walk adds only 1/i-sized terms."""
-    h = o = o2 = Fraction(0)
-    yield h, o, o2
-    for i in count(1):
-        inv = Fraction(1, 2 * i - 1)
-        h += Fraction(1, i)
-        o += inv
-        o2 += inv * inv
-        yield h, o, o2
+    to the reader."""
+    for l, h, _, d, o, o2, _ in harmonic_walk():
+        yield Fraction(h, l), Fraction(o, d), Fraction(o2, d * d)
 
 
 def harmonic_values(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -1,20 +1,20 @@
 """Bernoulli and Euler numbers, classical quotients, and the p-adic Gamma function.
 
-The checks need only a few residues of these numbers, and each has an O(p)
-route by a classical congruence:
-
-- E_{p-3} mod p by Lehmer's sum of k^-2 over k <= p/4 (euler_pm3_mod);
-- B_n mod p^2 by Faulhaber's formula, sum_{k<p} k^n = p B_n (mod p^3)
-  (bernoulli_mod_p2).
+The checks need only a few residues of these numbers, and read them off
+harmonic sums (checks): B_{p-3} mod p and the bracket
+B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) mod p^2 off H_{p-1} mod p^4, and E_{p-3}
+mod p off Lehmer's sum of k^-2 over k <= p/4.  Here E_{p-3} mod p is that
+sum only as gamma_quarter_closed_form's own route (euler_pm3_mod).
 
 p B_{p-1} mod p^2 is not computed here: a prime's checks read it as
 (p-1)! + p by Glaisher's congruence, off the factorial table they already
 hold, and the power sum of k^(p-1) over k < p is its oracle in the tests.
 
 The exact Bernoulli table, from the defining recurrence over Fraction, stays:
-it answers where Faulhaber's route does not hold (p = 5) and is the oracle of
-those congruences.  The Euler-number recurrence in Z/pZ, the Fermat quotients
-and (p-1)! mod p^2 by its own product are oracles only, and live in the tests.
+it answers where the harmonic congruence does not hold (p = 5, B_2 and B_6).
+Faulhaber's power sums for B_n mod p^2, the Euler-number recurrence in Z/pZ,
+the Fermat quotients and (p-1)! mod p^2 by its own product are oracles only,
+and live in the tests.
 Gamma_p mod p^e is the product definition taken by blocks of p factors, in
 about p e + e^3 log2(p^(e-1)) steps rather than p^e; the factor-by-factor
 product stays in the tests as its oracle, and the quarter-value closed form is
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .modring import NotPIntegral, Residue, reduce_rat
+from .modring import NotPIntegral, Residue
 
 GAMMA_STEP_LIMIT = 2_000_000
 
@@ -63,21 +63,6 @@ def euler_pm3_mod(p: int) -> int:
     s = sum(pow(k, -2, p) for k in range(1, p // 4 + 1))
     sign = -1 if (p - 1) // 2 % 2 else 1
     return sign * s * pow(4, -1, p) % p
-
-
-def bernoulli_mod_p2(n: int, p: int) -> int:
-    """B_n mod p^2 by Faulhaber's formula, B_n = (sum_{k<p} k^n mod p^3) / p.
-
-    The power sum is p B_n + (n/2) p^2 B_{n-1} + (n(n-1)/6) p^3 B_{n-2} plus
-    terms divisible by p^3, so the route holds for p >= 5 and even n with
-    p - 1 dividing neither n nor n - 2 (which rules out n = 0, 2).  Elsewhere
-    (on the check path only p = 5, where B_2 and B_6 are asked for) the exact
-    table answers.
-    """
-    if p < 5 or n % 2 or n % (p - 1) == 0 or (n - 2) % (p - 1) == 0:
-        return reduce_rat(bernoulli(n), p, 2).value
-    m = p ** 3
-    return sum(pow(k, n, m) for k in range(1, p)) % m // p
 
 
 def _block_poly(p: int, e: int, m: int) -> list[int]:

@@ -11,8 +11,9 @@ from math import comb
 
 import pytest
 
-from aperylab import checks, sequences, special
+from aperylab import checks, identities, sequences, special
 from aperylab.checks import (
+    CENTRAL,
     CHECKS,
     CrtAccumulator,
     Identity,
@@ -47,7 +48,9 @@ from oracles import (
     LIFT_WEIGHTS,
     REFERENCE_CM,
     apery_aprime_exact,
+    bernoulli_mod_p2,
     central_sums,
+    euler_mod,
     pb_pm1_mod,
 )
 
@@ -105,6 +108,34 @@ def shift_apery(monkeypatch, shift, first=lambda q: 0,
         if route in routes:
             monkeypatch.setattr(checks, route, fake)
     return calls
+
+
+def shift_harmonic(monkeypatch, central=None, harmonic=None):
+    """Moves the harmonic values a prime task reads on both routes of checks:
+    the central sums by central(q, e, sums), and (H_{p-1} mod p^e, Lehmer's
+    sum mod p) by harmonic(q, e, values), on the task's own passes
+    (_central_sums, _harmonic_sums) and on the residues of a sweep's exact
+    harmonic walk (_harmonic_residues)."""
+    def keep(q, e, values):
+        return values
+
+    central, harmonic = central or keep, harmonic or keep
+    real_central, real_harmonic = checks._central_sums, checks._harmonic_sums
+    real_walk = checks._harmonic_residues
+
+    def walk(wanted, e):
+        out = real_walk(wanted, e)
+        for q, got in out.items():
+            got[SeqId.H] = harmonic(q, e, got[SeqId.H])
+            if CENTRAL in got:
+                got[CENTRAL] = central(q, e, got[CENTRAL])
+        return out
+
+    monkeypatch.setattr(checks, "_central_sums",
+                        lambda table: central(table.p, table.e, real_central(table)))
+    monkeypatch.setattr(checks, "_harmonic_sums",
+                        lambda table: harmonic(table.p, table.e, real_harmonic(table)))
+    monkeypatch.setattr(checks, "_harmonic_residues", walk)
 
 
 def test_registry_shape():
@@ -292,16 +323,15 @@ CENTRAL_ROWS = ["thm2.1ii", "lemma2.3", "lemma2.4", "lemma2.7a", "lemma2.7b", "c
     ],
 )
 def test_central_rows_read_exactly_their_sums(monkeypatch, which, failing):
-    # one central pass per prime feeds all six rows; shifting one of its four
-    # sums by 1 fails exactly the rows that read that sum
-    real = checks._central_sums
-
-    def shifted(table):
-        sums = list(real(table))
-        sums[which] = (sums[which] + 1) % table.modulus
+    # one set of central sums per prime, off the sweep's harmonic walk or the
+    # task's pass, feeds all six rows; shifting one of its four sums by 1
+    # fails exactly the rows that read that sum
+    def shifted(q, e, sums):
+        sums = list(sums)
+        sums[which] = (sums[which] + 1) % q ** e
         return tuple(sums)
 
-    monkeypatch.setattr(checks, "_central_sums", shifted)
+    shift_harmonic(monkeypatch, central=shifted)
     got = sweep(CENTRAL_ROWS, [11, 13, 17, 19, 29])
     assert len(got) == 6 * 5
     for res in got:
@@ -324,8 +354,9 @@ def test_euler_checks_fail_when_euler_value_is_perturbed(monkeypatch, name, p):
     def shifted(q):
         return (real(q) + 1) % q
 
-    # lemma2.5 reads E_{p-3} inside special.gamma_quarter_closed_form
-    monkeypatch.setattr(checks, "euler_pm3_mod", shifted)
+    # the rows read E_{p-3} off Lehmer's sum, which moving by 1 moves E by
+    # +-1/4; lemma2.5 reads it inside special.gamma_quarter_closed_form
+    shift_harmonic(monkeypatch, harmonic=lambda q, e, v: (v[0], (v[1] + 1) % q))
     monkeypatch.setattr(special, "euler_pm3_mod", shifted)
     assert run_check(name, p).verdict == "fail"
 
@@ -412,12 +443,11 @@ def test_lemma27a_past_the_old_gamma_budget():
 @pytest.mark.parametrize("p, m", [(11, 1), (13, 2)])
 def test_lift_checks_fail_when_bernoulli_value_is_perturbed(monkeypatch, name, p, m):
     assert run_check(name, p, m, 1).verdict == "pass"
-    real = checks.bernoulli_mod_p2
-    # p^(e - 3r - 1): the least shift the correction term can still see
-    delta = p ** (CHECKS[name].runner.extra - 1)
-    monkeypatch.setattr(
-        checks, "bernoulli_mod_p2", lambda n, q: (real(n, q) + delta) % (q * q)
-    )
+    # B is read off H_{p-1} = -p^2 bracket: a shift by p^2 p^(e - 3r - 1)
+    # moves the bracket by p^(e - 3r - 1), the least shift the correction
+    # term can still see, and B_{p-3} = 3 bracket (mod p) with it
+    delta = p ** (CHECKS[name].runner.extra + 1)
+    shift_harmonic(monkeypatch, harmonic=lambda q, e, v: ((v[0] + delta) % q ** e, v[1]))
     assert run_check(name, p, m, 1).verdict == "fail"
 
 
@@ -471,17 +501,17 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def faulty_central_sums(monkeypatch, fault):
-    """Patches the central pass of checks to call fault(p) first, in this
-    process and in every child forked from it; lemma2.3 reads the central
-    sums at every p, inside the prime's task."""
-    real = checks._central_sums
+def faulty_eq22(monkeypatch, fault):
+    """Patches eq2.2's verifier (identities.eq22_congruence) to call fault(p)
+    first, in this process and in every child forked from it; id_eq2.2 runs
+    it at every p, inside the prime's task."""
+    real = identities.eq22_congruence
 
-    def central_sums(table):
-        fault(table.p)
-        return real(table)
+    def eq22_congruence(p, table):
+        fault(p)
+        return real(p, table)
 
-    monkeypatch.setattr(checks, "_central_sums", central_sums)
+    monkeypatch.setattr(identities, "eq22_congruence", eq22_congruence)
 
 
 # 3..30 is nine tasks.  With two stripes 3, 7, 13, 19, 29 run in this process
@@ -492,11 +522,11 @@ def test_sweep_raises_the_earliest_failing_task_at_any_jobs(monkeypatch, bad):
         if p in bad:
             raise ValueError(f"planted fault at p = {p}")
 
-    faulty_central_sums(monkeypatch, fault)
+    faulty_eq22(monkeypatch, fault)
     monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
     for jobs in (1, 2, 3):
         with pytest.raises(ValueError) as exc:
-            sweep(["lemma2.3"], (3, 30), jobs=jobs)
+            sweep(["id_eq2.2"], (3, 30), jobs=jobs)
         assert str(exc.value) == f"planted fault at p = {bad[0]}"
         no_child_left()
 
@@ -508,10 +538,10 @@ def test_sweep_names_the_exit_status_of_a_dead_child(monkeypatch):
         if p == 11 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    faulty_central_sums(monkeypatch, fault)
+    faulty_eq22(monkeypatch, fault)
     monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
     with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL}"):
-        sweep(["lemma2.3"], (3, 30), jobs=2)
+        sweep(["id_eq2.2"], (3, 30), jobs=2)
     no_child_left()
 
 
@@ -523,11 +553,11 @@ def test_sweep_interrupted_in_its_own_stripe_kills_the_children(monkeypatch):
             raise KeyboardInterrupt
         time.sleep(60)  # a child still at work
 
-    faulty_central_sums(monkeypatch, fault)
+    faulty_eq22(monkeypatch, fault)
     monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        sweep(["lemma2.3"], (3, 30), jobs=3)
+        sweep(["id_eq2.2"], (3, 30), jobs=3)
     assert time.monotonic() - t0 < 30
     no_child_left()
 
@@ -541,10 +571,10 @@ def test_sweep_re_raises_not_p_integral_from_a_child(monkeypatch):
         if p == 11 and os.getpid() != parent:
             raise NotPIntegral(f"planted at p = {p}", -2)
 
-    faulty_central_sums(monkeypatch, fault)
+    faulty_eq22(monkeypatch, fault)
     monkeypatch.setattr(checks, "usable_cpus", lambda: 4)
     with pytest.raises(NotPIntegral) as exc:
-        sweep(["lemma2.3"], (3, 30), jobs=2)
+        sweep(["id_eq2.2"], (3, 30), jobs=2)
     assert (str(exc.value), exc.value.valuation) == ("planted at p = 11", -2)
     no_child_left()
 
@@ -624,11 +654,11 @@ def test_lift_sweep_matches_per_row_run_check(monkeypatch, names, jobs):
 
 
 def test_prime_task_reads_each_value_once(monkeypatch):
-    # per sweep: one exact walk of A, of A' and of t, whose residues mod
-    # p^e_max are handed to the tasks; per prime: one factorial table, at
-    # e_max, which id_eq2.2 reads too; no Apery walk or pair and no t walk of
-    # its own, one central pass at e_max, E_{p-3} and Gamma_p(1/4) mod p at
-    # most once
+    # per sweep: one exact walk of A, of A' and of t, and one harmonic walk
+    # with its central sums, whose residues mod p^e_max are handed to the
+    # tasks; per prime: one factorial table, at e_max, which id_eq2.2 reads
+    # too; no Apery walk or pair, no t walk and no harmonic pass of its own,
+    # and Gamma_p(1/4) mod p at most once
     calls = []
     tables = []
     real_init = FactorialTable.__init__
@@ -648,8 +678,9 @@ def test_prime_task_reads_each_value_once(monkeypatch):
 
         monkeypatch.setattr(checks, kernel, wrapper)
 
-    for kernel in ("apery_values", "t_values", "_exact_residues", "apery_walk_mod",
-                   "apery_pair_mod", "_central_sums", "euler_pm3_mod", "padic_gamma"):
+    for kernel in ("apery_values", "t_values", "_exact_residues", "_harmonic_residues",
+                   "apery_walk_mod", "apery_pair_mod", "_central_sums", "_harmonic_sums",
+                   "padic_gamma"):
         counted(kernel)
     primes = [pi.p for pi in primes_in_range(3, 60)]
     sweep(PRIME_ROWS, (3, 60), m_list=[1, 2], r_list=[1])
@@ -658,14 +689,15 @@ def test_prime_task_reads_each_value_once(monkeypatch):
     assert [c for c in calls if c[0] == "t_values"] == [("t_values",)]
     assert [c[2] for c in calls if c[0] == "_exact_residues"] == [5]
     assert not [c for c in calls if c[0] in ("apery_walk_mod", "apery_pair_mod")]
+    # e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at r = 1; every prime reads
+    # the walk's values at (p - 1)/2
+    walks = [c[1:] for c in calls if c[0] == "_harmonic_residues"]
+    assert [(list(wanted), e) for wanted, e in walks] == [([CENTRAL], 5)]
+    assert sorted(q for ps in walks[0][0][CENTRAL].values() for q in ps) == primes
+    assert not [c for c in calls if c[0] in ("_central_sums", "_harmonic_sums")]
     for q in primes:
-        # e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at r = 1
-        central = [c[1] for c in calls if c[0] == "_central_sums" and c[1].p == q]
-        assert [(t.p, t.e) for t in central] == [(q, 5)], q
         assert [t for t in tables if t[0] == q] == [(q, 5)], q
-        assert calls.count(("euler_pm3_mod", q)) <= 1
         assert calls.count(("padic_gamma", Fraction(1, 4), q, 1)) <= 1
-    assert any(c[0] == "euler_pm3_mod" for c in calls)
     assert any(c[0] == "padic_gamma" and c[3] == 1 for c in calls)
 
 
@@ -698,11 +730,11 @@ def test_no_check_reduces_a_value_that_is_not_p_integral():
 
 
 def test_prime_sweep_fails_when_euler_value_is_perturbed(monkeypatch):
-    # the rows share one E_{p-3} per prime; each must still see the shift
+    # the rows share one E_{p-3} per prime, off Lehmer's sum; each must still
+    # see the shift
     names, primes = ["thm2.1ii", "lemma2.6", "lemma2.7b", "conj2.1"], [13, 17, 29]
     assert all(r.verdict == "pass" for r in sweep(names, primes))
-    real = checks.euler_pm3_mod
-    monkeypatch.setattr(checks, "euler_pm3_mod", lambda q: (real(q) + 1) % q)
+    shift_harmonic(monkeypatch, harmonic=lambda q, e, v: (v[0], (v[1] + 1) % q))
     got = sweep(names, primes)
     assert len(got) == 4 * 3
     assert all(r.verdict == "fail" for r in got)
@@ -721,10 +753,10 @@ def test_lift_sweep_under_size_cap_matches_per_row_run_check(monkeypatch):
 def test_lift_task_reads_each_value_once(monkeypatch):
     # one precision per prime, one exact walk per sequence per sweep, in each
     # task at most one walk per sequence and each pair index once for both
-    # sequences, two Bernoulli sums
+    # sequences; B off one exact harmonic walk, read at every prime
     apery_calls, bern_calls, exact_calls, tasks = [], [], [], []
     real_walk, real_pair = checks.apery_walk_mod, checks.apery_pair_mod
-    real_bern, real_exact = checks.bernoulli_mod_p2, checks._exact_residues
+    real_bern, real_exact = checks._harmonic_residues, checks._exact_residues
     real_values = checks._PrimeValues
 
     def walk(sid, n, table):
@@ -735,9 +767,12 @@ def test_lift_task_reads_each_value_once(monkeypatch):
         apery_calls.append((n, table.p, table.e))
         return real_pair(n, table)
 
-    def bern(n, q):
-        bern_calls.append((n, q))
-        return real_bern(n, q)
+    def bern(wanted, e):
+        bern_calls.append((wanted, e))
+        return real_bern(wanted, e)
+
+    def refuse(table):
+        raise AssertionError(f"a harmonic pass at p = {table.p}")
 
     def exact(wanted, e):
         exact_calls.append((sorted(wanted), e))
@@ -749,7 +784,8 @@ def test_lift_task_reads_each_value_once(monkeypatch):
 
     monkeypatch.setattr(checks, "apery_walk_mod", walk)
     monkeypatch.setattr(checks, "apery_pair_mod", pair)
-    monkeypatch.setattr(checks, "bernoulli_mod_p2", bern)
+    monkeypatch.setattr(checks, "_harmonic_residues", bern)
+    monkeypatch.setattr(checks, "_harmonic_sums", refuse)
     monkeypatch.setattr(checks, "_exact_residues", exact)
     monkeypatch.setattr(checks, "_PrimeValues", values)
     primes = [pi.p for pi in primes_in_range(7, 40)]
@@ -758,8 +794,7 @@ def test_lift_task_reads_each_value_once(monkeypatch):
     assert tasks == [(q, 8) for q in primes]
     assert len(apery_calls) == len(set(apery_calls))
     assert {(q, e) for _, q, e in apery_calls} <= {(q, 8) for q in primes}
-    assert sorted(bern_calls) == sorted(
-        [(q - 3, q) for q in primes] + [(2 * q - 4, q) for q in primes])
+    assert bern_calls == [({SeqId.H: {(q - 1) // 2: [q] for q in primes}}, 8)]
 
 
 def test_lift_sweep_fails_when_kernel_is_perturbed(monkeypatch):
@@ -914,6 +949,116 @@ def test_lone_large_prime_keeps_the_task_walk(monkeypatch):
     got = sweep(["beukers_a"], [9973], m_list=range(1, 7))
     assert calls == [(SeqId.A, 6 * 9973 - 1, 9973)]
     assert [res.verdict for res in got] == ["pass"] * 6
+
+
+PRIMES_7_3000 = [pi.p for pi in primes_in_range(7, 3000)]
+
+
+def harmonic_handed(primes, e):
+    """The harmonic walk's residues mod p^e, central sums included, for the
+    given primes, each read at (p - 1)/2."""
+    readers = {}
+    for p in primes:
+        readers.setdefault((p - 1) // 2, []).append(p)
+    return checks._harmonic_residues({CENTRAL: readers}, e)
+
+
+def test_harmonic_walk_matches_the_task_passes():
+    # all six values, off one exact walk and off each task's own passes over
+    # its table, at every precision from 3 up to a task's 3r + 2 = 8
+    for e in range(3, 9):
+        walked = harmonic_handed(PRIMES_7_3000, e)
+        for p in PRIMES_7_3000:
+            table = FactorialTable(p, e)
+            got = walked[p]
+            assert got[CENTRAL] == checks._central_sums(table), (p, e)
+            assert got[SeqId.H] == checks._harmonic_sums(table), (p, e)
+            if e == 4:
+                values = checks._PrimeValues(prime_info(p), e, got)
+                own = checks._PrimeValues(prime_info(p), e)
+                assert (values.b3, values.bracket, values.euler) == (
+                    own.b3, own.bracket, own.euler), p
+
+
+def faulhaber_bracket(p):
+    """B_{2p-4}/(2p-4) - 2 B_{p-3}/(p-3) mod p^2 off the Faulhaber oracle."""
+    q = p * p
+    return (bernoulli_mod_p2(2 * p - 4, p) * pow(2 * p - 4, -1, q)
+            - 2 * bernoulli_mod_p2(p - 3, p) * pow(p - 3, -1, q)) % q
+
+
+def test_harmonic_routes_match_the_bernoulli_and_euler_oracles():
+    # B_{p-3} mod p and the bracket mod p^2 against Faulhaber's power sums,
+    # and E_{p-3} mod p against Lehmer's pow route and, to 400, the Euler
+    # recurrence; each read off the walk and off the task's passes
+    walked = harmonic_handed(PRIMES_7_3000, 4)
+    for p in PRIMES_7_3000:
+        bracket = faulhaber_bracket(p)
+        euler = special.euler_pm3_mod(p)
+        if p < 400:
+            assert euler == euler_mod(p - 3, p).value, p
+        for handed in (walked[p], None):
+            at = checks._PrimeValues(prime_info(p), 4, handed)
+            assert at.b3 == bernoulli_mod_p2(p - 3, p) % p, p
+            assert at.bracket == bracket, p
+            assert at.euler == euler, p
+
+
+def test_bernoulli_values_at_p5_are_exact():
+    # the congruence for H_{p-1} mod p^4 fails at p = 5: its bracket reads 2,
+    # the exact B_6/6 - B_2 reads 17; B_{p-3} and the bracket come from the
+    # exact table there, whatever is handed
+    assert -(checks._harmonic_sums(FactorialTable(5, 4))[0] // 25) % 25 == 2
+    assert faulhaber_bracket(5) == 17
+    for handed in (harmonic_handed([5], 4)[5], None):
+        at = checks._PrimeValues(prime_info(5), 4, handed)
+        assert (at.b3, at.bracket) == (bernoulli_mod_p2(2, 5) % 5, 17)
+        assert at.euler == euler_mod(2, 5).value
+
+
+def test_sweeps_at_small_primes_read_only_the_harmonic_walk(monkeypatch):
+    # with the tasks' own harmonic passes refused, the lift rows and the
+    # primes workload's rows at p <= 60 pass as before: B_{p-3}, the bracket,
+    # E_{p-3} and the central sums are handed (p = 5 reads the exact B_2, B_6)
+    lifts = sweep(LIFT_CHECKS, (5, 60), m_list=range(1, 7), r_list=[1])
+    rows = sweep(PRIMES_WORKLOAD_ROWS, (3, 60))
+
+    def refuse(table):
+        raise AssertionError(f"a task's own harmonic pass at p = {table.p}")
+
+    monkeypatch.setattr(checks, "_central_sums", refuse)
+    monkeypatch.setattr(checks, "_harmonic_sums", refuse)
+    got = sweep(LIFT_CHECKS, (5, 60), m_list=range(1, 7), r_list=[1])
+    assert got == lifts and {res.verdict for res in got} == {"pass", "skip"}
+    got = sweep(PRIMES_WORKLOAD_ROWS, (3, 60))
+    assert got == rows and {res.verdict for res in got} == {"pass", "skip"}
+
+
+# the rows that read B_{p-3}, the bracket or E_{p-3}
+HARMONIC_ROWS = ["liu_a", "conj2.3", "conj2.5", "thm2.1ii", "lemma2.7b", "conj2.1"]
+
+
+def test_lone_large_prime_keeps_the_task_harmonic_pass(monkeypatch):
+    # one exact walk to (p-1)/2 = 4986, with its central products, costs far
+    # more than one task's passes at p = 9973; and rows that read no harmonic
+    # value plan no walk at all
+    rows = [CHECKS[name].runner for name in HARMONIC_ROWS]
+    lifts = {9973: checks._lift_reads(rows, 9973, [1], [1], checks.DEFAULT_SIZE_CAP)}
+    assert checks._harmonic_plan(rows, [9973], lifts, 5) == {}
+    primes = [pi.p for pi in primes_in_range(3, 300)]
+    for names in (["beukers_a", "beukers_aprime"], [n for n in CHECKS if n.startswith("thm3.3")]):
+        rows = [CHECKS[name].runner for name in names]
+        lifts = {p: checks._lift_reads(rows, p, [1, 2], [1], 10 ** 5) for p in primes}
+        assert checks._harmonic_plan(rows, primes, lifts, 5) == {}, names
+
+    def refuse(central=False):
+        raise AssertionError("exact harmonic walk")
+
+    monkeypatch.setattr(checks, "harmonic_walk", refuse)
+    got = sweep(HARMONIC_ROWS, [9973])
+    assert [res.verdict for res in got] == ["pass"] * 6
+    got = sweep(["beukers_a", "beukers_aprime", "thm3.3_tp"], (3, 300), m_list=[1, 2])
+    assert {res.verdict for res in got} == {"pass", "skip"}
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -1109,12 +1254,16 @@ def test_lift_weight_matches_binomial_sums(name):
 
 
 def test_lift_weights_read_no_exact_walk(monkeypatch):
-    # the weights are read mod p^2 off the task's apery_pair_mod values
+    # the weights are read mod p^2 off the task's own modular values: with
+    # every exact walk refused and the sweep's exact passes planning none,
+    # every record still passes
     def refuse(*args):
         raise AssertionError("exact walk called")
 
     for module in (sequences, checks):
-        monkeypatch.setattr(module, "apery_neighbours", refuse, raising=False)
+        for walk in ("apery_neighbours", "apery_values", "t_values", "harmonic_walk"):
+            monkeypatch.setattr(module, walk, refuse, raising=False)
+    monkeypatch.setattr(checks, "_pass_bounds", lambda *args: {})
     got = sweep(WEIGHTED_LIFTS, [11, 13, 17, 19], m_list=[1, 2, 7], r_list=[1, 2])
     assert [res.verdict for res in got] == ["pass"] * 144
 

@@ -1,7 +1,8 @@
 """Sequence evaluators: tabulated values, dual routes, modular paths."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from aperylab.sequences import (
     apery_pair_mod,
     apery_walk_mod,
     harmonic_values,
+    harmonic_walk,
     seq_exact,
     seq_mod,
     t_closed_form,
@@ -105,6 +107,37 @@ def test_seq_exact_c_walks_its_own_sequence_once(monkeypatch, sid, walked, value
     monkeypatch.setattr(sequences, "apery_neighbours", recorded)
     assert seq_exact(sid, 7) == value
     assert calls == [(walked, 7)]
+
+
+def test_harmonic_walk_matches_fraction_sums_across_lcm_rescales():
+    # the walk's numerators over its running lcm denominators against sums
+    # of fractions.  l = lcm(1..k) gains a prime at k = 9, 25, 27, 49, 81,
+    # 121, 125 and 243, and d = lcm(1, 3, ..., 2k-1) at 2k - 1 = those
+    h = q = o = o2 = Fraction(0)
+    sums = [Fraction(0)] * 4
+    gains = {}
+    prev = None
+    for k, step in enumerate(islice(harmonic_walk(central=True), 251)):
+        l, hn, qn, d, on, o2n, central = step
+        if k:
+            h, q = h + Fraction(1, k), q + Fraction(1, k * k)
+            o, o2 = o + Fraction(1, 2 * k - 1), o2 + Fraction(1, (2 * k - 1) ** 2)
+            c = Fraction(comb(2 * k, k) ** 3, 64 ** k)
+            for i, w in enumerate((1, o, o2, o * o)):
+                sums[i] += c * w
+            gains[k] = (l // prev[0], d // prev[3])
+        assert (Fraction(hn, l), Fraction(qn, l * l)) == (h, q), k
+        assert (Fraction(on, d), Fraction(o2n, d * d)) == (o, o2), k
+        dens = (64 ** k, 64 ** k * d, 64 ** k * d * d, 64 ** k * d * d)
+        assert [Fraction(n, den) for n, den in zip(central, dens)] == sums, k
+        prev = step
+    for n, prime in ((9, 3), (25, 5), (27, 3), (49, 7), (81, 3), (121, 11), (125, 5), (243, 3)):
+        assert gains[n][0] == prime, n
+        assert gains[(n + 1) // 2][1] == prime, n
+    # the plain walk is the central one without its sums
+    plain = list(islice(harmonic_walk(), 251))
+    assert [s[:6] for s in plain] == [s[:6] for s in islice(harmonic_walk(True), 251)]
+    assert {s[6] for s in plain} == {None}
 
 
 def test_harmonic_values():

@@ -19,7 +19,6 @@ from aperylab.modring import (
 from aperylab.sequences import seq_mod, SeqId
 from aperylab.special import (
     bernoulli,
-    bernoulli_mod_p2,
     bernoulli_table,
     euler_pm3_mod,
     gamma_quarter_closed_form,
@@ -27,6 +26,7 @@ from aperylab.special import (
 )
 
 from oracles import (
+    bernoulli_mod_p2,
     euler_mod,
     fermat_quotient,
     gamma_product,
