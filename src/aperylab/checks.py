@@ -17,17 +17,19 @@ task, which covers every selected Lift and AtPrime row, every (m, r) and the
 per-prime identity.  Its rows read one _PrimeValues, which computes each
 value they share once, at its first use, and keeps nothing past the task.
 Before the tasks are dealt out, the sweep reads each prime's Lift reads once
-(_lift_reads) and plans one exact pass: the indices of A, A' and t that each
-prime's rows read, named as data (Lift.reads, AtPrime.seq), and for each
-sequence the bound up to which one exact walk (apery_values, t_values())
-costs less than the tasks' own routes, by one cost estimate (_pass_bounds,
-_pass_plan).  Beside them it plans one exact harmonic walk (harmonic_walk,
-_harmonic_plan) over the primes whose rows read B_{p-3} (a weighted Lift),
-E_{p-3} or the central sums (AtPrime.euler, .central), bounded by the same
-estimate; it carries the central sums only where a row reads them.  It
-walks each chosen sequence once, in increasing n, and hands each task its
-values mod p^e_max, and its Lift reads, inside the task tuple
-(_exact_residues, _harmonic_residues).
+(_lift_reads) and plans one exact pass over the value kinds of _KINDS, one
+row each: A, A' and t, at the indices that each prime's rows read, named as
+data (Lift.reads, AtPrime.reads), and the harmonic pair (H_{p-1}, Lehmer's
+sum) and the four central sums, at (p - 1)/2 where a weighted Lift, or an
+AtPrime row that reads .euler or .central, applies.  A row names the kind's
+exact walk (apery_values, t_values() or harmonic_walk), its reduction at a
+prime, the task's own route, and the costs of each.  One function plans
+every kind (_plan_kinds): the bound up to which one exact walk costs less
+than the tasks' own routes, by one cost estimate; one walk of harmonic_walk
+carries both harmonic kinds, with the central sums only where a row reads
+them.  One function walks each chosen kind once, in increasing n
+(_walk_kinds), and hands each task its values mod p^e_max, and its Lift
+reads, inside the task tuple.
 A task owns the prime's one factorial table, at the largest precision the
 rows need, and hands it to the kernels, pure functions of what they are
 given: for the A_n and A'_n that were not handed, at most one
@@ -201,178 +203,56 @@ def _walk_plan(p: int, e: int, reads: dict[SeqId, set[int]]) -> dict[SeqId, int]
     return plan
 
 
-# The harmonic walk (harmonic_walk) as a sequence of the exact pass: its
-# plain walk, which gives B_{p-3}, the bracket and E_{p-3}, is keyed SeqId.H;
-# the walk that carries the central sums besides is keyed CENTRAL.  A prime
-# reads either at (p - 1)/2.
-CENTRAL = "central"
-
-# The growth of one exact step, in apery_pair_mod terms (about 1 us each)
-# per 1000 indices, fitted to exact walks to 3000 and 10^4: on a 2-vCPU Xeon
-# with Python 3.11 those of A, A' and t took 23 / 269, 9.5 / 90 and
-# 27 / 398 ms, and a pair term 0.75-1.4 us.  A divides by the two-digit
-# (i+1)^3 past i = 1023, A' and t by nothing that wide.  Walks to a few
-# hundred take about half of this estimate.  The harmonic walk to 1500 and
-# 4986 took 9 / 77 ms, and 154 / 1930 ms with its central products.
-_EXACT_GROWTH = {SeqId.A: 2.7, SeqId.APRIME: 0.9, SeqId.T: 4.0, SeqId.H: 3.0, CENTRAL: 75.0}
-
-# A reduction at one prime is costed as one step of its walk, but for the
-# harmonic walks, whose steps multiply big integers and whose reductions
-# do not: those of the central walk took 15 / 52 / 174 us at k = 153 /
-# 1500 / 4986.
-_REDUCE_GROWTH = {SeqId.H: 8.0, CENTRAL: 16.0}
-
-# A prime task's own harmonic pass, in terms per unit of p: the table rows
-# to p - 1 (0.35 us a row at p = 9973, if no other read builds them),
-# _harmonic_sums (0.15 us) and, with the central sums, _central_sums
-# (0.8 us).
-_HARMONIC_ROUTE = {SeqId.H: 0.5, CENTRAL: 1.3}
-
-
-def _exact_cost(sid, n: int) -> float:
-    """The estimated cost of one exact walk of `sid` to n, in the terms of
-    _walk_cost: step i costs 1 + 2 g i / 1000 for g = _EXACT_GROWTH[sid]."""
-    return (n + 1) * (1 + _EXACT_GROWTH[sid] * n / 1000)
-
-
-def _route_costs(sid, p: int, e: int, ns: list[int]) -> list[float]:
-    """For the ascending reads ns of one sequence by a prime task, the
-    estimated cost of the task's own routes for the reads ns[k:], for
-    k = 0, ..., len(ns): a t_values(p^e) walk of t_0..t_p for t; a harmonic
-    pass (_HARMONIC_ROUTE) for the harmonic walk's one read; for A or A'
-    one apery_walk_mod walk to some read, each read above it a pair, as
-    _walk_plan plans one sequence.  A walk starts at 0, so the reads below
-    ns[k] do not lower the cost of walking to a read above them."""
-    if sid is SeqId.T:
-        return [p + 1.0] * len(ns) + [0.0]
-    if sid in _HARMONIC_ROUTE:
-        return [_HARMONIC_ROUTE[sid] * p] * len(ns) + [0.0]
-    costs, pairs, walked = [0.0], 0.0, float("inf")
-    for n in reversed(ns):
-        walked = min(walked, _walk_cost(sid, n, p, e) + pairs)
-        pairs += n + 1
-        costs.append(min(pairs, walked))
-    return costs[::-1]
-
-
-def _pass_bounds(reads: dict[int, dict], e: int,
-                 sids=(SeqId.A, SeqId.APRIME, SeqId.T)) -> dict:
-    """The end of the one exact walk of each sequence of `sids` that a sweep
-    hands its prime tasks, for tasks at the primes p that read reads[p] mod
-    p^e; a sequence with no exact walk is left out.  The bound is the read
-    that minimises the estimated cost: the exact walk to it (_exact_cost), one
-    reduction for each read up to it, costed as a step of that walk
-    (_REDUCE_GROWTH for the harmonic walks), and the tasks' own routes for
-    the reads above it (_route_costs).  So a sweep over many primes walks its
-    reads of size m p exactly, and a lone large prime, or a read of size
-    m p^2, keeps the task's routes."""
-    bounds = {}
-    for sid in sids:
-        ascending = {p: sorted(r[sid]) for p, r in reads.items() if r.get(sid)}
-        costs = {p: _route_costs(sid, p, e, ns) for p, ns in ascending.items()}
-        total = sum(c[0] for c in costs.values())
-        best, bound, reduced = total, -1, 0.0
-        g = _REDUCE_GROWTH.get(sid, _EXACT_GROWTH[sid])
-        events = sorted((n, p, k) for p, ns in ascending.items() for k, n in enumerate(ns))
-        for i, (n, p, k) in enumerate(events):
-            total += costs[p][k + 1] - costs[p][k]
-            reduced += 1 + 2 * g * n / 1000
-            if i + 1 < len(events) and events[i + 1][0] == n:
-                continue
-            cost = _exact_cost(sid, n) + reduced + total
-            if cost < best:
-                best, bound = cost, n
-        if bound >= 0:
-            bounds[sid] = bound
-    return bounds
-
-
-def _exact_residues(wanted: dict[SeqId, dict[int, list[int]]], e: int) -> dict:
-    """{p: {(sid, n): S_n mod p^e}} for each prime p in wanted[sid][n], from
-    one exact walk of each sequence (apery_values, or t_values with no
-    modulus), in increasing n, to its largest wanted index."""
-    out: dict = {}
-    for sid, readers in wanted.items():
-        walk = t_values() if sid is SeqId.T else apery_values(sid)
-        for n, value in enumerate(islice(walk, max(readers) + 1)):
-            for p in readers.get(n, ()):
-                out.setdefault(p, {})[sid, n] = value % p ** e
-    return out
-
-
-def _harmonic_residues(wanted: dict, e: int) -> dict:
-    """{p: {SeqId.H: (H_{p-1} mod p^e, sum_{k<=p/4} 1/k^2 mod p)}} for each
-    prime p in wanted[key][(p-1)/2], and CENTRAL: (S, S_O, S_O2, S_OO) mod p^e
-    besides for key CENTRAL (see _central_sums), from one exact walk
-    (harmonic_walk, with its central sums for CENTRAL) in increasing k to the
-    largest wanted index.  It reads Lehmer's sum at k = p // 4, and the rest
-    at k = (p - 1)/2, where H_{p-1} = O_k + H_k / 2; every denominator there
-    is prime to p."""
-    out: dict = {}
-    for key, readers in wanted.items():
-        quarters: dict[int, list[int]] = {}
-        for ps in readers.values():
-            for p in ps:
-                quarters.setdefault(p // 4, []).append(p)
-        lehmer = {}
-        walk = harmonic_walk(central=key == CENTRAL)
-        for k, (l, h, q, d, o, o2, sums) in enumerate(islice(walk, max(readers) + 1)):
-            for p in quarters.get(k, ()):
-                lehmer[p] = q * pow(l, -2, p) % p
-            for p in readers.get(k, ()):
-                m = p ** e
-                inv_d = pow(d, -1, m)
-                got = out.setdefault(p, {})
-                got[SeqId.H] = ((o % m * inv_d + h % m * pow(2 * l, -1, m)) % m, lehmer[p])
-                if sums:
-                    w, inv_d2 = pow(64, -k, m), inv_d * inv_d % m
-                    s, s_o, s_o2, s_oo = (v % m * w % m for v in sums)
-                    got[CENTRAL] = (s, s_o * inv_d % m, s_o2 * inv_d2 % m, s_oo * inv_d2 % m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the values at one prime
 
 class _PrimeValues:
     """The values the rows at one prime p read, each taken at its first use and
-    kept only as long as this object.  A_n, A'_n, t_n, the four central sums
-    and the harmonic pair (H_{p-1}, Lehmer's sum) are first looked up in
-    `handed`, the residues of the sweep's exact pass.  For the rest it owns
+    kept only as long as this object.  A value of a kind of _KINDS (A_n, A'_n,
+    t_n, the harmonic pair (H_{p-1}, Lehmer's sum) and the four central sums)
+    is first looked up in `handed`, the residues of the sweep's exact pass,
+    and else taken off the kind's task route, once.  For those routes it owns
     the prime's one factorial table, FactorialTable(p, e_max), and hands it
     to the kernels: A_n and A'_n from one walk per sequence (apery_walk_mod)
     to the reach that _walk_plan sets, and past it from the pair
-    (apery_pair_mod), once per index; the four central sums from one pass
-    (_central_sums) and the harmonic pair from another (_harmonic_sums);
-    p B_{p-1} from its entry (p-1)!; and the per-prime identity.  B_{p-3}
-    mod p, the bracket mod p^2 and E_{p-3} mod p are read off the harmonic
-    pair, with no power sum.  The single central binomials of thm2.1i,
-    lemma2.4, lemma2.6, thm3.3_tquarter and lemma2.5's closed form come from
-    math.comb instead.  Besides: t_0..t_p mod p^e_max from one walk, where no
-    t_n is handed, and Gamma_p(1/4)^4 mod p.  A row reduces what it reads to
-    its own modulus.  The kernels and FactorialTable are looked up in
-    this module when called, so a patched one is used.  The size cap is read
-    from APERY_LAB_SIZE_CAP when the object is made."""
+    (apery_pair_mod), once per index; t_0..t_p mod p^e_max from one walk; the
+    four central sums from one pass (_central_sums) and the harmonic pair
+    from another (_harmonic_sums).  Besides: p B_{p-1} from its entry (p-1)!,
+    the per-prime identity and Gamma_p(1/4)^4 mod p.  B_{p-3} mod p, the
+    bracket mod p^2 and E_{p-3} mod p are read off the harmonic pair, with no
+    power sum.  The single central binomials of thm2.1i, lemma2.4, lemma2.6,
+    thm3.3_tquarter and lemma2.5's closed form come from math.comb instead.
+    A row reduces what it reads to its own modulus.  The kernels and
+    FactorialTable are looked up in this module when called, so a patched
+    one is used.  The size cap is read from APERY_LAB_SIZE_CAP when the
+    object is made."""
 
     def __init__(self, pi: PrimeInfo, e_max: int, handed: Optional[dict] = None) -> None:
         self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
         self.e_max = e_max
         self.cap = _size_cap()
-        # {(sid, n): S_n mod p^e_max} from the sweep's exact pass
-        self.handed = handed or {}
+        # {(kind, n): value mod p^e_max}, handed by the sweep's exact pass
+        # (_walk_kinds) or kept from a route
+        self.values = dict(handed or {})
         # the end of each sequence's walk, planned from the Lift rows' reads
         self.reach: dict[SeqId, int] = {}
         self._walks: dict[SeqId, list[int]] = {}
         self._pairs: dict[int, tuple[int, int]] = {}
 
-    def apery(self, sid: SeqId, n: int) -> int:
-        """A_n or A'_n mod p^e_max: the handed residue if there is one.  Else
-        each sequence is walked at most once, at its first read, to its
-        planned reach (_walk_plan), or to that read when no Lift row reads
-        the sequence.  An index above the reach is read off apery_pair_mod,
-        whose first read of n takes both."""
-        if (sid, n) in self.handed:
-            return self.handed[sid, n]
+    def value(self, kind, n: int):
+        """The value of `kind` at n mod p^e_max: handed, or off the kind's
+        task route (_KINDS) at its first read."""
+        got = self.values.get((kind, n))
+        if got is None:
+            got = self.values[kind, n] = _KINDS[kind].route(self, kind, n)
+        return got
+
+    def walk_or_pair(self, sid: SeqId, n: int) -> int:
+        """A_n or A'_n mod p^e_max by the task's own routes.  Each sequence is
+        walked at most once, at its first read, to its planned reach
+        (_walk_plan), or to that read when no Lift row reads the sequence.
+        An index above the reach is read off apery_pair_mod, whose first read
+        of n takes both."""
         if sid not in self._walks:
             reach = self.reach.setdefault(sid, n)
             self._walks[sid] = apery_walk_mod(sid, reach, self.table) if reach >= 0 else []
@@ -390,29 +270,20 @@ class _PrimeValues:
         table.extend(self.p - 1)
         return table
 
-    def t(self, n: int) -> int:
-        """t_n mod p^e_max, n <= p: the handed residue if there is one, else
-        off one t_values(p^e_max) walk of t_0..t_p."""
-        got = self.handed.get((SeqId.T, n))
-        return self._t_walk[n] if got is None else got
-
     @cached_property
     def _t_walk(self) -> list[int]:
+        """t_0..t_p mod p^e_max, from one t_values(p^e_max) walk."""
         return list(islice(t_values(self.p ** self.e_max), self.p + 1))
 
-    @cached_property
+    @property
     def central_sums(self) -> tuple[int, int, int, int]:
-        """(S, S_O, S_O2, S_OO) mod p^e_max: handed, or from one pass
-        (_central_sums)."""
-        got = self.handed.get(CENTRAL)
-        return _central_sums(self.table) if got is None else got
+        """(S, S_O, S_O2, S_OO) mod p^e_max (see _central_sums)."""
+        return self.value(CENTRAL, (self.p - 1) // 2)
 
-    @cached_property
+    @property
     def harmonic(self) -> tuple[int, int]:
-        """(H_{p-1} mod p^e_max, sum_{k<=p/4} 1/k^2 mod p): handed, or from
-        one pass (_harmonic_sums)."""
-        got = self.handed.get(SeqId.H)
-        return _harmonic_sums(self.table) if got is None else got
+        """(H_{p-1} mod p^e_max, sum_{k<=p/4} 1/k^2 mod p)."""
+        return self.value(SeqId.H, (self.p - 1) // 2)
 
     @cached_property
     def bracket(self) -> int:
@@ -448,6 +319,83 @@ class _PrimeValues:
     def gamma4(self) -> int:
         """Gamma_p(1/4)^4 mod p, from padic_gamma at e = 1: fewer than p factors."""
         return pow(padic_gamma(Fraction(1, 4), self.p, 1).value, 4, self.p)
+
+
+# ---------------------------------------------------------------------------
+# the value kinds of a sweep's exact pass
+
+# The harmonic walk gives two kinds, each read at (p - 1)/2: the harmonic
+# pair (H_{p-1}, Lehmer's sum), keyed SeqId.H, and the central sums, keyed
+# CENTRAL, whose walk hands the pair too.
+CENTRAL = "central"
+
+
+def _reduce_value(got: dict, kind, step: int, n: int, p: int, e: int) -> None:
+    """S_n mod p^e for S = A, A' or t, read at n."""
+    got[kind, n] = step % p ** e
+
+
+def _reduce_harmonic(got: dict, kind, step: tuple, k: int, p: int, e: int) -> None:
+    """The step k of harmonic_walk at p: at k = p // 4, Lehmer's sum mod p,
+    kept in got until k = (p - 1)/2; there the harmonic pair, with
+    H_{p-1} = O_k + H_k / 2 mod p^e, and the central sums mod p^e where the
+    step carries them (see _central_sums).  Every denominator there is prime
+    to p."""
+    l, h, q, d, o, o2, sums = step
+    if k == p // 4:
+        got[kind, k] = q * pow(l, -2, p) % p
+        return
+    m = p ** e
+    inv_d = pow(d, -1, m)
+    got[SeqId.H, k] = ((o % m * inv_d + h % m * pow(2 * l, -1, m)) % m, got.pop((kind, p // 4)))
+    if sums:
+        w, inv_d2 = pow(64, -k, m), inv_d * inv_d % m
+        s, s_o, s_o2, s_oo = (v % m * w % m for v in sums)
+        got[CENTRAL, k] = (s, s_o * inv_d % m, s_o2 * inv_d2 % m, s_oo * inv_d2 % m)
+
+
+class _Kind(NamedTuple):
+    """A value kind of a sweep's exact pass: its exact walk from index 0, the
+    reduction of a step at a prime into the prime's handed values, the
+    task's own route where nothing is handed, and their costs in
+    apery_pair_mod terms.  Step i of the walk costs 1 + 2 growth i / 1000,
+    and its reduction 1 + 2 reduce_growth i / 1000.  The task's own pass
+    costs own = (a, b), a p + b terms, for the kind's reads at p; with no
+    own, each read of A or A' is walked or paired as _walk_plan plans it.
+    With quarter, the walk also stops at each prime's p // 4."""
+
+    walk: Callable
+    reduce: Callable
+    route: Callable
+    growth: float
+    reduce_growth: float
+    own: Optional[tuple[float, float]] = None
+    quarter: bool = False
+
+
+# The growths were fitted to exact walks to 3000 and 10^4, on a 2-vCPU Xeon
+# with Python 3.11: those of A, A' and t took 23 / 269, 9.5 / 90 and
+# 27 / 398 ms, and a pair term 0.75-1.4 us.  A divides by the two-digit
+# (i+1)^3 past i = 1023, A' and t by nothing that wide.  Walks to a few
+# hundred take about half of this estimate.  The harmonic walk to 1500 and
+# 4986 took 9 / 77 ms, and 154 / 1930 ms with its central products.  Its
+# steps multiply big integers and its reductions do not: those of the
+# central walk took 15 / 52 / 174 us at k = 153 / 1500 / 4986.  A task's own
+# harmonic pass costs, per unit of p, the table rows to p - 1 (0.35 us a row
+# at p = 9973, if no other read builds them), _harmonic_sums (0.15 us) and,
+# with the central sums, _central_sums (0.8 us); its t walk p + 1 terms.
+_KINDS = {
+    SeqId.A: _Kind(lambda: apery_values(SeqId.A), _reduce_value,
+                   _PrimeValues.walk_or_pair, 2.7, 2.7),
+    SeqId.APRIME: _Kind(lambda: apery_values(SeqId.APRIME), _reduce_value,
+                        _PrimeValues.walk_or_pair, 0.9, 0.9),
+    SeqId.T: _Kind(lambda: t_values(), _reduce_value,
+                   lambda at, kind, n: at._t_walk[n], 4.0, 4.0, (1.0, 1.0)),
+    SeqId.H: _Kind(lambda: harmonic_walk(), _reduce_harmonic,
+                   lambda at, kind, n: _harmonic_sums(at.table), 3.0, 8.0, (0.5, 0.0), True),
+    CENTRAL: _Kind(lambda: harmonic_walk(central=True), _reduce_harmonic,
+                   lambda at, kind, n: _central_sums(at.table), 75.0, 16.0, (1.3, 0.0), True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +448,14 @@ class Lift(NamedTuple):
         p = at.p
         hi, lo, *weight_at = self.reads(p, m, r, at.cap)
         modulus = p ** (3 * r + self.extra)
-        lhs, base = at.apery(self.sid, hi) % modulus, at.apery(self.sid, lo) % modulus
+        lhs, base = at.value(self.sid, hi) % modulus, at.value(self.sid, lo) % modulus
         if self.difference:
             lhs, base = (lhs - base) % modulus, 0
         corr = 0
         if self.weight:
             a, b, d = self.weight
             q = p * p
-            prev, cur = (at.apery(self.sid, n) for n in weight_at)
+            prev, cur = (at.value(self.sid, n) for n in weight_at)
             w = m ** 3 * (a * prev + b * cur)
             w = w * pow(d, -1, q) % q
             corr = w * (at.bracket if self.bracket else at.b3) * p ** (3 * r) % modulus
@@ -548,8 +496,7 @@ class AtPrime(NamedTuple):
         return ((sid, (p + c) // d),)
 
     def __call__(self, at: _PrimeValues):
-        values = [at.t(n) if sid is SeqId.T else at.apery(sid, n)
-                  for sid, n in self.reads(at.p, at.klass)]
+        values = [at.value(*read) for read in self.reads(at.p, at.klass)]
         modulus = at.p ** self.e
         lhs, rhs, *sign = self.sides(at, modulus, *values)
         return modulus, lhs % modulus, rhs % modulus, sign[0] if sign else None
@@ -817,7 +764,7 @@ def _prime_results(names: Sequence[str], p: int, m_list, r_list,
         lifts = _lift_reads([row for _, row in rows], p, m_list, r_list, at.cap)
     at.reach = _walk_plan(p, e_max, {
         sid: left for sid in (SeqId.A, SeqId.APRIME)
-        if (left := {n for n in lifts.get(sid, ()) if (sid, n) not in at.handed})
+        if (left := {n for n in lifts.get(sid, ()) if (sid, n) not in at.values})
     })
     out = []
     for name, row in rows:
@@ -970,59 +917,93 @@ def _prime_list(primes) -> list[int]:
     return sorted({int(p) for p in primes})
 
 
-def _pass_plan(names, primes, m_list, r_list, lifts: Optional[dict] = None,
-               ) -> tuple[dict, int]:
-    """(wanted, e_max) for the exact pass of a sweep's prime tasks: the reads
-    of A, A' and t by the named rows at each prime up to the bound that
-    _pass_bounds sets for each sequence, as wanted[sid][n], the primes that
-    read S_n, and the tasks' precision.  The tasks read every other index by
-    their own routes.  lifts[p] are the Lift rows' reads at p, where the
-    sweep has read them (_lift_reads)."""
+def _plan_kinds(names, primes, m_list, r_list, lifts: Optional[dict] = None,
+                ) -> tuple[dict, int]:
+    """(plan, e_max) for the exact pass of a sweep's prime tasks: plan[kind][n]
+    lists the primes whose tasks are handed the value of `kind` at n
+    (_walk_kinds), and e_max is the tasks' precision.  A prime p reads A, A'
+    and t at its rows' indices (Lift.reads, AtPrime.reads), and the harmonic
+    pair, or the central sums, at (p - 1)/2 where a weighted Lift or an
+    AtPrime row that reads .euler, or .central, applies; lifts[p] are the
+    Lift rows' reads at p, where the sweep has read them (_lift_reads).  Where
+    any prime reads the central sums, every harmonic read is one of them, so
+    one walk carries both kinds.
+
+    Each kind is walked to the read that minimises one cost estimate (see
+    _Kind): the exact walk to it, one reduction for each read up to it, and
+    the tasks' own routes for the reads above it.  So a sweep over many
+    primes walks its reads of size m p exactly, and a lone large prime, or a
+    read of size m p^2, keeps the task's routes."""
     rows = [CHECKS[name].runner for name in names]
-    e_max, cap = _e_max(rows, r_list), _size_cap()
-    seq_rows = [row for row in rows if isinstance(row, AtPrime) and row.seq]
+    e, cap = _e_max(rows, r_list), _size_cap()
     reads = {}
     for p in primes:
         got = _lift_reads(rows, p, m_list, r_list, cap) if lifts is None else lifts[p]
-        reads[p] = got = {sid: set(ns) for sid, ns in got.items()}
-        for row in seq_rows:
-            with suppress(SkipCheck):
-                for sid, n in row.reads(p, p % 4):
-                    got.setdefault(sid, set()).add(n)
-    wanted = {}
-    for sid, bound in _pass_bounds(reads, e_max).items():
-        readers = wanted[sid] = {}
-        for p, got in reads.items():
-            for n in got.get(sid, ()):
-                if n <= bound:
-                    readers.setdefault(n, []).append(p)
-    return wanted, e_max
+        reads[p] = got = {kind: set(ns) for kind, ns in got.items()}
+        for row in rows:
+            if isinstance(row, AtPrime):
+                with suppress(SkipCheck):
+                    for kind, n in row.reads(p, p % 4):
+                        got.setdefault(kind, set()).add(n)
+                    for kind in (CENTRAL,) * row.central + (SeqId.H,) * row.euler:
+                        got.setdefault(kind, set()).add((p - 1) // 2)
+    if any(CENTRAL in got for got in reads.values()):
+        for got in reads.values():
+            if SeqId.H in got:
+                got[CENTRAL] = got.pop(SeqId.H)
+    plan = {}
+    for kind, row in _KINDS.items():
+        ascending = {p: sorted(got[kind]) for p, got in reads.items() if got.get(kind)}
+        # costs[p][k]: the task's own routes for the reads ns[k:] at p
+        costs = {}
+        for p, ns in ascending.items():
+            if row.own:
+                costs[p] = [row.own[0] * p + row.own[1]] * len(ns) + [0.0]
+                continue
+            # one walk to some read, each read above it a pair; a walk starts
+            # at 0, so the reads below ns[k] do not lower its cost
+            costs[p], pairs, walked = [0.0], 0.0, float("inf")
+            for n in reversed(ns):
+                walked = min(walked, _walk_cost(kind, n, p, e) + pairs)
+                pairs += n + 1
+                costs[p].append(min(pairs, walked))
+            costs[p].reverse()
+        total = sum(c[0] for c in costs.values())
+        best, bound, reduced = total, -1, 0.0
+        events = sorted((n, p, k) for p, ns in ascending.items() for k, n in enumerate(ns))
+        for i, (n, p, k) in enumerate(events):
+            total += costs[p][k + 1] - costs[p][k]
+            reduced += 1 + 2 * row.reduce_growth * n / 1000
+            if i + 1 < len(events) and events[i + 1][0] == n:
+                continue
+            cost = (n + 1) * (1 + row.growth * n / 1000) + reduced + total
+            if cost < best:
+                best, bound = cost, n
+        readers: dict[int, list[int]] = {}
+        for n, p, _ in events:
+            if n <= bound:
+                readers.setdefault(n, []).append(p)
+        if readers:
+            plan[kind] = readers
+    return plan, e
 
 
-def _harmonic_plan(rows, primes, lifts: dict, e: int) -> dict:
-    """{key: {(p-1)/2: [p, ...]}} for the sweep's one exact harmonic walk
-    (_harmonic_residues): the primes p at which a weighted Lift row reads B
-    (SeqId.H in lifts[p]) or an AtPrime row reads E_{p-3} or the central
-    sums, up to the bound that _pass_bounds sets.  key is CENTRAL where a
-    row reads the central sums at some prime, else SeqId.H.  Empty where no
-    row reads them, or where the tasks' own passes cost less."""
-    harmonic = [row for row in rows if isinstance(row, AtPrime) and (row.central or row.euler)]
-    reads, central = {}, False
-    for p in primes:
-        read = SeqId.H in lifts[p]
-        for row in harmonic:
-            with suppress(SkipCheck):
-                row.reads(p, p % 4)
-                read, central = True, central or row.central
-        if read:
-            reads[p] = (p - 1) // 2
-    key = CENTRAL if central else SeqId.H
-    bound = _pass_bounds({p: {key: {n}} for p, n in reads.items()}, e, (key,)).get(key, -1)
-    readers: dict[int, list[int]] = {}
-    for p, n in reads.items():
-        if n <= bound:
-            readers.setdefault(n, []).append(p)
-    return {key: readers} if readers else {}
+def _walk_kinds(plan: dict, e: int) -> dict:
+    """{p: {(kind, n): value mod p^e}} for each prime p of plan[kind][n], from
+    one exact walk of each planned kind (_KINDS), in increasing n, to its
+    largest read, each step reduced at the primes that read it (and, for a
+    harmonic kind, at those whose p // 4 it is)."""
+    out: dict = {}
+    for kind, readers in plan.items():
+        row, stops = _KINDS[kind], {}
+        for n, ps in readers.items():
+            for p in ps:
+                for k in (p // 4, n) if row.quarter else (n,):
+                    stops.setdefault(k, []).append(p)
+        for k, step in enumerate(islice(row.walk(), max(readers) + 1)):
+            for p in stops.get(k, ()):
+                row.reduce(out.setdefault(p, {}), kind, step, k, p, e)
+    return out
 
 
 def sweep(
@@ -1057,11 +1038,7 @@ def sweep(
     if at_prime:
         rows, cap = [CHECKS[name].runner for name in at_prime], _size_cap()
         lifts = {p: _lift_reads(rows, p, m_list, r_list, cap) for p in plist}
-        wanted, e_max = _pass_plan(at_prime, plist, m_list, r_list, lifts)
-        handed = _exact_residues(wanted, e_max)
-        harmonic = _harmonic_residues(_harmonic_plan(rows, plist, lifts, e_max), e_max)
-        for p, values in harmonic.items():
-            handed.setdefault(p, {}).update(values)
+        handed = _walk_kinds(*_plan_kinds(at_prime, plist, m_list, r_list, lifts))
         tasks.extend((at_prime, p, m_list, r_list, handed.get(p, {}), lifts[p]) for p in plist)
 
     workers = min(jobs, usable_cpus(), len(tasks))

@@ -8,10 +8,10 @@ both sides of the hardest identities, checked numerically over the range.
 The rational verifiers sum in plain ints: each call puts its values over one
 common denominator, keeps integer numerators through the O(n^2) binomial
 sums, and forms a Fraction only for the spot or counterexample it reports.
-The O_k and O2_k values come from one walk of sequences.harmonic_family,
-rescaled to the lcm of the walk's odd denominators, squared, times a power
-of 4; t_n comes from one walk of t_values.  The lemma2.1 and thm3.2 families
-build both sides' numerators in one helper each (_lemma21_sides,
+The O_k and O2_k values come from one walk of sequences.harmonic_walk,
+their numerators scaled to the last step's odd denominator, squared, times a
+power of 4; t_n comes from one walk of t_values.  The lemma2.1 and thm3.2
+families build both sides' numerators in one helper each (_lemma21_sides,
 _thm32_sums), which the identity and its certificate both read.  gf_oracle
 multiplies exactcore's integer series.  eq22_congruence reads its binomials
 off the factorial table it is handed, the one its prime's sweep task owns.
@@ -24,12 +24,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import NamedTuple, Union
 
 from .exactcore import series_arctanh, series_inv_sqrt_one_minus_x2, series_mul
 from .modring import FactorialTable
-from .sequences import harmonic_family, t_closed_form, t_values
+from .sequences import harmonic_walk, t_closed_form, t_values
 
 Value = Union[int, Fraction]
 
@@ -48,16 +48,14 @@ def _fail(n: int, lhs: Value, rhs: Value, modulus: int | None = None) -> Identit
 
 def _harmonic_numerators(count: int) -> tuple[list[int], list[int], int]:
     """O_k^2 and O2_k for k < count, from one harmonic walk, as integer
-    numerators over one denominator q = lcm(L^2, the O2_k denominators), L
-    the lcm of the O_k denominators.  For the walk's values q is the lcm of
-    1, 3, ..., 2 count - 3, squared; it is read off the values, so it is a
-    common denominator whatever values the walk yields."""
-    walk = [(o, o2) for _, o, o2 in islice(harmonic_family(), count)]
-    lo = lcm(*(o.denominator for o, _ in walk))
-    q = lcm(lo * lo, *(o2.denominator for _, o2 in walk))
-    scale = q // (lo * lo)
-    squares = [(o.numerator * (lo // o.denominator)) ** 2 * scale for o, _ in walk]
-    return squares, [o2.numerator * (q // o2.denominator) for _, o2 in walk], q
+    numerators over one denominator q = d^2, with d = lcm(1, 3, ..., 2 count - 3)
+    the walk's last odd denominator: the walk's O_k = o / d_k and
+    O2_k = o2 / d_k^2 are scaled by d / d_k and its square."""
+    walk = [(d, o, o2) for _, _, _, d, o, o2, _ in islice(harmonic_walk(), count)]
+    top = walk[-1][0]
+    scales = [top // d for d, _, _ in walk]
+    return ([(o * s) ** 2 for (_, o, _), s in zip(walk, scales)],
+            [o2 * s * s for (_, _, o2), s in zip(walk, scales)], top * top)
 
 
 def _weighted_d(count: int, sign: int) -> tuple[list[int], int]:

@@ -7,12 +7,11 @@ closed form as a second route, summed as one integer numerator over 4^n.
 harmonic_walk is the one exact walk of the harmonic sums: H_k, the sum of
 1/j^2, O_k and O2_k as integer numerators over running lcm denominators,
 and, where asked, the four central sums sum_j binom(2j,j)^3/64^j (1, O_j,
-O2_j, O_j^2).  harmonic_family reads the Fractions H, O, O2 off it, and
-D = O^2 - O2 is formed where it is read; neither keeps a value between calls.
-The identity verifiers rescale harmonic_family's O and O2 to integer
-numerators over a common denominator of their own, and a sweep's exact
-harmonic walk (checks) reduces the walk at each prime's p // 4 and
-(p - 1)/2.  apery_values is the one exact walk
+O2_j, O_j^2).  harmonic_values forms the Fractions H_n, O_n, O2_n and
+D_n = O_n^2 - O2_n once, off the walk's n-th step.  The identity verifiers
+scale the walk's O and O2 numerators to the last step's denominator, and a
+sweep's exact harmonic walk (checks) reduces the walk at each prime's p // 4
+and (p - 1)/2.  apery_values is the one exact walk
 of A or A'; apery_neighbours reads (S_{n-1}, S_n) off it for the exact
 outputs, and a sweep's exact pass (checks) reads it and t_values() in
 increasing n, reducing each value at the primes that read it.
@@ -164,20 +163,14 @@ def harmonic_walk(central: bool = False):
         yield l, h, q, d, o, o2, sums
 
 
-def harmonic_family():
-    """(H_n, O_n, O2_n) for n = 0, 1, ..., read off harmonic_walk, with
-    O_n = sum 1/(2i-1) and O2_n = sum 1/(2i-1)^2.  D_n = O_n^2 - O2_n is left
-    to the reader."""
-    for l, h, _, d, o, o2, _ in harmonic_walk():
-        yield Fraction(h, l), Fraction(o, d), Fraction(o2, d * d)
-
-
 def harmonic_values(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(H_n, O_n, O2_n, D_n), with D_n = O_n^2 - O2_n, read off harmonic_family."""
+    """(H_n, O_n, O2_n, D_n), with D_n = O_n^2 - O2_n, from the n-th step of
+    harmonic_walk: three Fractions, each formed once."""
     if n < 0:
         raise ValueError("need n >= 0")
-    h, o, o2 = next(islice(harmonic_family(), n, None))
-    return h, o, o2, o * o - o2
+    l, h, _, d, o, o2, _ = next(islice(harmonic_walk(), n, None))
+    o, o2 = Fraction(o, d), Fraction(o2, d * d)
+    return Fraction(h, l), o, o2, o * o - o2
 
 
 def seq_exact(sid: SeqId, n: int):

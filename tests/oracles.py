@@ -4,12 +4,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import comb, factorial, prod
 
 from aperylab.identities import IdentityOutcome, _fail
 from aperylab.modring import FactorialTable, NotPIntegral, Residue, reduce_rat
-from aperylab.sequences import SeqId, harmonic_family, t_values
+from aperylab.sequences import SeqId, t_values
 from aperylab.special import bernoulli
 
 
@@ -304,9 +303,11 @@ def eq22_comb(p: int) -> IdentityOutcome:
 
 # ---------------------------------------------------------------------------
 # The identity verifiers and t's closed form summed in Fraction arithmetic,
-# term by term: the oracles of identities' integer-numerator sums.  Each
-# reads harmonic_family, t_values and comb through this module, so a test
-# that patches one of them here and in identities shifts both routes alike.
+# term by term: the oracles of identities' integer-numerator sums.  They sum
+# O_k and O2_k themselves (odd_harmonics), apart from the program's harmonic
+# walk, and read odd_harmonics, t_values and comb through this module, so a
+# test that patches one of them here, and its counterpart in identities,
+# shifts both routes alike.
 
 def t_closed_form(n: int) -> Fraction:
     """(2n+1)! sum_{k=0}^n binom(2k,k) / (4^k (2(n-k)+1)); equals t_n."""
@@ -316,11 +317,22 @@ def t_closed_form(n: int) -> Fraction:
     return factorial(2 * n + 1) * s
 
 
+def odd_harmonics(count: int) -> list[tuple[Fraction, Fraction]]:
+    """(O_k, O2_k) for k < count, O_k = sum_{i<=k} 1/(2i-1) and
+    O2_k = sum_{i<=k} 1/(2i-1)^2, summed term by term."""
+    o = o2 = Fraction(0)
+    out = [(o, o2)]
+    for j in range(1, 2 * count - 2, 2):
+        o, o2 = o + Fraction(1, j), o2 + Fraction(1, j * j)
+        out.append((o, o2))
+    return out
+
+
 def _weighted_d(count: int, base: int) -> list[Fraction]:
-    """(binom(2k,k)/base^k) D_k for k < count, from one harmonic walk."""
+    """(binom(2k,k)/base^k) D_k for k < count."""
     return [
         Fraction(comb(2 * k, k), base ** k) * (o * o - o2)
-        for k, (_, o, o2) in enumerate(islice(harmonic_family(), count))
+        for k, (o, o2) in enumerate(odd_harmonics(count))
     ]
 
 
@@ -428,9 +440,9 @@ def thm31_dual(max_n: int) -> IdentityOutcome:
 def _thm32_sums(ns: range) -> tuple[list[Fraction], list[Fraction]]:
     """For n in ns, sum_{k=0}^{2n+1} binom(2n+1+k,2k) binom(2k,k)^2 (-4)^(-k) w_k
     with w_k = O2_k, and with w_k = O_k^2: the two weighted sides of
-    thm32_identity, from one harmonic walk."""
+    thm32_identity."""
     o2s, squares = [], []
-    for k, (_, o, o2) in enumerate(islice(harmonic_family(), 2 * ns[-1] + 2)):
+    for k, (o, o2) in enumerate(odd_harmonics(2 * ns[-1] + 2)):
         c = Fraction(comb(2 * k, k) ** 2, (-4) ** k)
         o2s.append(c * o2)
         squares.append(c * o * o)

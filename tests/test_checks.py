@@ -71,16 +71,16 @@ def shifted_table(index):
 
 
 def shift_apery(monkeypatch, shift, first=lambda q: 0,
-                routes=("apery_walk_mod", "apery_pair_mod", "_exact_residues")):
+                routes=("apery_walk_mod", "apery_pair_mod", "_walk_kinds")):
     """Moves every Apery value a prime task reads at an index n >= first(p)
     by shift(p, e) mod p^e, on the named routes of checks: the walk of one
     sequence (apery_walk_mod), the pair at one index (apery_pair_mod) and the
-    residues that a sweep's exact pass hands its tasks (_exact_residues).
-    Returns the calls made to them as (route, n), n the walk's end, the
-    pair's index or the pass's largest index."""
+    A and A' residues that a sweep's exact pass hands its tasks
+    (_walk_kinds).  Returns the calls made to them as (route, n), n the
+    walk's end, the pair's index or the pass's largest read."""
     calls = []
     real_walk, real_pair = checks.apery_walk_mod, checks.apery_pair_mod
-    real_exact = checks._exact_residues
+    real_kinds = checks._walk_kinds
 
     def moved(v, n, q, e):
         return (v + shift(q, e)) % q ** e if n >= first(q) else v
@@ -94,17 +94,16 @@ def shift_apery(monkeypatch, shift, first=lambda q: 0,
         calls.append(("apery_pair_mod", n))
         return tuple(moved(v, n, table.p, table.e) for v in real_pair(n, table))
 
-    def exact(wanted, e):
-        calls.append(("_exact_residues", max((n for ns in wanted.values() for n in ns),
-                                             default=-1)))
+    def kinds(plan, e):
+        calls.append(("_walk_kinds", max((n for ns in plan.values() for n in ns), default=-1)))
         return {
-            q: {(sid, n): v if sid is SeqId.T else moved(v, n, q, e)
-                for (sid, n), v in values.items()}
-            for q, values in real_exact(wanted, e).items()
+            q: {(kind, n): moved(v, n, q, e) if kind in (SeqId.A, SeqId.APRIME) else v
+                for (kind, n), v in values.items()}
+            for q, values in real_kinds(plan, e).items()
         }
 
     for route, fake in (("apery_walk_mod", walk), ("apery_pair_mod", pair),
-                        ("_exact_residues", exact)):
+                        ("_walk_kinds", kinds)):
         if route in routes:
             monkeypatch.setattr(checks, route, fake)
     return calls
@@ -115,27 +114,27 @@ def shift_harmonic(monkeypatch, central=None, harmonic=None):
     the central sums by central(q, e, sums), and (H_{p-1} mod p^e, Lehmer's
     sum mod p) by harmonic(q, e, values), on the task's own passes
     (_central_sums, _harmonic_sums) and on the residues of a sweep's exact
-    harmonic walk (_harmonic_residues)."""
+    harmonic walk (_walk_kinds)."""
     def keep(q, e, values):
         return values
 
     central, harmonic = central or keep, harmonic or keep
     real_central, real_harmonic = checks._central_sums, checks._harmonic_sums
-    real_walk = checks._harmonic_residues
+    real_kinds = checks._walk_kinds
+    moves = {SeqId.H: harmonic, CENTRAL: central}
 
-    def walk(wanted, e):
-        out = real_walk(wanted, e)
-        for q, got in out.items():
-            got[SeqId.H] = harmonic(q, e, got[SeqId.H])
-            if CENTRAL in got:
-                got[CENTRAL] = central(q, e, got[CENTRAL])
-        return out
+    def kinds(plan, e):
+        return {
+            q: {(kind, n): moves[kind](q, e, v) if kind in moves else v
+                for (kind, n), v in values.items()}
+            for q, values in real_kinds(plan, e).items()
+        }
 
     monkeypatch.setattr(checks, "_central_sums",
                         lambda table: central(table.p, table.e, real_central(table)))
     monkeypatch.setattr(checks, "_harmonic_sums",
                         lambda table: harmonic(table.p, table.e, real_harmonic(table)))
-    monkeypatch.setattr(checks, "_harmonic_residues", walk)
+    monkeypatch.setattr(checks, "_walk_kinds", kinds)
 
 
 def test_registry_shape():
@@ -678,7 +677,7 @@ def test_prime_task_reads_each_value_once(monkeypatch):
 
         monkeypatch.setattr(checks, kernel, wrapper)
 
-    for kernel in ("apery_values", "t_values", "_exact_residues", "_harmonic_residues",
+    for kernel in ("apery_values", "t_values", "_walk_kinds",
                    "apery_walk_mod", "apery_pair_mod", "_central_sums", "_harmonic_sums",
                    "padic_gamma"):
         counted(kernel)
@@ -687,12 +686,13 @@ def test_prime_task_reads_each_value_once(monkeypatch):
     # the exact walks: apery_values takes the sid, t_values no modulus
     assert sorted(c[1] for c in calls if c[0] == "apery_values") == [SeqId.A, SeqId.APRIME]
     assert [c for c in calls if c[0] == "t_values"] == [("t_values",)]
-    assert [c[2] for c in calls if c[0] == "_exact_residues"] == [5]
     assert not [c for c in calls if c[0] in ("apery_walk_mod", "apery_pair_mod")]
-    # e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at r = 1; every prime reads
-    # the walk's values at (p - 1)/2
-    walks = [c[1:] for c in calls if c[0] == "_harmonic_residues"]
-    assert [(list(wanted), e) for wanted, e in walks] == [([CENTRAL], 5)]
+    # one exact pass, at e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at
+    # r = 1: A, A', t and the harmonic walk with its central sums, whose
+    # values every prime reads at (p - 1)/2
+    walks = [c[1:] for c in calls if c[0] == "_walk_kinds"]
+    assert [(list(plan), e) for plan, e in walks] == [
+        ([SeqId.A, SeqId.APRIME, SeqId.T, CENTRAL], 5)]
     assert sorted(q for ps in walks[0][0][CENTRAL].values() for q in ps) == primes
     assert not [c for c in calls if c[0] in ("_central_sums", "_harmonic_sums")]
     for q in primes:
@@ -754,9 +754,9 @@ def test_lift_task_reads_each_value_once(monkeypatch):
     # one precision per prime, one exact walk per sequence per sweep, in each
     # task at most one walk per sequence and each pair index once for both
     # sequences; B off one exact harmonic walk, read at every prime
-    apery_calls, bern_calls, exact_calls, tasks = [], [], [], []
+    apery_calls, pass_calls, tasks = [], [], []
     real_walk, real_pair = checks.apery_walk_mod, checks.apery_pair_mod
-    real_bern, real_exact = checks._harmonic_residues, checks._exact_residues
+    real_kinds = checks._walk_kinds
     real_values = checks._PrimeValues
 
     def walk(sid, n, table):
@@ -767,16 +767,12 @@ def test_lift_task_reads_each_value_once(monkeypatch):
         apery_calls.append((n, table.p, table.e))
         return real_pair(n, table)
 
-    def bern(wanted, e):
-        bern_calls.append((wanted, e))
-        return real_bern(wanted, e)
-
     def refuse(table):
         raise AssertionError(f"a harmonic pass at p = {table.p}")
 
-    def exact(wanted, e):
-        exact_calls.append((sorted(wanted), e))
-        return real_exact(wanted, e)
+    def kinds(plan, e):
+        pass_calls.append((plan, e))
+        return real_kinds(plan, e)
 
     def values(pi, e_max, handed):
         tasks.append((pi.p, e_max))
@@ -784,17 +780,17 @@ def test_lift_task_reads_each_value_once(monkeypatch):
 
     monkeypatch.setattr(checks, "apery_walk_mod", walk)
     monkeypatch.setattr(checks, "apery_pair_mod", pair)
-    monkeypatch.setattr(checks, "_harmonic_residues", bern)
     monkeypatch.setattr(checks, "_harmonic_sums", refuse)
-    monkeypatch.setattr(checks, "_exact_residues", exact)
+    monkeypatch.setattr(checks, "_walk_kinds", kinds)
     monkeypatch.setattr(checks, "_PrimeValues", values)
     primes = [pi.p for pi in primes_in_range(7, 40)]
     sweep(LIFT_CHECKS, (7, 40), m_list=[1, 2], r_list=[1, 2])
-    assert exact_calls == [([SeqId.A, SeqId.APRIME], 8)]
+    assert [(list(plan), e) for plan, e in pass_calls] == [
+        ([SeqId.A, SeqId.APRIME, SeqId.H], 8)]
     assert tasks == [(q, 8) for q in primes]
     assert len(apery_calls) == len(set(apery_calls))
     assert {(q, e) for _, q, e in apery_calls} <= {(q, 8) for q in primes}
-    assert bern_calls == [({SeqId.H: {(q - 1) // 2: [q] for q in primes}}, 8)]
+    assert pass_calls[0][0][SeqId.H] == {(q - 1) // 2: [q] for q in primes}
 
 
 def test_lift_sweep_fails_when_kernel_is_perturbed(monkeypatch):
@@ -864,7 +860,7 @@ def test_exact_pass_matches_the_task_walks_past_27_and_81_at_p3(sid):
     # v_3(n!) jumps by 3 at 27 and by 4 at 81, where the walks mod 3^e
     # divide the most digits out
     for e in range(1, 9):
-        got = checks._exact_residues({sid: {n: [3] for n in range(101)}}, e)
+        got = checks._walk_kinds({sid: {n: [3] for n in range(101)}}, e)
         assert [got[3][sid, n] for n in range(101)] == task_route(sid, 3, e, 100), e
 
 
@@ -880,7 +876,7 @@ def test_exact_pass_matches_the_task_routes_next_to_p_and_p2(e):
     for p in primes:
         for n in reads[p]:
             readers.setdefault(n, []).append(p)
-    got = checks._exact_residues({SeqId.A: readers, SeqId.APRIME: readers}, e)
+    got = checks._walk_kinds({SeqId.A: readers, SeqId.APRIME: readers}, e)
     for p in primes:
         assert set(got[p]) == {(sid, n) for sid in (SeqId.A, SeqId.APRIME) for n in reads[p]}
         table = FactorialTable(p, e)
@@ -893,10 +889,10 @@ def test_exact_pass_matches_the_task_routes_next_to_p_and_p2(e):
 
 def test_exact_pass_hands_t_at_a_quarter():
     # thm3.3_tquarter reads t_{(p-3)/4}: t_0 at p = 3, t_1 at p = 7
-    wanted, e_max = checks._pass_plan(["thm3.3_tquarter"], [3, 7], [1], [1])
-    assert (wanted, e_max) == ({SeqId.T: {0: [3], 1: [7]}}, 1)
+    plan, e_max = checks._plan_kinds(["thm3.3_tquarter"], [3, 7], [1], [1])
+    assert (plan, e_max) == ({SeqId.T: {0: [3], 1: [7]}}, 1)
     for e in range(1, 9):
-        got = checks._exact_residues(wanted, e)
+        got = checks._walk_kinds(plan, e)
         assert got == {3: {(SeqId.T, 0): task_route(SeqId.T, 3, e, 0)[0]},
                        7: {(SeqId.T, 1): task_route(SeqId.T, 7, e, 1)[1]}}
 
@@ -928,12 +924,12 @@ def test_sweeps_at_small_primes_read_only_the_exact_pass(monkeypatch):
 def test_lone_large_prime_keeps_the_task_walk(monkeypatch):
     # an exact walk to m p costs O((m p)^2) bits: at p = 9973 and m <= 6 the
     # task's walks mod p^5 cost less, while p <= 10^4 at m = 1 takes the pass
-    # for every read
-    assert checks._pass_plan(LIFT_CHECKS, [9973], range(1, 7), [1]) == ({}, 5)
+    # for every read, and the harmonic walk for every B
+    assert checks._plan_kinds(LIFT_CHECKS, [9973], range(1, 7), [1]) == ({}, 5)
     primes = [pi.p for pi in primes_in_range(3, 10 ** 4)]
-    wanted, _ = checks._pass_plan(LIFT_CHECKS, primes, [1], [1])
-    assert {sid: max(readers) for sid, readers in wanted.items()} == {
-        SeqId.A: 9973, SeqId.APRIME: 9973}
+    plan, _ = checks._plan_kinds(LIFT_CHECKS, primes, [1], [1])
+    assert {kind: max(readers) for kind, readers in plan.items()} == {
+        SeqId.A: 9973, SeqId.APRIME: 9973, SeqId.H: 4986}
     calls = []
     real = checks.apery_walk_mod
 
@@ -960,7 +956,7 @@ def harmonic_handed(primes, e):
     readers = {}
     for p in primes:
         readers.setdefault((p - 1) // 2, []).append(p)
-    return checks._harmonic_residues({CENTRAL: readers}, e)
+    return checks._walk_kinds({CENTRAL: readers}, e)
 
 
 def test_harmonic_walk_matches_the_task_passes():
@@ -970,9 +966,10 @@ def test_harmonic_walk_matches_the_task_passes():
         walked = harmonic_handed(PRIMES_7_3000, e)
         for p in PRIMES_7_3000:
             table = FactorialTable(p, e)
-            got = walked[p]
-            assert got[CENTRAL] == checks._central_sums(table), (p, e)
-            assert got[SeqId.H] == checks._harmonic_sums(table), (p, e)
+            got, half = walked[p], (p - 1) // 2
+            assert set(got) == {(SeqId.H, half), (CENTRAL, half)}, (p, e)
+            assert got[CENTRAL, half] == checks._central_sums(table), (p, e)
+            assert got[SeqId.H, half] == checks._harmonic_sums(table), (p, e)
             if e == 4:
                 values = checks._PrimeValues(prime_info(p), e, got)
                 own = checks._PrimeValues(prime_info(p), e)
@@ -1042,14 +1039,11 @@ def test_lone_large_prime_keeps_the_task_harmonic_pass(monkeypatch):
     # one exact walk to (p-1)/2 = 4986, with its central products, costs far
     # more than one task's passes at p = 9973; and rows that read no harmonic
     # value plan no walk at all
-    rows = [CHECKS[name].runner for name in HARMONIC_ROWS]
-    lifts = {9973: checks._lift_reads(rows, 9973, [1], [1], checks.DEFAULT_SIZE_CAP)}
-    assert checks._harmonic_plan(rows, [9973], lifts, 5) == {}
+    assert checks._plan_kinds(HARMONIC_ROWS, [9973], [1], [1]) == ({}, 5)
     primes = [pi.p for pi in primes_in_range(3, 300)]
     for names in (["beukers_a", "beukers_aprime"], [n for n in CHECKS if n.startswith("thm3.3")]):
-        rows = [CHECKS[name].runner for name in names]
-        lifts = {p: checks._lift_reads(rows, p, [1, 2], [1], 10 ** 5) for p in primes}
-        assert checks._harmonic_plan(rows, primes, lifts, 5) == {}, names
+        plan, _ = checks._plan_kinds(names, primes, [1, 2], [1])
+        assert not {SeqId.H, CENTRAL} & set(plan), names
 
     def refuse(central=False):
         raise AssertionError("exact harmonic walk")
@@ -1059,6 +1053,99 @@ def test_lone_large_prime_keeps_the_task_harmonic_pass(monkeypatch):
     assert [res.verdict for res in got] == ["pass"] * 6
     got = sweep(["beukers_a", "beukers_aprime", "thm3.3_tp"], (3, 300), m_list=[1, 2])
     assert {res.verdict for res in got} == {"pass", "skip"}
+
+
+AT_PRIME_NAMES = [name for name in CHECKS if not checks.fixed_range(name)]
+THM33_ROWS = [name for name in CHECKS if name.startswith("thm3.3")]
+
+
+@pytest.mark.parametrize("names, primes, m_list, r_list, e_max, ends", [
+    (AT_PRIME_NAMES, (3, 300), [1, 2, 3], [1], 5,
+     {SeqId.A: 879, SeqId.APRIME: 879, SeqId.T: 293, CENTRAL: 146}),
+    (AT_PRIME_NAMES, (3, 1000), [1, 2], [1], 5,
+     {SeqId.A: 1994, SeqId.APRIME: 1994, SeqId.T: 997, CENTRAL: 498}),
+    (AT_PRIME_NAMES, (3, 40), [1, 2, 7], [1, 2], 8,
+     {SeqId.A: 2738, SeqId.APRIME: 3703, SeqId.T: 37, CENTRAL: 18}),
+    (AT_PRIME_NAMES, (9973, 9973), [1], [1], 5, {}),
+    (LIFT_CHECKS, (9973, 9973), range(1, 7), [1], 5, {}),
+    (HARMONIC_ROWS, (9973, 9973), [1], [1], 5, {}),
+    # the last few primes below 10^4, on either side of the count at which
+    # each kind's walk starts to cost less than the tasks' own routes
+    (CENTRAL_ROWS, (8677, 10000), [1], [1], 3, {SeqId.APRIME: 4986}),
+    (CENTRAL_ROWS, (8219, 10000), [1], [1], 3, {SeqId.APRIME: 4986, CENTRAL: 4986}),
+    (["lemma2.6", "conj2.3"], (9871, 10000), [1], [1], 5, {SeqId.APRIME: 9973}),
+    (["lemma2.6", "conj2.3"], (9811, 10000), [1], [1], 5, {SeqId.APRIME: 9973, SeqId.H: 4986}),
+    (THM33_ROWS, (9733, 10000), [1], [1], 3, {}),
+    (THM33_ROWS, (9533, 10000), [1], [1], 3, {SeqId.T: 9973}),
+    (["beukers_a", "beukers_aprime"], (9811, 10000), [1, 2], [1], 3, {SeqId.APRIME: 19945}),
+    (["beukers_a", "beukers_aprime"], (9733, 10000), [1, 2], [1], 3,
+     {SeqId.A: 9972, SeqId.APRIME: 19945}),
+], ids=["all-300", "all-1000", "all-40-r2", "all-9973", "lifts-9973", "harmonic-9973",
+        "central-150", "central-200", "euler-12", "euler-20", "t-30", "t-50",
+        "lifts-20", "lifts-30"])
+def test_plan_walks_each_kind_to_its_recorded_end(names, primes, m_list, r_list, e_max, ends):
+    # the recorded plans of --checks all, of lone large primes and of the
+    # last 12 to 200 primes below 10^4, which pin each kind's cost constants;
+    # every prime reads the central sums at (p - 1)/2 up to the walk's end
+    plist = [pi.p for pi in primes_in_range(*primes)]
+    plan, e = checks._plan_kinds(names, plist, m_list, r_list)
+    assert e == e_max
+    assert {kind: max(readers) for kind, readers in plan.items()} == ends
+    if CENTRAL in plan:
+        assert plan[CENTRAL] == {(q - 1) // 2: [q] for q in plist if q <= 2 * ends[CENTRAL] + 1}
+
+
+def _shift_int(v, n, p, e):
+    # an index n >= p - 1 moves by p^2, which each lift row sees at r = 1
+    return (v + p * p) % p ** e if n >= p - 1 else v
+
+
+# for each kind: rows that read it, and a shift of its value that each of
+# them sees
+KIND_SHIFTS = {
+    SeqId.A: (["beukers_a", "liu_a", "conj2.4", "conj2.5"], _shift_int),
+    SeqId.APRIME: (["beukers_aprime", "liu_aprime", "conj2.2", "conj2.3"], _shift_int),
+    SeqId.T: (THM33_ROWS, lambda v, n, p, e: (v + 1) % p ** e),
+    SeqId.H: (["liu_a", "conj2.3", "conj2.5", "lemma2.6"],
+              lambda v, n, p, e: ((v[0] + p * p) % p ** e, (v[1] + 1) % p)),
+    CENTRAL: (CENTRAL_ROWS, lambda v, n, p, e: tuple((s + 1) % p ** e for s in v)),
+}
+
+
+@pytest.mark.parametrize("route", ["walk", "task"])
+@pytest.mark.parametrize("kind", list(KIND_SHIFTS), ids=str)
+def test_sweep_fails_when_one_kind_is_perturbed(monkeypatch, kind, route):
+    # each kind's values, moved either on the sweep's exact walk (_walk_kinds)
+    # with the plan handing it to every prime, or on the task's own route
+    # (_KINDS[kind].route) with nothing handed, fail every record that
+    # reads them
+    names, shift = KIND_SHIFTS[kind]
+    primes, m_list = [11, 13, 19, 29], [1, 2]
+    before = sweep(names, primes, m_list=m_list)
+    assert {res.verdict for res in before} - {"skip"} == {"pass"}
+    if route == "walk":
+        plan, _ = checks._plan_kinds(names, primes, m_list, [1])
+        assert {q for ps in plan[kind].values() for q in ps} == set(primes)
+        real = checks._walk_kinds
+
+        def walked(plan, e):
+            return {q: {(k, n): shift(v, n, q, e) if k == kind else v
+                        for (k, n), v in values.items()}
+                    for q, values in real(plan, e).items()}
+
+        monkeypatch.setattr(checks, "_walk_kinds", walked)
+    else:
+        row, real_plan = checks._KINDS[kind], checks._plan_kinds
+
+        def own(at, k, n):
+            return shift(row.route(at, k, n), n, at.p, at.e_max)
+
+        monkeypatch.setitem(checks._KINDS, kind, row._replace(route=own))
+        monkeypatch.setattr(checks, "_plan_kinds", lambda *args: ({}, real_plan(*args)[1]))
+    got = sweep(names, primes, m_list=m_list)
+    assert [res.verdict == "skip" for res in got] == [res.verdict == "skip" for res in before]
+    assert {res.verdict for res in got} - {"skip"} == {"fail"}
+    assert {res.check for res in got if res.verdict == "fail"} == set(names)
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -1263,7 +1350,8 @@ def test_lift_weights_read_no_exact_walk(monkeypatch):
     for module in (sequences, checks):
         for walk in ("apery_neighbours", "apery_values", "t_values", "harmonic_walk"):
             monkeypatch.setattr(module, walk, refuse, raising=False)
-    monkeypatch.setattr(checks, "_pass_bounds", lambda *args: {})
+    real_plan = checks._plan_kinds
+    monkeypatch.setattr(checks, "_plan_kinds", lambda *args: ({}, real_plan(*args)[1]))
     got = sweep(WEIGHTED_LIFTS, [11, 13, 17, 19], m_list=[1, 2, 7], r_list=[1, 2])
     assert [res.verdict for res in got] == ["pass"] * 144
 

@@ -1,7 +1,7 @@
 """Exact identity verifiers and their recurrence certificates."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -174,40 +174,54 @@ def test_generalized_binomial_matches_fraction_oracle(x, n):
 # oracles alike.  The row must turn from pass to fail, and every verifier of
 # the row must report what its Fraction oracle reports under the same shift.
 
+def _both(name, fake):
+    return [(identities, name, fake), (oracles, name, fake)]
+
+
 def _shifted_t(index):
     def t_values(modulus=0):
         for n, t in enumerate(sequences.t_values(modulus)):
             yield t + 1 if n == index else t
-    return t_values
+    return _both("t_values", t_values)
 
 
 def _shifted_o(index):
-    # a shift by 1/2 brings in an even denominator, which no O_k has
-    def harmonic_family():
-        for k, (h, o, o2) in enumerate(sequences.harmonic_family()):
-            yield h, o + Fraction(1, 2) if k == index else o, o2
-    return harmonic_family
+    # O_index moves by 1/d, d = lcm(1, 3, ..., 2 index - 1) its step's
+    # denominator: on the walk's numerator, and on the oracles' own sums
+    def harmonic_walk(central=False):
+        for k, (l, h, q, d, o, o2, sums) in enumerate(sequences.harmonic_walk(central)):
+            yield l, h, q, d, o + (k == index), o2, sums
+
+    def odd_harmonics(count, real=oracles.odd_harmonics):
+        values = real(count)
+        if index < count:
+            o, o2 = values[index]
+            values[index] = o + Fraction(1, lcm(*range(1, 2 * index, 2))), o2
+        return values
+
+    return [(identities, "harmonic_walk", harmonic_walk),
+            (oracles, "odd_harmonics", odd_harmonics)]
 
 
 def _shifted_comb(at):
     def shifted(n, k):
         return comb(n, k) + ((n, k) == at)
-    return shifted
+    return _both("comb", shifted)
 
 
-@pytest.mark.parametrize("row, name, fake", [
-    ("id_lemma2.1", "harmonic_family", _shifted_o(5)),
-    ("id_eq2.1", "harmonic_family", _shifted_o(4)),
-    ("id_eq3.1", "comb", _shifted_comb((3, 1))),
-    ("id_thm3.1", "t_values", _shifted_t(7)),
-    ("id_thm3.2", "t_values", _shifted_t(3)),
-    ("id_thm3.2", "harmonic_family", _shifted_o(6)),
+@pytest.mark.parametrize("row, patches", [
+    ("id_lemma2.1", _shifted_o(5)),
+    ("id_eq2.1", _shifted_o(4)),
+    ("id_eq3.1", _shifted_comb((3, 1))),
+    ("id_thm3.1", _shifted_t(7)),
+    ("id_thm3.2", _shifted_t(3)),
+    ("id_thm3.2", _shifted_o(6)),
 ], ids=["lemma2.1-O5", "eq2.1-O4", "eq3.1-summand", "thm3.1-t7", "thm3.2-t3",
         "thm3.2-O6"])
-def test_identity_row_fails_when_a_value_is_shifted(monkeypatch, row, name, fake):
+def test_identity_row_fails_when_a_value_is_shifted(monkeypatch, row, patches):
     spec = CHECKS[row].runner
     assert run_check(row).verdict == "pass"
-    for module in (identities, oracles):
+    for module, name, fake in patches:
         monkeypatch.setattr(module, name, fake)
     res = run_check(row)
     assert res.verdict == "fail"

@@ -148,6 +148,24 @@ def test_harmonic_values():
     assert d == Fraction(2, 3) == o * o - o2
 
 
+@pytest.mark.parametrize("sid", [SeqId.H, SeqId.OODD, SeqId.OODD2, SeqId.D])
+def test_exact_harmonic_value_forms_three_fractions(monkeypatch, sid):
+    # seq_exact reads the walk's n-th step once and forms H_n, O_n and O2_n
+    # from it, three Fractions in all, not three per step
+    n, made = 300, []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(sequences, "Fraction", counted)
+    got = seq_exact(sid, n)
+    assert len(made) == 3
+    o, o2 = oracles.odd_harmonics(n + 1)[n]
+    h = sum(Fraction(1, k) for k in range(1, n + 1))
+    assert got == {SeqId.H: h, SeqId.OODD: o, SeqId.OODD2: o2, SeqId.D: o * o - o2}[sid]
+
+
 def test_seq_mod_spot_values():
     assert seq_mod(SeqId.APRIME, 3, 7, 3).value == 147
     assert seq_mod(SeqId.T, 5, 5, 3).value == 0
