@@ -16,25 +16,26 @@ A sweep runs each fixed-range identity as one task and each prime as one
 task, which covers every selected Lift and AtPrime row, every (m, r) and the
 per-prime identity.  Its rows read one _PrimeValues, which computes each
 value they share once, at its first use, and keeps nothing past the task.
-Before the tasks are dealt out, the sweep reads each prime's Lift reads once
-(_lift_reads) and plans one exact pass over the value kinds of _KINDS, one
-row each: A, A' and t, at the indices that each prime's rows read, named as
-data (Lift.reads, AtPrime.reads), and the harmonic pair (H_{p-1}, Lehmer's
-sum) and the four central sums, at (p - 1)/2 where a weighted Lift, or an
-AtPrime row that reads .euler or .central, applies.  A row names the kind's
-exact walk (apery_values, t_values() or harmonic_walk), its reduction at a
-prime, the task's own route, and the costs of each.  One function plans
-every kind (_plan_kinds): the bound up to which one exact walk costs less
-than the tasks' own routes, by one cost estimate; one walk of harmonic_walk
-carries both harmonic kinds, with the central sums only where a row reads
-them.  One function walks each chosen kind once, in increasing n
-(_walk_kinds), and hands each task its values mod p^e_max, and its Lift
-reads, inside the task tuple.
+Before the tasks are dealt out, the sweep collects each prime's read set
+once (_prime_reads): every value that the prime's rows read, of the value
+kinds of _KINDS, one row each.  These are A, A' and t at the indices that
+the rows name as data (Lift.reads, AtPrime.reads), and the harmonic pair
+(H_{p-1}, Lehmer's sum) and the four central sums at (p - 1)/2, where a
+weighted Lift, or an AtPrime row that reads .euler or .central, applies.  A
+row of _KINDS names the kind's exact walk (apery_values, t_values() or
+harmonic_walk), its reduction at a prime, the task's own route, and the
+costs of each.  One function plans every kind from the read sets
+(_plan_kinds): the bound up to which one exact walk costs less than the
+tasks' own routes, by one cost estimate; one walk of harmonic_walk carries
+both harmonic kinds, with the central sums only where a row reads them.  One
+function walks each chosen kind once, in increasing n (_walk_kinds), and
+hands each task its values mod p^e_max, and its read set, inside the task
+tuple.
 A task owns the prime's one factorial table, at the largest precision the
 rows need, and hands it to the kernels, pure functions of what they are
-given: for the A_n and A'_n that were not handed, at most one
-apery_walk_mod walk per sequence, whose end the task plans from the indices
-its Lift rows read, and one apery_pair_mod pass for each index past that
+given: for the A_n and A'_n of its read set that were not handed, at most
+one apery_walk_mod walk per sequence, whose end the task plans from those
+indices (_walk_plan), and one apery_pair_mod pass for each index past that
 end, where a walk would cost more; where they were not handed, the four
 central-binomial harmonic sums from one pass and H_{p-1} with Lehmer's sum
 from another; and eq2.2's binomials.
@@ -43,7 +44,7 @@ table outlives its task.  t_0..t_p come from one walk where no t_n is
 handed.  B_{p-3} mod p and the bracket mod p^2 are read off H_{p-1} mod p^4
 (for p >= 7; the exact B_2 and B_6 at p = 5), E_{p-3} mod p off Lehmer's
 sum, and Gamma_p(1/4)^4 is taken once.  run_check runs the same evaluator
-on one row, with nothing handed.
+on one row, with nothing handed, from that row's read set.
 A conj2.5 record carries its prime's residue of c_m, read off the record's
 difference, so the CRT recovery (cm_recovery) reads the sweep's own values;
 recover_cm reads those of a sweep of the conj2.5 row alone.
@@ -181,9 +182,10 @@ def _walk_cost(sid: SeqId, n: int, p: int, e: int) -> float:
 
 def _walk_plan(p: int, e: int, reads: dict[SeqId, set[int]]) -> dict[SeqId, int]:
     """The end of the one walk of each sequence (apery_walk_mod) mod p^e, for
-    a prime task whose Lift rows read `reads`; -1 for no walk.  The task
-    walks every read up to one bound N and reads those above N off
-    apery_pair_mod, which gives A_n and A'_n at once.
+    a prime task that reads `reads` of A and A' off its own routes; -1 for no
+    walk.  This is where a task chooses between a walk and a pair: it walks
+    every read up to one bound N and reads those above N off apery_pair_mod,
+    which gives A_n and A'_n at once.
 
     N is the read that minimises the estimated cost (_walk_cost, and n + 1
     terms for a pair read of n).  So a range of reads, as m runs, is walked,
@@ -211,21 +213,22 @@ class _PrimeValues:
     kept only as long as this object.  A value of a kind of _KINDS (A_n, A'_n,
     t_n, the harmonic pair (H_{p-1}, Lehmer's sum) and the four central sums)
     is first looked up in `handed`, the residues of the sweep's exact pass,
-    and else taken off the kind's task route, once.  For those routes it owns
+    and else taken off the kind's task route, once.  The task's read set
+    (_prime_reads) holds every value the rows read.  For the routes it owns
     the prime's one factorial table, FactorialTable(p, e_max), and hands it
     to the kernels: A_n and A'_n from one walk per sequence (apery_walk_mod)
-    to the reach that _walk_plan sets, and past it from the pair
-    (apery_pair_mod), once per index; t_0..t_p mod p^e_max from one walk; the
-    four central sums from one pass (_central_sums) and the harmonic pair
-    from another (_harmonic_sums).  Besides: p B_{p-1} from its entry (p-1)!,
-    the per-prime identity and Gamma_p(1/4)^4 mod p.  B_{p-3} mod p, the
-    bracket mod p^2 and E_{p-3} mod p are read off the harmonic pair, with no
-    power sum.  The single central binomials of thm2.1i, lemma2.4, lemma2.6,
-    thm3.3_tquarter and lemma2.5's closed form come from math.comb instead.
-    A row reduces what it reads to its own modulus.  The kernels and
-    FactorialTable are looked up in this module when called, so a patched
-    one is used.  The size cap is read from APERY_LAB_SIZE_CAP when the
-    object is made."""
+    to the reach that _walk_plan sets from the reads of A and A' that were
+    not handed, and past it from the pair (apery_pair_mod), once per index;
+    t_0..t_p mod p^e_max from one walk; the four central sums from one pass
+    (_central_sums) and the harmonic pair from another (_harmonic_sums).
+    Besides: p B_{p-1} from its entry (p-1)!, the per-prime identity and
+    Gamma_p(1/4)^4 mod p.  B_{p-3} mod p, the bracket mod p^2 and E_{p-3}
+    mod p are read off the harmonic pair, with no power sum.  The single
+    central binomials of thm2.1i, lemma2.4, lemma2.6, thm3.3_tquarter and
+    lemma2.5's closed form come from math.comb instead.  A row reduces what
+    it reads to its own modulus.  The kernels and FactorialTable are looked
+    up in this module when called, so a patched one is used.  The size cap
+    is read from APERY_LAB_SIZE_CAP when the object is made."""
 
     def __init__(self, pi: PrimeInfo, e_max: int, handed: Optional[dict] = None) -> None:
         self.p, self.klass, self.rep = pi.p, pi.klass, pi.rep
@@ -234,7 +237,8 @@ class _PrimeValues:
         # {(kind, n): value mod p^e_max}, handed by the sweep's exact pass
         # (_walk_kinds) or kept from a route
         self.values = dict(handed or {})
-        # the end of each sequence's walk, planned from the Lift rows' reads
+        # the end of each sequence's walk, which _prime_results plans from the
+        # reads of A and A' in the read set that were not handed
         self.reach: dict[SeqId, int] = {}
         self._walks: dict[SeqId, list[int]] = {}
         self._pairs: dict[int, tuple[int, int]] = {}
@@ -250,11 +254,10 @@ class _PrimeValues:
     def walk_or_pair(self, sid: SeqId, n: int) -> int:
         """A_n or A'_n mod p^e_max by the task's own routes.  Each sequence is
         walked at most once, at its first read, to its planned reach
-        (_walk_plan), or to that read when no Lift row reads the sequence.
-        An index above the reach is read off apery_pair_mod, whose first read
-        of n takes both."""
+        (_walk_plan).  An index above the reach is read off apery_pair_mod,
+        whose first read of n takes both."""
         if sid not in self._walks:
-            reach = self.reach.setdefault(sid, n)
+            reach = self.reach[sid]
             self._walks[sid] = apery_walk_mod(sid, reach, self.table) if reach >= 0 else []
         walk = self._walks[sid]
         if n < len(walk):
@@ -360,8 +363,9 @@ class _Kind(NamedTuple):
     task's own route where nothing is handed, and their costs in
     apery_pair_mod terms.  Step i of the walk costs 1 + 2 growth i / 1000,
     and its reduction 1 + 2 reduce_growth i / 1000.  The task's own pass
-    costs own = (a, b), a p + b terms, for the kind's reads at p; with no
-    own, each read of A or A' is walked or paired as _walk_plan plans it.
+    costs own * p terms for the kind's reads at p, one coefficient per kind;
+    with no own, each read of A or A' is walked or paired as _walk_plan
+    plans it.
     With quarter, the walk also stops at each prime's p // 4."""
 
     walk: Callable
@@ -369,7 +373,7 @@ class _Kind(NamedTuple):
     route: Callable
     growth: float
     reduce_growth: float
-    own: Optional[tuple[float, float]] = None
+    own: Optional[float] = None
     quarter: bool = False
 
 
@@ -383,18 +387,19 @@ class _Kind(NamedTuple):
 # central walk took 15 / 52 / 174 us at k = 153 / 1500 / 4986.  A task's own
 # harmonic pass costs, per unit of p, the table rows to p - 1 (0.35 us a row
 # at p = 9973, if no other read builds them), _harmonic_sums (0.15 us) and,
-# with the central sums, _central_sums (0.8 us); its t walk p + 1 terms.
+# with the central sums, _central_sums (0.8 us); its t walk, of p + 1 terms,
+# costs 1 per unit of p.
 _KINDS = {
     SeqId.A: _Kind(lambda: apery_values(SeqId.A), _reduce_value,
                    _PrimeValues.walk_or_pair, 2.7, 2.7),
     SeqId.APRIME: _Kind(lambda: apery_values(SeqId.APRIME), _reduce_value,
                         _PrimeValues.walk_or_pair, 0.9, 0.9),
     SeqId.T: _Kind(lambda: t_values(), _reduce_value,
-                   lambda at, kind, n: at._t_walk[n], 4.0, 4.0, (1.0, 1.0)),
+                   lambda at, kind, n: at._t_walk[n], 4.0, 4.0, 1.0),
     SeqId.H: _Kind(lambda: harmonic_walk(), _reduce_harmonic,
-                   lambda at, kind, n: _harmonic_sums(at.table), 3.0, 8.0, (0.5, 0.0), True),
+                   lambda at, kind, n: _harmonic_sums(at.table), 3.0, 8.0, 0.5, True),
     CENTRAL: _Kind(lambda: harmonic_walk(central=True), _reduce_harmonic,
-                   lambda at, kind, n: _central_sums(at.table), 75.0, 16.0, (1.3, 0.0), True),
+                   lambda at, kind, n: _central_sums(at.table), 75.0, 16.0, 1.3, True),
 }
 
 
@@ -420,8 +425,8 @@ class Lift(NamedTuple):
     mod p^extra: w_m is taken mod p^2 from the task's S_{m-1} and S_m, d
     being a unit there (d divides 18 and p > 3); B_{p-3} is read mod p, for
     its rows have extra = 1, and the bracket mod p^2, for its rows have
-    extra = 2.  A weighted row reads B, and so the harmonic walk's
-    (p - 1)/2 (_lift_reads).
+    extra = 2.  A weighted row reads B, and so the harmonic pair at
+    (p - 1)/2 (_prime_reads).
     """
 
     sid: SeqId
@@ -729,42 +734,56 @@ def _e_max(rows, r_list) -> int:
                + [2 for row in rows if isinstance(row, Identity)], default=1)
 
 
-def _lift_reads(rows, p: int, m_list, r_list, cap: int) -> dict[SeqId, set[int]]:
-    """The indices of A and A' that the Lift rows read at p (Lift.reads), and
-    under SeqId.H the harmonic walk's (p - 1)/2 where a weighted row reads B."""
-    reads: dict[SeqId, set[int]] = {}
+def _prime_reads(rows, p: int, m_list, r_list, cap: int) -> dict:
+    """The read set of a prime task: {kind: indices} for every value of a
+    kind of _KINDS that the rows read at p.  These are A or A' at a Lift
+    row's indices for each m and r (Lift.reads), A' or t at an AtPrime row's
+    (AtPrime.reads), and, at (p - 1)/2, the harmonic pair (SeqId.H) where a
+    weighted Lift row or an AtPrime row that reads .euler applies, and the
+    central sums (CENTRAL) where one that reads .central applies.  A row, or
+    an (m, r) of a Lift row, that is skipped at p reads nothing."""
+    half, reads = (p - 1) // 2, {}
     for row in rows:
         if isinstance(row, Lift):
-            into = reads.setdefault(row.sid, set())
+            ns = set()
             for m, r in product(m_list, r_list):
                 try:
-                    into.update(row.reads(p, m, r, cap))
+                    ns.update(row.reads(p, m, r, cap))
                 except SkipCheck:
-                    continue
+                    pass
+            if ns:
+                reads.setdefault(row.sid, set()).update(ns)
                 if row.weight:
-                    reads[SeqId.H] = {(p - 1) // 2}
-    return {sid: ns for sid, ns in reads.items() if ns}
+                    reads.setdefault(SeqId.H, set()).add(half)
+        elif isinstance(row, AtPrime):
+            with suppress(SkipCheck):
+                for kind, n in row.reads(p, p % 4):
+                    reads.setdefault(kind, set()).add(n)
+                for kind in (CENTRAL,) * row.central + (SeqId.H,) * row.euler:
+                    reads.setdefault(kind, set()).add(half)
+    return reads
 
 
 def _prime_results(names: Sequence[str], p: int, m_list, r_list,
-                   handed: Optional[dict] = None, lifts: Optional[dict] = None,
+                   handed: Optional[dict] = None, reads: Optional[dict] = None,
                    ) -> list[CheckResult]:
     """The records of the named prime-indexed rows at one prime, each a
     verdict or a skip, in the given row order, then m and r in list order
     for a Lift row.  The rows share one _PrimeValues at the largest precision
     they need (_e_max), so each value is computed once; `handed` holds the
     values mod p^e_max that the sweep's exact pass read for them, and
-    `lifts` the Lift rows' reads that it planned (_lift_reads), which are
-    read here where it is not given.  A conj2.5 record also carries the
-    prime's residue of c_m for the recovery."""
+    `reads` the task's read set (_prime_reads), which is collected here
+    where it is not given.  The reads of A and A' in it that were not handed
+    are planned here, each to the walk or the pair (_walk_plan).  A conj2.5
+    record also carries the prime's residue of c_m for the recovery."""
     rows = [(name, CHECKS[name].runner) for name in names]
     e_max = _e_max([row for _, row in rows], r_list)
     at = _PrimeValues(prime_info(p), e_max, handed)
-    if lifts is None:
-        lifts = _lift_reads([row for _, row in rows], p, m_list, r_list, at.cap)
+    if reads is None:
+        reads = _prime_reads([row for _, row in rows], p, m_list, r_list, at.cap)
     at.reach = _walk_plan(p, e_max, {
         sid: left for sid in (SeqId.A, SeqId.APRIME)
-        if (left := {n for n in lifts.get(sid, ()) if (sid, n) not in at.values})
+        if (left := {n for n in reads.get(sid, ()) if (sid, n) not in at.values})
     })
     out = []
     for name, row in rows:
@@ -815,7 +834,7 @@ def run_check(
 
 def _run_task(task) -> list[CheckResult]:
     """A task is (name,) for a fixed-range identity, or (names, p, m_list,
-    r_list, handed, lifts) for the prime-indexed rows at one prime."""
+    r_list, handed, reads) for the prime-indexed rows at one prime."""
     if len(task) == 1:
         return [run_check(*task)]
     return _prime_results(*task)
@@ -917,17 +936,14 @@ def _prime_list(primes) -> list[int]:
     return sorted({int(p) for p in primes})
 
 
-def _plan_kinds(names, primes, m_list, r_list, lifts: Optional[dict] = None,
+def _plan_kinds(names, primes, m_list, r_list, reads: Optional[dict] = None,
                 ) -> tuple[dict, int]:
     """(plan, e_max) for the exact pass of a sweep's prime tasks: plan[kind][n]
     lists the primes whose tasks are handed the value of `kind` at n
-    (_walk_kinds), and e_max is the tasks' precision.  A prime p reads A, A'
-    and t at its rows' indices (Lift.reads, AtPrime.reads), and the harmonic
-    pair, or the central sums, at (p - 1)/2 where a weighted Lift or an
-    AtPrime row that reads .euler, or .central, applies; lifts[p] are the
-    Lift rows' reads at p, where the sweep has read them (_lift_reads).  Where
-    any prime reads the central sums, every harmonic read is one of them, so
-    one walk carries both kinds.
+    (_walk_kinds), and e_max is the tasks' precision.  reads[p] is the read
+    set of p's task (_prime_reads), collected here where the sweep has not
+    given it.  Where any prime reads the central sums, every harmonic read
+    is one of them, so one walk carries both kinds.
 
     Each kind is walked to the read that minimises one cost estimate (see
     _Kind): the exact walk to it, one reduction for each read up to it, and
@@ -935,22 +951,12 @@ def _plan_kinds(names, primes, m_list, r_list, lifts: Optional[dict] = None,
     primes walks its reads of size m p exactly, and a lone large prime, or a
     read of size m p^2, keeps the task's routes."""
     rows = [CHECKS[name].runner for name in names]
-    e, cap = _e_max(rows, r_list), _size_cap()
-    reads = {}
-    for p in primes:
-        got = _lift_reads(rows, p, m_list, r_list, cap) if lifts is None else lifts[p]
-        reads[p] = got = {kind: set(ns) for kind, ns in got.items()}
-        for row in rows:
-            if isinstance(row, AtPrime):
-                with suppress(SkipCheck):
-                    for kind, n in row.reads(p, p % 4):
-                        got.setdefault(kind, set()).add(n)
-                    for kind in (CENTRAL,) * row.central + (SeqId.H,) * row.euler:
-                        got.setdefault(kind, set()).add((p - 1) // 2)
+    e = _e_max(rows, r_list)
+    if reads is None:
+        reads = {p: _prime_reads(rows, p, m_list, r_list, _size_cap()) for p in primes}
     if any(CENTRAL in got for got in reads.values()):
-        for got in reads.values():
-            if SeqId.H in got:
-                got[CENTRAL] = got.pop(SeqId.H)
+        reads = {p: {CENTRAL if kind is SeqId.H else kind: ns for kind, ns in got.items()}
+                 for p, got in reads.items()}
     plan = {}
     for kind, row in _KINDS.items():
         ascending = {p: sorted(got[kind]) for p, got in reads.items() if got.get(kind)}
@@ -958,7 +964,7 @@ def _plan_kinds(names, primes, m_list, r_list, lifts: Optional[dict] = None,
         costs = {}
         for p, ns in ascending.items():
             if row.own:
-                costs[p] = [row.own[0] * p + row.own[1]] * len(ns) + [0.0]
+                costs[p] = [row.own * p] * len(ns) + [0.0]
                 continue
             # one walk to some read, each read above it a pair; a walk starts
             # at 0, so the reads below ns[k] do not lower its cost
@@ -1037,9 +1043,9 @@ def sweep(
     tasks = [(name,) for name in fixed]
     if at_prime:
         rows, cap = [CHECKS[name].runner for name in at_prime], _size_cap()
-        lifts = {p: _lift_reads(rows, p, m_list, r_list, cap) for p in plist}
-        handed = _walk_kinds(*_plan_kinds(at_prime, plist, m_list, r_list, lifts))
-        tasks.extend((at_prime, p, m_list, r_list, handed.get(p, {}), lifts[p]) for p in plist)
+        reads = {p: _prime_reads(rows, p, m_list, r_list, cap) for p in plist}
+        handed = _walk_kinds(*_plan_kinds(at_prime, plist, m_list, r_list, reads))
+        tasks.extend((at_prime, p, m_list, r_list, handed.get(p, {}), reads[p]) for p in plist)
 
     workers = min(jobs, usable_cpus(), len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):

@@ -6,7 +6,7 @@ import signal
 import time
 import weakref
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import comb
 
 import pytest
@@ -945,6 +945,51 @@ def test_lone_large_prime_keeps_the_task_walk(monkeypatch):
     got = sweep(["beukers_a"], [9973], m_list=range(1, 7))
     assert calls == [(SeqId.A, 6 * 9973 - 1, 9973)]
     assert [res.verdict for res in got] == ["pass"] * 6
+
+
+def test_every_value_a_prime_task_reads_is_in_its_read_set(monkeypatch):
+    # a task reads each value, handed or off its own route, through
+    # _PrimeValues.value, and each is in the read set that the sweep, or
+    # run_check, planned it from (_prime_reads); so every A or A' read that
+    # reaches the task's walk or pair has a planned reach.  At 9973 nothing
+    # is handed, and run_check hands nothing anywhere.
+    names = [name for name in CHECKS if not checks.fixed_range(name)]
+    m_list, r_list, cap = [1, 2, 3], [1, 2], checks._size_cap()
+    read, routed = [], []
+    real_value = checks._PrimeValues.value
+
+    def value(at, kind, n):
+        read.append((at.p, kind, n))
+        return real_value(at, kind, n)
+
+    monkeypatch.setattr(checks._PrimeValues, "value", value)
+    for sid in (SeqId.A, SeqId.APRIME):
+        row = checks._KINDS[sid]
+
+        def walk_or_pair(at, kind, n, route=row.route):
+            assert kind in at.reach, (at.p, kind, n)
+            routed.append((at.p, kind, n))
+            return route(at, kind, n)
+
+        monkeypatch.setitem(checks._KINDS, sid, row._replace(route=walk_or_pair))
+
+    def assert_planned(p, rows, m_list, r_list):
+        planned = {(kind, n) for kind, ns in
+                   checks._prime_reads(rows, p, m_list, r_list, cap).items() for n in ns}
+        assert {(kind, n) for _, kind, n in read} <= planned, (p, rows, m_list, r_list)
+        read.clear()
+
+    for p in (5, 7, 13, 9973):
+        assert {res.verdict for res in sweep(names, [p], m_list, r_list)} - {"skip"} == {"pass"}
+        assert {q for q, *_ in read} == {p}
+        assert_planned(p, [CHECKS[name].runner for name in names], m_list, r_list)
+        for name in names:
+            row = CHECKS[name].runner
+            for m, r in product(m_list, r_list) if isinstance(row, Lift) else [(None, None)]:
+                assert run_check(name, p, m, r).verdict in ("pass", "skip")
+                assert_planned(p, [row], [m], [r])
+    assert {p for p, *_ in routed} == {5, 7, 13, 9973}
+    assert (9973, SeqId.APRIME, 4986) in routed
 
 
 PRIMES_7_3000 = [pi.p for pi in primes_in_range(7, 3000)]

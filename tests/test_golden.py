@@ -55,7 +55,8 @@ def test_fixed_sweep_output_bytes():
 
 
 def test_fixed_sweep_output_bytes_at_two_jobs():
-    # the process-pool path through every row type gives the same bytes
+    # the forked stripes (one in this process, one in a forked child)
+    # through every row type give the same bytes
     done, records = _verify(ARGV[:-1] + ["2"])
     assert len(records) == 710
     assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256
