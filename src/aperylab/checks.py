@@ -26,17 +26,18 @@ row of _KINDS names the kind's exact walk (apery_values, t_values() or
 harmonic_walk), its reduction at a prime, the task's own route, and the
 costs of each.  One function plans every kind from the read sets
 (_plan_kinds): the bound up to which one exact walk costs less than the
-tasks' own routes, by one cost estimate; one walk of harmonic_walk carries
-both harmonic kinds, with the central sums only where a row reads them.  One
+tasks' own routes, by one cost estimate, which prices those routes by the
+rule below; one walk of harmonic_walk carries both harmonic kinds, with the
+central sums only where a row reads them.  One
 function walks each chosen kind once, in increasing n (_walk_kinds), and
 hands each task its values mod p^e_max, and its read set, inside the task
 tuple.
 A task owns the prime's one factorial table, at the largest precision the
 rows need, and hands it to the kernels, pure functions of what they are
-given: for the A_n and A'_n of its read set that were not handed, at most
-one apery_walk_mod walk per sequence, whose end the task plans from those
-indices (_walk_plan), and one apery_pair_mod pass for each index past that
-end, where a walk would cost more; where they were not handed, the four
+given: for the A_n and A'_n of its read set that were not handed, one
+apery_walk_mod walk per sequence, to its largest such index below p^2 - 1,
+and one apery_pair_mod pass for each such index at or above p^2 - 1, where
+a walk would run past p^2 for one read; where they were not handed, the four
 central-binomial harmonic sums from one pass and H_{p-1} with Lehmer's sum
 from another; and eq2.2's binomials.
 p B_{p-1} = (p-1)! + p (mod p^2) by Glaisher's congruence is read off it.  No
@@ -180,31 +181,6 @@ def _walk_cost(sid: SeqId, n: int, p: int, e: int) -> float:
     return n * (k / 2 + (e + k * n / (p - 1) / 2) * p.bit_length() / 1000) if n >= 0 else 0
 
 
-def _walk_plan(p: int, e: int, reads: dict[SeqId, set[int]]) -> dict[SeqId, int]:
-    """The end of the one walk of each sequence (apery_walk_mod) mod p^e, for
-    a prime task that reads `reads` of A and A' off its own routes; -1 for no
-    walk.  This is where a task chooses between a walk and a pair: it walks
-    every read up to one bound N and reads those above N off apery_pair_mod,
-    which gives A_n and A'_n at once.
-
-    N is the read that minimises the estimated cost (_walk_cost, and n + 1
-    terms for a pair read of n).  So a range of reads, as m runs, is walked,
-    and lone large reads, such as p^2 - 1 at r = 2 for large p, are left to
-    apery_pair_mod.
-    """
-    indices = sorted(set().union(*reads.values()))
-    reach = {sid: -1 for sid in reads}
-    above = sum(n + 1 for n in indices)
-    best, plan = above, dict(reach)
-    for n in indices:
-        above -= n + 1
-        reach.update((sid, n) for sid, ns in reads.items() if n in ns)
-        cost = sum(_walk_cost(sid, end, p, e) for sid, end in reach.items()) + above
-        if cost < best:
-            best, plan = cost, dict(reach)
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # the values at one prime
 
@@ -216,9 +192,10 @@ class _PrimeValues:
     and else taken off the kind's task route, once.  The task's read set
     (_prime_reads) holds every value the rows read.  For the routes it owns
     the prime's one factorial table, FactorialTable(p, e_max), and hands it
-    to the kernels: A_n and A'_n from one walk per sequence (apery_walk_mod)
-    to the reach that _walk_plan sets from the reads of A and A' that were
-    not handed, and past it from the pair (apery_pair_mod), once per index;
+    to the kernels: of the reads of A and A' that were not handed, those
+    below p^2 - 1 from one walk per sequence (apery_walk_mod) to the largest
+    of them, and those at or above it from the pair (apery_pair_mod), once
+    per index (walk_or_pair);
     t_0..t_p mod p^e_max from one walk; the four central sums from one pass
     (_central_sums) and the harmonic pair from another (_harmonic_sums).
     Besides: p B_{p-1} from its entry (p-1)!, the per-prime identity and
@@ -237,7 +214,7 @@ class _PrimeValues:
         # {(kind, n): value mod p^e_max}, handed by the sweep's exact pass
         # (_walk_kinds) or kept from a route
         self.values = dict(handed or {})
-        # the end of each sequence's walk, which _prime_results plans from the
+        # the end of each sequence's walk, which _prime_results sets from the
         # reads of A and A' in the read set that were not handed
         self.reach: dict[SeqId, int] = {}
         self._walks: dict[SeqId, list[int]] = {}
@@ -252,16 +229,15 @@ class _PrimeValues:
         return got
 
     def walk_or_pair(self, sid: SeqId, n: int) -> int:
-        """A_n or A'_n mod p^e_max by the task's own routes.  Each sequence is
-        walked at most once, at its first read, to its planned reach
-        (_walk_plan).  An index above the reach is read off apery_pair_mod,
+        """A_n or A'_n mod p^e_max by the task's own routes.  An index below
+        p^2 - 1 is read off the sequence's one walk (apery_walk_mod), taken at
+        its first such read to its reach, the largest read below p^2 - 1 that
+        was not handed; an index at or above p^2 - 1 off apery_pair_mod,
         whose first read of n takes both."""
-        if sid not in self._walks:
-            reach = self.reach[sid]
-            self._walks[sid] = apery_walk_mod(sid, reach, self.table) if reach >= 0 else []
-        walk = self._walks[sid]
-        if n < len(walk):
-            return walk[n]
+        if n < self.p * self.p - 1:
+            if sid not in self._walks:
+                self._walks[sid] = apery_walk_mod(sid, self.reach[sid], self.table)
+            return self._walks[sid][n]
         if n not in self._pairs:
             self._pairs[n] = apery_pair_mod(n, self.table)
         return self._pairs[n][sid is SeqId.APRIME]
@@ -364,8 +340,8 @@ class _Kind(NamedTuple):
     apery_pair_mod terms.  Step i of the walk costs 1 + 2 growth i / 1000,
     and its reduction 1 + 2 reduce_growth i / 1000.  The task's own pass
     costs own * p terms for the kind's reads at p, one coefficient per kind;
-    with no own, each read of A or A' is walked or paired as _walk_plan
-    plans it.
+    with no own, the task walks the reads of A or A' below p^2 - 1 to the
+    largest (_walk_cost) and pairs the others, n + 1 terms for a read of n.
     With quarter, the walk also stops at each prime's p // 4."""
 
     walk: Callable
@@ -773,18 +749,18 @@ def _prime_results(names: Sequence[str], p: int, m_list, r_list,
     they need (_e_max), so each value is computed once; `handed` holds the
     values mod p^e_max that the sweep's exact pass read for them, and
     `reads` the task's read set (_prime_reads), which is collected here
-    where it is not given.  The reads of A and A' in it that were not handed
-    are planned here, each to the walk or the pair (_walk_plan).  A conj2.5
-    record also carries the prime's residue of c_m for the recovery."""
+    where it is not given.  Each sequence's walk ends here at its largest
+    read below p^2 - 1 that was not handed (-1 for none); walk_or_pair pairs
+    the reads at or above p^2 - 1.  A conj2.5 record also carries the
+    prime's residue of c_m for the recovery."""
     rows = [(name, CHECKS[name].runner) for name in names]
     e_max = _e_max([row for _, row in rows], r_list)
     at = _PrimeValues(prime_info(p), e_max, handed)
     if reads is None:
         reads = _prime_reads([row for _, row in rows], p, m_list, r_list, at.cap)
-    at.reach = _walk_plan(p, e_max, {
-        sid: left for sid in (SeqId.A, SeqId.APRIME)
-        if (left := {n for n in reads.get(sid, ()) if (sid, n) not in at.values})
-    })
+    at.reach = {sid: max((n for n in left if n < p * p - 1), default=-1)
+                for sid in (SeqId.A, SeqId.APRIME)
+                if (left := {n for n in reads.get(sid, ()) if (sid, n) not in at.values})}
     out = []
     for name, row in rows:
         if isinstance(row, Identity):
@@ -947,9 +923,12 @@ def _plan_kinds(names, primes, m_list, r_list, reads: Optional[dict] = None,
 
     Each kind is walked to the read that minimises one cost estimate (see
     _Kind): the exact walk to it, one reduction for each read up to it, and
-    the tasks' own routes for the reads above it.  So a sweep over many
-    primes walks its reads of size m p exactly, and a lone large prime, or a
-    read of size m p^2, keeps the task's routes."""
+    the tasks' own routes for the reads above it.  Those routes are priced
+    as the task takes them (walk_or_pair), by what handing each read saves:
+    n + 1 terms for a read of n at or above p^2 - 1, the task's whole walk
+    or pass at its top read below p^2 - 1, and nothing at the others.  So a
+    sweep over many primes walks its reads of size m p exactly, and a lone
+    large prime, or a read of size m p^2, keeps the task's routes."""
     rows = [CHECKS[name].runner for name in names]
     e = _e_max(rows, r_list)
     if reads is None:
@@ -959,26 +938,22 @@ def _plan_kinds(names, primes, m_list, r_list, reads: Optional[dict] = None,
                  for p, got in reads.items()}
     plan = {}
     for kind, row in _KINDS.items():
-        ascending = {p: sorted(got[kind]) for p, got in reads.items() if got.get(kind)}
-        # costs[p][k]: the task's own routes for the reads ns[k:] at p
-        costs = {}
-        for p, ns in ascending.items():
-            if row.own:
-                costs[p] = [row.own * p] * len(ns) + [0.0]
-                continue
-            # one walk to some read, each read above it a pair; a walk starts
-            # at 0, so the reads below ns[k] do not lower its cost
-            costs[p], pairs, walked = [0.0], 0.0, float("inf")
-            for n in reversed(ns):
-                walked = min(walked, _walk_cost(kind, n, p, e) + pairs)
-                pairs += n + 1
-                costs[p].append(min(pairs, walked))
-            costs[p].reverse()
-        total = sum(c[0] for c in costs.values())
+        # saved[p, n]: what handing the read n saves p's task, whose own
+        # routes pair a read at or above p^2 - 1 and take one walk or pass
+        # to the top read below it
+        saved = {}
+        for p, got in reads.items():
+            ns = sorted(got.get(kind, ()))
+            saved.update(((p, n), 0.0 if n < p * p - 1 else n + 1.0) for n in ns)
+            below = [n for n in ns if n < p * p - 1]
+            if below:
+                own = row.own * p if row.own else _walk_cost(kind, below[-1], p, e)
+                saved[p, below[-1]] = own
+        total = sum(saved.values())
         best, bound, reduced = total, -1, 0.0
-        events = sorted((n, p, k) for p, ns in ascending.items() for k, n in enumerate(ns))
-        for i, (n, p, k) in enumerate(events):
-            total += costs[p][k + 1] - costs[p][k]
+        events = sorted((n, p) for p, n in saved)
+        for i, (n, p) in enumerate(events):
+            total -= saved[p, n]
             reduced += 1 + 2 * row.reduce_growth * n / 1000
             if i + 1 < len(events) and events[i + 1][0] == n:
                 continue
@@ -986,7 +961,7 @@ def _plan_kinds(names, primes, m_list, r_list, reads: Optional[dict] = None,
             if cost < best:
                 best, bound = cost, n
         readers: dict[int, list[int]] = {}
-        for n, p, _ in events:
+        for n, p in events:
             if n <= bound:
                 readers.setdefault(n, []).append(p)
         if readers:

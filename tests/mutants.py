@@ -16,7 +16,8 @@ whose names contain one of them:
     python tests/mutants.py read central
 
 It uses only the standard library and pytest, and runs the named tests once
-per mutant, so it is not part of the Tier-1 command.
+per mutant, so it is not part of the Tier-1 command.  EQUIVALENT lists the
+mutants that change no result, only cost, apart; they are not run.
 """
 
 import os
@@ -28,10 +29,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKS_PY = "aperylab/checks.py"
+SEQUENCES_PY = "aperylab/sequences.py"
 T = "tests/test_checks.py::"
 GOLDEN = "tests/test_golden.py::test_fixed_sweep_output_bytes"
 PLAN = T + "test_plan_walks_each_kind_to_its_recorded_end"
 READ_SET = T + "test_every_value_a_prime_task_reads_is_in_its_read_set"
+WALK_OR_PAIR = T + "test_task_walks_below_p2_and_pairs_at_and_above"
+WALK_ORACLES = "tests/test_sequences.py::test_apery_walk_mod_matches_oracles_everywhere"
 
 MUTANTS = [
     # the harmonic walk's reduction at a prime (_reduce_harmonic)
@@ -83,6 +87,62 @@ MUTANTS = [
      "(CENTRAL,) * row.central + (SeqId.H,) * row.euler",
      "(CENTRAL,) * row.euler + (SeqId.H,) * row.euler",
      [READ_SET, PLAN]),
+    # a task's route for A and A': walk below p^2 - 1, pair at and above
+    # (_PrimeValues.walk_or_pair), as _plan_kinds prices it
+    ("walk-up-to-p2", CHECKS_PY,
+     "if n < self.p * self.p - 1:",
+     "if n < self.p * self.p:",
+     [WALK_OR_PAIR]),
+    ("pair-read-saves-nothing", CHECKS_PY,
+     "0.0 if n < p * p - 1 else n + 1.0",
+     "0.0 if n < p * p - 1 else 0.0",
+     [PLAN]),
+    ("walk-saving-at-first-read", CHECKS_PY,
+     "saved[p, below[-1]] = own",
+     "saved[p, below[0]] = own",
+     [PLAN]),
+    # the task's walk of A or A' mod p^e (sequences.apery_walk_mod)
+    ("walk-start-one-digit-short", SEQUENCES_PY,
+     "work = m * p ** (k * val[n])",
+     "work = m // p * p ** (k * val[n])",
+     [WALK_ORACLES]),
+    ("walk-divides-p-k-for-p-kt", SEQUENCES_PY,
+     "drop = p ** (k * (val[i + 1] - val[i]))",
+     "drop = p ** k",
+     [WALK_ORACLES]),
+    ("walk-unit-part-keeps-p", SEQUENCES_PY,
+     "            while s % p == 0:\n                s //= p\n",
+     "",
+     [WALK_ORACLES]),
+    ("walk-aprime-minus-sign", SEQUENCES_PY,
+     "+ (i * s) ** 2 * prev",
+     "- (i * s) ** 2 * prev",
+     [WALK_ORACLES]),
+    # the forked stripes of a sweep (_run_stripes)
+    ("stripes-raise-first-stripe-error", CHECKS_PY,
+     "raise min(failed, key=lambda f: f[0])[1]",
+     "raise failed[0][1]",
+     [T + "test_sweep_raises_the_earliest_failing_task_at_any_jobs"]),
+    ("stripes-exit-status-unchecked", CHECKS_PY,
+     "if status != 0:",
+     "if False:",
+     [T + "test_sweep_names_the_exit_status_of_a_dead_child"]),
+    ("stripes-concatenated", CHECKS_PY,
+     "    batches = [None] * len(tasks)\n"
+     "    for first, (_, stripe) in enumerate(outcomes):\n"
+     "        batches[first::workers] = stripe\n"
+     "    return batches\n",
+     "    return [batch for _, stripe in outcomes for batch in stripe]\n",
+     [GOLDEN + "_at_two_jobs"]),
+]
+
+# Mutants that change no output, only cost, so no test can kill them; they
+# are listed, not run.
+EQUIVALENT = [
+    # the walk keeps its start precision: every value is still exact mod p^e
+    ("walk-modulus-not-dropped", SEQUENCES_PY,
+     "y, work = y // drop, work // drop",
+     "y, work = y // drop, work"),
 ]
 
 

@@ -585,23 +585,24 @@ def test_sweep_without_fork_runs_in_process(monkeypatch):
     assert sweep(["thm3.3_tp", "eq1.3"], (3, 30), jobs=4) == want
 
 
-def _frozen_records():
-    """One of each record and registry row type, with a field to assign."""
-    res = run_check("thm2.1i", 7)
-    return [
-        pytest.param(CHECKS["beukers_a"], "name", id="CheckDef"),
-        pytest.param(CHECKS["liu_a"].runner, "weight", id="Lift"),
-        pytest.param(CHECKS["thm2.1i"].runner, "e", id="AtPrime"),
-        pytest.param(CHECKS["id_gf"].runner, "max_n", id="Identity"),
-        pytest.param(res, "verdict", id="CheckResult"),
-        pytest.param(prime_info(13), "klass", id="PrimeInfo"),
-        pytest.param(IdentityOutcome(True, 1, 5, 5), "ok", id="IdentityOutcome"),
-    ]
+# one of each record and registry row type, with a field to assign; each is
+# made when its test runs, so a fault on the prime path fails that test
+# rather than the collection of this module
+FROZEN_RECORDS = [
+    pytest.param(lambda: CHECKS["beukers_a"], "name", id="CheckDef"),
+    pytest.param(lambda: CHECKS["liu_a"].runner, "weight", id="Lift"),
+    pytest.param(lambda: CHECKS["thm2.1i"].runner, "e", id="AtPrime"),
+    pytest.param(lambda: CHECKS["id_gf"].runner, "max_n", id="Identity"),
+    pytest.param(lambda: run_check("thm2.1i", 7), "verdict", id="CheckResult"),
+    pytest.param(lambda: prime_info(13), "klass", id="PrimeInfo"),
+    pytest.param(lambda: IdentityOutcome(True, 1, 5, 5), "ok", id="IdentityOutcome"),
+]
 
 
-@pytest.mark.parametrize("record, field", _frozen_records())
-def test_records_and_rows_are_immutable(record, field):
+@pytest.mark.parametrize("make, field", FROZEN_RECORDS)
+def test_records_and_rows_are_immutable(make, field):
     # a sweep's rows and records are shared values: none may be edited in place
+    record = make()
     before = repr(record)
     with pytest.raises(AttributeError):
         setattr(record, field, None)
@@ -833,8 +834,8 @@ def test_r1_lift_and_prime_rows_read_no_pair(monkeypatch):
 def test_r2_sweep_pairs_only_upper_indices(monkeypatch):
     # over a range of m the lower indices m p + shift and the weights' m - 1
     # and m come off the walks; apery_pair_mod reads only upper indices
-    # m p^2 + shift, which start at p^2 - 1, and only where a walk past them
-    # would cost more (here from p = 37 on)
+    # m p^2 + shift, which start at p^2 - 1, where the exact pass does not
+    # hand them
     calls = []
     real = checks.apery_pair_mod
 
@@ -846,6 +847,53 @@ def test_r2_sweep_pairs_only_upper_indices(monkeypatch):
     got = sweep(LIFT_CHECKS, (7, 60), m_list=[1, 2, 3], r_list=[2])
     assert {res.verdict for res in got} == {"pass"}
     assert calls and all(n >= q * q - 1 for n, q in calls)
+
+
+@pytest.mark.parametrize("names, primes, m_list, r_list", [
+    pytest.param(LIFT_CHECKS, (7, 100), [1, 2, 3], [2], id="lifts-r2"),
+    pytest.param(LIFT_CHECKS, (5, 40), [1, 2, 3], [1, 2], id="lifts-r12"),
+    pytest.param(list(CHECKS), (9973, 9973), range(1, 7), [1], id="all-9973"),
+])
+def test_task_walks_below_p2_and_pairs_at_and_above(monkeypatch, names, primes, m_list, r_list):
+    # a task walks each of A and A' once, to its largest read below p^2 - 1
+    # that the exact pass does not hand, and pairs exactly the reads at or
+    # above p^2 - 1 that it does not hand
+    walks, pairs, handed = [], [], {}
+    real_walk, real_pair, real_kinds = (
+        checks.apery_walk_mod, checks.apery_pair_mod, checks._walk_kinds)
+
+    def walk(sid, n, table):
+        walks.append((table.p, sid, n))
+        return real_walk(sid, n, table)
+
+    def pair(n, table):
+        pairs.append((table.p, n))
+        return real_pair(n, table)
+
+    def kinds(plan, e):
+        handed.update(real_kinds(plan, e))
+        return handed
+
+    monkeypatch.setattr(checks, "apery_walk_mod", walk)
+    monkeypatch.setattr(checks, "apery_pair_mod", pair)
+    monkeypatch.setattr(checks, "_walk_kinds", kinds)
+    got = sweep(names, primes, m_list=m_list, r_list=r_list)
+    assert {res.verdict for res in got} - {"skip"} == {"pass"}
+    rows, want_walks, want_pairs = [CHECKS[name].runner for name in names], [], []
+    for p in [pi.p for pi in primes_in_range(*primes)]:
+        reads = checks._prime_reads(rows, p, m_list, r_list, checks._size_cap())
+        upper = set()
+        for sid in (SeqId.A, SeqId.APRIME):
+            left = {n for n in reads.get(sid, ()) if (sid, n) not in handed.get(p, {})}
+            below = {n for n in left if n < p * p - 1}
+            if below:
+                want_walks.append((p, sid, max(below)))
+            upper |= left - below
+        want_pairs.extend((p, n) for n in upper)
+    assert sorted(walks) == sorted(want_walks)
+    assert sorted(pairs) == sorted(want_pairs)
+    assert walks or pairs
+    assert bool(pairs) == (2 in r_list)
 
 
 def task_route(sid, p, e, top):
@@ -1123,11 +1171,12 @@ THM33_ROWS = [name for name in CHECKS if name.startswith("thm3.3")]
     (THM33_ROWS, (9733, 10000), [1], [1], 3, {}),
     (THM33_ROWS, (9533, 10000), [1], [1], 3, {SeqId.T: 9973}),
     (["beukers_a", "beukers_aprime"], (9811, 10000), [1, 2], [1], 3, {SeqId.APRIME: 19945}),
-    (["beukers_a", "beukers_aprime"], (9733, 10000), [1, 2], [1], 3,
-     {SeqId.A: 9972, SeqId.APRIME: 19945}),
+    (["beukers_a", "beukers_aprime"], (9679, 10000), [1, 2], [1], 3, {SeqId.APRIME: 19945}),
+    (["beukers_a", "beukers_aprime"], (9677, 10000), [1, 2], [1], 3,
+     {SeqId.A: 19945, SeqId.APRIME: 19945}),
 ], ids=["all-300", "all-1000", "all-40-r2", "all-9973", "lifts-9973", "harmonic-9973",
         "central-150", "central-200", "euler-12", "euler-20", "t-30", "t-50",
-        "lifts-20", "lifts-30"])
+        "lifts-20", "lifts-35", "lifts-36"])
 def test_plan_walks_each_kind_to_its_recorded_end(names, primes, m_list, r_list, e_max, ends):
     # the recorded plans of --checks all, of lone large primes and of the
     # last 12 to 200 primes below 10^4, which pin each kind's cost constants;
