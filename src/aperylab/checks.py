@@ -24,11 +24,11 @@ the rows name as data (Lift.reads, AtPrime.reads), and the harmonic pair
 weighted Lift, or an AtPrime row that reads .euler or .central, applies.  A
 row of _KINDS names the kind's exact walk (apery_values, t_values() or
 harmonic_walk), its reduction at a prime, the task's own route, and the
-costs of each.  One function plans every kind from the read sets
-(_plan_kinds): the bound up to which one exact walk costs less than the
-tasks' own routes, by one cost estimate, which prices those routes by the
-rule below; one walk of harmonic_walk carries both harmonic kinds, with the
-central sums only where a row reads them.  One
+costs of each.  One function plans every kind from the read sets and the
+tasks' precision alone (_plan_kinds): the bound up to which one exact walk
+costs less than the tasks' own routes, by one cost estimate, which prices
+those routes by the rule below; one walk of harmonic_walk carries both
+harmonic kinds, with the central sums only where a row reads them.  One
 function walks each chosen kind once, in increasing n (_walk_kinds), and
 hands each task its values mod p^e_max, and its read set, inside the task
 tuple.
@@ -66,7 +66,7 @@ import os
 from contextlib import suppress
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice, product
 from math import comb, gcd
 from operator import mul
@@ -75,7 +75,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 from . import identities, special
 from .modring import FactorialTable, PrimeInfo, prime_info, primes_in_range, reduce_rat
 from .sequences import (
-    SeqId, apery_pair_mod, apery_values, apery_walk_mod, harmonic_walk, t_values,
+    RECURRENCES, SeqId, apery_pair_mod, apery_values, apery_walk_mod, harmonic_walk, t_values,
 )
 from .special import bernoulli, gamma_quarter_closed_form, padic_gamma
 
@@ -174,10 +174,11 @@ def _harmonic_sums(table: FactorialTable) -> tuple[int, int]:
 def _walk_cost(sid: SeqId, n: int, p: int, e: int) -> float:
     """The estimated cost of apery_walk_mod(sid, n) mod p^e (0 for n < 0),
     counted in apery_pair_mod terms, of which a read of n takes n + 1.  A
-    walk step costs about k/2 terms (k = 3 for A, 2 for A') plus one per 1000
-    bits of its modulus, whose width falls from e + k v_p(n!) digits of p to
-    e along a walk to n."""
-    k = 3 if sid is SeqId.A else 2
+    walk step costs about k/2 terms, with k the exponent of the sequence's
+    row of RECURRENCES (3 for A, 2 for A'), plus one per 1000 bits of its
+    modulus, whose width falls from e + k v_p(n!) digits of p to e along a
+    walk to n."""
+    k = RECURRENCES[sid][0]
     return n * (k / 2 + (e + k * n / (p - 1) / 2) * p.bit_length() / 1000) if n >= 0 else 0
 
 
@@ -489,22 +490,23 @@ def _x_side(at: _PrimeValues, modulus: int) -> int:
     return 4 * x * x - 2 * p - p * p * pow(4 * x * x, -1, modulus)
 
 
-def _eq13(at, modulus, ap):
-    # A'_1 = 3 is divisible by p but not p^2, so the statement needs p > 3.
+def _b_side(at: _PrimeValues, modulus: int, k: int) -> int:
+    """p^2 / (k b^2) mod `modulus` for b = binom((p-3)/2, (p-3)/4), p = 3
+    (mod 4), where k is prime to p or divides p^2: at p = 3, p^2/3 = 3
+    exactly, while 3 is not invertible mod 27."""
     p = at.p
-    rhs = 4 * at.rep[0] ** 2 - 2 * p if at.klass == 1 else 0
-    return ap, rhs
+    b, g = comb((p - 3) // 2, (p - 3) // 4), gcd(k, p * p)
+    return p * p // g * pow(k // g * b * b, -1, modulus)
+
+
+def _eq13(at, modulus, ap):
+    # A'_1 = 3 is divisible by p but not p^2, so the statement needs p > 3;
+    # mod p^2, _x_side is 4x^2 - 2p
+    return ap, _x_side(at, modulus) if at.klass == 1 else 0
 
 
 def _thm21i(at, modulus, ap):
-    p = at.p
-    if p == 3:
-        # p^2/3 = 3 exactly; 3 is not invertible mod 27
-        rhs = 3
-    else:
-        b = comb((p - 3) // 2, (p - 3) // 4)
-        rhs = p * p * pow(3, -1, modulus) % modulus * pow(b, -2, modulus)
-    return ap, rhs
+    return ap, _b_side(at, modulus, 3)
 
 
 def _thm21ii(at, modulus, ap):
@@ -529,12 +531,8 @@ def _lemma23(at, modulus, ap):
 def _lemma24(at, modulus):
     # the k = 0 term, then k = 1..(p-1)/2 from the central pass: for
     # (p-1)/2 < k < p, p divides binom(2k,k) once and its cube vanishes mod p^3
-    p = at.p
     lhs = 1 + at.central_sums[0]
-    if at.klass == 1:
-        return lhs, _x_side(at, modulus)
-    b = comb((p - 3) // 2, (p - 3) // 4)
-    return lhs, -p * p * pow(4, -1, modulus) * pow(b, -2, modulus)
+    return lhs, _x_side(at, modulus) if at.klass == 1 else _b_side(at, modulus, -4)
 
 
 def _lemma25(at, modulus):
@@ -592,16 +590,10 @@ def _thm33_tpm1(at, modulus, t):
     return t, rhs
 
 
-def _thm33_thalf(at, modulus, t):
+def _thm33_half(c, at, modulus, t):
+    # t_{(p-1)/2} for c = 1, t_{(p+1)/2} for c = 3
     p = at.p
-    rhs = at.pb - p + pow(2, p - 1, modulus) - 1
-    return t, rhs
-
-
-def _thm33_thalfp1(at, modulus, t):
-    p = at.p
-    rhs = at.pb - 3 * p + pow(2, p - 1, modulus) - 1
-    return t, rhs
+    return t, at.pb - c * p + pow(2, p - 1, modulus) - 1
 
 
 def _thm33_tquarter(at, modulus, t):
@@ -660,8 +652,8 @@ def _defs() -> dict:
         ("conj2.5", conjecture, Lift(a, -1, 1, weight=(17, -1, 18), difference=True)),
         ("thm3.3_tp", theorem, AtPrime(3, _thm33_tp, seq=(t, 0, 1))),
         ("thm3.3_tpm1", theorem, AtPrime(2, _thm33_tpm1, seq=(t, -1, 1))),
-        ("thm3.3_thalf", theorem, AtPrime(2, _thm33_thalf, seq=(t, -1, 2))),
-        ("thm3.3_thalfp1", theorem, AtPrime(2, _thm33_thalfp1, seq=(t, 1, 2))),
+        ("thm3.3_thalf", theorem, AtPrime(2, partial(_thm33_half, 1), seq=(t, -1, 2))),
+        ("thm3.3_thalfp1", theorem, AtPrime(2, partial(_thm33_half, 3), seq=(t, 1, 2))),
         ("thm3.3_tquarter", theorem, AtPrime(1, _thm33_tquarter, klass=3, seq=(t, -3, 4))),
         ("id_lemma2.1", theorem, Identity(("lemma21_identity", "order4_certificate"), 100)),
         ("id_eq2.1", theorem, Identity(("eq21_identity",), 99)),
@@ -912,27 +904,23 @@ def _prime_list(primes) -> list[int]:
     return sorted({int(p) for p in primes})
 
 
-def _plan_kinds(names, primes, m_list, r_list, reads: Optional[dict] = None,
-                ) -> tuple[dict, int]:
-    """(plan, e_max) for the exact pass of a sweep's prime tasks: plan[kind][n]
-    lists the primes whose tasks are handed the value of `kind` at n
-    (_walk_kinds), and e_max is the tasks' precision.  reads[p] is the read
-    set of p's task (_prime_reads), collected here where the sweep has not
-    given it.  Where any prime reads the central sums, every harmonic read
-    is one of them, so one walk carries both kinds.
+def _plan_kinds(reads: dict, e: int) -> dict:
+    """The plan of the exact pass of a sweep's prime tasks, from their read
+    sets alone: plan[kind][n] lists the primes whose tasks are handed the
+    value of `kind` at n (_walk_kinds).  reads[p] is the read set of p's
+    task (_prime_reads), and e the tasks' precision (_e_max), at which the
+    tasks' own walks are priced.  Where any prime reads the central sums,
+    every harmonic read is one of them, so one walk carries both kinds.
 
     Each kind is walked to the read that minimises one cost estimate (see
     _Kind): the exact walk to it, one reduction for each read up to it, and
     the tasks' own routes for the reads above it.  Those routes are priced
     as the task takes them (walk_or_pair), by what handing each read saves:
     n + 1 terms for a read of n at or above p^2 - 1, the task's whole walk
-    or pass at its top read below p^2 - 1, and nothing at the others.  So a
-    sweep over many primes walks its reads of size m p exactly, and a lone
-    large prime, or a read of size m p^2, keeps the task's routes."""
-    rows = [CHECKS[name].runner for name in names]
-    e = _e_max(rows, r_list)
-    if reads is None:
-        reads = {p: _prime_reads(rows, p, m_list, r_list, _size_cap()) for p in primes}
+    (_walk_cost, for A and A') or pass (own * p) at its top read below
+    p^2 - 1, and nothing at the others.  So a sweep over many primes walks
+    its reads of size m p exactly, and a lone large prime, or a read of
+    size m p^2, keeps the task's routes."""
     if any(CENTRAL in got for got in reads.values()):
         reads = {p: {CENTRAL if kind is SeqId.H else kind: ns for kind, ns in got.items()}
                  for p, got in reads.items()}
@@ -966,7 +954,7 @@ def _plan_kinds(names, primes, m_list, r_list, reads: Optional[dict] = None,
                 readers.setdefault(n, []).append(p)
         if readers:
             plan[kind] = readers
-    return plan, e
+    return plan
 
 
 def _walk_kinds(plan: dict, e: int) -> dict:
@@ -1019,7 +1007,8 @@ def sweep(
     if at_prime:
         rows, cap = [CHECKS[name].runner for name in at_prime], _size_cap()
         reads = {p: _prime_reads(rows, p, m_list, r_list, cap) for p in plist}
-        handed = _walk_kinds(*_plan_kinds(at_prime, plist, m_list, r_list, reads))
+        e = _e_max(rows, r_list)
+        handed = _walk_kinds(_plan_kinds(reads, e), e)
         tasks.extend((at_prime, p, m_list, r_list, handed.get(p, {}), reads[p]) for p in plist)
 
     workers = min(jobs, usable_cpus(), len(tasks))

@@ -14,7 +14,9 @@ sweep's exact harmonic walk (checks) reduces the walk at each prime's p // 4
 and (p - 1)/2.  apery_values is the one exact walk
 of A or A'; apery_neighbours reads (S_{n-1}, S_n) off it for the exact
 outputs, and a sweep's exact pass (checks) reads it and t_values() in
-increasing n, reducing each value at the primes that read it.
+increasing n, reducing each value at the primes that read it.  Each
+Apery sequence's three-term recurrence is stated once, as its row (k, c) of
+RECURRENCES, which apery_values walks exactly and apery_walk_mod mod p^e.
 C and C' are data rows (S, b, d) for n^3 (S_{n-1} + b S_n) / d:
 C_n = n^3 (A_{n-1} - 17 A_n) / 12, C'_n = n^3 (A'_{n-1} - 2 A'_n).
 seq_mod evaluates residues in O(n) steps without the exact value:
@@ -94,21 +96,26 @@ def t_closed_form(n: int) -> Fraction:
     return Fraction(num * (factorial(2 * n + 1) // l), 4 ** n)
 
 
+# The three-term recurrence of each Apery sequence S, as a row (k, c):
+#   (i+1)^k S_{i+1} = c(i) S_i + (-i)^k S_{i-1},   S_{-1} = 0, S_0 = 1,
+# with c = (c3, c2, c1, c0) the coefficients of c(i) = c3 i^3 + c2 i^2 + c1 i + c0
+# (van der Poorten, "A proof that Euler missed", Math. Intelligencer 1, 1979).
+# The last term's sign is (-1)^k: minus for A, plus for A'.  For A,
+# c(i) = (2i+1)(17i(i+1)+5); for A', c(i) = 11i(i+1)+3.
+RECURRENCES = {SeqId.A: (3, (34, 51, 27, 5)), SeqId.APRIME: (2, (0, 11, 11, 3))}
+
+
 def apery_values(sid: SeqId):
-    """S_0, S_1, ... for S = A or A' by `sid`, by the recurrence, holding two
-    values at a time:
+    """S_0, S_1, ... for S = A or A' by `sid`, by its row of RECURRENCES,
+    holding two values at a time:
       (i+1)^3 A_{i+1} = (2i+1)(17i(i+1)+5) A_i - i^3 A_{i-1},
       (i+1)^2 A'_{i+1} = (11i(i+1)+3) A'_i + i^2 A'_{i-1}."""
+    k, (c3, c2, c1, c0) = RECURRENCES[SeqId(sid)]
     a, b = 0, 1
     yield b
-    if SeqId(sid) is SeqId.A:
-        for i in count():
-            a, b = b, ((2 * i + 1) * (17 * i * (i + 1) + 5) * b - i ** 3 * a) // (i + 1) ** 3
-            yield b
-    else:
-        for i in count():
-            a, b = b, ((11 * i * (i + 1) + 3) * b + i ** 2 * a) // (i + 1) ** 2
-            yield b
+    for i in count():
+        a, b = b, ((((c3 * i + c2) * i + c1) * i + c0) * b + (-i) ** k * a) // (i + 1) ** k
+        yield b
 
 
 def apery_neighbours(sid: SeqId, n: int) -> tuple[int, int]:
@@ -229,12 +236,12 @@ def apery_pair_mod(n: int, table: FactorialTable) -> tuple[int, int]:
 
 def apery_walk_mod(sid: SeqId, n: int, table: FactorialTable) -> list[int]:
     """Least residues S_0, ..., S_n mod p^e of S = A or A' by `sid`, for the p
-    and e of `table`, from one walk of the recurrence of apery_neighbours.
+    and e of `table`, from one walk of the sequence's row (k, c) of
+    RECURRENCES, the recurrence that apery_values walks exactly.
 
-    With k = 3 for A and 2 for A', the walk carries y_i = S_i unit(i!)^k,
-    whose recurrence has no division but by p: with s the unit part of i,
-      p^(3t) y_{i+1} = (2i+1)(17i(i+1)+5) y_i - (i s)^3 y_{i-1}   (A),
-      p^(2t) y_{i+1} = (11i(i+1)+3) y_i + (i s)^2 y_{i-1}          (A'),
+    The walk carries y_i = S_i unit(i!)^k, whose recurrence has no division
+    but by p: with s the unit part of i,
+      p^(kt) y_{i+1} = c(i) y_i + (-i s)^k y_{i-1},
     where p^t || i + 1.  Each division costs kt digits, k v_p(n!) in all, so
     the walk starts mod p^(e + k v_p(n!)) and drops to the precision it still
     needs at each multiple of p.  S_i = y_i IU[i]^k is read off the table's
@@ -244,16 +251,12 @@ def apery_walk_mod(sid: SeqId, n: int, table: FactorialTable) -> list[int]:
         raise ValueError("need n >= 0")
     table.extend(n)
     p, m, val, inv = table.p, table.modulus, table.val, table.inv_unit
-    is_a = SeqId(sid) is SeqId.A
-    k = 3 if is_a else 2
+    k, (c3, c2, c1, c0) = RECURRENCES[SeqId(sid)]
     work = m * p ** (k * val[n])
     prev, cur, s = 0, 1, 1  # y_{i-1}, y_i and the unit part of i
     out = [1]
     for i in range(n):
-        if is_a:
-            y = ((2 * i + 1) * (17 * i * (i + 1) + 5) * cur - (i * s) ** 3 * prev) % work
-        else:
-            y = ((11 * i * (i + 1) + 3) * cur + (i * s) ** 2 * prev) % work
+        y = ((((c3 * i + c2) * i + c1) * i + c0) * cur + (-i * s) ** k * prev) % work
         s = i + 1
         if s % p == 0:
             # exact: y_{i+1} p^(kt) is known mod `work`, which p^(kt) divides

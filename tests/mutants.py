@@ -30,12 +30,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHECKS_PY = "aperylab/checks.py"
 SEQUENCES_PY = "aperylab/sequences.py"
+MODRING_PY = "aperylab/modring.py"
+SPECIAL_PY = "aperylab/special.py"
+IDENTITIES_PY = "aperylab/identities.py"
+EXACTCORE_PY = "aperylab/exactcore.py"
 T = "tests/test_checks.py::"
 GOLDEN = "tests/test_golden.py::test_fixed_sweep_output_bytes"
 PLAN = T + "test_plan_walks_each_kind_to_its_recorded_end"
 READ_SET = T + "test_every_value_a_prime_task_reads_is_in_its_read_set"
 WALK_OR_PAIR = T + "test_task_walks_below_p2_and_pairs_at_and_above"
-WALK_ORACLES = "tests/test_sequences.py::test_apery_walk_mod_matches_oracles_everywhere"
+S = "tests/test_sequences.py::"
+WALK_ORACLES = S + "test_apery_walk_mod_matches_oracles_everywhere"
+SUM_AND_RECURRENCE = S + "test_sum_and_recurrence_agree"
+PAIR_ORACLES = S + "test_apery_pair_mod_matches_oracles_everywhere"
+GAMMA_PRODUCT = "tests/test_special.py::test_padic_gamma_matches_definition_product"
 
 MUTANTS = [
     # the harmonic walk's reduction at a prime (_reduce_harmonic)
@@ -114,10 +122,83 @@ MUTANTS = [
      "            while s % p == 0:\n                s //= p\n",
      "",
      [WALK_ORACLES]),
-    ("walk-aprime-minus-sign", SEQUENCES_PY,
-     "+ (i * s) ** 2 * prev",
-     "- (i * s) ** 2 * prev",
-     [WALK_ORACLES]),
+    # the one recurrence row of each Apery sequence (RECURRENCES), which the
+    # exact walk and the walk mod p^e both read: the direct sums and the
+    # pair are the routes apart from it
+    ("recurrence-a-coefficient", SEQUENCES_PY,
+     "(34, 51, 27, 5)",
+     "(34, 51, 26, 5)",
+     [WALK_ORACLES, SUM_AND_RECURRENCE]),
+    ("recurrence-aprime-coefficient", SEQUENCES_PY,
+     "(0, 11, 11, 3)",
+     "(0, 11, 12, 3)",
+     [WALK_ORACLES, SUM_AND_RECURRENCE]),
+    ("recurrence-a-exponent", SEQUENCES_PY,
+     "SeqId.A: (3, ",
+     "SeqId.A: (2, ",
+     [WALK_ORACLES, SUM_AND_RECURRENCE]),
+    # the pair of A_n and A'_n mod p^e (sequences.apery_pair_mod)
+    ("pair-one-guard", SEQUENCES_PY,
+     "        if v < e:\n",
+     "        if 2 * w < e:\n",
+     [PAIR_ORACLES]),
+    ("pair-aprime-drops-iu-d", SEQUENCES_PY,
+     "acc_b += ppow[v] * u * iu_k * iu_d",
+     "acc_b += ppow[v] * u * iu_k",
+     [PAIR_ORACLES]),
+    # the exact walks of t and of the harmonic sums (sequences)
+    ("t-coefficient-4", SEQUENCES_PY,
+     "(8 * i * i + 12 * i + 5)",
+     "(8 * i * i + 12 * i + 4)",
+     [S + "test_t_dual_route"]),
+    ("harmonic-walk-h-not-rescaled", SEQUENCES_PY,
+     "l, l2, h, q = l * g, l2 * g * g, h * g, q * g * g",
+     "l, l2, h, q = l * g, l2 * g * g, h, q * g * g",
+     [S + "test_harmonic_walk_matches_fraction_sums_across_lcm_rescales"]),
+    # the harmonic family mod p^e (sequences.seq_mod)
+    ("seq-mod-scale-p-v", SEQUENCES_PY,
+     "m = p ** (e + 2 * v)",
+     "m = p ** (e + v)",
+     [S + "test_harmonic_seq_mod_matches_reduced_exact_value"]),
+    # a task's central pass and p B_{p-1} (checks)
+    ("central-binomial-one-inverse", CHECKS_PY,
+     "c = unit[2 * k] * inv[k] % m * inv[k] % m",
+     "c = unit[2 * k] * inv[k] % m",
+     [T + "test_central_sums_match_pow_oracle"]),
+    ("pb-minus-p", CHECKS_PY,
+     "(self.table.unit[self.p - 1] + self.p) % m",
+     "(self.table.unit[self.p - 1] - self.p) % m",
+     [T + "test_glaisher_pb_matches_power_sum"]),
+    # eq2.2 off a task's table (identities.eq22_congruence)
+    ("eq22-mod-table-modulus", IDENTITIES_PY,
+     "    m = p * p\n    half = (p - 1) // 2\n",
+     "    m = table.modulus\n    half = (p - 1) // 2\n",
+     ["tests/test_identities.py::test_eq22_reads_a_given_table_at_any_precision"]),
+    # the inverse-unit row of a factorial table (modring.FactorialTable.extend),
+    # read by eq2.2 against math.comb
+    ("table-inverse-row-shifted", MODRING_PY,
+     "reversed(stripped[1:])",
+     "reversed(stripped[:-1])",
+     ["tests/test_identities.py::test_eq22_table_rows_match_comb"]),
+    # the digit count of a NotPIntegral message (modring._digits)
+    ("digits-no-carry", MODRING_PY,
+     "return k + (abs(x) >= 10 ** k)",
+     "return k",
+     ["tests/test_modring.py::test_reduce_rat_names_sizes_not_digits"]),
+    # the integer series of the generating-function oracle (exactcore)
+    ("series-over-4-top-plus-1", EXACTCORE_PY,
+     "for k in range(order)], 4 ** top",
+     "for k in range(order)], 4 ** (top + 1)",
+     ["tests/test_exactcore.py::test_integer_series_match_fraction_oracle"]),
+    # Gamma_p by blocks (special.padic_gamma)
+    ("gamma-shift-minus", SPECIAL_PY,
+     "g[k] = (g[k] + t * g[k + 1]) % m",
+     "g[k] = (g[k] - t * g[k + 1]) % m",
+     [GAMMA_PRODUCT]),
+    ("gamma-block-unscaled", SPECIAL_PY,
+     "return [ck * p ** k % m for k, ck in enumerate(c)]",
+     "return [ck % m for k, ck in enumerate(c)]",
+     [GAMMA_PRODUCT]),
     # the forked stripes of a sweep (_run_stripes)
     ("stripes-raise-first-stripe-error", CHECKS_PY,
      "raise min(failed, key=lambda f: f[0])[1]",

@@ -137,6 +137,16 @@ def shift_harmonic(monkeypatch, central=None, harmonic=None):
     monkeypatch.setattr(checks, "_walk_kinds", kinds)
 
 
+def plan_of(names, primes, m_list, r_list):
+    """(plan, e_max) of the exact pass of a sweep of the named prime rows over
+    a list of primes, planned from their read sets as the sweep plans it."""
+    rows = [CHECKS[name].runner for name in names]
+    e = checks._e_max(rows, r_list)
+    reads = {p: checks._prime_reads(rows, p, m_list, r_list, checks._size_cap())
+             for p in primes}
+    return checks._plan_kinds(reads, e), e
+
+
 def test_registry_shape():
     assert len(CHECKS) == 30
     assert CHECKS["thm2.1i"].status is Status.THEOREM
@@ -937,7 +947,7 @@ def test_exact_pass_matches_the_task_routes_next_to_p_and_p2(e):
 
 def test_exact_pass_hands_t_at_a_quarter():
     # thm3.3_tquarter reads t_{(p-3)/4}: t_0 at p = 3, t_1 at p = 7
-    plan, e_max = checks._plan_kinds(["thm3.3_tquarter"], [3, 7], [1], [1])
+    plan, e_max = plan_of(["thm3.3_tquarter"], [3, 7], [1], [1])
     assert (plan, e_max) == ({SeqId.T: {0: [3], 1: [7]}}, 1)
     for e in range(1, 9):
         got = checks._walk_kinds(plan, e)
@@ -973,9 +983,9 @@ def test_lone_large_prime_keeps_the_task_walk(monkeypatch):
     # an exact walk to m p costs O((m p)^2) bits: at p = 9973 and m <= 6 the
     # task's walks mod p^5 cost less, while p <= 10^4 at m = 1 takes the pass
     # for every read, and the harmonic walk for every B
-    assert checks._plan_kinds(LIFT_CHECKS, [9973], range(1, 7), [1]) == ({}, 5)
+    assert plan_of(LIFT_CHECKS, [9973], range(1, 7), [1]) == ({}, 5)
     primes = [pi.p for pi in primes_in_range(3, 10 ** 4)]
-    plan, _ = checks._plan_kinds(LIFT_CHECKS, primes, [1], [1])
+    plan, _ = plan_of(LIFT_CHECKS, primes, [1], [1])
     assert {kind: max(readers) for kind, readers in plan.items()} == {
         SeqId.A: 9973, SeqId.APRIME: 9973, SeqId.H: 4986}
     calls = []
@@ -1132,10 +1142,10 @@ def test_lone_large_prime_keeps_the_task_harmonic_pass(monkeypatch):
     # one exact walk to (p-1)/2 = 4986, with its central products, costs far
     # more than one task's passes at p = 9973; and rows that read no harmonic
     # value plan no walk at all
-    assert checks._plan_kinds(HARMONIC_ROWS, [9973], [1], [1]) == ({}, 5)
+    assert plan_of(HARMONIC_ROWS, [9973], [1], [1]) == ({}, 5)
     primes = [pi.p for pi in primes_in_range(3, 300)]
     for names in (["beukers_a", "beukers_aprime"], [n for n in CHECKS if n.startswith("thm3.3")]):
-        plan, _ = checks._plan_kinds(names, primes, [1, 2], [1])
+        plan, _ = plan_of(names, primes, [1, 2], [1])
         assert not {SeqId.H, CENTRAL} & set(plan), names
 
     def refuse(central=False):
@@ -1182,7 +1192,7 @@ def test_plan_walks_each_kind_to_its_recorded_end(names, primes, m_list, r_list,
     # last 12 to 200 primes below 10^4, which pin each kind's cost constants;
     # every prime reads the central sums at (p - 1)/2 up to the walk's end
     plist = [pi.p for pi in primes_in_range(*primes)]
-    plan, e = checks._plan_kinds(names, plist, m_list, r_list)
+    plan, e = plan_of(names, plist, m_list, r_list)
     assert e == e_max
     assert {kind: max(readers) for kind, readers in plan.items()} == ends
     if CENTRAL in plan:
@@ -1218,7 +1228,7 @@ def test_sweep_fails_when_one_kind_is_perturbed(monkeypatch, kind, route):
     before = sweep(names, primes, m_list=m_list)
     assert {res.verdict for res in before} - {"skip"} == {"pass"}
     if route == "walk":
-        plan, _ = checks._plan_kinds(names, primes, m_list, [1])
+        plan, _ = plan_of(names, primes, m_list, [1])
         assert {q for ps in plan[kind].values() for q in ps} == set(primes)
         real = checks._walk_kinds
 
@@ -1229,13 +1239,13 @@ def test_sweep_fails_when_one_kind_is_perturbed(monkeypatch, kind, route):
 
         monkeypatch.setattr(checks, "_walk_kinds", walked)
     else:
-        row, real_plan = checks._KINDS[kind], checks._plan_kinds
+        row = checks._KINDS[kind]
 
         def own(at, k, n):
             return shift(row.route(at, k, n), n, at.p, at.e_max)
 
         monkeypatch.setitem(checks._KINDS, kind, row._replace(route=own))
-        monkeypatch.setattr(checks, "_plan_kinds", lambda *args: ({}, real_plan(*args)[1]))
+        monkeypatch.setattr(checks, "_plan_kinds", lambda *args: {})
     got = sweep(names, primes, m_list=m_list)
     assert [res.verdict == "skip" for res in got] == [res.verdict == "skip" for res in before]
     assert {res.verdict for res in got} - {"skip"} == {"fail"}
@@ -1444,8 +1454,7 @@ def test_lift_weights_read_no_exact_walk(monkeypatch):
     for module in (sequences, checks):
         for walk in ("apery_neighbours", "apery_values", "t_values", "harmonic_walk"):
             monkeypatch.setattr(module, walk, refuse, raising=False)
-    real_plan = checks._plan_kinds
-    monkeypatch.setattr(checks, "_plan_kinds", lambda *args: ({}, real_plan(*args)[1]))
+    monkeypatch.setattr(checks, "_plan_kinds", lambda *args: {})
     got = sweep(WEIGHTED_LIFTS, [11, 13, 17, 19], m_list=[1, 2, 7], r_list=[1, 2])
     assert [res.verdict for res in got] == ["pass"] * 144
 

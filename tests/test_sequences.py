@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aperylab import sequences
+from aperylab import checks, sequences
 from aperylab.modring import FactorialTable, NotPIntegral, reduce_rat
 from aperylab.sequences import (
     SeqId,
@@ -388,6 +388,21 @@ def test_apery_walk_mod_ends_anywhere(p):
             table.extend(3 * top)
             assert apery_walk_mod(sid, top // 2, table) == full[: top // 2 + 1]
             assert len(table.val) == 3 * top + 1
+
+
+def test_both_walks_and_the_walk_cost_read_the_recurrence_row(monkeypatch):
+    # each Apery recurrence is stated once, as its row of RECURRENCES: with
+    # A's row set to that of A', the exact walk, the walk mod p^e and the planner's
+    # walk cost all take A for A'
+    def routes(sid):
+        return (list(islice(sequences.apery_values(sid), 50)),
+                apery_walk_mod(sid, 60, FactorialTable(7, 3)),
+                checks._walk_cost(sid, 60, 7, 3))
+
+    a, aprime = routes(SeqId.A), routes(SeqId.APRIME)
+    assert all(x != y for x, y in zip(a, aprime))
+    monkeypatch.setitem(sequences.RECURRENCES, SeqId.A, sequences.RECURRENCES[SeqId.APRIME])
+    assert routes(SeqId.A) == aprime
 
 
 def test_apery_walk_mod_rejects_negative_index():
