@@ -24,28 +24,34 @@ the rows name as data (Lift.reads, AtPrime.reads), and the harmonic pair
 weighted Lift, or an AtPrime row that reads .euler or .central, applies.  A
 row of _KINDS names the kind's exact walk (apery_values, t_values() or
 harmonic_walk), its reduction at a prime, the task's own route, and the
-costs of each.  One function plans every kind from the read sets and the
-tasks' precision alone (_plan_kinds): the bound up to which one exact walk
-costs less than the tasks' own routes, by one cost estimate, which prices
-those routes by the rule below; one walk of harmonic_walk carries both
-harmonic kinds, with the central sums only where a row reads them.  One
-function walks each chosen kind once, in increasing n (_walk_kinds), and
-hands each task its values mod p^e_max, and its read set, inside the task
+costs of each.
+Each read takes one of four routes.  It is `handed`, off the sweep's exact
+pass, or else it takes the task's own route, by one rule (_own_route):
+`pass` for t, the harmonic pair and the central sums, one pass of each kind
+at the prime; for A and A', `walk` below p^2 - 1, one apery_walk_mod walk
+per sequence to the largest such read, and `pair` at or above it, one
+apery_pair_mod pass per index, where a walk would run past p^2 for one
+read.  One function plans every kind from the read sets and the tasks'
+precision alone (_plan_kinds), and deals each read its route: `handed` up
+to the bound below which one exact walk costs less than the tasks' own
+routes, by one cost estimate that prices those routes by the rule, and the
+task's own route above it; one walk of harmonic_walk carries both harmonic
+kinds, with the central sums only where a row reads them.  One function
+walks the handed reads of each kind once, in increasing n (_walk_kinds),
+and hands each task its values mod p^e_max, and its routes, inside the task
 tuple.
 A task owns the prime's one factorial table, at the largest precision the
 rows need, and hands it to the kernels, pure functions of what they are
-given: for the A_n and A'_n of its read set that were not handed, one
-apery_walk_mod walk per sequence, to its largest such index below p^2 - 1,
-and one apery_pair_mod pass for each such index at or above p^2 - 1, where
-a walk would run past p^2 for one read; where they were not handed, the four
-central-binomial harmonic sums from one pass and H_{p-1} with Lehmer's sum
-from another; and eq2.2's binomials.
+given: the walks, pairs and passes of its routes (the four central-binomial
+harmonic sums from one pass, H_{p-1} with Lehmer's sum from another), and
+eq2.2's binomials.
 p B_{p-1} = (p-1)! + p (mod p^2) by Glaisher's congruence is read off it.  No
-table outlives its task.  t_0..t_p come from one walk where no t_n is
-handed.  B_{p-3} mod p and the bracket mod p^2 are read off H_{p-1} mod p^4
+table outlives its task.  t_0..t_p come from one walk, the `pass` of t.
+B_{p-3} mod p and the bracket mod p^2 are read off H_{p-1} mod p^4
 (for p >= 7; the exact B_2 and B_6 at p = 5), E_{p-3} mod p off Lehmer's
 sum, and Gamma_p(1/4)^4 is taken once.  run_check runs the same evaluator
-on one row, with nothing handed, from that row's read set.
+on one row, with nothing handed: each read of that row's read set takes the
+task's own route.
 A conj2.5 record carries its prime's residue of c_m, read off the record's
 difference, so the CRT recovery (cm_recovery) reads the sweep's own values;
 recover_cm reads those of a sweep of the conj2.5 row alone.
@@ -190,15 +196,16 @@ class _PrimeValues:
     kept only as long as this object.  A value of a kind of _KINDS (A_n, A'_n,
     t_n, the harmonic pair (H_{p-1}, Lehmer's sum) and the four central sums)
     is first looked up in `handed`, the residues of the sweep's exact pass,
-    and else taken off the kind's task route, once.  The task's read set
-    (_prime_reads) holds every value the rows read.  For the routes it owns
-    the prime's one factorial table, FactorialTable(p, e_max), and hands it
-    to the kernels: of the reads of A and A' that were not handed, those
-    below p^2 - 1 from one walk per sequence (apery_walk_mod) to the largest
-    of them, and those at or above it from the pair (apery_pair_mod), once
-    per index (walk_or_pair);
-    t_0..t_p mod p^e_max from one walk; the four central sums from one pass
-    (_central_sums) and the harmonic pair from another (_harmonic_sums).
+    and else taken off the kind's task route, once.  `routes` deals every
+    value the rows read (the task's read set, _prime_reads) one of four
+    routes (_plan_kinds, _own_route): `handed`, `walk`, `pair` or `pass`.
+    For its own routes the task owns the prime's one factorial table,
+    FactorialTable(p, e_max), and hands it to the kernels: the `walk` reads
+    of A or A' from one walk per sequence (apery_walk_mod) to the largest of
+    them, and the `pair` reads from apery_pair_mod, once per index
+    (walk_or_pair); the `pass` reads of t_0..t_p mod p^e_max from one walk;
+    the four central sums from one pass (_central_sums) and the harmonic
+    pair from another (_harmonic_sums).
     Besides: p B_{p-1} from its entry (p-1)!, the per-prime identity and
     Gamma_p(1/4)^4 mod p.  B_{p-3} mod p, the bracket mod p^2 and E_{p-3}
     mod p are read off the harmonic pair, with no power sum.  The single
@@ -215,9 +222,9 @@ class _PrimeValues:
         # {(kind, n): value mod p^e_max}, handed by the sweep's exact pass
         # (_walk_kinds) or kept from a route
         self.values = dict(handed or {})
-        # the end of each sequence's walk, which _prime_results sets from the
-        # reads of A and A' in the read set that were not handed
-        self.reach: dict[SeqId, int] = {}
+        # {(kind, n): route} for each read of the task's read set, which
+        # _prime_results deals it
+        self.routes: dict = {}
         self._walks: dict[SeqId, list[int]] = {}
         self._pairs: dict[int, tuple[int, int]] = {}
 
@@ -230,14 +237,15 @@ class _PrimeValues:
         return got
 
     def walk_or_pair(self, sid: SeqId, n: int) -> int:
-        """A_n or A'_n mod p^e_max by the task's own routes.  An index below
-        p^2 - 1 is read off the sequence's one walk (apery_walk_mod), taken at
-        its first such read to its reach, the largest read below p^2 - 1 that
-        was not handed; an index at or above p^2 - 1 off apery_pair_mod,
-        whose first read of n takes both."""
-        if n < self.p * self.p - 1:
+        """A_n or A'_n mod p^e_max by the route the task was dealt for it.  A
+        `walk` read is read off the sequence's one walk (apery_walk_mod),
+        taken at its first such read to the largest read routed to it; a
+        `pair` read off apery_pair_mod, whose first read of n takes both."""
+        if self.routes[sid, n] == "walk":
             if sid not in self._walks:
-                self._walks[sid] = apery_walk_mod(sid, self.reach[sid], self.table)
+                top = max(k for (kind, k), route in self.routes.items()
+                          if kind is sid and route == "walk")
+                self._walks[sid] = apery_walk_mod(sid, top, self.table)
             return self._walks[sid][n]
         if n not in self._pairs:
             self._pairs[n] = apery_pair_mod(n, self.table)
@@ -337,13 +345,14 @@ def _reduce_harmonic(got: dict, kind, step: tuple, k: int, p: int, e: int) -> No
 class _Kind(NamedTuple):
     """A value kind of a sweep's exact pass: its exact walk from index 0, the
     reduction of a step at a prime into the prime's handed values, the
-    task's own route where nothing is handed, and their costs in
-    apery_pair_mod terms.  Step i of the walk costs 1 + 2 growth i / 1000,
-    and its reduction 1 + 2 reduce_growth i / 1000.  The task's own pass
-    costs own * p terms for the kind's reads at p, one coefficient per kind;
-    with no own, the task walks the reads of A or A' below p^2 - 1 to the
-    largest (_walk_cost) and pairs the others, n + 1 terms for a read of n.
-    With quarter, the walk also stops at each prime's p // 4."""
+    task's own route for a read it is not handed (for A and A',
+    walk_or_pair, which walks or pairs as the task's routes say), and their
+    costs in apery_pair_mod terms.  Step i of the walk costs
+    1 + 2 growth i / 1000, and its reduction 1 + 2 reduce_growth i / 1000.
+    The task's own pass costs own * p terms for the kind's reads at p, one
+    coefficient per kind; with no own, the task walks the `walk` reads of A
+    or A' to the largest (_walk_cost) and pairs the others, n + 1 terms for
+    a read of n (_own_route)."""
 
     walk: Callable
     reduce: Callable
@@ -351,7 +360,6 @@ class _Kind(NamedTuple):
     growth: float
     reduce_growth: float
     own: Optional[float] = None
-    quarter: bool = False
 
 
 # The growths were fitted to exact walks to 3000 and 10^4, on a 2-vCPU Xeon
@@ -374,10 +382,21 @@ _KINDS = {
     SeqId.T: _Kind(lambda: t_values(), _reduce_value,
                    lambda at, kind, n: at._t_walk[n], 4.0, 4.0, 1.0),
     SeqId.H: _Kind(lambda: harmonic_walk(), _reduce_harmonic,
-                   lambda at, kind, n: _harmonic_sums(at.table), 3.0, 8.0, 0.5, True),
+                   lambda at, kind, n: _harmonic_sums(at.table), 3.0, 8.0, 0.5),
     CENTRAL: _Kind(lambda: harmonic_walk(central=True), _reduce_harmonic,
-                   lambda at, kind, n: _central_sums(at.table), 75.0, 16.0, 1.3, True),
+                   lambda at, kind, n: _central_sums(at.table), 75.0, 16.0, 1.3),
 }
+
+
+def _own_route(kind, n: int, p: int) -> str:
+    """The route a prime task takes on its own for its read of `kind` at n:
+    `pass` for t, the harmonic pair and the central sums, one pass of each
+    kind (_Kind.route); for A and A', `walk` below p^2 - 1, one walk per
+    sequence to the largest such read, and `pair` at or above it, one
+    apery_pair_mod per index, where a walk would run past p^2 for one read."""
+    if kind not in (SeqId.A, SeqId.APRIME):
+        return "pass"
+    return "walk" if n < p * p - 1 else "pair"
 
 
 # ---------------------------------------------------------------------------
@@ -732,27 +751,23 @@ def _prime_reads(rows, p: int, m_list, r_list, cap: int) -> dict:
     return reads
 
 
-def _prime_results(names: Sequence[str], p: int, m_list, r_list,
-                   handed: Optional[dict] = None, reads: Optional[dict] = None,
-                   ) -> list[CheckResult]:
+def _prime_results(names: Sequence[str], p: int, m_list, r_list, handed: dict,
+                   routes: dict) -> list[CheckResult]:
     """The records of the named prime-indexed rows at one prime, each a
     verdict or a skip, in the given row order, then m and r in list order
     for a Lift row.  The rows share one _PrimeValues at the largest precision
     they need (_e_max), so each value is computed once; `handed` holds the
     values mod p^e_max that the sweep's exact pass read for them, and
-    `reads` the task's read set (_prime_reads), which is collected here
-    where it is not given.  Each sequence's walk ends here at its largest
-    read below p^2 - 1 that was not handed (-1 for none); walk_or_pair pairs
-    the reads at or above p^2 - 1.  A conj2.5 record also carries the
-    prime's residue of c_m for the recovery."""
+    `routes` the route of each read of the task's read set: `handed`, or
+    the task's own `walk`, `pair` or `pass` (_plan_kinds; run_check deals
+    every read its own route, _own_route).  The task follows them: its walk
+    of A or A' ends at the largest read routed to it, and it pairs the
+    `pair` reads.  A conj2.5 record also carries the prime's residue of c_m
+    for the recovery."""
     rows = [(name, CHECKS[name].runner) for name in names]
     e_max = _e_max([row for _, row in rows], r_list)
     at = _PrimeValues(prime_info(p), e_max, handed)
-    if reads is None:
-        reads = _prime_reads([row for _, row in rows], p, m_list, r_list, at.cap)
-    at.reach = {sid: max((n for n in left if n < p * p - 1), default=-1)
-                for sid in (SeqId.A, SeqId.APRIME)
-                if (left := {n for n in reads.get(sid, ()) if (sid, n) not in at.values})}
+    at.routes = routes
     out = []
     for name, row in rows:
         if isinstance(row, Identity):
@@ -797,12 +812,14 @@ def run_check(
         raise ValueError(f"check {name} requires parameters m and r")
     if p is None:
         raise ValueError(f"check {name} requires parameter p")
-    return _prime_results([name], p, [m], [r])[0]
+    reads = _prime_reads([row], p, [m], [r], _size_cap())
+    routes = {(kind, n): _own_route(kind, n, p) for kind, ns in reads.items() for n in ns}
+    return _prime_results([name], p, [m], [r], {}, routes)[0]
 
 
 def _run_task(task) -> list[CheckResult]:
     """A task is (name,) for a fixed-range identity, or (names, p, m_list,
-    r_list, handed, reads) for the prime-indexed rows at one prime."""
+    r_list, handed, routes) for the prime-indexed rows at one prime."""
     if len(task) == 1:
         return [run_check(*task)]
     return _prime_results(*task)
@@ -905,40 +922,41 @@ def _prime_list(primes) -> list[int]:
 
 
 def _plan_kinds(reads: dict, e: int) -> dict:
-    """The plan of the exact pass of a sweep's prime tasks, from their read
-    sets alone: plan[kind][n] lists the primes whose tasks are handed the
-    value of `kind` at n (_walk_kinds).  reads[p] is the read set of p's
-    task (_prime_reads), and e the tasks' precision (_e_max), at which the
-    tasks' own walks are priced.  Where any prime reads the central sums,
-    every harmonic read is one of them, so one walk carries both kinds.
+    """The routes of a sweep's prime tasks, from their read sets alone:
+    plan[p][kind, n] is the route of p's read of `kind` at n, keyed as the
+    task reads it.  It is `handed` for a read that the sweep's exact pass
+    hands the task (_walk_kinds), and else the task's own route by the one
+    rule (_own_route): `walk` or `pair` for A and A', `pass` for the other
+    kinds.  reads[p] is the read set of p's task (_prime_reads), and e the
+    tasks' precision (_e_max), at which the tasks' own walks are priced.
+    Where any prime reads the central sums, every harmonic read is priced
+    as one of them, so one walk carries both kinds.
 
-    Each kind is walked to the read that minimises one cost estimate (see
-    _Kind): the exact walk to it, one reduction for each read up to it, and
-    the tasks' own routes for the reads above it.  Those routes are priced
-    as the task takes them (walk_or_pair), by what handing each read saves:
-    n + 1 terms for a read of n at or above p^2 - 1, the task's whole walk
-    (_walk_cost, for A and A') or pass (own * p) at its top read below
-    p^2 - 1, and nothing at the others.  So a sweep over many primes walks
-    its reads of size m p exactly, and a lone large prime, or a read of
-    size m p^2, keeps the task's routes."""
-    if any(CENTRAL in got for got in reads.values()):
-        reads = {p: {CENTRAL if kind is SeqId.H else kind: ns for kind, ns in got.items()}
-                 for p, got in reads.items()}
-    plan = {}
+    Each kind is handed up to the read that minimises one cost estimate
+    (see _Kind): the exact walk to it, one reduction for each read up to
+    it, and the tasks' own routes for the reads above it.  Those routes are
+    priced by what handing each read saves: n + 1 terms for a `pair` read
+    of n, the task's whole walk (_walk_cost, for A and A') or pass
+    (own * p) at its top `walk` or `pass` read, and nothing at the others.
+    So a sweep over many primes walks its reads of size m p exactly, and a
+    lone large prime, or a read of size m p^2, keeps the task's routes."""
+    walked = {SeqId.H: CENTRAL} if any(CENTRAL in got for got in reads.values()) else {}
+    folded = {p: {walked.get(kind, kind): ns for kind, ns in got.items()}
+              for p, got in reads.items()}
+    bounds = {}
     for kind, row in _KINDS.items():
         # saved[p, n]: what handing the read n saves p's task, whose own
-        # routes pair a read at or above p^2 - 1 and take one walk or pass
-        # to the top read below it
+        # routes pair some reads and take one walk or pass to the top of the
+        # others
         saved = {}
-        for p, got in reads.items():
+        for p, got in folded.items():
             ns = sorted(got.get(kind, ()))
-            saved.update(((p, n), 0.0 if n < p * p - 1 else n + 1.0) for n in ns)
-            below = [n for n in ns if n < p * p - 1]
-            if below:
-                own = row.own * p if row.own else _walk_cost(kind, below[-1], p, e)
-                saved[p, below[-1]] = own
+            own = [n for n in ns if _own_route(kind, n, p) != "pair"]
+            saved.update(((p, n), 0.0 if n in own else n + 1.0) for n in ns)
+            if own:
+                saved[p, own[-1]] = row.own * p if row.own else _walk_cost(kind, own[-1], p, e)
         total = sum(saved.values())
-        best, bound, reduced = total, -1, 0.0
+        best, bounds[kind], reduced = total, -1, 0.0
         events = sorted((n, p) for p, n in saved)
         for i, (n, p) in enumerate(events):
             total -= saved[p, n]
@@ -947,31 +965,33 @@ def _plan_kinds(reads: dict, e: int) -> dict:
                 continue
             cost = (n + 1) * (1 + row.growth * n / 1000) + reduced + total
             if cost < best:
-                best, bound = cost, n
-        readers: dict[int, list[int]] = {}
-        for n, p in events:
-            if n <= bound:
-                readers.setdefault(n, []).append(p)
-        if readers:
-            plan[kind] = readers
-    return plan
+                best, bounds[kind] = cost, n
+    return {p: {(kind, n): "handed" if n <= bounds[walked.get(kind, kind)]
+                else _own_route(kind, n, p) for kind, ns in got.items() for n in ns}
+            for p, got in reads.items()}
 
 
 def _walk_kinds(plan: dict, e: int) -> dict:
-    """{p: {(kind, n): value mod p^e}} for each prime p of plan[kind][n], from
-    one exact walk of each planned kind (_KINDS), in increasing n, to its
-    largest read, each step reduced at the primes that read it (and, for a
-    harmonic kind, at those whose p // 4 it is)."""
+    """{p: {(kind, n): value mod p^e}} for each read that the plan
+    (_plan_kinds) routes `handed`, from one exact walk of each handed kind
+    (_KINDS), in increasing n, to its largest handed read, each step
+    reduced at the primes that read it (and, for a harmonic kind, at those
+    whose p // 4 it is).  Where any prime reads the central sums, a handed
+    harmonic read is taken off the central walk, which gives the harmonic
+    pair too, as the plan priced it."""
+    central = any(kind == CENTRAL for routes in plan.values() for kind, _ in routes)
+    stops: dict = {}
+    for p, routes in plan.items():
+        for (kind, n), route in routes.items():
+            if route == "handed":
+                kind = CENTRAL if central and kind is SeqId.H else kind
+                for k in (p // 4, n) if _KINDS[kind].reduce is _reduce_harmonic else (n,):
+                    stops.setdefault(kind, {}).setdefault(k, set()).add(p)
     out: dict = {}
-    for kind, readers in plan.items():
-        row, stops = _KINDS[kind], {}
-        for n, ps in readers.items():
-            for p in ps:
-                for k in (p // 4, n) if row.quarter else (n,):
-                    stops.setdefault(k, []).append(p)
-        for k, step in enumerate(islice(row.walk(), max(readers) + 1)):
-            for p in stops.get(k, ()):
-                row.reduce(out.setdefault(p, {}), kind, step, k, p, e)
+    for kind, at in stops.items():
+        for k, step in enumerate(islice(_KINDS[kind].walk(), max(at) + 1)):
+            for p in at.get(k, ()):
+                _KINDS[kind].reduce(out.setdefault(p, {}), kind, step, k, p, e)
     return out
 
 
@@ -1006,10 +1026,10 @@ def sweep(
     tasks = [(name,) for name in fixed]
     if at_prime:
         rows, cap = [CHECKS[name].runner for name in at_prime], _size_cap()
-        reads = {p: _prime_reads(rows, p, m_list, r_list, cap) for p in plist}
         e = _e_max(rows, r_list)
-        handed = _walk_kinds(_plan_kinds(reads, e), e)
-        tasks.extend((at_prime, p, m_list, r_list, handed.get(p, {}), reads[p]) for p in plist)
+        plan = _plan_kinds({p: _prime_reads(rows, p, m_list, r_list, cap) for p in plist}, e)
+        handed = _walk_kinds(plan, e)
+        tasks.extend((at_prime, p, m_list, r_list, handed.get(p, {}), plan[p]) for p in plist)
 
     workers = min(jobs, usable_cpus(), len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):

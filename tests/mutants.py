@@ -39,6 +39,7 @@ GOLDEN = "tests/test_golden.py::test_fixed_sweep_output_bytes"
 PLAN = T + "test_plan_walks_each_kind_to_its_recorded_end"
 READ_SET = T + "test_every_value_a_prime_task_reads_is_in_its_read_set"
 WALK_OR_PAIR = T + "test_task_walks_below_p2_and_pairs_at_and_above"
+SHUFFLE = T + "test_records_are_the_same_under_any_valid_routes"
 S = "tests/test_sequences.py::"
 WALK_ORACLES = S + "test_apery_walk_mod_matches_oracles_everywhere"
 SUM_AND_RECURRENCE = S + "test_sum_and_recurrence_agree"
@@ -66,17 +67,27 @@ MUTANTS = [
      [T + "test_exact_pass_matches_the_task_routes_next_to_p_and_p2", GOLDEN]),
     # the plan of the sweep's exact pass (_plan_kinds)
     ("no-harmonic-fold-into-central", CHECKS_PY,
-     "if any(CENTRAL in got for got in reads.values()):",
-     "if False:",
+     "walked = {SeqId.H: CENTRAL} if any(CENTRAL in got for got in reads.values()) else {}",
+     "walked = {}",
      [PLAN, T + "test_prime_task_reads_each_value_once"]),
     ("walk-bound-exclusive", CHECKS_PY,
-     "if n <= bound:",
-     "if n < bound:",
+     '"handed" if n <= bounds[walked.get(kind, kind)]',
+     '"handed" if n < bounds[walked.get(kind, kind)]',
      [PLAN]),
     ("central-growth-7.5", CHECKS_PY,
-     "75.0, 16.0, 1.3, True",
-     "7.5, 16.0, 1.3, True",
+     "75.0, 16.0, 1.3)",
+     "7.5, 16.0, 1.3)",
      [PLAN]),
+    # the sweep's exact pass (_walk_kinds): each stop reduced one step late
+    ("walk-kinds-reduce-one-step-late", CHECKS_PY,
+     "for p in at.get(k, ()):",
+     "for p in at.get(k - 1, ()):",
+     [SHUFFLE]),
+    # a task that walks by the old rule, not by the routes it was dealt
+    ("walk-or-pair-ignores-routes", CHECKS_PY,
+     'if self.routes[sid, n] == "walk":',
+     "if n < self.p * self.p - 1:",
+     [SHUFFLE]),
     # a task's values (_PrimeValues.value)
     ("value-ignores-handed", CHECKS_PY,
      "self.values = dict(handed or {})",
@@ -95,19 +106,20 @@ MUTANTS = [
      "(CENTRAL,) * row.central + (SeqId.H,) * row.euler",
      "(CENTRAL,) * row.euler + (SeqId.H,) * row.euler",
      [READ_SET, PLAN]),
-    # a task's route for A and A': walk below p^2 - 1, pair at and above
-    # (_PrimeValues.walk_or_pair), as _plan_kinds prices it
+    # a task's own route for A and A': walk below p^2 - 1, pair at and above
+    # (_own_route), which _PrimeValues.walk_or_pair follows and _plan_kinds
+    # prices
     ("walk-up-to-p2", CHECKS_PY,
-     "if n < self.p * self.p - 1:",
-     "if n < self.p * self.p:",
+     'return "walk" if n < p * p - 1 else "pair"',
+     'return "walk" if n < p * p else "pair"',
      [WALK_OR_PAIR]),
     ("pair-read-saves-nothing", CHECKS_PY,
-     "0.0 if n < p * p - 1 else n + 1.0",
-     "0.0 if n < p * p - 1 else 0.0",
+     "0.0 if n in own else n + 1.0",
+     "0.0 if n in own else 0.0",
      [PLAN]),
     ("walk-saving-at-first-read", CHECKS_PY,
-     "saved[p, below[-1]] = own",
-     "saved[p, below[0]] = own",
+     "saved[p, own[-1]] =",
+     "saved[p, own[0]] =",
      [PLAN]),
     # the task's walk of A or A' mod p^e (sequences.apery_walk_mod)
     ("walk-start-one-digit-short", SEQUENCES_PY,

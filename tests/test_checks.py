@@ -2,6 +2,7 @@
 
 import gc
 import os
+import random
 import signal
 import time
 import weakref
@@ -10,6 +11,8 @@ from itertools import islice, product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aperylab import checks, identities, sequences, special
 from aperylab.checks import (
@@ -95,7 +98,8 @@ def shift_apery(monkeypatch, shift, first=lambda q: 0,
         return tuple(moved(v, n, table.p, table.e) for v in real_pair(n, table))
 
     def kinds(plan, e):
-        calls.append(("_walk_kinds", max((n for ns in plan.values() for n in ns), default=-1)))
+        readers = handed_readers(plan)
+        calls.append(("_walk_kinds", max((n for ns in readers.values() for n in ns), default=-1)))
         return {
             q: {(kind, n): moved(v, n, q, e) if kind in (SeqId.A, SeqId.APRIME) else v
                 for (kind, n), v in values.items()}
@@ -137,14 +141,49 @@ def shift_harmonic(monkeypatch, central=None, harmonic=None):
     monkeypatch.setattr(checks, "_walk_kinds", kinds)
 
 
+def handed_readers(plan):
+    """{kind: {n: [p]}} for the reads that a sweep's plan, {p: {(kind, n):
+    route}}, hands its tasks, each kind as the exact pass walks it: a
+    harmonic read as CENTRAL where any prime reads the central sums.  Kinds
+    come in the order of _KINDS, n ascending, and each p once, ascending."""
+    central = any(kind == CENTRAL for routes in plan.values() for kind, _ in routes)
+    readers = {}
+    for p, routes in plan.items():
+        for (kind, n), route in routes.items():
+            if route == "handed":
+                kind = CENTRAL if central and kind is SeqId.H else kind
+                readers.setdefault(kind, {}).setdefault(n, set()).add(p)
+    return {kind: {n: sorted(readers[kind][n]) for n in sorted(readers[kind])}
+            for kind in checks._KINDS if kind in readers}
+
+
+def plan_handing(readers):
+    """The plan {p: {(kind, n): "handed"}} that hands each p of readers[kind][n]
+    the value of `kind` at n: the inverse of handed_readers."""
+    plan = {}
+    for kind, at in readers.items():
+        for n, ps in at.items():
+            for p in ps:
+                plan.setdefault(p, {})[kind, n] = "handed"
+    return plan
+
+
+def own_plan(reads, e):
+    """A stand-in for checks._plan_kinds that hands nothing: every read of
+    each prime's read set takes the task's own route (_own_route)."""
+    return {p: {(kind, n): checks._own_route(kind, n, p) for kind, ns in got.items() for n in ns}
+            for p, got in reads.items()}
+
+
 def plan_of(names, primes, m_list, r_list):
     """(plan, e_max) of the exact pass of a sweep of the named prime rows over
-    a list of primes, planned from their read sets as the sweep plans it."""
+    a list of primes, planned from their read sets as the sweep plans it; the
+    plan as handed_readers reads it."""
     rows = [CHECKS[name].runner for name in names]
     e = checks._e_max(rows, r_list)
     reads = {p: checks._prime_reads(rows, p, m_list, r_list, checks._size_cap())
              for p in primes}
-    return checks._plan_kinds(reads, e), e
+    return handed_readers(checks._plan_kinds(reads, e)), e
 
 
 def test_registry_shape():
@@ -701,7 +740,7 @@ def test_prime_task_reads_each_value_once(monkeypatch):
     # one exact pass, at e_max = 3r + 2 = 5, from conj2.3 and conj2.4 at
     # r = 1: A, A', t and the harmonic walk with its central sums, whose
     # values every prime reads at (p - 1)/2
-    walks = [c[1:] for c in calls if c[0] == "_walk_kinds"]
+    walks = [(handed_readers(c[1]), c[2]) for c in calls if c[0] == "_walk_kinds"]
     assert [(list(plan), e) for plan, e in walks] == [
         ([SeqId.A, SeqId.APRIME, SeqId.T, CENTRAL], 5)]
     assert sorted(q for ps in walks[0][0][CENTRAL].values() for q in ps) == primes
@@ -782,7 +821,7 @@ def test_lift_task_reads_each_value_once(monkeypatch):
         raise AssertionError(f"a harmonic pass at p = {table.p}")
 
     def kinds(plan, e):
-        pass_calls.append((plan, e))
+        pass_calls.append((handed_readers(plan), e))
         return real_kinds(plan, e)
 
     def values(pi, e_max, handed):
@@ -918,7 +957,7 @@ def test_exact_pass_matches_the_task_walks_past_27_and_81_at_p3(sid):
     # v_3(n!) jumps by 3 at 27 and by 4 at 81, where the walks mod 3^e
     # divide the most digits out
     for e in range(1, 9):
-        got = checks._walk_kinds({sid: {n: [3] for n in range(101)}}, e)
+        got = checks._walk_kinds(plan_handing({sid: {n: [3] for n in range(101)}}), e)
         assert [got[3][sid, n] for n in range(101)] == task_route(sid, 3, e, 100), e
 
 
@@ -934,7 +973,7 @@ def test_exact_pass_matches_the_task_routes_next_to_p_and_p2(e):
     for p in primes:
         for n in reads[p]:
             readers.setdefault(n, []).append(p)
-    got = checks._walk_kinds({SeqId.A: readers, SeqId.APRIME: readers}, e)
+    got = checks._walk_kinds(plan_handing({SeqId.A: readers, SeqId.APRIME: readers}), e)
     for p in primes:
         assert set(got[p]) == {(sid, n) for sid in (SeqId.A, SeqId.APRIME) for n in reads[p]}
         table = FactorialTable(p, e)
@@ -950,7 +989,7 @@ def test_exact_pass_hands_t_at_a_quarter():
     plan, e_max = plan_of(["thm3.3_tquarter"], [3, 7], [1], [1])
     assert (plan, e_max) == ({SeqId.T: {0: [3], 1: [7]}}, 1)
     for e in range(1, 9):
-        got = checks._walk_kinds(plan, e)
+        got = checks._walk_kinds(plan_handing(plan), e)
         assert got == {3: {(SeqId.T, 0): task_route(SeqId.T, 3, e, 0)[0]},
                        7: {(SeqId.T, 1): task_route(SeqId.T, 7, e, 1)[1]}}
 
@@ -1009,8 +1048,8 @@ def test_every_value_a_prime_task_reads_is_in_its_read_set(monkeypatch):
     # a task reads each value, handed or off its own route, through
     # _PrimeValues.value, and each is in the read set that the sweep, or
     # run_check, planned it from (_prime_reads); so every A or A' read that
-    # reaches the task's walk or pair has a planned reach.  At 9973 nothing
-    # is handed, and run_check hands nothing anywhere.
+    # reaches the task's walk or pair has a route.  At 9973 nothing is
+    # handed, and run_check hands nothing anywhere.
     names = [name for name in CHECKS if not checks.fixed_range(name)]
     m_list, r_list, cap = [1, 2, 3], [1, 2], checks._size_cap()
     read, routed = [], []
@@ -1025,7 +1064,7 @@ def test_every_value_a_prime_task_reads_is_in_its_read_set(monkeypatch):
         row = checks._KINDS[sid]
 
         def walk_or_pair(at, kind, n, route=row.route):
-            assert kind in at.reach, (at.p, kind, n)
+            assert (kind, n) in at.routes, (at.p, kind, n)
             routed.append((at.p, kind, n))
             return route(at, kind, n)
 
@@ -1059,7 +1098,7 @@ def harmonic_handed(primes, e):
     readers = {}
     for p in primes:
         readers.setdefault((p - 1) // 2, []).append(p)
-    return checks._walk_kinds({CENTRAL: readers}, e)
+    return checks._walk_kinds(plan_handing({CENTRAL: readers}), e)
 
 
 def test_harmonic_walk_matches_the_task_passes():
@@ -1199,6 +1238,74 @@ def test_plan_walks_each_kind_to_its_recorded_end(names, primes, m_list, r_list,
         assert plan[CENTRAL] == {(q - 1) // 2: [q] for q in plist if q <= 2 * ends[CENTRAL] + 1}
 
 
+def dealt(choose):
+    """A stand-in for checks._plan_kinds that deals each read of each prime's
+    read set the route choose(p, kind, n, route) gives it, where route is the
+    one the real plan deals it."""
+    real = checks._plan_kinds
+
+    def plan(reads, e):
+        return {p: {(kind, n): choose(p, kind, n, route) for (kind, n), route in routes.items()}
+                for p, routes in real(reads, e).items()}
+
+    return plan
+
+
+def valid_routes(p, kind, n):
+    """Every route a prime task may take for its read of `kind` at n: handed,
+    its own route, and the pair for an A or A' read below p^2 - 1."""
+    own = checks._own_route(kind, n, p)
+    return ["handed", own, "pair"] if own == "walk" else ["handed", own]
+
+
+SHUFFLE_PRIMES = [pi.p for pi in primes_in_range(3, 130)]
+
+
+@st.composite
+def shuffle_specs(draw):
+    """A sweep spec for the shuffle gate: (names, primes, m_list, r_list,
+    jobs, seed).  The primes are a range of up to 12 primes from 3..130 and
+    two lone primes: one of 3, 5 and 7, where a read m p + shift for m <= 7
+    can reach p^2 - 1 (at p = 7, m = 7 and shift -1 it is p^2 - 1), and one
+    from 11..130, where none does."""
+    names = draw(st.lists(st.sampled_from(AT_PRIME_NAMES), min_size=1, max_size=8, unique=True))
+    lo = draw(st.integers(0, len(SHUFFLE_PRIMES) - 1))
+    hi = draw(st.integers(lo, min(lo + 11, len(SHUFFLE_PRIMES) - 1)))
+    lone = draw(st.sampled_from([3, 5, 7])), draw(st.sampled_from(SHUFFLE_PRIMES[3:]))
+    primes = sorted({*SHUFFLE_PRIMES[lo : hi + 1], *lone})
+    m_list = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True))
+    r_list = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2, unique=True))
+    return names, primes, m_list, r_list, draw(st.sampled_from([1, 2])), draw(st.integers(0, 9999))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shuffle_specs())
+@example((AT_PRIME_NAMES, [p for p in SHUFFLE_PRIMES if p <= 120], [2, 1], [1, 2], 1, 0))
+def test_records_are_the_same_under_any_valid_routes(spec):
+    # the shuffle gate: a sweep's records are those of the planner's routes
+    # when every read is handed, when none is, and when each read takes a
+    # route drawn at random from its valid ones.  The size cap keeps the
+    # exact walks of the all-handed plan short: the r = 2 reads above it
+    # skip alike under every choice.
+    names, primes, m_list, r_list, jobs, seed = spec
+    rng = random.Random(seed)
+    choices = {
+        "planned": lambda p, kind, n, route: route,
+        "all handed": lambda p, kind, n, route: "handed",
+        "none handed": lambda p, kind, n, route: checks._own_route(kind, n, p),
+        "random": lambda p, kind, n, route: rng.choice(valid_routes(p, kind, n)),
+    }
+    plans, got = {choice: dealt(choose) for choice, choose in choices.items()}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(checks.SIZE_CAP_ENV, "10000")
+        for choice, plan in plans.items():
+            mp.setattr(checks, "_plan_kinds", plan)
+            got[choice] = sweep(names, primes, m_list, r_list, jobs)
+    assert {res.verdict for res in got["planned"]} <= {"pass", "skip"}
+    for choice, records in got.items():
+        assert records == got["planned"], (choice, spec)
+
+
 def _shift_int(v, n, p, e):
     # an index n >= p - 1 moves by p^2, which each lift row sees at r = 1
     return (v + p * p) % p ** e if n >= p - 1 else v
@@ -1245,7 +1352,7 @@ def test_sweep_fails_when_one_kind_is_perturbed(monkeypatch, kind, route):
             return shift(row.route(at, k, n), n, at.p, at.e_max)
 
         monkeypatch.setitem(checks._KINDS, kind, row._replace(route=own))
-        monkeypatch.setattr(checks, "_plan_kinds", lambda *args: {})
+        monkeypatch.setattr(checks, "_plan_kinds", own_plan)
     got = sweep(names, primes, m_list=m_list)
     assert [res.verdict == "skip" for res in got] == [res.verdict == "skip" for res in before]
     assert {res.verdict for res in got} - {"skip"} == {"fail"}
@@ -1454,7 +1561,7 @@ def test_lift_weights_read_no_exact_walk(monkeypatch):
     for module in (sequences, checks):
         for walk in ("apery_neighbours", "apery_values", "t_values", "harmonic_walk"):
             monkeypatch.setattr(module, walk, refuse, raising=False)
-    monkeypatch.setattr(checks, "_plan_kinds", lambda *args: {})
+    monkeypatch.setattr(checks, "_plan_kinds", own_plan)
     got = sweep(WEIGHTED_LIFTS, [11, 13, 17, 19], m_list=[1, 2, 7], r_list=[1, 2])
     assert [res.verdict for res in got] == ["pass"] * 144
 
